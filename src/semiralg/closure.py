@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidOptions, NoStabilization, StarUndefined
+from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix, identity
 
 __all__ = ["ClosureOptions", "IterativeClosure", "closure", "closure_block",
@@ -161,6 +162,9 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     n = A.rows
     if opts.split is not None and n > 1 and opts.split > n - 1:
         raise InvalidOptions(f"split {opts.split} out of range 1..{n - 1}")
+    if is_lift(A.descriptor):
+        return join_endpoints(A.descriptor, *endpoint_runs(
+            lambda M, _: closure_block(M, opts), A))
     limiter = _Limiter(opts.threads - 1) if opts.parallel else None
     data = _close_rec(A.descriptor, A._data, 0, opts, limiter)
     return Matrix._wrap(A.descriptor, data)
@@ -170,6 +174,9 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     """Closure by pivot elimination over the whole matrix in place."""
     _require_square(A)
     d = A.descriptor
+    if is_lift(d):
+        return join_endpoints(d, *endpoint_runs(
+            lambda M, _: closure_gauss_jordan(M), A))
     star, mul, fma, add = d.star, d.mul, d.fma, d.add
     n = A.rows
     C = [row[:] for row in A._data]

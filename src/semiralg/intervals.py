@@ -7,15 +7,19 @@ endpoint.  Positivity of the base makes the endpoint-wise operations
 coincide with the set-image operations on intervals, so the lift is
 again a semiring and every matrix algorithm runs on it unchanged.
 
-The lifted fused-accumulate is hand-specialized per base family; the
-interval variant additionally returns the accumulator object itself
-whenever the new term does not move either endpoint, which keeps
-closure kernels allocation-free on the (common) dominated updates.
+Because every lifted operation acts on each endpoint separately, a
+matrix algorithm that never branches on values computes, on an
+interval matrix, exactly the pair of its base runs on the lo and on
+the hi matrix.  The closures and factorizations use that:
+``endpoint_runs`` runs a kernel once per endpoint and
+``join_endpoints`` zips the two results back into intervals.  The
+lifted ``fma`` (two base accumulates) serves everything else.
 """
 
 from typing import NamedTuple
 
-from .errors import EmptyInterval, IllegalElement, NotPositive
+from .errors import EmptyInterval, IllegalElement, NotPositive, StarUndefined
+from .matrices import Matrix
 from .semirings import SemiringDescriptor, SemiringFlags
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
@@ -60,6 +64,52 @@ def lift_semiring(base: SemiringDescriptor) -> SemiringDescriptor:
         lifted = _build_lift(base)
         _lift_cache[base] = lifted
     return lifted
+
+
+def is_lift(d: SemiringDescriptor) -> bool:
+    """True for a descriptor built by ``lift_semiring`` itself.
+
+    Only its operations are known to act endpoint by endpoint; a copy
+    with some operation replaced keeps the generic lifted path.
+    """
+    return d.base is not None and _lift_cache.get(d.base) is d
+
+
+def endpoint_runs(run, A: Matrix, counter=None):
+    """``[run(lo, counter), run(hi, None)]`` over the endpoint matrices of A.
+
+    ``run`` must not branch on values.  Only the lo run gets
+    ``counter``, so it tallies one operation per interval operation.
+    A lifted run stops at the first pivot where either endpoint star
+    fails, the lo endpoint first; so when a run fails, the failure
+    with the earlier location is raised, the lo run's on a tie.
+    """
+    base = A.descriptor.base
+    results, failures = [], []
+    for end, tally in ((0, counter), (1, None)):
+        M = Matrix._wrap(base, [[v[end] for v in row] for row in A._data])
+        try:
+            results.append(run(M, tally))
+        except StarUndefined as exc:
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.location)
+    return results
+
+
+def join_endpoints(d: SemiringDescriptor, lo, hi):
+    """Zip lo and hi base results into values of the lift ``d``.
+
+    Two matrices give a Matrix over ``d``, two sequences a list.  An
+    all-zero pair becomes the lift's one zero object, as the lifted
+    operations return it.
+    """
+    if isinstance(lo, Matrix):
+        return Matrix._wrap(d, [join_endpoints(d, a, b)
+                                for a, b in zip(lo._data, hi._data)])
+    zero, is_zero, new = d.zero, d.base.is_zero, tuple.__new__
+    return [zero if is_zero(b) and is_zero(a) else new(Interval, (a, b))
+            for a, b in zip(lo, hi)]
 
 
 def _build_lift(base: SemiringDescriptor) -> SemiringDescriptor:
@@ -112,13 +162,11 @@ def _build_lift(base: SemiringDescriptor) -> SemiringDescriptor:
     def eq(x, y):
         return beq(x[0], y[0]) and beq(x[1], y[1])
 
-    fma = _fused_fma(base, _generic_fma(base.fma, zero), zero)
-
     return SemiringDescriptor(
         name="interval", zero=zero,
         one=Interval(base.one, base.one),
         add=add, mul=mul, star=star, leq=leq, eq=eq,
-        coerce=coerce, fma=fma, base=base,
+        coerce=coerce, fma=_generic_fma(base.fma, zero), base=base,
         flags=SemiringFlags(idempotent=base.flags.idempotent,
                             complete=base.flags.complete,
                             commutative_mul=base.flags.commutative_mul,
@@ -137,133 +185,3 @@ def _generic_fma(bfma, _zero):
             return acc
         return _new(_I, (lo, hi))
     return fma
-
-
-def _fused_fma(base, generic, _zero):
-    """Inline accumulate for the numeric bases; tags punt to ``generic``.
-
-    Every kernel opens with an identity test against the canonical zero
-    interval: a zero factor annihilates the product, so the accumulator
-    comes back untouched without any endpoint arithmetic.
-    """
-    name = base.name
-    if name == "maxplus":
-        # tag fallback maps the bottom tag to IEEE -inf; an endpoint that
-        # actually moves is strictly above -inf and hence a finite float,
-        # while unmoved endpoints reuse acc's objects (tags included)
-        def fma(acc, x, y, _new=tuple.__new__, _I=Interval,
-                _ninf=float("-inf"), _zero=_zero):
-            if x is _zero or y is _zero:
-                return acc
-            al, ah = acc
-            try:
-                lo = x[0] + y[0]
-                hi = x[1] + y[1]
-                if al >= lo:
-                    if ah >= hi:
-                        return acc
-                    lo = al
-                elif hi <= ah:
-                    hi = ah
-                return _new(_I, (lo, hi))
-            except TypeError:
-                x0, x1 = x
-                y0, y1 = y
-                lo = (x0 if type(x0) is float else _ninf) \
-                    + (y0 if type(y0) is float else _ninf)
-                hi = (x1 if type(x1) is float else _ninf) \
-                    + (y1 if type(y1) is float else _ninf)
-                if (al if type(al) is float else _ninf) >= lo:
-                    if (ah if type(ah) is float else _ninf) >= hi:
-                        return acc
-                    return _new(_I, (al, hi))
-                if (ah if type(ah) is float else _ninf) >= hi:
-                    return _new(_I, (lo, ah))
-                return _new(_I, (lo, hi))
-        return fma
-    if name == "maxplus_complete":
-        def fma(acc, x, y, _new=tuple.__new__, _I=Interval, _zero=_zero):
-            if x is _zero or y is _zero:
-                return acc
-            al, ah = acc
-            try:
-                lo = x[0] + y[0]
-                hi = x[1] + y[1]
-                if al >= lo:
-                    if ah >= hi:
-                        return acc
-                    lo = al
-                elif hi <= ah:
-                    hi = ah
-                return _new(_I, (lo, hi))
-            except TypeError:
-                return generic(acc, x, y)
-        return fma
-    if name == "minplus":
-        # mirror of the maxplus kernel: the bottom tag is +inf
-        def fma(acc, x, y, _new=tuple.__new__, _I=Interval,
-                _pinf=float("inf"), _zero=_zero):
-            if x is _zero or y is _zero:
-                return acc
-            al, ah = acc
-            try:
-                lo = x[0] + y[0]
-                hi = x[1] + y[1]
-                if al <= lo:
-                    if ah <= hi:
-                        return acc
-                    lo = al
-                elif hi >= ah:
-                    hi = ah
-                return _new(_I, (lo, hi))
-            except TypeError:
-                x0, x1 = x
-                y0, y1 = y
-                lo = (x0 if type(x0) is float else _pinf) \
-                    + (y0 if type(y0) is float else _pinf)
-                hi = (x1 if type(x1) is float else _pinf) \
-                    + (y1 if type(y1) is float else _pinf)
-                if (al if type(al) is float else _pinf) <= lo:
-                    if (ah if type(ah) is float else _pinf) <= hi:
-                        return acc
-                    return _new(_I, (al, hi))
-                if (ah if type(ah) is float else _pinf) <= hi:
-                    return _new(_I, (lo, ah))
-                return _new(_I, (lo, hi))
-        return fma
-    if name in ("rplus", "rplus_complete"):
-        def fma(acc, x, y, _new=tuple.__new__, _I=Interval, _zero=_zero):
-            if x is _zero or y is _zero:
-                return acc
-            try:
-                return _new(_I, (acc[0] + x[0] * y[0], acc[1] + x[1] * y[1]))
-            except TypeError:
-                return generic(acc, x, y)
-        return fma
-    if name == "maxmin":
-        def fma(acc, x, y, _new=tuple.__new__, _I=Interval, _zero=_zero):
-            if x is _zero or y is _zero:
-                return acc
-            al, ah = acc
-            try:
-                sl = x[0] if x[0] <= y[0] else y[0]
-                sh = x[1] if x[1] <= y[1] else y[1]
-                lo = al if sl <= al else sl
-                hi = ah if sh <= ah else sh
-            except TypeError:
-                return generic(acc, x, y)
-            if lo is al and hi is ah:
-                return acc
-            return _new(_I, (lo, hi))
-        return fma
-    if name == "boolean":
-        def fma(acc, x, y, _new=tuple.__new__, _I=Interval, _zero=_zero):
-            if x is _zero or y is _zero:
-                return acc
-            lo = acc[0] or (x[0] and y[0])
-            hi = acc[1] or (x[1] and y[1])
-            if lo is acc[0] and hi is acc[1]:
-                return acc
-            return _new(_I, (lo, hi))
-        return fma
-    return generic

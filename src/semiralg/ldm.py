@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
                      NotSymmetric, ShapeViolation, StarUndefined)
+from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix
 from .semirings import same_descriptor
 
@@ -79,6 +80,12 @@ def _counted(d, counter):
         return base_star(x)
 
     return add, mul, star
+
+
+def _join_triples(d, lo, hi):
+    return LdmTriple(join_endpoints(d, lo.L, hi.L),
+                     tuple(join_endpoints(d, lo.D, hi.D)),
+                     join_endpoints(d, lo.M, hi.M))
 
 
 def _coerce_vector(d, b, n):
@@ -246,6 +253,8 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     if A.rows != A.cols:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
     d = A.descriptor
+    if is_lift(d):
+        return _join_triples(d, *endpoint_runs(ldm_factorize, A, counter))
     n = A.rows
     add, mul, star = _counted(d, counter)
     C = [row[:] for row in A._data]
@@ -308,6 +317,8 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
         for j in range(i):
             if not d.eq(rows[i][j], rows[j][i]):
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+    if is_lift(d):
+        return _join_triples(d, *endpoint_runs(symmetric_factorize, A, counter))
 
     add, mul, star = _counted(d, counter)
     zero = d.zero

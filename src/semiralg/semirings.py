@@ -92,7 +92,11 @@ def _finite(v, name):
             return v
         raise IllegalElement(f"IEEE {v!r} is not a {name} element; use the infinity tags")
     if t is int:
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise IllegalElement(f"an integer of {v.bit_length()} bits is too "
+                                 f"large for a {name} element") from None
     raise IllegalElement(f"{v!r} is not a {name} element")
 
 
@@ -465,8 +469,14 @@ _cache: dict = {}
 def _norm_bound(v):
     if isinstance(v, Infinity):
         return v
-    if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
-        return float(v)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            f = float(v)
+        except OverflowError:
+            raise InvalidBounds(f"bad bound: an integer of {v.bit_length()} "
+                                "bits does not fit a float") from None
+        if math.isfinite(f):
+            return f
     raise InvalidBounds(f"bad bound {v!r}: need a finite number or an infinity tag")
 
 

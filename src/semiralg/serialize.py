@@ -169,3 +169,6 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          context=f"line {exc.lineno} column {exc.colno}") from exc
+    except ValueError as exc:
+        # integer literals past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc

@@ -170,16 +170,21 @@ def pair_endpoints(base, lo_matrix, hi_matrix):
     return Matrix(lifted, data)
 
 
+def interval_hull(base, a, b):
+    """Interval matrix spanning two base matrices entry by entry."""
+    rows, cols = range(a.rows), range(a.cols)
+    lo = [[a[i, j] if base.leq(a[i, j], b[i, j]) else b[i, j] for j in cols]
+          for i in rows]
+    hi = [[b[i, j] if base.leq(a[i, j], b[i, j]) else a[i, j] for j in cols]
+          for i in rows]
+    return pair_endpoints(base, Matrix._wrap(base, lo), Matrix._wrap(base, hi))
+
+
 def random_interval_matrix(base_name, n, rand, density=0.6):
     """Interval matrix whose endpoint matrices are each star-safe."""
-    base = descriptor(base_name)
     a = random_stable_matrix(base_name, n, rand, density=density)
     b = random_stable_matrix(base_name, n, rand, density=density)
-    lo = [[a[i, j] if base.leq(a[i, j], b[i, j]) else b[i, j] for j in range(n)]
-          for i in range(n)]
-    hi = [[b[i, j] if base.leq(a[i, j], b[i, j]) else a[i, j] for j in range(n)]
-          for i in range(n)]
-    return pair_endpoints(base, Matrix._wrap(base, lo), Matrix._wrap(base, hi))
+    return interval_hull(descriptor(base_name), a, b)
 
 
 # ------------------------------------------------------------ acceptance hook

@@ -251,6 +251,18 @@ def test_exit_2_parse_failures(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_2_integer_literal_too_large(tmp_path, capsys):
+    big = _write(tmp_path / "big.json", '{"data": [[1' + "0" * 400 + "]]}")
+    for semiring in ("minplus", "maxmin,0,10"):
+        code, out, err = _run(capsys, "closure", "--semiring", semiring, big)
+        assert code == 2 and out == ""
+        assert "data[0][0]" in err and "too large" in err
+    # past the interpreter's digit limit the JSON reader itself refuses it
+    huge = _write(tmp_path / "huge.json", '{"data": [[1' + "0" * 5000 + "]]}")
+    code, _, err = _run(capsys, "closure", "--semiring", "minplus", huge)
+    assert code == 2 and "error:" in err
+
+
 def test_exit_2_argparse_usage(capsys):
     assert main([]) == 2                      # no command
     capsys.readouterr()

@@ -2,15 +2,19 @@
 
 import pytest
 
-from conftest import (descriptor, interval_samples, pair_endpoints,
-                      random_interval_matrix, random_stable_matrix, scalar_samples)
-from semiralg import (Interval, Matrix, NEG_INF, closure, closure_block,
-                      closure_gauss_jordan, contains, graph_to_matrix,
-                      identity, ldm_factorize, lift_semiring, make_interval,
+from conftest import (descriptor, interval_hull, interval_samples,
+                      pair_endpoints, random_interval_matrix,
+                      random_nilpotent_matrix, random_stable_matrix,
+                      random_symmetric_stable_matrix, scalar_samples)
+from semiralg import (ClosureOptions, Interval, Matrix, NEG_INF, OpCounter,
+                      closure, closure_block, closure_gauss_jordan,
+                      closure_iterative, contains, graph_to_matrix, identity,
+                      ldm_factorize, lift_semiring, make_interval,
                       matrix_to_graph, shortest_paths, solve_bellman,
-                      solve_via_ldm, widest_paths, zeros)
+                      solve_via_ldm, symmetric_factorize, widest_paths, zeros)
 from semiralg import laws
-from semiralg.errors import EmptyInterval, IllegalElement, NotPositive
+from semiralg.errors import (DimensionMismatch, EmptyInterval, IllegalElement,
+                             NotPositive, NotSymmetric, StarUndefined)
 
 MX = descriptor("maxplus")
 LIFT_NAMES = ["maxplus", "minplus", "maxmin", "boolean", "rplus",
@@ -225,14 +229,103 @@ def test_solvers_decompose_endpoint_wise(name, rng):
 
 def test_factorization_decomposes_endpoint_wise(rng):
     base = descriptor("maxplus")
-    av = random_interval_matrix("maxplus", 4, rng)
-    lo, hi = _split_endpoints(av)
-    t = ldm_factorize(av)
-    t_lo = ldm_factorize(lo)
-    t_hi = ldm_factorize(hi)
-    assert t.L == pair_endpoints(base, t_lo.L, t_hi.L)
-    assert t.M == pair_endpoints(base, t_lo.M, t_hi.M)
-    assert t.D == tuple(Interval(a, b) for a, b in zip(t_lo.D, t_hi.D))
+    general = random_interval_matrix("maxplus", 4, rng)
+    symmetric = interval_hull(
+        base, random_symmetric_stable_matrix("maxplus", 4, rng),
+        random_symmetric_stable_matrix("maxplus", 4, rng))
+    for factorize, av in ((ldm_factorize, general),
+                          (symmetric_factorize, symmetric)):
+        lo, hi = _split_endpoints(av)
+        t = factorize(av)
+        t_lo = factorize(lo)
+        t_hi = factorize(hi)
+        assert t.L == pair_endpoints(base, t_lo.L, t_hi.L)
+        assert t.M == pair_endpoints(base, t_lo.M, t_hi.M)
+        assert t.D == tuple(Interval(a, b) for a, b in zip(t_lo.D, t_hi.D))
+
+
+def test_iterative_closure_decomposes_endpoint_wise(rng):
+    cases = [(name, random_interval_matrix(name, n, rng), ClosureOptions())
+             for name in ("maxplus", "minplus", "maxmin", "boolean")
+             for n in (1, 3, 5)]
+    rplus = descriptor("rplus")
+    for n in (3, 5):
+        # nilpotent endpoints on one support: an exact fixpoint within n steps
+        a = random_nilpotent_matrix("rplus", n, rng)
+        nil = interval_hull(rplus, a, Matrix(rplus, [[2 * v for v in row]
+                                                     for row in a.to_lists()]))
+        cases.append(("rplus", nil, ClosureOptions(max_iterations=60)))
+        # a contraction cut off after 5 steps
+        dense = interval_hull(
+            rplus, *(Matrix(rplus, [[rng.randint(1, 3) / 16 for _ in range(n)]
+                                    for _ in range(n)]) for _ in range(2)))
+        cases.append(("rplus", dense, ClosureOptions(max_iterations=5)))
+    truncations = 0
+    for name, av, opts in cases:
+        lo, hi = _split_endpoints(av)
+        got = closure_iterative(av, opts)
+        r_lo = closure_iterative(lo, opts)
+        r_hi = closure_iterative(hi, opts)
+        assert got.matrix == pair_endpoints(descriptor(name), r_lo.matrix,
+                                            r_hi.matrix)
+        assert got.iterations == max(r_lo.iterations, r_hi.iterations)
+        assert got.truncated == (r_lo.truncated or r_hi.truncated)
+        truncations += got.truncated
+    assert truncations == 2
+
+
+def test_lifted_factorization_counts_one_tally_per_interval_op(rng):
+    for n in range(2, 9):
+        c = OpCounter()
+        ldm_factorize(random_interval_matrix("maxplus", n, rng), c)
+        assert c.as_dict() == {
+            "adds": (2 * n**3 - 3 * n**2 + n) // 6,
+            "muls": (2 * n**3 + 3 * n**2 - 5 * n) // 6,
+            "stars": n * (n + 1) // 2,
+        }
+
+
+def _diagonal_interval_matrix(diagonal):
+    lifted = lift_semiring(MX)
+    n = len(diagonal)
+    return Matrix(lifted, [[diagonal[i] if i == j else (NEG_INF, NEG_INF)
+                            for j in range(n)] for i in range(n)])
+
+
+# the lifted run stops at the first pivot where either endpoint star
+# fails, and checks lo before hi at the same pivot
+STAR_FAILURES = [
+    ([(-1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)], 2, "got 1.0"),
+    ([(-1.0, -1.0), (1.0, 2.0), (-1.0, -1.0)], 2, "got 1.0"),
+    ([(-1.0, 3.0), (-1.0, -1.0), (2.0, 3.0)], 1, "got 3.0"),
+]
+
+
+@pytest.mark.parametrize("diagonal,pivot,tail", STAR_FAILURES)
+def test_star_failure_names_first_failing_pivot(diagonal, pivot, tail):
+    av = _diagonal_interval_matrix(diagonal)
+    for algo in (closure_gauss_jordan, closure_block):
+        with pytest.raises(StarUndefined) as info:
+            algo(av)
+        assert info.value.location == pivot
+        assert str(info.value).endswith(tail)
+    with pytest.raises(StarUndefined) as info:
+        ldm_factorize(av)
+    assert info.value.location == (pivot, pivot)
+    assert str(info.value).endswith(tail)
+
+
+def test_lifted_kernels_check_their_input_first():
+    lifted = lift_semiring(MX)
+    wide = Matrix(lifted, [[(0.0, 1.0), (0.0, 1.0)]])
+    for kernel in (closure_block, closure_gauss_jordan, ldm_factorize,
+                   symmetric_factorize):
+        with pytest.raises(DimensionMismatch):
+            kernel(wide)
+    skew = Matrix(lifted, [[(0.0, 0.0), (-1.0, 0.0)],
+                           [(-1.0, -1.0), (0.0, 0.0)]])
+    with pytest.raises(NotSymmetric, match=r"entries \(1,0\) and \(0,1\)"):
+        symmetric_factorize(skew)
 
 
 def test_graph_pipeline_runs_on_intervals(rng):

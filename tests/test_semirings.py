@@ -81,6 +81,15 @@ def test_make_semiring_rejections():
         make_semiring("maxplus", (0, 1))   # bounds only for maxmin
 
 
+def test_integers_too_large_for_a_float_are_rejected():
+    huge = 10 ** 400
+    for name in ("rplus", "maxplus", "minplus", "maxmin", "real_field"):
+        with pytest.raises(IllegalElement, match="too large"):
+            descriptor(name).coerce(huge)
+    with pytest.raises(InvalidBounds):
+        make_semiring("maxmin", (0, huge))
+
+
 def test_same_descriptor():
     import semiralg
 
