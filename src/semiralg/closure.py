@@ -5,6 +5,13 @@ scheme), ``closure_gauss_jordan`` eliminates pivot by pivot in the
 Floyd-Warshall shape, and ``closure_iterative`` accumulates partial
 sums of powers.  All three agree exactly on idempotent carriers.
 
+The block recursion and the elimination run on the descriptor's row
+kernels (``semirings.row_kernels``): they encode the matrix once at
+entry, decode it once at exit, and hand each pivot to ``star`` as a
+carrier value, so a failing pivot reads as it does in the matrix.
+The block recursion multiplies with ``matrices.product``, the kernel
+of ``Matrix.mul``.
+
 The block recursion can fork its independent block products onto
 worker threads.  Parallel runs compute the very same expression tree
 as serial runs (only the schedule changes), so results are identical
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidOptions, NoStabilization, StarUndefined
 from .intervals import endpoint_runs, is_lift, join_endpoints
-from .matrices import Matrix, identity
+from .matrices import Matrix, identity, product
+from .semirings import row_kernels
 
 __all__ = ["ClosureOptions", "IterativeClosure", "closure", "closure_block",
            "closure_gauss_jordan", "closure_iterative", "solve_bellman"]
@@ -59,26 +67,14 @@ def _require_square(A):
         raise DimensionMismatch(f"closure needs a square matrix, got {A.rows}x{A.cols}")
 
 
-def _mul_ll(d, X, Y):
-    mul, fma = d.mul, d.fma
-    cols = list(zip(*Y))
-    m = len(X[0])
-    out = []
-    for xr in X:
-        x0 = xr[0]
-        row = []
-        for yc in cols:
-            acc = mul(x0, yc[0])
-            for k in range(1, m):
-                acc = fma(acc, xr[k], yc[k])
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _add_ll(d, X, Y):
-    add = d.add
-    return [[add(a, b) for a, b in zip(xr, yr)] for xr, yr in zip(X, Y)]
+def _star(d, kernels, v, pivot):
+    """Kernel value of the star of kernel value v at 1-based ``pivot``."""
+    try:
+        return kernels.encode([d.star(kernels.decode([v])[0])])[0]
+    except StarUndefined as exc:
+        if exc.location is None:
+            exc.location = pivot
+        raise
 
 
 class _Limiter:
@@ -120,15 +116,10 @@ def _both(f, g, limiter, want_fork):
     return f(), g()
 
 
-def _close_rec(d, M, offset, opts, limiter):
+def _close_rec(d, kernels, M, offset, opts, limiter):
     n = len(M)
     if n == 1:
-        try:
-            return [[d.star(M[0][0])]]
-        except StarUndefined as exc:
-            if exc.location is None:
-                exc.location = offset + 1   # 1-based pivot position
-            raise
+        return [[_star(d, kernels, M[0][0], offset + 1)]]
     if opts.split is None:
         k = (n + 1) // 2
     else:
@@ -137,18 +128,19 @@ def _close_rec(d, M, offset, opts, limiter):
     A12 = [row[k:] for row in M[:k]]
     A21 = [row[:k] for row in M[k:]]
     A22 = [row[k:] for row in M[k:]]
+    add_rows = kernels.add_rows
 
-    S11 = _close_rec(d, A11, offset, opts, limiter)
+    S11 = _close_rec(d, kernels, A11, offset, opts, limiter)
     fork = n >= opts.parallel_grain
     # the two products on either side of the closed leading block are
     # independent of each other, as are the two off-diagonal results
-    P, Q = _both(lambda: _mul_ll(d, S11, A12),
-                 lambda: _mul_ll(d, A21, S11), limiter, fork)
-    D = _add_ll(d, A22, _mul_ll(d, A21, P))
-    SD = _close_rec(d, D, offset + k, opts, limiter)
-    TR, BL = _both(lambda: _mul_ll(d, P, SD),
-                   lambda: _mul_ll(d, SD, Q), limiter, fork)
-    TL = _add_ll(d, S11, _mul_ll(d, TR, Q))
+    P, Q = _both(lambda: product(kernels, S11, A12),
+                 lambda: product(kernels, A21, S11), limiter, fork)
+    D = list(map(add_rows, A22, product(kernels, A21, P)))
+    SD = _close_rec(d, kernels, D, offset + k, opts, limiter)
+    TR, BL = _both(lambda: product(kernels, P, SD),
+                   lambda: product(kernels, SD, Q), limiter, fork)
+    TL = list(map(add_rows, S11, product(kernels, TR, Q)))
 
     out = [tl + tr for tl, tr in zip(TL, TR)]
     out += [bl + br for bl, br in zip(BL, SD)]
@@ -162,40 +154,36 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     n = A.rows
     if opts.split is not None and n > 1 and opts.split > n - 1:
         raise InvalidOptions(f"split {opts.split} out of range 1..{n - 1}")
-    if is_lift(A.descriptor):
-        return join_endpoints(A.descriptor, *endpoint_runs(
+    d = A.descriptor
+    if is_lift(d):
+        return join_endpoints(d, *endpoint_runs(
             lambda M, _: closure_block(M, opts), A))
     limiter = _Limiter(opts.threads - 1) if opts.parallel else None
-    data = _close_rec(A.descriptor, A._data, 0, opts, limiter)
-    return Matrix._wrap(A.descriptor, data)
+    kernels = row_kernels(d)
+    data = _close_rec(d, kernels, list(map(kernels.encode, A._data)), 0, opts,
+                      limiter)
+    return Matrix._wrap(d, list(map(kernels.decode, data)))
 
 
 def closure_gauss_jordan(A: Matrix) -> Matrix:
-    """Closure by pivot elimination over the whole matrix in place."""
+    """Closure by pivot elimination over the whole matrix."""
     _require_square(A)
     d = A.descriptor
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(
             lambda M, _: closure_gauss_jordan(M), A))
-    star, mul, fma, add = d.star, d.mul, d.fma, d.add
+    kernels = row_kernels(d)
+    mul, axpy = kernels.mul, kernels.axpy
     n = A.rows
-    C = [row[:] for row in A._data]
+    C = list(map(kernels.encode, A._data))
     for k in range(n):
-        try:
-            s = star(C[k][k])
-        except StarUndefined as exc:
-            if exc.location is None:
-                exc.location = k + 1   # 1-based pivot position
-            raise
-        # pivot row and column are read at their pre-update values
-        rowk = C[k][:]
-        colk = [C[i][k] for i in range(n)]
-        for i in range(n):
-            a = mul(colk[i], s)
-            rowi = C[i]
-            for j in range(n):
-                rowi[j] = fma(rowi[j], a, rowk[j])
-    one = d.one
+        s = _star(d, kernels, C[k][k], k + 1)
+        # pivot row and column are read at their pre-update values: the
+        # step builds a new list of rows and axpy never mutates a row
+        rowk = C[k]
+        C = [axpy(row, mul(row[k], s), rowk) for row in C]
+    C = list(map(kernels.decode, C))
+    add, one = d.add, d.one
     for i in range(n):
         C[i][i] = add(C[i][i], one)
     return Matrix._wrap(d, C)

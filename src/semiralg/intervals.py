@@ -10,8 +10,8 @@ again a semiring and every matrix algorithm runs on it unchanged.
 Because every lifted operation acts on each endpoint separately, a
 matrix algorithm that never branches on values computes, on an
 interval matrix, exactly the pair of its base runs on the lo and on
-the hi matrix.  The closures and factorizations use that:
-``endpoint_runs`` runs a kernel once per endpoint and
+the hi matrix.  The closures, factorizations and substitutions use
+that: ``endpoint_runs`` runs a kernel once per endpoint and
 ``join_endpoints`` zips the two results back into intervals.  The
 lifted ``fma`` (two base accumulates) serves everything else.
 """
@@ -75,21 +75,26 @@ def is_lift(d: SemiringDescriptor) -> bool:
     return d.base is not None and _lift_cache.get(d.base) is d
 
 
-def endpoint_runs(run, A: Matrix, counter=None):
-    """``[run(lo, counter), run(hi, None)]`` over the endpoint matrices of A.
+def endpoint_runs(run, *args, counter=None):
+    """``[run(*lo_args, counter), run(*hi_args, None)]``.
 
-    ``run`` must not branch on values.  Only the lo run gets
-    ``counter``, so it tallies one operation per interval operation.
-    A lifted run stops at the first pivot where either endpoint star
-    fails, the lo endpoint first; so when a run fails, the failure
-    with the earlier location is raised, the lo run's on a tie.
+    Each argument is a Matrix over a lift, whose endpoint is a Matrix
+    over the base, or a sequence of intervals, whose endpoint is a list
+    of base values.  ``run`` must not branch on values.  Only the lo
+    run gets ``counter``, so it tallies one operation per interval
+    operation.  A lifted run stops at the first pivot where either
+    endpoint star fails, the lo endpoint first; so when a run fails,
+    the failure with the earlier location is raised, the lo run's on a
+    tie.
     """
-    base = A.descriptor.base
     results, failures = [], []
     for end, tally in ((0, counter), (1, None)):
-        M = Matrix._wrap(base, [[v[end] for v in row] for row in A._data])
+        ends = [Matrix._wrap(a.descriptor.base,
+                             [[v[end] for v in row] for row in a._data])
+                if isinstance(a, Matrix) else [v[end] for v in a]
+                for a in args]
         try:
-            results.append(run(M, tally))
+            results.append(run(*ends, tally))
         except StarUndefined as exc:
             failures.append(exc)
     if failures:
@@ -107,8 +112,9 @@ def join_endpoints(d: SemiringDescriptor, lo, hi):
     if isinstance(lo, Matrix):
         return Matrix._wrap(d, [join_endpoints(d, a, b)
                                 for a, b in zip(lo._data, hi._data)])
-    zero, is_zero, new = d.zero, d.base.is_zero, tuple.__new__
-    return [zero if is_zero(b) and is_zero(a) else new(Interval, (a, b))
+    # == is base.is_zero without its call: a tag equals only itself
+    zero, bzero, new = d.zero, d.base.zero, tuple.__new__
+    return [zero if b == bzero and a == bzero else new(Interval, (a, b))
             for a, b in zip(lo, hi)]
 
 

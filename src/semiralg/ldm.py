@@ -108,15 +108,10 @@ def _require_strict_triangle(A, lower: bool, what: str):
                     f"{what} factor has a nonzero entry at ({i}, {j})")
 
 
-def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
-    """Least solution of x = Lx + b for strictly lower triangular L."""
-    _require_strict_triangle(L, lower=True, what="lower")
-    d = L.descriptor
-    n = L.rows
-    x = _coerce_vector(d, b, n)
+def _forward(d, L, x, counter):
     add, mul, _ = _counted(d, counter)
     rows = L._data
-    for i in range(1, n):
+    for i in range(1, len(x)):
         xi = x[i]
         row = rows[i]
         for j in range(i):
@@ -125,14 +120,10 @@ def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
     return x
 
 
-def back_substitution(M: Matrix, b, counter: "OpCounter | None" = None):
-    """Least solution of x = Mx + b for strictly upper triangular M."""
-    _require_strict_triangle(M, lower=False, what="upper")
-    d = M.descriptor
-    n = M.rows
-    x = _coerce_vector(d, b, n)
+def _back(d, M, x, counter):
     add, mul, _ = _counted(d, counter)
     rows = M._data
+    n = len(x)
     for i in range(n - 2, -1, -1):
         xi = x[i]
         row = rows[i]
@@ -140,6 +131,49 @@ def back_substitution(M: Matrix, b, counter: "OpCounter | None" = None):
             xi = add(xi, mul(row[j], x[j]))
         x[i] = xi
     return x
+
+
+def _diagonal(d, dv, x, counter):
+    _, mul, star = _counted(d, counter)
+    for i in range(len(x)):
+        try:
+            s = star(dv[i])
+        except StarUndefined as exc:
+            if exc.location is None:
+                exc.location = i + 1   # 1-based index
+            raise
+        x[i] = mul(s, x[i])
+    return x
+
+
+def _solve(d, L, dv, M, x, counter):
+    # one buffer through all three stages: the back substitution keeps
+    # the diagonal stage's values instead of reinitializing from b
+    return _back(d, M, _diagonal(d, dv, _forward(d, L, x, counter), counter),
+                 counter)
+
+
+def _substitute(kernel, d, counter, *args):
+    """``kernel(d, *args, counter)``; on a lift, its two endpoint runs
+    joined back into intervals (the arguments are checked already)."""
+    if is_lift(d):
+        return join_endpoints(d, *endpoint_runs(
+            lambda *ends: kernel(d.base, *ends), *args, counter=counter))
+    return kernel(d, *args, counter)
+
+
+def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
+    """Least solution of x = Lx + b for strictly lower triangular L."""
+    _require_strict_triangle(L, lower=True, what="lower")
+    d = L.descriptor
+    return _substitute(_forward, d, counter, L, _coerce_vector(d, b, L.rows))
+
+
+def back_substitution(M: Matrix, b, counter: "OpCounter | None" = None):
+    """Least solution of x = Mx + b for strictly upper triangular M."""
+    _require_strict_triangle(M, lower=False, what="upper")
+    d = M.descriptor
+    return _substitute(_back, d, counter, M, _coerce_vector(d, b, M.rows))
 
 
 def diagonal_solve(diag, b, descriptor=None, counter: "OpCounter | None" = None):
@@ -164,26 +198,11 @@ def diagonal_solve(diag, b, descriptor=None, counter: "OpCounter | None" = None)
         d = descriptor
         n = len(diag)
         dv = [d.coerce(v) for v in diag]
-    x = _coerce_vector(d, b, n)
-    add, mul, star = _counted(d, counter)
-    for i in range(n):
-        try:
-            s = star(dv[i])
-        except StarUndefined as exc:
-            if exc.location is None:
-                exc.location = i + 1   # 1-based index
-            raise
-        x[i] = mul(s, x[i])
-    return x
+    return _substitute(_diagonal, d, counter, dv, _coerce_vector(d, b, n))
 
 
 def solve_ldm(triple: LdmTriple, b, counter: "OpCounter | None" = None):
-    """Solve X = AX + B through the factors: X = M* D* L* B.
-
-    One buffer is carried through all three stages; the back
-    substitution keeps the diagonal stage's values instead of
-    reinitializing from b.
-    """
+    """Solve X = AX + B through the factors: X = M* D* L* B."""
     L, D, M = triple.L, triple.D, triple.M
     d = L.descriptor
     n = L.rows
@@ -193,34 +212,7 @@ def solve_ldm(triple: LdmTriple, b, counter: "OpCounter | None" = None):
         raise DescriptorMismatch("factors built over different semirings")
     _require_strict_triangle(L, lower=True, what="lower")
     _require_strict_triangle(M, lower=False, what="upper")
-    x = _coerce_vector(d, b, n)
-    add, mul, star = _counted(d, counter)
-
-    rows = L._data
-    for i in range(1, n):
-        xi = x[i]
-        row = rows[i]
-        for j in range(i):
-            xi = add(xi, mul(row[j], x[j]))
-        x[i] = xi
-
-    for i in range(n):
-        try:
-            s = star(D[i])
-        except StarUndefined as exc:
-            if exc.location is None:
-                exc.location = i + 1   # 1-based index
-            raise
-        x[i] = mul(s, x[i])
-
-    rows = M._data
-    for i in range(n - 2, -1, -1):
-        xi = x[i]
-        row = rows[i]
-        for j in range(n - 1, i, -1):
-            xi = add(xi, mul(row[j], x[j]))
-        x[i] = xi
-    return x
+    return _substitute(_solve, d, counter, L, D, M, _coerce_vector(d, b, n))
 
 
 def solve_via_ldm(A: Matrix, B, counter: "OpCounter | None" = None):
@@ -254,7 +246,7 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
     d = A.descriptor
     if is_lift(d):
-        return _join_triples(d, *endpoint_runs(ldm_factorize, A, counter))
+        return _join_triples(d, *endpoint_runs(ldm_factorize, A, counter=counter))
     n = A.rows
     add, mul, star = _counted(d, counter)
     C = [row[:] for row in A._data]
@@ -318,7 +310,7 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
             if not d.eq(rows[i][j], rows[j][i]):
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
     if is_lift(d):
-        return _join_triples(d, *endpoint_runs(symmetric_factorize, A, counter))
+        return _join_triples(d, *endpoint_runs(symmetric_factorize, A, counter=counter))
 
     add, mul, star = _counted(d, counter)
     zero = d.zero

@@ -2,15 +2,24 @@
 
 Matrices are immutable: every public constructor validates and
 normalizes entries through the descriptor's ``coerce``, and no method
-mutates ``self``.  The product reduces each entry with a fixed
-left-to-right fold over k, so float results are reproducible across
-runs and across algorithms that share this kernel.
+mutates ``self``.  One list-of-rows kernel, :func:`product`, serves
+the matrix product and the block closure.  It reduces each entry with
+the descriptor's row kernels, which equal a fixed left-to-right fold
+of ``fma`` over k, so float results are reproducible across runs and
+across algorithms that share this kernel.
 """
 
 from .errors import DescriptorMismatch, DimensionMismatch
-from .semirings import SemiringDescriptor, same_descriptor
+from .semirings import SemiringDescriptor, row_kernels, same_descriptor
 
 __all__ = ["Matrix", "identity", "zeros"]
+
+
+def product(kernels, X, Y):
+    """Product of two lists of rows of kernel values, as new rows."""
+    dot = kernels.dot
+    cols = list(zip(*Y))
+    return [[dot(xrow, ycol) for ycol in cols] for xrow in X]
 
 
 class Matrix:
@@ -87,20 +96,11 @@ class Matrix:
     def mul(self, other) -> "Matrix":
         self._check_same(other, "chain")
         d = self.descriptor
-        mul, fma = d.mul, d.fma
-        cols = list(zip(*other._data))
-        m = self.cols
-        out = []
-        for arow in self._data:
-            a0 = arow[0]
-            orow = []
-            for yc in cols:
-                acc = mul(a0, yc[0])
-                for k in range(1, m):
-                    acc = fma(acc, arow[k], yc[k])
-                orow.append(acc)
-            out.append(orow)
-        return Matrix._wrap(d, out)
+        kernels = row_kernels(d)
+        encode = kernels.encode
+        out = product(kernels, list(map(encode, self._data)),
+                      list(map(encode, other._data)))
+        return Matrix._wrap(d, list(map(kernels.decode, out)))
 
     __add__ = add
     __matmul__ = mul

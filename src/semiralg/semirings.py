@@ -6,10 +6,20 @@ and ``mul`` with their neutral elements ``zero`` and ``one``, the
 ``leq``, an equality predicate ``eq`` with the tolerance appropriate
 for the carrier, and ``coerce``, which validates and normalizes a
 value into the carrier.  ``fma(acc, x, y)`` computes
-``add(acc, mul(x, y))`` in one call; matrix kernels run on it, so the
-shipped instances fuse it by hand.  ``fma`` assumes its inputs were
+``add(acc, mul(x, y))`` in one call.  ``fma`` assumes its inputs were
 already validated (matrices coerce every entry at construction); the
 plain ``add``/``mul`` entry points reject illegal values.
+
+The matrix kernels run on whole rows through :func:`row_kernels`.
+Every descriptor gets the left fold of its own ``fma`` over k; six
+catalog instances (maxplus, minplus, maxmin, boolean, rplus and
+real_field) get kernels on IEEE floats and bools instead, mostly loops
+that run in C, equal to that fold bit for bit.  Inside such a kernel
+the infinity tags are IEEE infinities; they become tags again on the
+way out, so a finite sum that overflows to the zero's infinity also
+comes out as the tag.  ``maxplus_complete`` and ``rplus_complete``
+keep the fold: IEEE gives NaN for -inf + inf and 0 * inf, where they
+have a value.
 
 Shipped semirings, by name:
 
@@ -27,12 +37,16 @@ real_field                all reals, + and *; star is (1 - x)^-1
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import reduce
+from itertools import repeat
+from operator import add as _add, and_ as _and, mul as _mul, or_ as _or
+from typing import Callable, NamedTuple
 
 from .errors import IllegalElement, InvalidBounds, StarUndefined, UnknownSemiring
 from .scalars import NEG_INF, POS_INF, Infinity, usual_leq
 
-__all__ = ["SemiringFlags", "SemiringDescriptor", "make_semiring"]
+__all__ = ["SemiringFlags", "SemiringDescriptor", "make_semiring", "RowKernels",
+           "row_kernels"]
 
 
 @dataclass(frozen=True)
@@ -114,12 +128,6 @@ def _eq_close(x, y):
     if isinstance(x, Infinity) or isinstance(y, Infinity):
         return False
     return math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def _compose_fma(add, mul):
-    def fma(acc, x, y):
-        return add(acc, mul(x, y))
-    return fma
 
 
 def _make_maxplus(complete: bool) -> SemiringDescriptor:
@@ -313,8 +321,9 @@ def _make_maxmin(lo, hi) -> SemiringDescriptor:
             s = x if x <= y else y
             return acc if s <= acc else s
         except TypeError:
+            # an infinity tag took part; keep acc on ties, as above
             m = x if usual_leq(x, y) else y
-            return m if usual_leq(acc, m) else acc
+            return acc if usual_leq(m, acc) else m
 
     return SemiringDescriptor(
         name=name, zero=flo, one=fhi,
@@ -453,6 +462,155 @@ def _make_real_field() -> SemiringDescriptor:
 
 _HUGE = float("inf")
 
+
+# ---------------------------------------------------------------- row kernels
+
+class RowKernels(NamedTuple):
+    """The row-level operations the matrix kernels run on.
+
+    They act on kernel values: ``encode`` maps one row of carrier values
+    into that form and ``decode`` maps one back, each as a new list.
+    ``mul`` is the scalar product, ``dot(xrow, ycol)`` one entry of a
+    matrix product, ``axpy(row, a, krow)`` the row ``row + a krow`` of a
+    Gauss-Jordan update and ``add_rows`` the entrywise sum.  Each equals
+    its definition by the descriptor's operations bit for bit: ``dot``
+    the left fold over k that starts from ``mul(x[0], y[0])`` and
+    accumulates with ``fma``, ``axpy`` one ``fma`` per entry and
+    ``add_rows`` one ``add`` per entry.  ``axpy`` may return ``row``
+    itself; no operation mutates a row.
+    """
+    encode: Callable
+    decode: Callable
+    mul: Callable
+    dot: Callable
+    axpy: Callable
+    add_rows: Callable
+
+
+def row_kernels(d: SemiringDescriptor) -> RowKernels:
+    """The row kernels of ``d``.
+
+    The six catalog instances whose values map onto IEEE floats or bools
+    get kernels of their own, mostly loops that run in C; every other
+    descriptor (the complete carriers, lifts, and any copy of a catalog
+    instance, whose operations may have been replaced) gets the fold of
+    its own ``fma``.
+    """
+    kernels = _kernels.get(d)
+    return kernels if kernels is not None else _fold_kernels(d)
+
+
+def _fold_kernels(d):
+    mul, fma, add = d.mul, d.fma, d.add
+
+    def dot(xrow, ycol):
+        pairs = zip(xrow, ycol)
+        x, y = next(pairs)
+        acc = mul(x, y)
+        for x, y in pairs:
+            acc = fma(acc, x, y)
+        return acc
+
+    def axpy(row, a, krow):
+        return [fma(r, a, k) for r, k in zip(row, krow)]
+
+    def add_rows(xrow, yrow):
+        return list(map(add, xrow, yrow))
+
+    return RowKernels(list, list, mul, dot, axpy, add_rows)
+
+
+def _codec(*tags):
+    """Row encode/decode between the given tags and IEEE infinities."""
+    if not tags:
+        return list, list
+    to_ieee = {t: math.copysign(math.inf, t.sign) for t in tags}
+    to_tag = {v: t for t, v in to_ieee.items()}
+    return (lambda row: [to_ieee.get(v, v) for v in row],
+            lambda row: [to_tag.get(v, v) for v in row])
+
+
+# In the tropical and maxmin kernels a row update by the zero returns the
+# row unchanged, as the fold does: its fma hands back acc when a factor is
+# the zero.  max and min keep the first of equal values, as fma keeps acc.
+
+def _maxplus_kernels(d, _ninf=-math.inf):
+    def axpy(row, a, krow):
+        if a == _ninf:
+            return row
+        return [r if r >= (s := a + k) else s for r, k in zip(row, krow)]
+
+    return RowKernels(*_codec(NEG_INF), _add,
+                      lambda xrow, ycol: max(map(_add, xrow, ycol)), axpy,
+                      lambda xrow, yrow: [x if x >= y else y
+                                          for x, y in zip(xrow, yrow)])
+
+
+def _minplus_kernels(d, _pinf=math.inf):
+    def axpy(row, a, krow):
+        if a == _pinf:
+            return row
+        return [r if r <= (s := a + k) else s for r, k in zip(row, krow)]
+
+    return RowKernels(*_codec(POS_INF), _add,
+                      lambda xrow, ycol: min(map(_add, xrow, ycol)), axpy,
+                      lambda xrow, yrow: [x if x <= y else y
+                                          for x, y in zip(xrow, yrow)])
+
+
+def _maxmin_kernels(d):
+    encode, decode = _codec(*(t for t in d.params if isinstance(t, Infinity)))
+    zero = encode([d.zero])[0]
+
+    def dot(xrow, ycol):
+        # the fold takes min(x, y) only when it exceeds acc, that is when
+        # both x and y do; every other term is skipped without a min.
+        # No C-level expression beats this loop: min() and max() on two
+        # arguments cost more per call than the fold's fma
+        pairs = zip(xrow, ycol)
+        x, y = next(pairs)
+        acc = x if x <= y else y
+        for x, y in pairs:
+            if x > acc and y > acc:
+                acc = x if x <= y else y
+        return acc
+
+    def axpy(row, a, krow):
+        if a == zero:
+            return row
+        return [r if r >= a or r >= k else a if a <= k else k
+                for r, k in zip(row, krow)]
+
+    return RowKernels(encode, decode, min, dot, axpy,
+                      lambda xrow, yrow: [x if x >= y else y
+                                          for x, y in zip(xrow, yrow)])
+
+
+def _boolean_kernels(d):
+    def axpy(row, a, krow):
+        return list(map(_or, row, krow)) if a else row
+
+    return RowKernels(list, list, _and,
+                      lambda xrow, ycol: any(map(_and, xrow, ycol)), axpy,
+                      lambda xrow, yrow: list(map(_or, xrow, yrow)))
+
+
+def _field_kernels(d):
+    # no shortcut for a zero factor: 0 * k is -0.0 for negative k, and
+    # -0.0 + 0.0 is 0.0, so even a zero row update can change a sign
+    return RowKernels(list, list, _mul,
+                      lambda xrow, ycol: reduce(_add, map(_mul, xrow, ycol)),
+                      lambda row, a, krow: list(map(_add, row,
+                                                    map(_mul, repeat(a), krow))),
+                      lambda xrow, yrow: list(map(_add, xrow, yrow)))
+
+
+_SPECIALISED = {"maxplus": _maxplus_kernels, "minplus": _minplus_kernels,
+                "maxmin": _maxmin_kernels, "boolean": _boolean_kernels,
+                "rplus": _field_kernels, "real_field": _field_kernels}
+# catalog descriptor -> its specialised kernels; copies are not keys
+_kernels: dict = {}
+
 _CATALOG = {
     "rplus": lambda: _make_rplus(False),
     "rplus_complete": lambda: _make_rplus(True),
@@ -497,9 +655,7 @@ def make_semiring(name: str, bounds=None) -> SemiringDescriptor:
             raise InvalidBounds(f"need a < b, got [{a},{b}]")
         key = ("maxmin", a if isinstance(a, Infinity) else float(a),
                b if isinstance(b, Infinity) else float(b))
-        if key not in _cache:
-            _cache[key] = _make_maxmin(a, b)
-        return _cache[key]
+        return _catalog_entry(key, lambda: _make_maxmin(a, b))
     if bounds is not None:
         raise InvalidBounds(f"{name} does not take bounds")
     try:
@@ -508,6 +664,14 @@ def make_semiring(name: str, bounds=None) -> SemiringDescriptor:
         raise UnknownSemiring(
             f"unknown semiring {name!r}; known: "
             + ", ".join(sorted([*_CATALOG, "maxmin"]))) from None
-    if name not in _cache:
-        _cache[name] = builder()
-    return _cache[name]
+    return _catalog_entry(name, builder)
+
+
+def _catalog_entry(key, build):
+    d = _cache.get(key)
+    if d is None:
+        d = _cache[key] = build()
+        special = _SPECIALISED.get(d.name)
+        if special is not None:
+            _kernels[d] = special(d)
+    return d

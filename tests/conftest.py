@@ -187,6 +187,52 @@ def random_interval_matrix(base_name, n, rand, density=0.6):
     return interval_hull(descriptor(base_name), a, b)
 
 
+# ------------------------------------------------------------- row kernels
+
+# The catalog carriers with C-level row kernels; maxmin also runs with
+# infinite bounds, so that both infinity tags reach its kernels.
+KERNEL_CARRIERS = ["maxplus", "minplus", "maxmin", "maxmin_inf", "boolean",
+                   "rplus", "real_field"]
+
+
+def kernel_descriptor(label):
+    if label == "maxmin_inf":
+        return make_semiring("maxmin", (NEG_INF, POS_INF))
+    return descriptor(label)
+
+
+def kernel_rows(label, rows, cols, rand):
+    """Star-safe rows mixing zeros, infinity tags, signed zeros and
+    fractional values, whose rounding depends on the order of a fold."""
+    small = 0.5 / max(rows, cols)
+
+    def value():
+        r = rand.random()
+        if label == "boolean":
+            return r < 0.4
+        if r < 0.1:
+            return -0.0
+        if label == "maxplus":
+            return NEG_INF if r < 0.4 else -rand.choice([0.0, 1.0, rand.random()])
+        if label == "minplus":
+            return POS_INF if r < 0.4 else rand.choice([0.0, 1.0, rand.random()])
+        if label == "maxmin":
+            return rand.choice([0.0, 10.0, 2.0, 10 * rand.random()])
+        if label == "maxmin_inf":
+            return rand.choice([NEG_INF, POS_INF, 0.0, rand.uniform(-3, 3)])
+        if label == "rplus":
+            return 0.0 if r < 0.4 else rand.uniform(0.0, small)
+        return 0.0 if r < 0.4 else rand.uniform(-small, small)   # real_field
+
+    return [[value() for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_bit_identical(got, want):
+    """Equal matrices whose float entries also print alike (-0.0 vs 0.0)."""
+    assert got == want
+    assert repr(got.to_lists()) == repr(want.to_lists())
+
+
 # ------------------------------------------------------------ acceptance hook
 
 ACCEPTANCE_LINES = []

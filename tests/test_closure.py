@@ -1,14 +1,17 @@
 """Closure algorithms: block recursion, pivot elimination, partial sums."""
 
+import dataclasses
 import itertools
 
 import pytest
 
-from conftest import (IDEMPOTENT_NAMES, descriptor, random_oracle_matrix,
-                      random_stable_matrix)
+from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
+                      assert_bit_identical, descriptor, kernel_descriptor,
+                      kernel_rows, random_interval_matrix,
+                      random_oracle_matrix, random_stable_matrix)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
-                      identity, solve_bellman, zeros)
+                      identity, lift_semiring, solve_bellman, zeros)
 from semiralg.errors import (DimensionMismatch, InvalidOptions,
                              NoStabilization, StarUndefined)
 
@@ -243,3 +246,77 @@ def test_closure_dispatcher_default_is_block(rng):
     assert closure(a) == closure_block(a)
     assert closure(a, ClosureOptions(algorithm="iterative")) \
         == closure_iterative(a).matrix
+
+
+# ------------------------------------------------ row kernels against the fold
+#
+# A dataclasses.replace copy of a catalog descriptor runs the generic row
+# kernels, the left fold of its own fma; the catalog instance runs its
+# own kernels on IEEE floats and bools.  Both must agree bit for bit.
+
+
+@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+def test_closures_match_the_fma_fold_bit_for_bit(label, rng):
+    d = kernel_descriptor(label)
+    fold = dataclasses.replace(d)
+    series = ClosureOptions(max_iterations=4)
+    for n in (1, 2, 3, 5, 8, 13):
+        rows = kernel_rows(label, n, n, rng)
+        rhs = kernel_rows(label, n, 3, rng)
+        a, a_fold = Matrix(d, rows), Matrix(fold, rows)
+        runs = [lambda a, b: closure_gauss_jordan(a),
+                lambda a, b: closure_block(a),
+                lambda a, b: solve_bellman(a, b),
+                lambda a, b: closure_iterative(a, series).matrix]
+        runs += [lambda a, b, k=k: closure_block(a, ClosureOptions(split=k))
+                 for k in range(1, n)]
+        for run in runs:
+            assert_bit_identical(run(a, Matrix(d, rhs)),
+                                 run(a_fold, Matrix(fold, rhs)))
+
+
+FAILING_PIVOT = {
+    "maxplus": [[-1.0, NEG_INF, -2.0], [NEG_INF, 0.5, NEG_INF],
+                [-3.0, NEG_INF, -1.0]],
+    "minplus": [[1.0, POS_INF, 2.0], [POS_INF, -0.5, POS_INF],
+                [3.0, POS_INF, 1.0]],
+    "rplus": [[0.25, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.5]],
+    "real_field": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_PIVOT))
+def test_star_failure_reads_as_in_the_fma_fold(name):
+    d = descriptor(name)
+    fold = dataclasses.replace(d)
+    runs = [closure_gauss_jordan, closure_block,
+            lambda a: closure_block(a, ClosureOptions(split=1))]
+    for run in runs:
+        failures = []
+        for desc in (d, fold):
+            with pytest.raises(StarUndefined) as info:
+                run(Matrix(desc, FAILING_PIVOT[name]))
+            failures.append((info.value.location, str(info.value)))
+        assert failures[0] == failures[1]
+        assert failures[0][0] == 2
+
+
+def _counting_copy(d, tally):
+    def fma(acc, x, y, base=d.fma):
+        tally[0] += 1
+        return base(acc, x, y)
+    return dataclasses.replace(d, fma=fma)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["interval"])
+def test_gauss_jordan_performs_n_cubed_accumulates(name, rng):
+    for n in range(1, 9):
+        if name == "interval":
+            a = random_interval_matrix("maxplus", n, rng)
+            d = lift_semiring(descriptor("maxplus"))
+        else:
+            a = random_oracle_matrix(name, n, rng)
+            d = descriptor(name)
+        tally = [0]
+        closure_gauss_jordan(Matrix(_counting_copy(d, tally), a.to_lists()))
+        assert tally[0] == n ** 3

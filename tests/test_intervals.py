@@ -6,12 +6,14 @@ from conftest import (descriptor, interval_hull, interval_samples,
                       pair_endpoints, random_interval_matrix,
                       random_nilpotent_matrix, random_stable_matrix,
                       random_symmetric_stable_matrix, scalar_samples)
-from semiralg import (ClosureOptions, Interval, Matrix, NEG_INF, OpCounter,
-                      closure, closure_block, closure_gauss_jordan,
-                      closure_iterative, contains, graph_to_matrix, identity,
-                      ldm_factorize, lift_semiring, make_interval,
+from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
+                      OpCounter, back_substitution, closure, closure_block,
+                      closure_gauss_jordan, closure_iterative, contains,
+                      diagonal_solve, forward_substitution, graph_to_matrix,
+                      identity, ldm_factorize, lift_semiring, make_interval,
                       matrix_to_graph, shortest_paths, solve_bellman,
-                      solve_via_ldm, symmetric_factorize, widest_paths, zeros)
+                      solve_ldm, solve_via_ldm, symmetric_factorize,
+                      widest_paths, zeros)
 from semiralg import laws
 from semiralg.errors import (DimensionMismatch, EmptyInterval, IllegalElement,
                              NotPositive, NotSymmetric, StarUndefined)
@@ -227,6 +229,43 @@ def test_solvers_decompose_endpoint_wise(name, rng):
                           solve_via_ldm(hi_a, hi_b))
 
 
+@pytest.mark.parametrize("name", ["maxplus", "minplus", "maxmin"])
+def test_substitutions_decompose_endpoint_wise(name, rng):
+    base = descriptor(name)
+    for n in (1, 3, 6):
+        t = ldm_factorize(random_interval_matrix(name, n, rng))
+        b = random_interval_matrix(name, n, rng).to_lists()[0]
+        lo_b, hi_b = [v.lo for v in b], [v.hi for v in b]
+        (lo_l, hi_l), (lo_m, hi_m) = _split_endpoints(t.L), _split_endpoints(t.M)
+        lo_d, hi_d = [v.lo for v in t.D], [v.hi for v in t.D]
+
+        def joined(lo, hi):
+            return [Interval(a, c) for a, c in zip(lo, hi)]
+
+        assert forward_substitution(t.L, b) == joined(
+            forward_substitution(lo_l, lo_b), forward_substitution(hi_l, hi_b))
+        assert back_substitution(t.M, b) == joined(
+            back_substitution(lo_m, lo_b), back_substitution(hi_m, hi_b))
+        assert diagonal_solve(t.D, b, t.descriptor) == joined(
+            diagonal_solve(lo_d, lo_b, base), diagonal_solve(hi_d, hi_b, base))
+        assert solve_ldm(t, b) == joined(
+            solve_ldm(LdmTriple(lo_l, tuple(lo_d), lo_m), lo_b),
+            solve_ldm(LdmTriple(hi_l, tuple(hi_d), hi_m), hi_b))
+
+
+def test_lifted_solve_counts_one_tally_per_interval_op(rng):
+    for n in range(1, 9):
+        t = ldm_factorize(random_interval_matrix("maxplus", n, rng))
+        b = random_interval_matrix("maxplus", n, rng).to_lists()[0]
+        c = OpCounter()
+        solve_ldm(t, b, c)
+        assert c.as_dict() == {"adds": n * n - n, "muls": n * n, "stars": n}
+        c.reset()
+        forward_substitution(t.L, b, c)
+        back_substitution(t.M, b, c)
+        assert c.as_dict() == {"adds": n * n - n, "muls": n * n - n, "stars": 0}
+
+
 def test_factorization_decomposes_endpoint_wise(rng):
     base = descriptor("maxplus")
     general = random_interval_matrix("maxplus", 4, rng)
@@ -312,6 +351,12 @@ def test_star_failure_names_first_failing_pivot(diagonal, pivot, tail):
     with pytest.raises(StarUndefined) as info:
         ldm_factorize(av)
     assert info.value.location == (pivot, pivot)
+    assert str(info.value).endswith(tail)
+    zero = zeros(av.descriptor, av.rows, av.rows)
+    triple = LdmTriple(zero, tuple(av[i, i] for i in range(av.rows)), zero)
+    with pytest.raises(StarUndefined) as info:
+        solve_ldm(triple, [(0.0, 0.0)] * av.rows)
+    assert info.value.location == pivot
     assert str(info.value).endswith(tail)
 
 

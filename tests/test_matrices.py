@@ -1,9 +1,12 @@
 """Matrix construction, arithmetic, order, powers, and Mat_nn(S) laws."""
 
+import dataclasses
+
 import pytest
 
-from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, descriptor,
-                      random_oracle_matrix, random_stable_matrix)
+from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
+                      assert_bit_identical, descriptor, kernel_descriptor,
+                      kernel_rows, random_oracle_matrix, random_stable_matrix)
 from semiralg import (NEG_INF, POS_INF, Matrix, Path, WeightedDigraph,
                       identity, matrix_to_graph, path_weight, zeros)
 from semiralg.errors import (DescriptorMismatch, DimensionMismatch,
@@ -105,6 +108,19 @@ def test_mul_matches_classical_real_product(rng):
         for j in range(3):
             classical = sum(a[i, k] * b[k, j] for k in range(3))
             assert abs(c[i, j] - classical) < 1e-12
+
+
+@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+def test_mul_matches_the_fma_fold_bit_for_bit(label, rng):
+    # a dataclasses.replace copy runs the generic fold of its own fma
+    d = kernel_descriptor(label)
+    fold = dataclasses.replace(d)
+    for rows, inner, cols in ((1, 1, 1), (1, 4, 3), (3, 1, 2), (5, 5, 5),
+                              (4, 9, 6), (12, 16, 7)):
+        x = kernel_rows(label, rows, inner, rng)
+        y = kernel_rows(label, inner, cols, rng)
+        assert_bit_identical(Matrix(d, x).mul(Matrix(d, y)),
+                             Matrix(fold, x).mul(Matrix(fold, y)))
 
 
 def test_rectangular_chain_shapes():

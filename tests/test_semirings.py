@@ -1,15 +1,18 @@
 """Descriptor catalog, carrier laws, star rules, coercion, tokens."""
 
+import dataclasses
 import math
 import pickle
 
 import pytest
 
-from conftest import ALL_NAMES, IDEMPOTENT_NAMES, descriptor, scalar_samples
-from semiralg import (NEG_INF, POS_INF, from_token, laws, make_semiring,
-                      same_descriptor, to_token, usual_leq)
+from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS, descriptor,
+                      kernel_descriptor, scalar_samples)
+from semiralg import (NEG_INF, POS_INF, from_token, laws, lift_semiring,
+                      make_semiring, same_descriptor, to_token, usual_leq)
 from semiralg.errors import (IllegalElement, InvalidBounds, StarUndefined,
                              UnknownSemiring)
+from semiralg.semirings import row_kernels
 
 # ------------------------------------------------------------------- catalog
 
@@ -139,6 +142,26 @@ def test_idempotent_ops_are_exact(name):
     # equality is exact, not tolerance-based
     if name != "boolean":
         assert not d.eq(1.0, 1.0 + 1e-12)
+
+
+def test_maxmin_fma_keeps_acc_on_ties_next_to_a_tag():
+    # signed zeros tie; with or without a tag among the factors the
+    # accumulator stays, as in the other catalog fma kernels
+    d = make_semiring("maxmin", (NEG_INF, POS_INF))
+    assert repr(d.fma(-0.0, POS_INF, 0.0)) == "-0.0"
+    assert repr(d.fma(-0.0, 0.0, 1.0)) == "-0.0"
+
+
+def test_row_kernels_specialise_only_catalog_instances():
+    # specialised kernels bring their own scalar product; the fold of
+    # fma uses the descriptor's
+    for label in ALL_NAMES + ["maxmin_inf"]:
+        d = kernel_descriptor(label)
+        assert (row_kernels(d).mul is not d.mul) == (label in KERNEL_CARRIERS)
+        copy = dataclasses.replace(d)
+        assert row_kernels(copy).mul is copy.mul
+    lifted = lift_semiring(descriptor("maxplus"))
+    assert row_kernels(lifted).mul is lifted.mul
 
 
 def test_field_like_eq_tolerance():
