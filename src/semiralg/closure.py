@@ -21,10 +21,10 @@ bit for bit.
 import threading
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidOptions, NoStabilization, StarUndefined
+from .errors import DimensionMismatch, InvalidOptions, NoStabilization
 from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix, identity, product
-from .semirings import row_kernels
+from .semirings import kernel_star, row_kernels
 
 __all__ = ["ClosureOptions", "IterativeClosure", "closure", "closure_block",
            "closure_gauss_jordan", "closure_iterative", "solve_bellman"]
@@ -65,16 +65,6 @@ class IterativeClosure:
 def _require_square(A):
     if A.rows != A.cols:
         raise DimensionMismatch(f"closure needs a square matrix, got {A.rows}x{A.cols}")
-
-
-def _star(d, kernels, v, pivot):
-    """Kernel value of the star of kernel value v at 1-based ``pivot``."""
-    try:
-        return kernels.encode([d.star(kernels.decode([v])[0])])[0]
-    except StarUndefined as exc:
-        if exc.location is None:
-            exc.location = pivot
-        raise
 
 
 class _Limiter:
@@ -119,7 +109,7 @@ def _both(f, g, limiter, want_fork):
 def _close_rec(d, kernels, M, offset, opts, limiter):
     n = len(M)
     if n == 1:
-        return [[_star(d, kernels, M[0][0], offset + 1)]]
+        return [[kernel_star(d, kernels, M[0][0], offset + 1)]]
     if opts.split is None:
         k = (n + 1) // 2
     else:
@@ -177,7 +167,7 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     n = A.rows
     C = list(map(kernels.encode, A._data))
     for k in range(n):
-        s = _star(d, kernels, C[k][k], k + 1)
+        s = kernel_star(d, kernels, C[k][k], k + 1)
         # pivot row and column are read at their pre-update values: the
         # step builds a new list of rows and axpy never mutates a row
         rowk = C[k]

@@ -7,9 +7,18 @@ three cheap passes (``solve_ldm``): a forward substitution through L,
 a diagonal closure through D, and a back substitution through M, all
 carried in one buffer.
 
-Every function here takes an optional :class:`OpCounter` and tallies
-each semiring operation it performs on carrier elements.  The counts
-are exact functions of n:
+Every loop runs on the descriptor's row kernels
+(``semirings.row_kernels``) as row folds: each entry of a substitution
+or of a factor column is one ``fold`` over a row slice, in the order
+over k of the scalar definition.  Inputs are encoded at entry and
+results decoded at exit; each pivot goes to ``star`` as a carrier
+value, so a failure names the same location and reads the same.
+
+Every function here takes an optional :class:`OpCounter`.  Counting
+runs on :func:`counted`, a copy of the descriptor whose ``add``,
+``mul`` and ``star`` tally into the counter; the copy gets the fold
+kernels, so each folded term is one add and one mul.  The counts are
+exact functions of n:
 
     forward/back substitution   (n^2 - n)/2 adds, same muls
     diagonal closure            n stars, n muls
@@ -19,16 +28,16 @@ are exact functions of n:
                                 n(n + 1)/2 stars
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
-                     NotSymmetric, ShapeViolation, StarUndefined)
+                     NotSymmetric, ShapeViolation)
 from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix
-from .semirings import same_descriptor
+from .semirings import kernel_star, row_kernels, same_descriptor
 
 __all__ = ["OpCounter", "LdmTriple", "forward_substitution",
-           "back_substitution", "diagonal_solve", "solve_ldm",
+           "back_substitution", "diagonal_solve", "solve_ldm", "counted",
            "solve_via_ldm", "ldm_factorize", "symmetric_factorize"]
 
 
@@ -62,9 +71,17 @@ class LdmTriple:
         return self.L.rows
 
 
-def _counted(d, counter):
+def counted(d, counter: "OpCounter | None"):
+    """``d`` itself without a counter; with one, a copy of ``d`` whose
+    ``add``, ``mul`` and ``star`` tally into it and whose ``fma`` is
+    ``add(acc, mul(x, y))``.
+
+    Being a copy, it gets the fold row kernels, so every folded term
+    counts one add and one mul; ``fma`` equals ``add(acc, mul(x, y))``
+    bit for bit, so its results are those of ``d``.
+    """
     if counter is None:
-        return d.add, d.mul, d.star
+        return d
     base_add, base_mul, base_star = d.add, d.mul, d.star
 
     def add(x, y):
@@ -79,7 +96,8 @@ def _counted(d, counter):
         counter.stars += 1
         return base_star(x)
 
-    return add, mul, star
+    return replace(d, add=add, mul=mul, star=star,
+                   fma=lambda acc, x, y: add(acc, mul(x, y)))
 
 
 def _join_triples(d, lo, hi):
@@ -100,66 +118,62 @@ def _require_strict_triangle(A, lower: bool, what: str):
         raise ShapeViolation(f"{what} factor must be square")
     d = A.descriptor
     n = A.rows
-    for i in range(n):
-        for j in range(n):
-            off_triangle = j >= i if lower else j <= i
-            if off_triangle and not d.is_zero(A[i, j]):
-                raise ShapeViolation(
-                    f"{what} factor has a nonzero entry at ({i}, {j})")
+    for i, row in enumerate(A._data):
+        lo, hi = (i, n) if lower else (0, i + 1)
+        # list.count tests `is`, then ==, as is_zero does
+        if row[lo:hi].count(d.zero) != hi - lo:
+            j = next(j for j in range(lo, hi) if not d.is_zero(row[j]))
+            raise ShapeViolation(
+                f"{what} factor has a nonzero entry at ({i}, {j})")
 
 
-def _forward(d, L, x, counter):
-    add, mul, _ = _counted(d, counter)
-    rows = L._data
-    for i in range(1, len(x)):
-        xi = x[i]
-        row = rows[i]
-        for j in range(i):
-            xi = add(xi, mul(row[j], x[j]))
-        x[i] = xi
+# The substitution stages take the counted descriptor, its kernels, the
+# factors as carrier values and the vector x in kernel form, which they
+# update in place and return.
+
+def _forward(d, kernels, L, x):
+    fold, encode = kernels.fold, kernels.encode
+    for i, row in enumerate(L._data):
+        x[i] = fold(x[i], encode(row[:i]), x)
     return x
 
 
-def _back(d, M, x, counter):
-    add, mul, _ = _counted(d, counter)
+def _back(d, kernels, M, x):
+    # j = n - 1 ... i + 1, as reversed slices
+    fold, encode = kernels.fold, kernels.encode
     rows = M._data
-    n = len(x)
-    for i in range(n - 2, -1, -1):
-        xi = x[i]
-        row = rows[i]
-        for j in range(n - 1, i, -1):
-            xi = add(xi, mul(row[j], x[j]))
-        x[i] = xi
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = fold(x[i], encode(rows[i][:i:-1]), x[:i:-1])
     return x
 
 
-def _diagonal(d, dv, x, counter):
-    _, mul, star = _counted(d, counter)
-    for i in range(len(x)):
-        try:
-            s = star(dv[i])
-        except StarUndefined as exc:
-            if exc.location is None:
-                exc.location = i + 1   # 1-based index
-            raise
-        x[i] = mul(s, x[i])
+def _diagonal(d, kernels, dv, x):
+    mul = kernels.mul
+    for i, v in enumerate(kernels.encode(dv)):
+        x[i] = mul(kernel_star(d, kernels, v, i + 1), x[i])   # 1-based index
     return x
 
 
-def _solve(d, L, dv, M, x, counter):
+def _solve(d, kernels, L, dv, M, x):
     # one buffer through all three stages: the back substitution keeps
     # the diagonal stage's values instead of reinitializing from b
-    return _back(d, M, _diagonal(d, dv, _forward(d, L, x, counter), counter),
-                 counter)
+    return _back(d, kernels, M,
+                 _diagonal(d, kernels, dv, _forward(d, kernels, L, x)))
 
 
-def _substitute(kernel, d, counter, *args):
-    """``kernel(d, *args, counter)``; on a lift, its two endpoint runs
-    joined back into intervals (the arguments are checked already)."""
+def _substitute(stage, d, counter, *args):
+    """``stage`` on the factors ``args[:-1]`` and the vector ``args[-1]``
+    over ``d`` counted into ``counter``, the vector in kernel form; on a
+    lift, its two endpoint runs joined back into intervals (the
+    arguments are checked already)."""
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(
-            lambda *ends: kernel(d.base, *ends), *args, counter=counter))
-    return kernel(d, *args, counter)
+            lambda *ends: _substitute(stage, d.base, ends[-1], *ends[:-1]),
+            *args, counter=counter))
+    d = counted(d, counter)
+    kernels = row_kernels(d)
+    *factors, b = args
+    return kernels.decode(stage(d, kernels, *factors, kernels.encode(b)))
 
 
 def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
@@ -229,10 +243,10 @@ def solve_via_ldm(A: Matrix, B, counter: "OpCounter | None" = None):
             f"right-hand side has {B.rows} rows, system has {A.rows}")
     if not same_descriptor(A.descriptor, B.descriptor):
         raise DescriptorMismatch("system and right-hand side disagree")
-    sols = [solve_ldm(triple, [B[i, j] for i in range(B.rows)], counter)
-            for j in range(B.cols)]
-    data = [[sols[j][i] for j in range(B.cols)] for i in range(B.rows)]
-    return Matrix._wrap(A.descriptor, data)
+    # the factors are well formed and B is coerced: substitute directly
+    sols = [_substitute(_solve, A.descriptor, counter, triple.L, triple.D,
+                        triple.M, list(col)) for col in zip(*B._data)]
+    return Matrix._wrap(A.descriptor, [list(row) for row in zip(*sols)])
 
 
 def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
@@ -248,44 +262,34 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     if is_lift(d):
         return _join_triples(d, *endpoint_runs(ldm_factorize, A, counter=counter))
     n = A.rows
-    add, mul, star = _counted(d, counter)
-    C = [row[:] for row in A._data]
-    v = [None] * n
+    dc = counted(d, counter)
+    kernels = row_kernels(dc)
+    fold, mul = kernels.fold, kernels.mul
+    C = list(map(kernels.encode, A._data))
     for j in range(n):
-        for i in range(j + 1):
-            v[i] = C[i][j]
-        for k in range(j):
-            vk = v[k]
-            for i in range(k + 1, j + 1):
-                v[i] = add(v[i], mul(C[i][k], vk))
+        # column j through the lower factor so far: v[i] folds C[i][k] v[k]
+        # over k < i, for the upper part with the v[k] just completed
+        v = [row[j] for row in C[:j + 1]]
+        for i in range(1, j + 1):
+            v[i] = fold(v[i], C[i][:i], v)
         for i in range(j):
-            try:
-                s = star(C[i][i])
-            except StarUndefined as exc:
-                if exc.location is None:
-                    exc.location = (j + 1, i + 1)   # 1-based (column, pivot)
-                raise
-            C[i][j] = mul(s, v[i])
+            C[i][j] = mul(kernel_star(dc, kernels, C[i][i], (j + 1, i + 1)),
+                          v[i])   # 1-based (column, pivot)
         C[j][j] = v[j]
-        for k in range(j):
-            vk = v[k]
-            for i in range(j + 1, n):
-                C[i][j] = add(C[i][j], mul(C[i][k], vk))
-        try:
-            pivot_star = star(v[j])
-        except StarUndefined as exc:
-            if exc.location is None:
-                exc.location = (j + 1, j + 1)   # 1-based (column, pivot)
-            raise
-        for i in range(j + 1, n):
-            C[i][j] = mul(C[i][j], pivot_star)
+        vj = v[:j]
+        lower = C[j + 1:]
+        for row in lower:
+            row[j] = fold(row[j], row, vj)
+        s = kernel_star(dc, kernels, v[j], (j + 1, j + 1))
+        for row in lower:
+            row[j] = mul(row[j], s)
 
+    C = list(map(kernels.decode, C))
     zero = d.zero
-    L = Matrix._wrap(d, [[C[i][j] if j < i else zero for j in range(n)]
-                         for i in range(n)])
-    M = Matrix._wrap(d, [[C[i][j] if j > i else zero for j in range(n)]
-                         for i in range(n)])
-    D = tuple(C[i][i] for i in range(n))
+    L = Matrix._wrap(d, [row[:i] + [zero] * (n - i) for i, row in enumerate(C)])
+    M = Matrix._wrap(d, [[zero] * (i + 1) + row[i + 1:]
+                         for i, row in enumerate(C)])
+    D = tuple(row[i] for i, row in enumerate(C))
     return LdmTriple(L, D, M)
 
 
@@ -312,30 +316,27 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
     if is_lift(d):
         return _join_triples(d, *endpoint_runs(symmetric_factorize, A, counter=counter))
 
-    add, mul, star = _counted(d, counter)
-    zero = d.zero
-    U = [[zero] * n for _ in range(n)]
-    diag = [None] * n
-    v = [None] * n
+    dc = counted(d, counter)
+    kernels = row_kernels(dc)
+    fold, mul = kernels.fold, kernels.mul
+    E = list(map(kernels.encode, rows))
+    # T[i] is row i of L up to the diagonal: U[k][i] for k < i, the
+    # transposed upper factor, so a fold over k reads a row
+    T = []
+    diag = []
     for j in range(n):
-        for i in range(j + 1):
-            v[i] = rows[i][j]
-        for k in range(j):
-            # the upper entry doubles as the transposed lower factor entry
-            try:
-                s = star(diag[k])
-            except StarUndefined as exc:
-                if exc.location is None:
-                    exc.location = (j + 1, k + 1)   # 1-based (column, pivot)
-                raise
-            mkj = mul(s, v[k])
-            U[k][j] = mkj
-            vk = v[k]
-            for i in range(k + 1, j):
-                v[i] = add(v[i], mul(U[k][i], vk))
-            v[j] = add(v[j], mul(mkj, vk))
-        diag[j] = v[j]
+        v = [row[j] for row in E[:j + 1]]
+        t = []
+        for i in range(j):
+            v[i] = fold(v[i], T[i], v)
+            t.append(mul(kernel_star(dc, kernels, diag[i], (j + 1, i + 1)),
+                         v[i]))   # 1-based (column, pivot)
+        v[j] = fold(v[j], t, v)
+        T.append(t)
+        diag.append(v[j])
 
-    M = Matrix._wrap(d, [row[:] for row in U])
-    L = Matrix._wrap(d, [[U[j][i] for j in range(n)] for i in range(n)])
-    return LdmTriple(L, tuple(diag), M)
+    zero = d.zero
+    L = [t + [zero] * (n - i) for i, t in enumerate(map(kernels.decode, T))]
+    M = [list(col) for col in zip(*L)]
+    return LdmTriple(Matrix._wrap(d, L), tuple(kernels.decode(diag)),
+                     Matrix._wrap(d, M))

@@ -9,7 +9,7 @@ arithmetic unnoticed: ``NEG_INF + 1.0`` raises instead of propagating.
 import math
 
 __all__ = ["Infinity", "NEG_INF", "POS_INF", "is_finite", "usual_leq",
-           "to_token", "from_token"]
+           "TOKENS", "to_token", "from_token"]
 
 
 class Infinity:
@@ -49,6 +49,11 @@ def usual_leq(x, y) -> bool:
     return x <= y
 
 
+# the text tokens of the tags and the booleans, for every reader of text
+TOKENS = {"-inf": NEG_INF, "inf": POS_INF, "+inf": POS_INF,
+          "true": True, "false": False}
+
+
 def to_token(v) -> str:
     """Render a carrier value as its canonical text token."""
     if v is NEG_INF:
@@ -65,14 +70,8 @@ def to_token(v) -> str:
 def from_token(text: str):
     """Inverse of :func:`to_token`. Raises ValueError on garbage."""
     t = text.strip()
-    if t == "-inf":
-        return NEG_INF
-    if t == "inf":
-        return POS_INF
-    if t == "true":
-        return True
-    if t == "false":
-        return False
+    if t in TOKENS:
+        return TOKENS[t]
     value = float(t)
     if not math.isfinite(value):
         raise ValueError(f"not a finite literal: {text!r}")

@@ -10,14 +10,16 @@ value into the carrier.  ``fma(acc, x, y)`` computes
 already validated (matrices coerce every entry at construction); the
 plain ``add``/``mul`` entry points reject illegal values.
 
-The matrix kernels run on whole rows through :func:`row_kernels`.
+The matrix kernels, the closures and the LDM factorizations and
+substitutions run on whole rows through :func:`row_kernels`.
 Every descriptor gets the left fold of its own ``fma`` over k; six
 catalog instances (maxplus, minplus, maxmin, boolean, rplus and
 real_field) get kernels on IEEE floats and bools instead, mostly loops
 that run in C, equal to that fold bit for bit.  Inside such a kernel
 the infinity tags are IEEE infinities; they become tags again on the
 way out, so a finite sum that overflows to the zero's infinity also
-comes out as the tag.  ``maxplus_complete`` and ``rplus_complete``
+comes out as the tag, and any other value past the float range raises
+``IllegalElement`` there.  ``maxplus_complete`` and ``rplus_complete``
 keep the fold: IEEE gives NaN for -inf + inf and 0 * inf, where they
 have a value.
 
@@ -38,7 +40,7 @@ real_field                all reals, + and *; star is (1 - x)^-1
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add as _add, and_ as _and, mul as _mul, or_ as _or
 from typing import Callable, NamedTuple
 
@@ -46,7 +48,7 @@ from .errors import IllegalElement, InvalidBounds, StarUndefined, UnknownSemirin
 from .scalars import NEG_INF, POS_INF, Infinity, usual_leq
 
 __all__ = ["SemiringFlags", "SemiringDescriptor", "make_semiring", "RowKernels",
-           "row_kernels"]
+           "row_kernels", "kernel_star"]
 
 
 @dataclass(frozen=True)
@@ -471,18 +473,22 @@ class RowKernels(NamedTuple):
     They act on kernel values: ``encode`` maps one row of carrier values
     into that form and ``decode`` maps one back, each as a new list.
     ``mul`` is the scalar product, ``dot(xrow, ycol)`` one entry of a
-    matrix product, ``axpy(row, a, krow)`` the row ``row + a krow`` of a
-    Gauss-Jordan update and ``add_rows`` the entrywise sum.  Each equals
-    its definition by the descriptor's operations bit for bit: ``dot``
-    the left fold over k that starts from ``mul(x[0], y[0])`` and
-    accumulates with ``fma``, ``axpy`` one ``fma`` per entry and
-    ``add_rows`` one ``add`` per entry.  ``axpy`` may return ``row``
-    itself; no operation mutates a row.
+    matrix product, ``fold(acc, xrow, ycol)`` one entry of a substitution
+    or factorization step, ``axpy(row, a, krow)`` the row ``row + a krow``
+    of a Gauss-Jordan update and ``add_rows`` the entrywise sum.  Each
+    equals its definition by the descriptor's operations bit for bit:
+    ``fold`` the left fold over k of ``fma`` that starts from ``acc``
+    (``acc`` itself for empty rows), ``dot`` the same fold started from
+    ``mul(x[0], y[0])``, ``axpy`` one ``fma`` per entry and ``add_rows``
+    one ``add`` per entry.  ``dot`` and ``fold`` run over ``zip(xrow,
+    ycol)``, so the shorter row sets their length.  ``axpy`` may return
+    ``row`` itself; no operation mutates a row.
     """
     encode: Callable
     decode: Callable
     mul: Callable
     dot: Callable
+    fold: Callable
     axpy: Callable
     add_rows: Callable
 
@@ -500,8 +506,27 @@ def row_kernels(d: SemiringDescriptor) -> RowKernels:
     return kernels if kernels is not None else _fold_kernels(d)
 
 
+def kernel_star(d, kernels, v, location):
+    """Kernel value of the star of kernel value ``v``.
+
+    The pivot goes to ``d.star`` as a carrier value, so a failure reads
+    as in the matrix; it gets ``location`` unless it has one already.
+    """
+    try:
+        return kernels.encode([d.star(kernels.decode([v])[0])])[0]
+    except StarUndefined as exc:
+        if exc.location is None:
+            exc.location = location
+        raise
+
+
 def _fold_kernels(d):
     mul, fma, add = d.mul, d.fma, d.add
+
+    def fold(acc, xrow, ycol):
+        for x, y in zip(xrow, ycol):
+            acc = fma(acc, x, y)
+        return acc
 
     def dot(xrow, ycol):
         pairs = zip(xrow, ycol)
@@ -517,22 +542,41 @@ def _fold_kernels(d):
     def add_rows(xrow, yrow):
         return list(map(add, xrow, yrow))
 
-    return RowKernels(list, list, mul, dot, axpy, add_rows)
+    return RowKernels(list, list, mul, dot, fold, axpy, add_rows)
 
 
-def _codec(*tags):
-    """Row encode/decode between the given tags and IEEE infinities."""
-    if not tags:
-        return list, list
+def _codec(name, *tags, valid=None):
+    """Row encode/decode between the given tags and IEEE infinities.
+
+    With ``valid``, decode rejects a kernel value it calls false: a
+    finite result that overflowed to an infinity the carrier has no tag
+    for, or a NaN made from one.  A NaN or such an infinity also makes
+    the sum of the row fail ``valid``, so one C-level ``sum`` screens
+    the row and only a failing one is scanned entry by entry.
+    """
     to_ieee = {t: math.copysign(math.inf, t.sign) for t in tags}
     to_tag = {v: t for t, v in to_ieee.items()}
-    return (lambda row: [to_ieee.get(v, v) for v in row],
-            lambda row: [to_tag.get(v, v) for v in row])
+    encode = (lambda row: [to_ieee.get(v, v) for v in row]) if tags else list
+    untag = (lambda row: [to_tag.get(v, v) for v in row]) if tags else list
+    if valid is None:
+        return encode, untag
+
+    def decode(row):
+        if not valid(sum(row)):
+            for v in row:
+                if not valid(v):
+                    raise IllegalElement(
+                        f"a result left the float range ({v!r}); it is not "
+                        f"a {name} element")
+        return untag(row)
+
+    return encode, decode
 
 
 # In the tropical and maxmin kernels a row update by the zero returns the
 # row unchanged, as the fold does: its fma hands back acc when a factor is
-# the zero.  max and min keep the first of equal values, as fma keeps acc.
+# the zero.  max and min keep the first of equal values, as fma keeps acc,
+# so a fold puts acc first.
 
 def _maxplus_kernels(d, _ninf=-math.inf):
     def axpy(row, a, krow):
@@ -540,8 +584,11 @@ def _maxplus_kernels(d, _ninf=-math.inf):
             return row
         return [r if r >= (s := a + k) else s for r, k in zip(row, krow)]
 
-    return RowKernels(*_codec(NEG_INF), _add,
-                      lambda xrow, ycol: max(map(_add, xrow, ycol)), axpy,
+    return RowKernels(*_codec(d.name, NEG_INF, valid=math.inf.__gt__), _add,
+                      lambda xrow, ycol: max(map(_add, xrow, ycol)),
+                      lambda acc, xrow, ycol:
+                          max(chain((acc,), map(_add, xrow, ycol))),
+                      axpy,
                       lambda xrow, yrow: [x if x >= y else y
                                           for x, y in zip(xrow, yrow)])
 
@@ -552,21 +599,34 @@ def _minplus_kernels(d, _pinf=math.inf):
             return row
         return [r if r <= (s := a + k) else s for r, k in zip(row, krow)]
 
-    return RowKernels(*_codec(POS_INF), _add,
-                      lambda xrow, ycol: min(map(_add, xrow, ycol)), axpy,
+    return RowKernels(*_codec(d.name, POS_INF, valid=(-math.inf).__lt__), _add,
+                      lambda xrow, ycol: min(map(_add, xrow, ycol)),
+                      lambda acc, xrow, ycol:
+                          min(chain((acc,), map(_add, xrow, ycol))),
+                      axpy,
                       lambda xrow, yrow: [x if x <= y else y
                                           for x, y in zip(xrow, yrow)])
 
 
 def _maxmin_kernels(d):
-    encode, decode = _codec(*(t for t in d.params if isinstance(t, Infinity)))
+    # max and min only pick among their arguments, so every kernel value
+    # is an input value and decode needs no range check
+    encode, decode = _codec(d.name,
+                            *(t for t in d.params if isinstance(t, Infinity)))
     zero = encode([d.zero])[0]
 
-    def dot(xrow, ycol):
+    def fold(acc, xrow, ycol):
         # the fold takes min(x, y) only when it exceeds acc, that is when
         # both x and y do; every other term is skipped without a min.
         # No C-level expression beats this loop: min() and max() on two
         # arguments cost more per call than the fold's fma
+        for x, y in zip(xrow, ycol):
+            if x > acc and y > acc:
+                acc = x if x <= y else y
+        return acc
+
+    def dot(xrow, ycol):
+        # fold's loop, started from the first product
         pairs = zip(xrow, ycol)
         x, y = next(pairs)
         acc = x if x <= y else y
@@ -581,7 +641,7 @@ def _maxmin_kernels(d):
         return [r if r >= a or r >= k else a if a <= k else k
                 for r, k in zip(row, krow)]
 
-    return RowKernels(encode, decode, min, dot, axpy,
+    return RowKernels(encode, decode, min, dot, fold, axpy,
                       lambda xrow, yrow: [x if x >= y else y
                                           for x, y in zip(xrow, yrow)])
 
@@ -591,15 +651,20 @@ def _boolean_kernels(d):
         return list(map(_or, row, krow)) if a else row
 
     return RowKernels(list, list, _and,
-                      lambda xrow, ycol: any(map(_and, xrow, ycol)), axpy,
+                      lambda xrow, ycol: any(map(_and, xrow, ycol)),
+                      lambda acc, xrow, ycol: acc or any(map(_and, xrow, ycol)),
+                      axpy,
                       lambda xrow, yrow: list(map(_or, xrow, yrow)))
 
 
 def _field_kernels(d):
     # no shortcut for a zero factor: 0 * k is -0.0 for negative k, and
-    # -0.0 + 0.0 is 0.0, so even a zero row update can change a sign
-    return RowKernels(list, list, _mul,
+    # -0.0 + 0.0 is 0.0, so even a zero row update can change a sign.
+    # reduce, not sum: sum compensates its rounding since Python 3.12
+    return RowKernels(*_codec(d.name, valid=math.isfinite), _mul,
                       lambda xrow, ycol: reduce(_add, map(_mul, xrow, ycol)),
+                      lambda acc, xrow, ycol:
+                          reduce(_add, map(_mul, xrow, ycol), acc),
                       lambda row, a, krow: list(map(_add, row,
                                                     map(_mul, repeat(a), krow))),
                       lambda xrow, yrow: list(map(_add, xrow, yrow)))

@@ -21,7 +21,7 @@ from .errors import ParseError, SemiringError
 from .graphs import WeightedDigraph
 from .ldm import LdmTriple
 from .matrices import Matrix
-from .scalars import NEG_INF, POS_INF
+from .scalars import NEG_INF, POS_INF, TOKENS
 from .semirings import SemiringDescriptor
 
 __all__ = ["scalar_to_json", "scalar_from_json", "matrix_to_json",
@@ -51,14 +51,9 @@ def _decode_tokens(descriptor, value, where):
                 _decode_tokens(base, value[1], where + "[hi]"))
     if isinstance(value, str):
         s = value.strip()
-        if s == "-inf":
-            return NEG_INF
-        if s in ("inf", "+inf"):
-            return POS_INF
-        if s == "true":
-            return True
-        if s == "false":
-            return False
+        if s in TOKENS:
+            return TOKENS[s]
+        # number strings are no tokens: a JSON number is written bare
         raise ParseError(f"unknown scalar token {value!r}", context=where)
     if isinstance(value, (bool, int, float)):
         return value

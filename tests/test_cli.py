@@ -327,6 +327,11 @@ def test_exit_1_other_failures(tmp_path, capsys):
                         "--algorithm", "iterative", bad_iter)
     assert code == 1  # no stabilization in an idempotent carrier
     assert "error:" in err
+    # a path of weight 2e308, past the float range
+    big = _write(tmp_path / "big.json", {"n": 3, "arcs": [[1, 2, 1e308],
+                                                         [2, 3, 1e308]]})
+    code, _, err = _run(capsys, "closure", "--semiring", "maxplus", big)
+    assert code == 1 and "float range" in err
 
 
 def test_semiring_flag_parses_bounds(tmp_path, capsys):

@@ -12,8 +12,8 @@ from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
                       identity, lift_semiring, solve_bellman, zeros)
-from semiralg.errors import (DimensionMismatch, InvalidOptions,
-                             NoStabilization, StarUndefined)
+from semiralg.errors import (DimensionMismatch, IllegalElement,
+                             InvalidOptions, NoStabilization, StarUndefined)
 
 MX = descriptor("maxplus")
 BOOL = descriptor("boolean")
@@ -299,6 +299,32 @@ def test_star_failure_reads_as_in_the_fma_fold(name):
             failures.append((info.value.location, str(info.value)))
         assert failures[0] == failures[1]
         assert failures[0][0] == 2
+
+
+# each matrix has a path of two arcs whose weight leaves the float range
+OVERFLOWING_PATH = {
+    "maxplus": (1e308, NEG_INF),
+    "minplus": (-1e308, POS_INF),
+    "rplus": (1e308, 0.0),
+    "real_field": (-1e308, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_PATH))
+def test_results_past_the_float_range_are_rejected(name):
+    d = descriptor(name)
+    w, z = OVERFLOWING_PATH[name]
+    a = Matrix(d, [[z, w, z], [z, z, w], [z, z, z]])
+    runs = [closure_gauss_jordan, closure_block, lambda a: a.mul(a),
+            lambda a: solve_bellman(a, identity(d, 3))]
+    for run in runs:
+        with pytest.raises(IllegalElement, match="float range"):
+            run(a)
+    if name == "maxplus":
+        # kernels would turn -inf + inf into NaN in the next product
+        square = Matrix(d, [[1e308, 1e308], [NEG_INF, 1e308]])
+        with pytest.raises(IllegalElement, match="float range"):
+            square.mul(square)
 
 
 def _counting_copy(d, tally):

@@ -1,17 +1,21 @@
 """Triangular solvers, LDM factorization, and exact operation counts."""
 
+import dataclasses
+
 import pytest
 
-from conftest import (descriptor, random_contraction, random_stable_matrix,
-                      random_symmetric_stable_matrix)
+from conftest import (KERNEL_CARRIERS, assert_bit_identical, descriptor,
+                      kernel_descriptor, kernel_rows, random_contraction,
+                      random_stable_matrix, random_symmetric_stable_matrix)
 from semiralg import (Matrix, NEG_INF, OpCounter, POS_INF, back_substitution,
                       closure, closure_gauss_jordan, diagonal_solve, identity,
                       ldm_factorize, solve_bellman, solve_ldm, solve_via_ldm,
                       symmetric_factorize, zeros)
 from semiralg.errors import (DescriptorMismatch, DimensionMismatch,
-                             NotCommutative, NotSymmetric, ShapeViolation,
-                             StarUndefined)
+                             IllegalElement, NotCommutative, NotSymmetric,
+                             ShapeViolation, StarUndefined)
 from semiralg import forward_substitution
+from semiralg.ldm import LdmTriple
 from semiralg.semirings import SemiringDescriptor, SemiringFlags
 
 MX = descriptor("maxplus")
@@ -98,6 +102,15 @@ def test_substitution_shape_guards():
         forward_substitution(zeros(MX, 2, 2), [0.0, 0.0, 0.0])  # length
 
 
+def test_triangle_check_names_the_first_nonzero_entry():
+    data = [[NEG_INF] * 4 for _ in range(4)]
+    data[1][3] = data[2][2] = data[3][0] = 1.0
+    with pytest.raises(ShapeViolation, match=r"at \(1, 3\)"):
+        forward_substitution(Matrix(MX, data), [0.0] * 4)
+    with pytest.raises(ShapeViolation, match=r"at \(2, 2\)"):
+        back_substitution(Matrix(MX, data), [0.0] * 4)
+
+
 # ------------------------------------------------------------- diagonal stage
 
 
@@ -127,7 +140,6 @@ def test_diagonal_solve_accepts_diagonal_matrix():
 
 
 def test_solve_ldm_identity_stages():
-    from semiralg.ldm import LdmTriple
     n = 3
     triple = LdmTriple(zeros(MX, n, n), (NEG_INF,) * n, zeros(MX, n, n))
     b = [1.0, 2.0, 3.0]
@@ -135,7 +147,6 @@ def test_solve_ldm_identity_stages():
 
 
 def test_solve_ldm_counts_n5():
-    from semiralg.ldm import LdmTriple
     triple = LdmTriple(zeros(MX, 5, 5), (-1.0,) * 5, zeros(MX, 5, 5))
     c = OpCounter()
     solve_ldm(triple, [0.0] * 5, c)
@@ -330,3 +341,175 @@ def test_symmetric_factorize_guards(rng):
     a = Matrix(stubborn, [[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(NotCommutative):
         symmetric_factorize(a)
+
+
+# ------------------------------------------------ row kernels against the fold
+#
+# A dataclasses.replace copy of a catalog descriptor runs the generic row
+# kernels, the left fold of its own fma; the catalog instance runs its
+# own kernels on IEEE floats and bools, and a counter runs the counting
+# copy.  All three must agree bit for bit.
+
+
+def _ldm_results(desc, rows, b, rhs, counter=None):
+    n = len(rows)
+    zero = desc.zero
+    A = Matrix(desc, rows)
+    sym = Matrix(desc, [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                        for i in range(n)])
+    L = Matrix(desc, [[v if j < i else zero for j, v in enumerate(row)]
+                      for i, row in enumerate(rows)])
+    M = Matrix(desc, [[v if j > i else zero for j, v in enumerate(row)]
+                      for i, row in enumerate(rows)])
+    diag = [rows[i][i] for i in range(n)]
+    t = ldm_factorize(A, counter)
+    s = symmetric_factorize(sym, counter)
+    vectors = [t.D, s.D, solve_ldm(t, b, counter),
+               forward_substitution(L, b, counter),
+               back_substitution(M, b, counter),
+               diagonal_solve(diag, b, descriptor=desc, counter=counter),
+               solve_via_ldm(A, b, counter)]
+    return ([t.L, t.M, s.L, s.M, solve_via_ldm(A, Matrix(desc, rhs), counter)],
+            [list(v) for v in vectors])
+
+
+@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+def test_ldm_matches_the_fma_fold_bit_for_bit(label, rng):
+    d = kernel_descriptor(label)
+    fold = dataclasses.replace(d)
+    for n in (1, 2, 3, 5, 8, 13):
+        rows = kernel_rows(label, n, n, rng)
+        b = kernel_rows(label, 1, n, rng)[0]
+        rhs = kernel_rows(label, n, 3, rng)
+        want_m, want_v = _ldm_results(fold, rows, b, rhs)
+        for desc, counter in ((d, None), (d, OpCounter()), (fold, OpCounter())):
+            got_m, got_v = _ldm_results(desc, rows, b, rhs, counter)
+            for got, want in zip(got_m, want_m):
+                assert_bit_identical(got, want)
+            assert got_v == want_v and repr(got_v) == repr(want_v)
+
+
+# The scalar definitions, one fma per term: the kernels must keep their
+# order over k, which a comparison with the fold copy cannot see.
+
+def _scalar_forward(d, L, x):
+    for i in range(len(x)):
+        for j in range(i):
+            x[i] = d.fma(x[i], L[i][j], x[j])
+    return x
+
+
+def _scalar_back(d, M, x):
+    for i in range(len(x) - 2, -1, -1):
+        for j in range(len(x) - 1, i, -1):
+            x[i] = d.fma(x[i], M[i][j], x[j])
+    return x
+
+
+def _scalar_factors(d, A):
+    n = len(A)
+    C = [row[:] for row in A]
+    for j in range(n):
+        v = [C[i][j] for i in range(j + 1)]
+        for k in range(j):
+            for i in range(k + 1, j + 1):
+                v[i] = d.fma(v[i], C[i][k], v[k])
+        for i in range(j):
+            C[i][j] = d.mul(d.star(C[i][i]), v[i])
+        C[j][j] = v[j]
+        for k in range(j):
+            for i in range(j + 1, n):
+                C[i][j] = d.fma(C[i][j], C[i][k], v[k])
+        s = d.star(v[j])
+        for i in range(j + 1, n):
+            C[i][j] = d.mul(C[i][j], s)
+    return C
+
+
+def _scalar_symmetric_upper(d, A):
+    n = len(A)
+    U = [[d.zero] * n for _ in range(n)]
+    diag = []
+    for j in range(n):
+        v = [A[i][j] for i in range(j + 1)]
+        for k in range(j):
+            U[k][j] = d.mul(d.star(diag[k]), v[k])
+            for i in range(k + 1, j + 1):
+                v[i] = d.fma(v[i], U[k][i], v[k])
+        diag.append(v[j])
+    return U, diag
+
+
+@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+def test_ldm_keeps_the_scalar_order_over_k(label, rng):
+    d = kernel_descriptor(label)
+    for n in (1, 2, 4, 9):
+        rows = kernel_rows(label, n, n, rng)
+        sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        b = kernel_rows(label, 1, n, rng)[0]
+        t = ldm_factorize(Matrix(d, rows))
+        C = _scalar_factors(d, rows)
+        want = [[C[i][j] if j < i else d.zero for j in range(n)] for i in range(n)]
+        assert repr(t.L.to_lists()) == repr(want) and t.L.to_lists() == want
+        assert repr(t.D) == repr(tuple(C[i][i] for i in range(n)))
+        s = symmetric_factorize(Matrix(d, sym))
+        U, diag = _scalar_symmetric_upper(d, sym)
+        assert repr(s.M.to_lists()) == repr(U) and s.M.to_lists() == U
+        assert repr(list(s.D)) == repr(diag)
+        for got, want in ((forward_substitution(t.L, b),
+                           _scalar_forward(d, t.L.to_lists(), list(b))),
+                          (back_substitution(t.M, b),
+                           _scalar_back(d, t.M.to_lists(), list(b)))):
+            assert got == want and repr(got) == repr(want)
+
+
+FAILING_PIVOT = {
+    # symmetric; the star of the second diagonal entry fails
+    "maxplus": [[-1.0, NEG_INF, -2.0], [NEG_INF, 0.5, NEG_INF],
+                [-2.0, NEG_INF, -1.0]],
+    "minplus": [[1.0, POS_INF, 2.0], [POS_INF, -0.5, POS_INF],
+                [2.0, POS_INF, 1.0]],
+    "rplus": [[0.25, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.5]],
+    "real_field": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_PIVOT))
+def test_ldm_star_failure_reads_as_in_the_fma_fold(name):
+    d = descriptor(name)
+    rows = FAILING_PIVOT[name]
+    runs = {(2, 2): ldm_factorize,
+            (3, 2): symmetric_factorize,
+            2: lambda A, c: solve_ldm(
+                LdmTriple(zeros(A.descriptor, 3, 3),
+                          tuple(rows[i][i] for i in range(3)),
+                          zeros(A.descriptor, 3, 3)), [A.descriptor.one] * 3, c)}
+    for location, run in runs.items():
+        failures = []
+        for desc, counter in ((d, None), (dataclasses.replace(d), None),
+                              (d, OpCounter())):
+            with pytest.raises(StarUndefined) as info:
+                run(Matrix(desc, rows), counter)
+            failures.append((info.value.location, str(info.value)))
+        assert failures == [(location, failures[0][1])] * 3
+
+
+# the path 1 -> 2 -> 3 weighs 2e308, past the float range
+OVERFLOWING_PATH = [[NEG_INF, 1e308, NEG_INF], [NEG_INF, NEG_INF, 1e308],
+                    [NEG_INF, NEG_INF, NEG_INF]]
+
+
+def test_results_past_the_float_range_are_rejected():
+    a = Matrix(MX, OVERFLOWING_PATH)
+    b = [NEG_INF, NEG_INF, 0.0]
+    t = ldm_factorize(a)
+    for run in (lambda: solve_ldm(t, b), lambda: solve_via_ldm(a, b),
+                lambda: back_substitution(t.M, b),
+                lambda: solve_via_ldm(a, Matrix(MX, [[v] for v in b]))):
+        with pytest.raises(IllegalElement, match="float range"):
+            run()
+    # a pivot past the range fails before its star, on the fold path too
+    big = Matrix(MX, [[0.0, 1e308], [1e308, 0.0]])
+    for desc in (MX, dataclasses.replace(MX)):
+        with pytest.raises(IllegalElement):
+            ldm_factorize(Matrix(desc, big.to_lists()))

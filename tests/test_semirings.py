@@ -7,12 +7,14 @@ import pickle
 import pytest
 
 from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS, descriptor,
-                      kernel_descriptor, scalar_samples)
+                      kernel_descriptor, kernel_rows, scalar_samples)
 from semiralg import (NEG_INF, POS_INF, from_token, laws, lift_semiring,
                       make_semiring, same_descriptor, to_token, usual_leq)
-from semiralg.errors import (IllegalElement, InvalidBounds, StarUndefined,
-                             UnknownSemiring)
+from semiralg.errors import (IllegalElement, InvalidBounds, ParseError,
+                             StarUndefined, UnknownSemiring)
+from semiralg.scalars import TOKENS
 from semiralg.semirings import row_kernels
+from semiralg.serialize import scalar_from_json
 
 # ------------------------------------------------------------------- catalog
 
@@ -162,6 +164,57 @@ def test_row_kernels_specialise_only_catalog_instances():
         assert row_kernels(copy).mul is copy.mul
     lifted = lift_semiring(descriptor("maxplus"))
     assert row_kernels(lifted).mul is lifted.mul
+
+
+def _same_value(got, want):
+    # repr alone would take IEEE inf for the tag and 0.0 for -0.0
+    assert type(got) is type(want) and repr(got) == repr(want)
+    assert got is want or got == want
+
+
+@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+def test_fold_matches_the_fma_fold(label, rng):
+    d = kernel_descriptor(label)
+    kernels = row_kernels(d)
+    encode, decode = kernels.encode, kernels.decode
+    zeros = [] if label == "boolean" else [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]
+    cases = [(acc, list(x), list(y)) for acc in (-0.0, 0.0) for x in zeros
+             for y in zeros]
+    cases += [(acc, [], []) for acc in kernel_rows(label, 1, 8, rng)[0]]
+    for length in (0, 1, 2, 3, 8, 17):
+        for extra in (0, 0, 2):
+            acc, *xrow = kernel_rows(label, 1, length + 1, rng)[0]
+            # the shorter row sets the length of the fold
+            cases.append((acc, xrow, kernel_rows(label, 1, length + extra, rng)[0]))
+    for acc, xrow, ycol in cases:
+        want = acc
+        for x, y in zip(xrow, ycol):
+            want = d.fma(want, x, y)
+        got = kernels.fold(encode([acc])[0], encode(xrow), encode(ycol))
+        _same_value(decode([got])[0], want)
+
+
+OVERFLOWING = {
+    # carrier: a kernel value past the float range, a legal infinity
+    "maxplus": (math.inf, -math.inf),
+    "minplus": (-math.inf, math.inf),
+    "rplus": (math.inf, None),
+    "real_field": (-math.inf, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_decode_rejects_values_past_the_float_range(name):
+    kernels = row_kernels(descriptor(name))
+    bad, legal = OVERFLOWING[name]
+    for row in ([1.0, bad], [bad, -bad], [math.nan, 1.0], [2.0, math.inf - math.inf]):
+        with pytest.raises(IllegalElement, match="float range"):
+            kernels.decode(row)
+    # a row whose sum overflows is still legal entry by entry
+    big = -1e308 if name == "minplus" else 1e308
+    assert kernels.decode([big, big]) == [big, big]
+    if legal is not None:
+        assert kernels.decode([legal, 1.0]) == [descriptor(name).zero, 1.0]
 
 
 def test_field_like_eq_tolerance():
@@ -404,3 +457,17 @@ def test_tokens_round_trip():
         from_token("garbage")
     with pytest.raises(ValueError):
         from_token("inf inf")
+
+
+def test_one_token_table_serves_text_and_json():
+    for v in (NEG_INF, POS_INF, True, False):
+        assert TOKENS[to_token(v)] is v
+    assert from_token("+inf") is POS_INF
+    for token, v in TOKENS.items():
+        d = descriptor("boolean" if isinstance(v, bool) else
+                       "maxplus_complete")
+        assert from_token(f" {token} ") is v
+        assert scalar_from_json(d, token) is v
+    # a number is written bare in JSON; as a string it is no token
+    with pytest.raises(ParseError, match="unknown scalar token"):
+        scalar_from_json(descriptor("maxplus"), "-2.0")
