@@ -7,6 +7,11 @@ go to stdout as canonical one-line JSON (or a readable table with
 ``--format table``).  Identical input and flags produce byte-identical
 output.
 
+A run costs little beyond its command: the argument parser is built
+once per process, on the first call of ``main``; each input is decoded
+in one pass, which names the offending cell only when it fails; and a
+table is printed from the JSON payload itself, never decoded again.
+
 Commands:
 
 * ``closure  A.json``            the matrix closure A* (matrix or graph input)
@@ -18,6 +23,7 @@ Commands:
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,8 +41,8 @@ from .matrices import Matrix
 from .scalars import from_token, to_token
 from .semirings import make_semiring
 from .serialize import (dumps, graph_from_json, loads, matrix_from_json,
-                        matrix_to_json, scalar_from_json, scalar_to_json,
-                        triple_to_json)
+                        matrix_to_json, scalar_to_json, scalars_from_json,
+                        scalars_to_json, triple_to_json)
 
 __all__ = ["RunConfig", "run", "main", "entry"]
 
@@ -123,8 +129,7 @@ def _vector_input(descriptor, path: str) -> list:
     if not isinstance(obj, list) or not obj:
         raise ParseError("expected a non-empty JSON array of scalars",
                          context=path)
-    return [scalar_from_json(descriptor, v, f"{path}[{i}]")
-            for i, v in enumerate(obj)]
+    return scalars_from_json(descriptor, obj, path)
 
 
 def run(config: RunConfig) -> dict:
@@ -173,7 +178,7 @@ def run(config: RunConfig) -> dict:
         terminal = _vector_input(d, config.inputs[1])
         values = max_profit(g, terminal, config.horizon,
                             _closure_options(config))
-        return {"result": [scalar_to_json(d, v) for v in values]}
+        return {"result": scalars_to_json(d, values)}
 
     if cmd == "invert":
         A = _matrix_input(d, config.inputs[0])
@@ -182,37 +187,43 @@ def run(config: RunConfig) -> dict:
     raise InvalidOptions(f"unknown command {cmd!r}")
 
 
-def _cell(d, v) -> str:
-    if d.is_zero(v):
-        return "."
+def _token(v) -> str:
+    # to_token of a JSON scalar, whose tags are already their tokens
+    return v if type(v) is str else repr(v) if type(v) is float else to_token(v)
+
+
+def _texts(d, zero, values) -> list:
+    """Table text of each JSON scalar over ``d``: '.' where it equals the
+    JSON form ``zero`` of the zero (as ``is_zero``), else its tokens."""
     if d.base is not None:
-        return f"[{to_token(v[0])},{to_token(v[1])}]"
-    return to_token(v)
+        return ["." if v == zero else f"[{_token(v[0])},{_token(v[1])}]"
+                for v in values]
+    return ["." if v == zero else _token(v) for v in values]
 
 
-def _matrix_table(d, obj) -> list:
-    rows = [[_cell(d, scalar_from_json(d, v)) for v in row]
-            for row in obj["data"]]
-    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
-    return [" ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
+def _matrix_table(d, zero, obj) -> list:
+    rows = [_texts(d, zero, row) for row in obj["data"]]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return [" ".join(map(str.rjust, row, widths)) for row in rows]
 
 
 def _render_table(d, payload: dict) -> str:
     lines = []
     result = payload["result"]
+    zero = scalar_to_json(d, d.zero)
     if isinstance(result, list):
-        lines.append(" ".join(_cell(d, scalar_from_json(d, v)) for v in result))
+        lines.append(" ".join(_texts(d, zero, result)))
     elif "data" in result:
-        lines.extend(_matrix_table(d, result))
+        lines.extend(_matrix_table(d, zero, result))
     else:
         for key in ("l", "d", "m"):
             lines.append(key.upper() + ":")
             section = result[key]
             if key == "d":
-                lines.append("  " + " ".join(
-                    _cell(d, scalar_from_json(d, v)) for v in section))
+                lines.append("  " + " ".join(_texts(d, zero, section)))
             else:
-                lines.extend("  " + row for row in _matrix_table(d, section))
+                lines.extend("  " + row
+                             for row in _matrix_table(d, zero, section))
     if "iterations" in payload:
         lines.append(f"iterations: {payload['iterations']}")
         lines.append("truncated: " + ("true" if payload["truncated"] else "false"))
@@ -235,7 +246,10 @@ def _horizon(text: str):
     return k
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, and
+    # help and errors go to the sys.stdout and sys.stderr of the moment
     p = argparse.ArgumentParser(
         prog="semiralg",
         description="Generic semiring linear algebra: closures, Bellman "

@@ -11,15 +11,16 @@ Because every lifted operation acts on each endpoint separately, a
 matrix algorithm that never branches on values computes, on an
 interval matrix, exactly the pair of its base runs on the lo and on
 the hi matrix.  The closures, factorizations and substitutions use
-that: ``endpoint_runs`` runs a kernel once per endpoint and
-``join_endpoints`` zips the two results back into intervals.  The
-lifted ``fma`` (two base accumulates) serves everything else.
+that, and so does the matrix product: ``endpoint_runs`` runs a kernel
+once per endpoint and ``join_endpoints`` zips the two results back
+into intervals.  The lifted ``fma`` (two base accumulates) serves
+everything else.
 """
 
 from typing import NamedTuple
 
 from .errors import EmptyInterval, IllegalElement, NotPositive, StarUndefined
-from .matrices import Matrix
+from .matrices import Matrix, _matrix_product, _split_products
 from .semirings import SemiringDescriptor, SemiringFlags
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
@@ -63,6 +64,7 @@ def lift_semiring(base: SemiringDescriptor) -> SemiringDescriptor:
     if lifted is None:
         lifted = _build_lift(base)
         _lift_cache[base] = lifted
+        _split_products[lifted] = _split_product
     return lifted
 
 
@@ -116,6 +118,11 @@ def join_endpoints(d: SemiringDescriptor, lo, hi):
     zero, bzero, new = d.zero, d.base.zero, tuple.__new__
     return [zero if b == bzero and a == bzero else new(Interval, (a, b))
             for a, b in zip(lo, hi)]
+
+
+def _split_product(A: Matrix, B: Matrix) -> Matrix:
+    return join_endpoints(A.descriptor, *endpoint_runs(
+        lambda X, Y, _: _matrix_product(X, Y), A, B))
 
 
 def _build_lift(base: SemiringDescriptor) -> SemiringDescriptor:

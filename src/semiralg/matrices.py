@@ -6,7 +6,9 @@ mutates ``self``.  One list-of-rows kernel, :func:`product`, serves
 the matrix product and the block closure.  It reduces each entry with
 the descriptor's row kernels, which equal a fixed left-to-right fold
 of ``fma`` over k, so float results are reproducible across runs and
-across algorithms that share this kernel.
+across algorithms that share this kernel.  Over an interval lift
+the product is the pair of its base products on the lo and the hi
+endpoints (``intervals.endpoint_runs``), as the closures are.
 """
 
 from .errors import DescriptorMismatch, DimensionMismatch
@@ -20,6 +22,21 @@ def product(kernels, X, Y):
     dot = kernels.dot
     cols = list(zip(*Y))
     return [[dot(xrow, ycol) for ycol in cols] for xrow in X]
+
+
+def _matrix_product(A, B):
+    d = A.descriptor
+    kernels = row_kernels(d)
+    encode = kernels.encode
+    out = product(kernels, list(map(encode, A._data)),
+                  list(map(encode, B._data)))
+    return Matrix._wrap(d, list(map(kernels.decode, out)))
+
+
+# lift -> its product as two endpoint runs, entered by
+# intervals.lift_semiring, since this module cannot import intervals (it
+# imports Matrix); a copy of a lift with some operation replaced is no key
+_split_products: dict = {}
 
 
 class Matrix:
@@ -95,12 +112,10 @@ class Matrix:
 
     def mul(self, other) -> "Matrix":
         self._check_same(other, "chain")
-        d = self.descriptor
-        kernels = row_kernels(d)
-        encode = kernels.encode
-        out = product(kernels, list(map(encode, self._data)),
-                      list(map(encode, other._data)))
-        return Matrix._wrap(d, list(map(kernels.decode, out)))
+        split = _split_products.get(self.descriptor)
+        if split is not None:
+            return split(self, other)
+        return _matrix_product(self, other)
 
     __add__ = add
     __matmul__ = mul

@@ -21,7 +21,8 @@ way out, so a finite sum that overflows to the zero's infinity also
 comes out as the tag, and any other value past the float range raises
 ``IllegalElement`` there.  ``maxplus_complete`` and ``rplus_complete``
 keep the fold: IEEE gives NaN for -inf + inf and 0 * inf, where they
-have a value.
+have a value.  The fold's decode rejects a float past the range too,
+so an overflow raises ``IllegalElement`` on every descriptor.
 
 Shipped semirings, by name:
 
@@ -520,6 +521,25 @@ def kernel_star(d, kernels, v, location):
         raise
 
 
+def _fold_decode(d):
+    """decode of the fold kernels: a copy of the row, which rejects a
+    float past the range, as the IEEE kernels' decode does.  No carrier
+    holds an IEEE infinity or NaN, so such a float can only come from an
+    operation that overflowed."""
+    name = d.label
+    # the endpoints of a lift's values are floats of its base carrier
+    entries = chain.from_iterable if d.base is not None else iter
+
+    def decode(row):
+        for v in entries(row):
+            if type(v) is float and not math.isfinite(v):
+                raise IllegalElement(f"a result left the float range ({v!r}); "
+                                     f"it is not a {name} element")
+        return list(row)
+
+    return decode
+
+
 def _fold_kernels(d):
     mul, fma, add = d.mul, d.fma, d.add
 
@@ -542,7 +562,7 @@ def _fold_kernels(d):
     def add_rows(xrow, yrow):
         return list(map(add, xrow, yrow))
 
-    return RowKernels(list, list, mul, dot, fold, axpy, add_rows)
+    return RowKernels(list, _fold_decode(d), mul, dot, fold, axpy, add_rows)
 
 
 def _codec(name, *tags, valid=None):

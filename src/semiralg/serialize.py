@@ -13,6 +13,15 @@ Wire format, shared with the command line front end:
 ``dumps`` emits one canonical byte form (sorted keys, no whitespace)
 so equal values always serialize identically.  All decoding errors
 are raised as ParseError naming the offending field.
+
+Lists of scalars (matrix rows, vectors, graph weights, the diagonal
+of a triple) are decoded in one pass: the text tokens are resolved
+through ``scalars.TOKENS`` and the descriptor's ``coerce`` runs on the
+result, with no per-cell bookkeeping.  Only when that pass fails are
+the cells decoded again one by one, through ``scalar_from_json``, so
+that the ParseError names the first bad cell exactly as it always
+has.  Encoding is one pass per row as well: the tags become their
+tokens, every other value is written as it is.
 """
 
 import json
@@ -24,9 +33,18 @@ from .matrices import Matrix
 from .scalars import NEG_INF, POS_INF, TOKENS
 from .semirings import SemiringDescriptor
 
-__all__ = ["scalar_to_json", "scalar_from_json", "matrix_to_json",
-           "matrix_from_json", "graph_to_json", "graph_from_json",
-           "triple_to_json", "triple_from_json", "dumps", "loads"]
+__all__ = ["scalar_to_json", "scalar_from_json", "scalars_to_json",
+           "scalars_from_json", "matrix_to_json", "matrix_from_json",
+           "graph_to_json", "graph_from_json", "triple_to_json",
+           "triple_from_json", "dumps", "loads"]
+
+# JSON form of a carrier value: the tags become their tokens
+_TAG_TOKENS = {NEG_INF: "-inf", POS_INF: "inf"}
+# carrier value of a JSON scalar in the one-pass decode; the tags are no
+# JSON values, so they resolve to None, which every coerce rejects
+_RESOLVE = {**TOKENS, NEG_INF: None, POS_INF: None}
+# what the one-pass decode raises on a cell that the per-cell path rejects
+_UNRESOLVED = (SemiringError, TypeError, ValueError)
 
 
 def scalar_to_json(descriptor: SemiringDescriptor, v):
@@ -70,10 +88,48 @@ def scalar_from_json(descriptor: SemiringDescriptor, value, where="value"):
         raise ParseError(str(exc), context=where) from exc
 
 
+def scalars_to_json(descriptor: SemiringDescriptor, values) -> list:
+    """``[scalar_to_json(descriptor, v) for v in values]``, one pass per
+    endpoint."""
+    base, get = descriptor.base, _TAG_TOKENS.get
+    if base is None:
+        return list(map(get, values, values))
+    if base.base is None:
+        return [[get(lo, lo), get(hi, hi)] for lo, hi in values]
+    return [scalar_to_json(descriptor, v) for v in values]
+
+
+def _resolve(descriptor, values):
+    # the carrier values of a list of JSON scalars in one pass; raises one
+    # of _UNRESOLVED on every list that scalar_from_json rejects a cell of,
+    # and on some it accepts (spaced tokens, a lift of a lift)
+    coerce, get = descriptor.coerce, _RESOLVE.get
+    base = descriptor.base
+    if base is None:
+        # a list or an object is unhashable, so get raises TypeError
+        return list(map(coerce, map(get, values, values)))
+    if base.base is not None or not all(
+            map((list, tuple).__contains__, map(type, values))):
+        raise TypeError("not a list of [lo, hi] pairs")
+    return [coerce((get(lo, lo), get(hi, hi))) for lo, hi in values]
+
+
+def scalars_from_json(descriptor: SemiringDescriptor, values,
+                      where="values") -> list:
+    """``[scalar_from_json(descriptor, v, f"{where}[{i}]") ...]`` for
+    the cells ``v`` of the list ``values``, in one pass; the cells are
+    decoded one by one, with their locations, only if that pass fails."""
+    try:
+        return _resolve(descriptor, values)
+    except _UNRESOLVED:
+        return [scalar_from_json(descriptor, v, f"{where}[{i}]")
+                for i, v in enumerate(values)]
+
+
 def matrix_to_json(A: Matrix) -> dict:
     d = A.descriptor
     return {"rows": A.rows, "cols": A.cols,
-            "data": [[scalar_to_json(d, v) for v in row] for row in A.to_lists()]}
+            "data": [scalars_to_json(d, row) for row in A._data]}
 
 
 def matrix_from_json(descriptor: SemiringDescriptor, obj,
@@ -92,8 +148,8 @@ def matrix_from_json(descriptor: SemiringDescriptor, obj,
         if key in obj and obj[key] != expect:
             raise ParseError(f'"{key}" says {obj[key]} but data has {expect}',
                              context=where)
-    rows = [[scalar_from_json(descriptor, v, f"{where}.data[{i}][{j}]")
-             for j, v in enumerate(row)] for i, row in enumerate(data)]
+    rows = [scalars_from_json(descriptor, row, f"{where}.data[{i}]")
+            for i, row in enumerate(data)]
     return Matrix._wrap(descriptor, rows)
 
 
@@ -114,6 +170,28 @@ def graph_from_json(descriptor: SemiringDescriptor, obj,
     raw = obj.get("arcs", [])
     if not isinstance(raw, list):
         raise ParseError('"arcs" must be an array', context=where)
+    arcs = _arcs(descriptor, raw, where)
+    try:
+        return WeightedDigraph(n, tuple(arcs), descriptor)
+    except SemiringError as exc:
+        raise ParseError(str(exc), context=where) from exc
+
+
+def _plain_arc(arc):
+    return type(arc) is list and len(arc) == 3 \
+        and type(arc[0]) is int and type(arc[1]) is int
+
+
+def _arcs(descriptor, raw, where):
+    # one pass when every arc is [int, int, weight] and every weight
+    # decodes; otherwise arc by arc, so the first bad one is named
+    if all(map(_plain_arc, raw)):
+        try:
+            weights = _resolve(descriptor, [arc[2] for arc in raw])
+        except _UNRESOLVED:
+            pass
+        else:
+            return [(u, v, w) for (u, v, _), w in zip(raw, weights)]
     arcs = []
     for k, arc in enumerate(raw):
         ctx = f"{where}.arcs[{k}]"
@@ -125,16 +203,13 @@ def graph_from_json(descriptor: SemiringDescriptor, obj,
                 or isinstance(u, bool) or isinstance(v, bool):
             raise ParseError("node indices must be integers", context=ctx)
         arcs.append((u, v, scalar_from_json(descriptor, w, ctx)))
-    try:
-        return WeightedDigraph(n, tuple(arcs), descriptor)
-    except SemiringError as exc:
-        raise ParseError(str(exc), context=where) from exc
+    return arcs
 
 
 def triple_to_json(t: LdmTriple) -> dict:
     d = t.descriptor
     return {"l": matrix_to_json(t.L),
-            "d": [scalar_to_json(d, v) for v in t.D],
+            "d": scalars_to_json(d, t.D),
             "m": matrix_to_json(t.M)}
 
 
@@ -147,8 +222,7 @@ def triple_from_json(descriptor: SemiringDescriptor, obj,
         raise ParseError('"d" must be an array', context=where)
     L = matrix_from_json(descriptor, obj["l"], where + ".l")
     M = matrix_from_json(descriptor, obj["m"], where + ".m")
-    diag = tuple(scalar_from_json(descriptor, v, f"{where}.d[{i}]")
-                 for i, v in enumerate(obj["d"]))
+    diag = tuple(scalars_from_json(descriptor, obj["d"], where + ".d"))
     return LdmTriple(L, diag, M)
 
 

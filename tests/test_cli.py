@@ -334,6 +334,18 @@ def test_exit_1_other_failures(tmp_path, capsys):
     assert code == 1 and "float range" in err
 
 
+def test_exit_1_overflow_on_the_fold_carriers(tmp_path, capsys):
+    # maxplus_complete runs the fold of its own fma, no IEEE kernels
+    big = _write(tmp_path / "big.json", {"n": 3, "arcs": [[1, 2, 1e308],
+                                                         [2, 3, 1e308]]})
+    for algorithm in ("block", "gauss_jordan"):
+        code, out, err = _run(capsys, "closure", "--semiring",
+                              "maxplus_complete", "--algorithm", algorithm,
+                              big)
+        assert code == 1 and out == ""
+        assert "not a maxplus_complete element" in err
+
+
 def test_semiring_flag_parses_bounds(tmp_path, capsys):
     pa = _write(tmp_path / "a.json", {"data": [[3.0, 0.0], [0.0, 7.0]]})
     payload = _json_out(capsys, "closure", "--semiring", "maxmin,0,10", pa)

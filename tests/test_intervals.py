@@ -1,8 +1,10 @@
 """Interval lift: construction, algebra, and endpoint decomposition."""
 
+import dataclasses
+
 import pytest
 
-from conftest import (descriptor, interval_hull, interval_samples,
+from conftest import (assert_bit_identical, descriptor, interval_hull, interval_samples,
                       pair_endpoints, random_interval_matrix,
                       random_nilpotent_matrix, random_stable_matrix,
                       random_symmetric_stable_matrix, scalar_samples)
@@ -211,6 +213,56 @@ def test_closure_decomposes_endpoint_wise(name, rng):
         lo, hi = _split_endpoints(av)
         for algo in (closure_block, closure_gauss_jordan):
             assert algo(av) == pair_endpoints(base, algo(lo), algo(hi))
+
+
+def _sampled(name, rows, cols, rand):
+    lifted = lift_semiring(descriptor(name))
+    pool = interval_samples(name) + [lifted.zero] * 4
+    return Matrix(lifted, [[rand.choice(pool) for _ in range(cols)]
+                           for _ in range(rows)])
+
+
+@pytest.mark.parametrize("name", LIFT_NAMES)
+def test_product_decomposes_endpoint_wise(name, rng):
+    # the product of a lift is its pair of base products bit for bit, and
+    # equals the lifted fma fold that a dataclasses.replace copy runs
+    base = descriptor(name)
+    fold = dataclasses.replace(lift_semiring(base))
+    for rows, inner, cols in ((1, 1, 1), (1, 5, 3), (4, 1, 2), (6, 6, 6),
+                              (7, 4, 1)):
+        x = _sampled(name, rows, inner, rng)
+        y = _sampled(name, inner, cols, rng)
+        (lo_x, hi_x), (lo_y, hi_y) = _split_endpoints(x), _split_endpoints(y)
+        got = x.mul(y)
+        assert_bit_identical(got, pair_endpoints(base, lo_x.mul(lo_y),
+                                                 hi_x.mul(hi_y)))
+        assert_bit_identical(got, Matrix(fold, x.to_lists()).mul(
+            Matrix(fold, y.to_lists())))
+
+
+def test_product_keeps_the_base_runs_signed_zeros():
+    # the fold makes (-0.0, -0.0) the zero object (0.0, 0.0) as it goes;
+    # the two base runs keep the sign, as on the base carrier
+    base = descriptor("rplus")
+    lifted = lift_semiring(base)
+    x = Matrix(lifted, [[(-0.0, 0.5), (-0.0, 1.0)]])
+    y = Matrix(lifted, [[(0.0, 0.0)], [(1.0, 2.0)]])
+    fold = dataclasses.replace(lifted)
+    got = x.mul(y)
+    assert repr(got[0, 0]) == "Interval(lo=-0.0, hi=2.0)"
+    assert got == Matrix(fold, x.to_lists()).mul(Matrix(fold, y.to_lists()))
+    lo_x, hi_x = _split_endpoints(x)
+    lo_y, hi_y = _split_endpoints(y)
+    assert_bit_identical(got, pair_endpoints(base, lo_x.mul(lo_y),
+                                             hi_x.mul(hi_y)))
+
+
+def test_product_rejects_results_past_the_float_range():
+    lifted = lift_semiring(MX)
+    x = Matrix(lifted, [[(1.0, 1e308), (NEG_INF, 1e308)]])
+    y = Matrix(lifted, [[(0.0, 1e308)], [(0.0, 0.0)]])
+    with pytest.raises(IllegalElement, match="float range"):
+        x.mul(y)
 
 
 @pytest.mark.parametrize("name", ["maxplus", "minplus", "maxmin"])

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS, descriptor,
                       kernel_descriptor, kernel_rows, scalar_samples)
-from semiralg import (NEG_INF, POS_INF, from_token, laws, lift_semiring,
-                      make_semiring, same_descriptor, to_token, usual_leq)
+from semiralg import (NEG_INF, POS_INF, Interval, Matrix, from_token, laws,
+                      lift_semiring, make_semiring, same_descriptor, to_token,
+                      usual_leq)
 from semiralg.errors import (IllegalElement, InvalidBounds, ParseError,
                              StarUndefined, UnknownSemiring)
 from semiralg.scalars import TOKENS
@@ -215,6 +216,38 @@ def test_decode_rejects_values_past_the_float_range(name):
     assert kernels.decode([big, big]) == [big, big]
     if legal is not None:
         assert kernels.decode([legal, 1.0]) == [descriptor(name).zero, 1.0]
+
+
+# descriptors that run the fold of their own fma, and an overflowing value
+FOLD_OVERFLOW = {
+    "maxplus_complete": lambda: descriptor("maxplus_complete"),
+    "rplus_complete": lambda: descriptor("rplus_complete"),
+    "maxplus copy": lambda: dataclasses.replace(descriptor("maxplus")),
+    "real_field copy": lambda: dataclasses.replace(descriptor("real_field")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FOLD_OVERFLOW))
+def test_fold_decode_rejects_values_past_the_float_range(label):
+    d = FOLD_OVERFLOW[label]()
+    decode = row_kernels(d).decode
+    for row in ([1.0, math.inf], [-math.inf, 2.0], [math.nan]):
+        with pytest.raises(IllegalElement, match="float range"):
+            decode(row)
+    row = [d.zero, d.one, 1e308, 1e308]
+    assert decode(row) == row and decode(row) is not row
+    # a product that overflows raises, as on the IEEE kernels
+    big = Matrix(d, [[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(IllegalElement, match="float range"):
+        big.mul(big)
+
+
+def test_fold_decode_checks_interval_endpoints():
+    lifted = lift_semiring(descriptor("maxplus"))
+    decode = row_kernels(lifted).decode
+    with pytest.raises(IllegalElement, match="float range"):
+        decode([lifted.one, Interval(1.0, math.inf)])
+    assert decode([lifted.zero, lifted.one]) == [lifted.zero, lifted.one]
 
 
 def test_field_like_eq_tolerance():
