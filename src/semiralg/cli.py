@@ -291,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", parents=[common, algo],
                        help="least solution of X = AX + B")
-    s.add_argument("inputs", nargs=2, metavar=("A.json", "B.json"))
+    _two_inputs(s, "A.json", "B.json")
 
     f = sub.add_parser("factor", parents=[common],
                        help="triangular factorization of A")
@@ -309,12 +309,19 @@ def _parser() -> argparse.ArgumentParser:
     pr.add_argument("--horizon", type=_horizon, default=None, metavar="K|inf",
                     help="number of steps; 'inf' (default) searches over "
                          "all walk lengths via the closure")
-    pr.add_argument("inputs", nargs=2, metavar=("G.json", "b.json"))
+    _two_inputs(pr, "G.json", "b.json")
 
     i = sub.add_parser("invert", parents=[common],
                        help="(I - A)^-1 over the real field")
     i.add_argument("inputs", nargs=1, metavar="A.json")
     return p
+
+
+def _two_inputs(parser, first, second):
+    # two positionals into one list, not nargs=2 with a pair of metavars:
+    # argparse formats no such pair in help or in a missing-argument error
+    parser.add_argument("inputs", action="append", metavar=first)
+    parser.add_argument("inputs", action="append", metavar=second)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -373,3 +380,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -146,8 +146,7 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
         raise InvalidOptions(f"split {opts.split} out of range 1..{n - 1}")
     d = A.descriptor
     if is_lift(d):
-        return join_endpoints(d, *endpoint_runs(
-            lambda M, _: closure_block(M, opts), A))
+        return join_endpoints(d, *endpoint_runs(closure_block, A, opts))
     limiter = _Limiter(opts.threads - 1) if opts.parallel else None
     kernels = row_kernels(d)
     data = _close_rec(d, kernels, list(map(kernels.encode, A._data)), 0, opts,
@@ -160,8 +159,7 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     _require_square(A)
     d = A.descriptor
     if is_lift(d):
-        return join_endpoints(d, *endpoint_runs(
-            lambda M, _: closure_gauss_jordan(M), A))
+        return join_endpoints(d, *endpoint_runs(closure_gauss_jordan, A))
     kernels = row_kernels(d)
     mul, axpy = kernels.mul, kernels.axpy
     n = A.rows

@@ -161,15 +161,14 @@ def _solve(d, kernels, L, dv, M, x):
                  _diagonal(d, kernels, dv, _forward(d, kernels, L, x)))
 
 
-def _substitute(stage, d, counter, *args):
+def _substitute(stage, d, *args, counter=None):
     """``stage`` on the factors ``args[:-1]`` and the vector ``args[-1]``
     over ``d`` counted into ``counter``, the vector in kernel form; on a
     lift, its two endpoint runs joined back into intervals (the
     arguments are checked already)."""
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(
-            lambda *ends: _substitute(stage, d.base, ends[-1], *ends[:-1]),
-            *args, counter=counter))
+            _substitute, stage, d.base, *args, counter=counter))
     d = counted(d, counter)
     kernels = row_kernels(d)
     *factors, b = args
@@ -180,14 +179,16 @@ def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
     """Least solution of x = Lx + b for strictly lower triangular L."""
     _require_strict_triangle(L, lower=True, what="lower")
     d = L.descriptor
-    return _substitute(_forward, d, counter, L, _coerce_vector(d, b, L.rows))
+    return _substitute(_forward, d, L, _coerce_vector(d, b, L.rows),
+                       counter=counter)
 
 
 def back_substitution(M: Matrix, b, counter: "OpCounter | None" = None):
     """Least solution of x = Mx + b for strictly upper triangular M."""
     _require_strict_triangle(M, lower=False, what="upper")
     d = M.descriptor
-    return _substitute(_back, d, counter, M, _coerce_vector(d, b, M.rows))
+    return _substitute(_back, d, M, _coerce_vector(d, b, M.rows),
+                       counter=counter)
 
 
 def diagonal_solve(diag, b, descriptor=None, counter: "OpCounter | None" = None):
@@ -212,7 +213,8 @@ def diagonal_solve(diag, b, descriptor=None, counter: "OpCounter | None" = None)
         d = descriptor
         n = len(diag)
         dv = [d.coerce(v) for v in diag]
-    return _substitute(_diagonal, d, counter, dv, _coerce_vector(d, b, n))
+    return _substitute(_diagonal, d, dv, _coerce_vector(d, b, n),
+                       counter=counter)
 
 
 def solve_ldm(triple: LdmTriple, b, counter: "OpCounter | None" = None):
@@ -226,7 +228,8 @@ def solve_ldm(triple: LdmTriple, b, counter: "OpCounter | None" = None):
         raise DescriptorMismatch("factors built over different semirings")
     _require_strict_triangle(L, lower=True, what="lower")
     _require_strict_triangle(M, lower=False, what="upper")
-    return _substitute(_solve, d, counter, L, D, M, _coerce_vector(d, b, n))
+    return _substitute(_solve, d, L, D, M, _coerce_vector(d, b, n),
+                       counter=counter)
 
 
 def solve_via_ldm(A: Matrix, B, counter: "OpCounter | None" = None):
@@ -244,8 +247,8 @@ def solve_via_ldm(A: Matrix, B, counter: "OpCounter | None" = None):
     if not same_descriptor(A.descriptor, B.descriptor):
         raise DescriptorMismatch("system and right-hand side disagree")
     # the factors are well formed and B is coerced: substitute directly
-    sols = [_substitute(_solve, A.descriptor, counter, triple.L, triple.D,
-                        triple.M, list(col)) for col in zip(*B._data)]
+    sols = [_substitute(_solve, A.descriptor, triple.L, triple.D, triple.M,
+                        list(col), counter=counter) for col in zip(*B._data)]
     return Matrix._wrap(A.descriptor, [list(row) for row in zip(*sols)])
 
 

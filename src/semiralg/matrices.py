@@ -8,7 +8,11 @@ the descriptor's row kernels, which equal a fixed left-to-right fold
 of ``fma`` over k, so float results are reproducible across runs and
 across algorithms that share this kernel.  Over an interval lift
 the product is the pair of its base products on the lo and the hi
-endpoints (``intervals.endpoint_runs``), as the closures are.
+endpoints (``intervals.endpoint_runs``), as the closures are; the hi
+product runs in the lift's worker process once it is large enough
+(from n = 46 for an n x n by n x 8 product), with the same result bit
+for bit.  A matrix over a catalog descriptor pickles, as its
+descriptor does, so that it can travel to that process.
 """
 
 from .errors import DescriptorMismatch, DimensionMismatch
@@ -67,6 +71,10 @@ class Matrix:
         object.__setattr__(m, "cols", len(data[0]))
         object.__setattr__(m, "_data", data)
         return m
+
+    def __reduce__(self):
+        # the rows as they are; only a catalog descriptor pickles
+        return Matrix._wrap, (self.descriptor, self._data)
 
     def __getitem__(self, ij):
         i, j = ij

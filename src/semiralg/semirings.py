@@ -91,6 +91,14 @@ class SemiringDescriptor:
     def __repr__(self):
         return f"<semiring {self.label}>"
 
+    def __reduce_ex__(self, protocol):
+        # a catalog instance pickles as the make_semiring call that returns
+        # it, so it arrives as the catalog instance of the receiving
+        # process; any other descriptor holds closures, which do not pickle
+        if in_catalog(self):
+            return make_semiring, (self.name, self.params or None)
+        return super().__reduce_ex__(protocol)
+
 
 def same_descriptor(a: SemiringDescriptor, b: SemiringDescriptor) -> bool:
     if a is b:
@@ -750,6 +758,11 @@ def make_semiring(name: str, bounds=None) -> SemiringDescriptor:
             f"unknown semiring {name!r}; known: "
             + ", ".join(sorted([*_CATALOG, "maxmin"]))) from None
     return _catalog_entry(name, builder)
+
+
+def in_catalog(d: SemiringDescriptor) -> bool:
+    """True for the instance ``make_semiring`` returns, not for a copy."""
+    return _cache.get((d.name, *d.params) if d.params else d.name) is d
 
 
 def _catalog_entry(key, build):

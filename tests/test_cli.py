@@ -1,8 +1,14 @@
 """End-to-end command line tests: payloads, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import semiralg
 
 from conftest import descriptor, random_graph, random_stable_matrix
 from semiralg import Matrix, NEG_INF, closure, graph_to_matrix, solve_bellman
@@ -272,6 +278,27 @@ def test_exit_2_argparse_usage(capsys):
                  "g.json", "b.json"])
     assert code == 2                          # bad horizon value
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(semiralg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    good = _write(tmp_path / "g.json", SHORTEST_GRAPH)
+    bad = _write(tmp_path / "bad.json", '{"n": 3, "arcs": [[1, 2, "x"]]')
+
+    def run(path):
+        return subprocess.run([sys.executable, "-m", "semiralg.cli", "closure",
+                               "--semiring", "minplus", path],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    done = run(good)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["data"][0][2] == 7.0
+    done = run(bad)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ")
 
 
 def test_exit_3_dimension_mismatch(tmp_path, capsys):

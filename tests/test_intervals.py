@@ -1,6 +1,14 @@
 """Interval lift: construction, algebra, and endpoint decomposition."""
 
 import dataclasses
+import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -9,16 +17,17 @@ from conftest import (assert_bit_identical, descriptor, interval_hull, interval_
                       random_nilpotent_matrix, random_stable_matrix,
                       random_symmetric_stable_matrix, scalar_samples)
 from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
-                      OpCounter, back_substitution, closure, closure_block,
-                      closure_gauss_jordan, closure_iterative, contains,
-                      diagonal_solve, forward_substitution, graph_to_matrix,
-                      identity, ldm_factorize, lift_semiring, make_interval,
-                      matrix_to_graph, shortest_paths, solve_bellman,
-                      solve_ldm, solve_via_ldm, symmetric_factorize,
-                      widest_paths, zeros)
-from semiralg import laws
+                      POS_INF, OpCounter, back_substitution, closure,
+                      closure_block, closure_gauss_jordan, closure_iterative,
+                      contains, diagonal_solve, forward_substitution,
+                      graph_to_matrix, identity, ldm_factorize,
+                      lift_semiring, make_interval, matrix_to_graph,
+                      shortest_paths, solve_bellman, solve_ldm, solve_via_ldm,
+                      symmetric_factorize, widest_paths, zeros)
+from semiralg import intervals, laws
 from semiralg.errors import (DimensionMismatch, EmptyInterval, IllegalElement,
-                             NotPositive, NotSymmetric, StarUndefined)
+                             NotPositive, NotSymmetric, SemiringError,
+                             StarUndefined)
 
 MX = descriptor("maxplus")
 LIFT_NAMES = ["maxplus", "minplus", "maxmin", "boolean", "rplus",
@@ -114,6 +123,19 @@ def test_lifted_coerce():
         lifted.coerce([1.0, 2.0, 3.0])
     with pytest.raises(EmptyInterval):
         lifted.coerce([3.0, 1.0])
+
+
+def test_coerce_gives_the_one_zero_object():
+    # a zero pair, in any spelling of the base zero, is the lift's zero
+    for name, spellings in (("rplus", [(0.0, 0.0), (-0.0, 0.0), (0, -0.0)]),
+                            ("maxmin", [(0, 0), (-0.0, -0.0)]),
+                            ("maxplus", [(NEG_INF, NEG_INF)]),
+                            ("boolean", [(False, False)])):
+        lifted = lift_semiring(descriptor(name))
+        for pair in spellings:
+            assert lifted.coerce(pair) is lifted.zero
+            assert Matrix(lifted, [[pair]])[0, 0] is lifted.zero
+        assert lifted.coerce((lifted.zero.lo, lifted.one.hi)) is not lifted.zero
 
 
 @pytest.mark.parametrize("name", LIFT_NAMES)
@@ -441,3 +463,372 @@ def test_interval_identity_and_zeros():
     assert e[0, 0] == Interval(0.0, 0.0)
     assert e[0, 1] == Interval(NEG_INF, NEG_INF)
     assert zeros(lifted, 2, 2)[1, 1] == Interval(NEG_INF, NEG_INF)
+
+
+# ------------------------------------------------------- the hi run's worker
+
+
+@pytest.fixture
+def ship(monkeypatch):
+    """Every hi run with a matrix operand goes to the worker; the list
+    returned records each placement, True for a run that went."""
+    placements = []
+    place = intervals._ship
+
+    def spy(run, args, operands):
+        worker = place(run, args, operands)
+        placements.append(worker is not None)
+        return worker
+
+    monkeypatch.setattr(intervals, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(intervals, "_ship", spy)
+    return placements
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except SemiringError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "location", None))
+
+
+def _shipped_and_here(monkeypatch, placements, call):
+    """The outcomes of ``call`` with every hi run shipped and with every
+    hi run in this process."""
+    placements.clear()
+    shipped = _outcome(call)
+    assert placements and all(placements)
+    monkeypatch.setattr(intervals, "SHIP_MIN_WORK", math.inf)
+    placements.clear()
+    here = _outcome(call)
+    assert placements and not any(placements)
+    monkeypatch.setattr(intervals, "SHIP_MIN_WORK", 0)
+    return shipped, here
+
+
+def _assert_same(got, want):
+    if isinstance(want, LdmTriple):
+        assert_bit_identical(got.L, want.L)
+        assert_bit_identical(got.M, want.M)
+        got, want = got.D, want.D
+    if isinstance(want, Matrix):
+        assert_bit_identical(got, want)
+    else:
+        assert got == want and repr(got) == repr(want)
+
+
+# star-safe endpoints, signed zeros among them, per liftable carrier
+SIGNED_ENDPOINTS = {
+    "maxplus": [NEG_INF, -0.0, 0.0, -1.0, -2.5],
+    "maxplus_complete": [NEG_INF, -0.0, 0.0, -1.0, -2.5],
+    "minplus": [POS_INF, -0.0, 0.0, 1.0, 2.5],
+    "maxmin": [0.0, -0.0, 2.0, 10.0],
+    "boolean": [False, True],
+    "rplus": [0.0, -0.0, 0.0625, 0.03125],
+    "rplus_complete": [0.0, -0.0, 0.0625, 0.03125],
+}
+
+
+def _signed_matrix(name, rows, cols, rand, symmetric=False):
+    base = descriptor(name)
+    pool = SIGNED_ENDPOINTS[name]
+
+    def cell():
+        a, b = rand.choice(pool), rand.choice(pool)
+        return (a, b) if base.leq(a, b) else (b, a)
+
+    data = [[cell() for _ in range(cols)] for _ in range(rows)]
+    if symmetric:
+        data = [[data[min(i, j)][max(i, j)] for j in range(cols)]
+                for i in range(rows)]
+    return Matrix(lift_semiring(base), data)
+
+
+WORKER_KERNELS = ["closure_block", "closure_gauss_jordan", "solve_bellman",
+                  "mul", "ldm_factorize", "symmetric_factorize", "solve_ldm"]
+
+
+@pytest.mark.parametrize("kernel", WORKER_KERNELS)
+@pytest.mark.parametrize("name", LIFT_NAMES)
+def test_worker_runs_are_bit_identical(monkeypatch, ship, rng, name, kernel):
+    a = _signed_matrix(name, 6, 6, rng)
+    s = _signed_matrix(name, 6, 6, rng, symmetric=True)
+    b = _signed_matrix(name, 6, 3, rng)
+    x = _signed_matrix(name, 5, 6, rng)
+    v = _signed_matrix(name, 1, 6, rng).to_lists()[0]
+    call = {"closure_block": lambda: closure_block(a),
+            "closure_gauss_jordan": lambda: closure_gauss_jordan(a),
+            "solve_bellman": lambda: solve_bellman(a, b),
+            "mul": lambda: x.mul(a),
+            "ldm_factorize": lambda: ldm_factorize(a),
+            "symmetric_factorize": lambda: symmetric_factorize(s),
+            "solve_ldm": lambda: solve_ldm(ldm_factorize(a), v)}[kernel]
+    (got, got_exc), (want, want_exc) = _shipped_and_here(monkeypatch, ship, call)
+    assert got_exc == want_exc
+    if want_exc is None:
+        _assert_same(got, want)
+
+
+@pytest.mark.parametrize("diagonal,pivot,tail", STAR_FAILURES)
+def test_worker_star_failure_reads_as_here(monkeypatch, ship, diagonal, pivot,
+                                           tail):
+    # the hi run alone fails, both fail with hi's pivot first, and both
+    # fail at one pivot, where lo's failure is raised
+    av = _diagonal_interval_matrix(diagonal)
+    zero = zeros(av.descriptor, av.rows, av.rows)
+    triple = LdmTriple(zero, tuple(av[i, i] for i in range(av.rows)), zero)
+    for call, location in ((lambda: closure_gauss_jordan(av), pivot),
+                           (lambda: closure_block(av), pivot),
+                           (lambda: ldm_factorize(av), (pivot, pivot)),
+                           (lambda: solve_ldm(triple, [(0.0, 0.0)] * 3), pivot)):
+        shipped, here = _shipped_and_here(monkeypatch, ship, call)
+        assert shipped == here
+        exc_type, message, at = shipped[1]
+        assert exc_type is StarUndefined and message.endswith(tail)
+        assert at == location
+
+
+# the failure a run raises, named by the first entry of its matrix
+_FAILURES = {-5.0: lambda: IllegalElement("first kind"),
+             -4.0: lambda: StarUndefined("pivot 2", location=2),
+             -3.0: lambda: StarUndefined("pivot 1", location=1),
+             -2.0: lambda: IllegalElement("second kind")}
+
+
+def _fail_as_told(m):
+    raise _FAILURES[m[0, 0]]()
+
+
+@pytest.mark.parametrize("lo,hi,raised", [
+    (-5.0, -2.0, "first kind"),     # two other failures: lo's
+    (-4.0, -2.0, "second kind"),    # another failure before a pivot's
+    (-5.0, -3.0, "first kind"),
+    (-4.0, -3.0, "pivot 1"),        # two pivots: the earlier one
+])
+def test_which_failure_is_raised(monkeypatch, ship, lo, hi, raised):
+    av = Matrix(lift_semiring(MX), [[(lo, hi)]])
+    shipped, here = _shipped_and_here(
+        monkeypatch, ship, lambda: intervals.endpoint_runs(_fail_as_told, av))
+    assert shipped == here
+    assert shipped[1][1] == raised
+
+
+def test_worker_overflow_reads_as_here(monkeypatch, ship):
+    # the hi product leaves the float range in the worker
+    lifted = lift_semiring(MX)
+    x = Matrix(lifted, [[(1.0, 1e308), (NEG_INF, 1e308)]])
+    y = Matrix(lifted, [[(0.0, 1e308)], [(0.0, 0.0)]])
+    shipped, here = _shipped_and_here(monkeypatch, ship, lambda: x.mul(y))
+    assert shipped == here
+    assert shipped[1][0] is IllegalElement and "float range" in shipped[1][1]
+
+
+def test_worker_keeps_the_closed_form_counts(ship, rng):
+    for n in (2, 5, 8):
+        av = random_interval_matrix("maxplus", n, rng)
+        c = OpCounter()
+        t = ldm_factorize(av, c)
+        assert c.as_dict() == {"adds": (2 * n**3 - 3 * n**2 + n) // 6,
+                               "muls": (2 * n**3 + 3 * n**2 - 5 * n) // 6,
+                               "stars": n * (n + 1) // 2}
+        c.reset()
+        solve_ldm(t, [(0.0, 0.0)] * n, c)
+        assert c.as_dict() == {"adds": n * n - n, "muls": n * n, "stars": n}
+    assert ship and all(ship)
+
+
+def test_a_killed_worker_gives_correct_calls(monkeypatch, ship, rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    want = closure_gauss_jordan(av)
+    worker = intervals._worker
+    worker.process.kill()
+    worker.process.join(timeout=30)
+    assert not worker.process.is_alive()
+    # the send finds no worker: the hi run stays here
+    assert_bit_identical(closure_gauss_jordan(av), want)
+    assert ship[-1] is False and intervals._worker is None
+    # the next call starts a new worker, which dies before it replies
+    outcome = intervals._Worker.outcome
+
+    def die_first(self, run, args):
+        self.process.kill()
+        self.process.join(timeout=30)
+        return outcome(self, run, args)
+
+    monkeypatch.setattr(intervals._Worker, "outcome", die_first)
+    assert_bit_identical(closure_gauss_jordan(av), want)
+    assert ship[-1] is True and intervals._worker is None
+    monkeypatch.setattr(intervals._Worker, "outcome", outcome)
+    assert_bit_identical(closure_gauss_jordan(av), want)
+    assert ship[-1] is True and intervals._worker.process.is_alive()
+
+
+_PYTEST_PID = os.getpid()
+
+
+def _interrupted_here(M):
+    # a run that the user interrupts in this process but not in the worker
+    if os.getpid() == _PYTEST_PID:
+        raise KeyboardInterrupt
+    return closure_gauss_jordan(M)
+
+
+def test_an_interrupt_stops_the_worker(ship, rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    want = closure_gauss_jordan(av)
+    worker = intervals._worker
+    with pytest.raises(KeyboardInterrupt):
+        intervals.endpoint_runs(_interrupted_here, av)
+    assert intervals._worker is None and not intervals._busy.locked()
+    assert not worker.process.is_alive()
+    assert_bit_identical(closure_gauss_jordan(av), want)
+    assert ship == [True, True, True]
+
+
+def test_the_worker_ignores_sigint(ship, rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    want = closure_gauss_jordan(av)
+    worker = intervals._worker
+    os.kill(worker.process.pid, signal.SIGINT)
+    assert_bit_identical(closure_gauss_jordan(av), want)
+    assert intervals._worker is worker and worker.process.is_alive()
+
+
+def test_runs_that_do_not_travel_stay_here(monkeypatch, ship, rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    lo, hi = _split_endpoints(av)
+    want = [closure_gauss_jordan(lo), closure_gauss_jordan(hi)]
+    worker = intervals._worker
+    # a local function does not pickle: it is never sent
+    ship.clear()
+    got = intervals.endpoint_runs(lambda m: closure_gauss_jordan(m), av)
+    assert ship == [False]
+    # a function made after the worker started is sent, but the worker
+    # cannot find it; it replies so, and the run goes on here
+    def late(m):
+        return closure_gauss_jordan(m)
+    late.__qualname__ = late.__name__ = "late_run"
+    monkeypatch.setattr(sys.modules[__name__], "late_run", late, raising=False)
+    got_late = intervals.endpoint_runs(late, av)
+    assert ship == [False, True]
+    assert intervals._worker is worker and worker.process.is_alive()
+    for g in (got, got_late):
+        for a, b in zip(g, want):
+            assert_bit_identical(a, b)
+
+
+def test_a_lift_of_a_copied_base_never_ships(ship, rng):
+    lifted = lift_semiring(dataclasses.replace(MX))
+    av = Matrix(lifted, random_interval_matrix("maxplus", 5, rng).to_lists())
+    for kernel in (closure_block, closure_gauss_jordan, ldm_factorize):
+        kernel(av)
+    av.mul(av)
+    assert ship and not any(ship)
+
+
+def test_a_busy_worker_leaves_the_hi_run_here(ship, rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    want = closure_gauss_jordan(av)
+    with intervals._busy:       # as while another thread's call holds it
+        got = closure_gauss_jordan(av)
+    assert ship == [True, False]
+    assert_bit_identical(got, want)
+
+
+def test_threads_share_the_worker(ship, rng):
+    # more threads than cores, switching often: a reply that reached the
+    # wrong call would put one thread's result in another's place
+    cases = [random_interval_matrix("minplus", 8, rng) for _ in range(6)]
+    want = [closure_block(av) for av in cases]
+    got = [[] for _ in cases]
+
+    def work(k):
+        for _ in range(20):
+            got[k].append(closure_block(cases[k]))
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not intervals._busy.locked()
+    for results, w in zip(got, want):
+        assert len(results) == 20
+        for g in results:
+            assert_bit_identical(g, w)
+
+
+def test_a_forked_process_keeps_the_hi_run_here(ship, rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    want = closure_gauss_jordan(av)
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+
+    def child():
+        got = closure_gauss_jordan(av)
+        writer.send((repr(got.to_lists()) == repr(want.to_lists()), ship[-1]))
+
+    process = ctx.Process(target=child)
+    process.start()
+    assert reader.poll(60)
+    assert reader.recv() == (True, False)
+    process.join(timeout=30)
+    assert not process.is_alive()
+    assert ship == [True]
+
+
+def _python(code):
+    src = str(Path(intervals.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code, src], check=True,
+                          capture_output=True, text=True, timeout=60)
+
+
+_PRELUDE = """\
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from semiralg import Matrix, closure_block, intervals, lift_semiring, make_semiring
+av = Matrix(lift_semiring(make_semiring("maxplus")), [[(-1.0, 0.0)] * 20] * 20)
+"""
+
+
+def test_no_worker_at_import_nor_below_the_crossover():
+    done = _python(_PRELUDE + """\
+print(intervals._worker, "multiprocessing" in sys.modules)
+closure_block(av)
+print(intervals._worker, "multiprocessing" in sys.modules)
+""")
+    assert done.stdout == "None False\nNone False\n"
+
+
+def test_a_plain_fork_leaves_the_worker_alone():
+    # the copy made by os.fork exits through the usual interpreter exit
+    done = _python(_PRELUDE + """\
+intervals.SHIP_MIN_WORK = 0
+want = closure_block(av)
+worker = intervals._worker
+pid = os.fork()
+if pid == 0:
+    closure_block(av)
+    sys.exit(0)
+os.waitpid(pid, 0)
+print(closure_block(av) == want, intervals._worker is worker,
+      worker.process.is_alive())
+""")
+    assert (done.stdout, done.stderr) == ("True True True\n", "")
+
+
+def test_the_worker_flushes_no_inherited_stream():
+    # text buffered when the worker forks is written once, by this process
+    done = _python(_PRELUDE + """\
+intervals.SHIP_MIN_WORK = 0
+sys.stdout.write("once")
+closure_block(av)
+""")
+    assert (done.stdout, done.stderr) == ("once", "")

@@ -609,6 +609,223 @@ def test_cli_output_is_pinned(tmp_path, capsys, label, fmt):
     assert cli_outcome(tmp_path, capsys, label, fmt) == CLI_GOLDEN[label, fmt]
 
 
+# stdout of --help at 80 columns, per command ("semiralg" is the program)
+HELP_GOLDEN = {
+    "semiralg": """\
+usage: semiralg [-h] command ...
+
+Generic semiring linear algebra: closures, Bellman systems, factorizations, and path problems.
+
+positional arguments:
+  command
+    closure   matrix closure A* (matrix or graph input)
+    solve     least solution of X = AX + B
+    factor    triangular factorization of A
+    paths     all-pairs optimal path values (minplus: shortest, maxmin:
+              widest)
+    profit    staged decision values over maxplus
+    invert    (I - A)^-1 over the real field
+
+options:
+  -h, --help  show this help message and exit
+
+exit codes:
+  0  success
+  1  other failure (no stabilization, bad option combination, ...)
+  2  unreadable or malformed input
+  3  dimension, shape, or descriptor mismatch
+  4  star undefined: the computation hit an element without a closure
+  5  semiring selection error (unknown name, bad bounds,
+     command unavailable for the chosen semiring)
+""",
+    "closure": """\
+usage: semiralg closure [-h] --semiring NAME[,a,b] [--interval]
+                        [--format {json,table}]
+                        [--algorithm {block,gauss_jordan,iterative}]
+                        [--split K] [--max-iterations N] [--threads N]
+                        A.json
+
+positional arguments:
+  A.json
+
+options:
+  -h, --help            show this help message and exit
+  --semiring NAME[,a,b]
+                        semiring to compute in (rplus, rplus_complete,
+                        maxplus, maxplus_complete, minplus, boolean,
+                        real_field, or maxmin,a,b); never inferred from the
+                        data
+  --interval            treat scalars as [lo,hi] intervals over the chosen
+                        semiring
+  --format {json,table}
+                        output as canonical JSON (default) or an aligned table
+                        with the semiring zero shown as '.'
+  --algorithm {block,gauss_jordan,iterative}
+  --split K             fixed leading-block size for the block algorithm
+  --max-iterations N    truncation point of the iterative series on non-
+                        idempotent semirings
+  --threads N           worker threads for the block algorithm (1 = serial;
+                        results are identical either way)
+""",
+    "solve": """\
+usage: semiralg solve [-h] --semiring NAME[,a,b] [--interval]
+                      [--format {json,table}]
+                      [--algorithm {block,gauss_jordan,iterative}] [--split K]
+                      [--max-iterations N] [--threads N]
+                      A.json B.json
+
+positional arguments:
+  A.json
+  B.json
+
+options:
+  -h, --help            show this help message and exit
+  --semiring NAME[,a,b]
+                        semiring to compute in (rplus, rplus_complete,
+                        maxplus, maxplus_complete, minplus, boolean,
+                        real_field, or maxmin,a,b); never inferred from the
+                        data
+  --interval            treat scalars as [lo,hi] intervals over the chosen
+                        semiring
+  --format {json,table}
+                        output as canonical JSON (default) or an aligned table
+                        with the semiring zero shown as '.'
+  --algorithm {block,gauss_jordan,iterative}
+  --split K             fixed leading-block size for the block algorithm
+  --max-iterations N    truncation point of the iterative series on non-
+                        idempotent semirings
+  --threads N           worker threads for the block algorithm (1 = serial;
+                        results are identical either way)
+""",
+    "factor": """\
+usage: semiralg factor [-h] --semiring NAME[,a,b] [--interval]
+                       [--format {json,table}] [--count-ops]
+                       A.json
+
+positional arguments:
+  A.json
+
+options:
+  -h, --help            show this help message and exit
+  --semiring NAME[,a,b]
+                        semiring to compute in (rplus, rplus_complete,
+                        maxplus, maxplus_complete, minplus, boolean,
+                        real_field, or maxmin,a,b); never inferred from the
+                        data
+  --interval            treat scalars as [lo,hi] intervals over the chosen
+                        semiring
+  --format {json,table}
+                        output as canonical JSON (default) or an aligned table
+                        with the semiring zero shown as '.'
+  --count-ops           report exact add/mul/star counts
+""",
+    "paths": """\
+usage: semiralg paths [-h] --semiring NAME[,a,b] [--interval]
+                      [--format {json,table}]
+                      [--algorithm {block,gauss_jordan,iterative}] [--split K]
+                      [--max-iterations N] [--threads N]
+                      G.json
+
+positional arguments:
+  G.json
+
+options:
+  -h, --help            show this help message and exit
+  --semiring NAME[,a,b]
+                        semiring to compute in (rplus, rplus_complete,
+                        maxplus, maxplus_complete, minplus, boolean,
+                        real_field, or maxmin,a,b); never inferred from the
+                        data
+  --interval            treat scalars as [lo,hi] intervals over the chosen
+                        semiring
+  --format {json,table}
+                        output as canonical JSON (default) or an aligned table
+                        with the semiring zero shown as '.'
+  --algorithm {block,gauss_jordan,iterative}
+  --split K             fixed leading-block size for the block algorithm
+  --max-iterations N    truncation point of the iterative series on non-
+                        idempotent semirings
+  --threads N           worker threads for the block algorithm (1 = serial;
+                        results are identical either way)
+""",
+    "profit": """\
+usage: semiralg profit [-h] --semiring NAME[,a,b] [--interval]
+                       [--format {json,table}]
+                       [--algorithm {block,gauss_jordan,iterative}]
+                       [--split K] [--max-iterations N] [--threads N]
+                       [--horizon K|inf]
+                       G.json b.json
+
+positional arguments:
+  G.json
+  b.json
+
+options:
+  -h, --help            show this help message and exit
+  --semiring NAME[,a,b]
+                        semiring to compute in (rplus, rplus_complete,
+                        maxplus, maxplus_complete, minplus, boolean,
+                        real_field, or maxmin,a,b); never inferred from the
+                        data
+  --interval            treat scalars as [lo,hi] intervals over the chosen
+                        semiring
+  --format {json,table}
+                        output as canonical JSON (default) or an aligned table
+                        with the semiring zero shown as '.'
+  --algorithm {block,gauss_jordan,iterative}
+  --split K             fixed leading-block size for the block algorithm
+  --max-iterations N    truncation point of the iterative series on non-
+                        idempotent semirings
+  --threads N           worker threads for the block algorithm (1 = serial;
+                        results are identical either way)
+  --horizon K|inf       number of steps; 'inf' (default) searches over all
+                        walk lengths via the closure
+""",
+    "invert": """\
+usage: semiralg invert [-h] --semiring NAME[,a,b] [--interval]
+                       [--format {json,table}]
+                       A.json
+
+positional arguments:
+  A.json
+
+options:
+  -h, --help            show this help message and exit
+  --semiring NAME[,a,b]
+                        semiring to compute in (rplus, rplus_complete,
+                        maxplus, maxplus_complete, minplus, boolean,
+                        real_field, or maxmin,a,b); never inferred from the
+                        data
+  --interval            treat scalars as [lo,hi] intervals over the chosen
+                        semiring
+  --format {json,table}
+                        output as canonical JSON (default) or an aligned table
+                        with the semiring zero shown as '.'
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(([] if command == "semiralg" else [command]) + ["--help"])
+    out, err = capsys.readouterr()
+    # the argparse of Python 3.10 heads the options "optional arguments:"
+    out = out.replace("optional arguments:", "options:")
+    assert (code, out, err) == (0, HELP_GOLDEN[command], "")
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["solve"], "A.json, B.json"), (["solve", "a.json"], "B.json"),
+    (["profit"], "G.json, b.json"), (["profit", "g.json"], "b.json")])
+def test_missing_inputs_exit_2(capsys, argv, missing):
+    code = cli.main(argv[:1] + ["--semiring", "maxplus"] + argv[1:])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: the following arguments are required: "
+                        f"{missing}\n")
+
+
 def test_parser_is_built_once():
     assert cli._parser() is cli._parser()
 

@@ -1,5 +1,6 @@
 """Descriptor catalog, carrier laws, star rules, coercion, tokens."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -65,6 +66,24 @@ def test_descriptors_are_cached():
     assert make_semiring("maxplus") is make_semiring("maxplus")
     assert make_semiring("maxmin", (0, 10)) is make_semiring("maxmin", (0.0, 10.0))
     assert make_semiring("maxmin", (0, 9)) is not make_semiring("maxmin", (0, 10))
+
+
+def test_catalog_instances_pickle_as_themselves():
+    # a catalog instance travels as its make_semiring call; a copy holds
+    # closures and does not pickle, but copy.copy still copies it
+    for d in (make_semiring("maxplus"), make_semiring("maxmin", (0, 10)),
+              make_semiring("maxmin", (NEG_INF, POS_INF))):
+        assert pickle.loads(pickle.dumps(d)) is d
+        assert copy.copy(d) is d
+        m = Matrix(d, [[d.zero, d.one]])
+        back = pickle.loads(pickle.dumps(m))
+        assert back.descriptor is d and back == m
+    twin = dataclasses.replace(make_semiring("maxplus"))
+    for obj in (twin, Matrix(twin, [[0.0]]), lift_semiring(twin),
+                lift_semiring(make_semiring("maxplus"))):
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(obj)
+    assert copy.copy(twin) is not twin
 
 
 def test_make_semiring_rejections():
