@@ -88,7 +88,11 @@ def _read(path: str):
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
                          context=path) from None
-    return loads(text)
+    try:
+        return loads(text)
+    except ParseError as exc:
+        # solve and profit read two files: say which one is broken
+        raise ParseError(str(exc), context=path) from exc
 
 
 def _square_input(descriptor, path: str) -> Matrix:

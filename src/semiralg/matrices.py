@@ -6,13 +6,15 @@ mutates ``self``.  One list-of-rows kernel, :func:`product`, serves
 the matrix product and the block closure.  It reduces each entry with
 the descriptor's row kernels, which equal a fixed left-to-right fold
 of ``fma`` over k, so float results are reproducible across runs and
-across algorithms that share this kernel.  Over an interval lift
-the product is the pair of its base products on the lo and the hi
-endpoints (``intervals.endpoint_runs``), as the closures are; the hi
-product runs in the lift's worker process once it is large enough
-(from n = 46 for an n x n by n x 8 product), with the same result bit
-for bit.  A matrix over a catalog descriptor pickles, as its
-descriptor does, so that it can travel to that process.
+across algorithms that share this kernel.  The entrywise sum runs on
+the row kernels' ``add_rows``, as the block closure's sums do, so a
+sum that leaves the float range raises ``IllegalElement`` as a product
+does.  Over an interval lift the product is the pair of its base
+products on the lo and the hi endpoints (``intervals.endpoint_runs``),
+as the closures are; the hi product runs in the lift's worker process
+once it is large enough (from n = 46 for an n x n by n x 8 product),
+with the same result bit for bit.  A matrix over a catalog descriptor
+pickles, as its descriptor does, so that it can travel to that process.
 """
 
 from .errors import DescriptorMismatch, DimensionMismatch
@@ -113,10 +115,12 @@ class Matrix:
 
     def add(self, other) -> "Matrix":
         self._check_same(other, "same")
-        f = self.descriptor.add
-        data = [[f(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)]
-        return Matrix._wrap(self.descriptor, data)
+        d = self.descriptor
+        kernels = row_kernels(d)
+        encode = kernels.encode
+        out = map(kernels.add_rows, map(encode, self._data),
+                  map(encode, other._data))
+        return Matrix._wrap(d, list(map(kernels.decode, out)))
 
     def mul(self, other) -> "Matrix":
         self._check_same(other, "chain")

@@ -8,9 +8,12 @@ for the carrier, and ``coerce``, which validates and normalizes a
 value into the carrier.  ``fma(acc, x, y)`` computes
 ``add(acc, mul(x, y))`` in one call.  ``fma`` assumes its inputs were
 already validated (matrices coerce every entry at construction); the
-plain ``add``/``mul`` entry points reject illegal values.
+plain ``add``/``mul`` entry points validate every argument and reject
+illegal values.  They are the reference that the scalar API, the law
+checker, the lifted operations and the fold kernels below run on.
 
-The matrix kernels, the closures and the LDM factorizations and
+The matrix kernels (the product and the entrywise sum, which runs on
+``add_rows``), the closures and the LDM factorizations and
 substitutions run on whole rows through :func:`row_kernels`.
 Every descriptor gets the left fold of its own ``fma`` over k; six
 catalog instances (maxplus, minplus, maxmin, boolean, rplus and
@@ -154,9 +157,6 @@ def _make_maxplus(complete: bool) -> SemiringDescriptor:
         return _finite(v, name)
 
     def add(x, y):
-        if type(x) is float and type(y) is float \
-                and math.isfinite(x) and math.isfinite(y):
-            return x if x >= y else y
         x = coerce(x)
         y = coerce(y)
         if x is NEG_INF:
@@ -168,9 +168,6 @@ def _make_maxplus(complete: bool) -> SemiringDescriptor:
         return x if x >= y else y
 
     def mul(x, y):
-        if type(x) is float and type(y) is float \
-                and math.isfinite(x) and math.isfinite(y):
-            return x + y
         x = coerce(x)
         y = coerce(y)
         # the bottom tag absorbs even the top one
@@ -235,9 +232,6 @@ def _make_minplus() -> SemiringDescriptor:
         return _finite(v, name)
 
     def add(x, y):
-        if type(x) is float and type(y) is float \
-                and math.isfinite(x) and math.isfinite(y):
-            return x if x <= y else y
         x = coerce(x)
         y = coerce(y)
         if x is POS_INF:
@@ -247,9 +241,6 @@ def _make_minplus() -> SemiringDescriptor:
         return x if x <= y else y
 
     def mul(x, y):
-        if type(x) is float and type(y) is float \
-                and math.isfinite(x) and math.isfinite(y):
-            return x + y
         x = coerce(x)
         y = coerce(y)
         if x is POS_INF or y is POS_INF:
@@ -293,9 +284,6 @@ def _make_maxmin(lo, hi) -> SemiringDescriptor:
     name = "maxmin"
     flo = lo if isinstance(lo, Infinity) else float(lo)
     fhi = hi if isinstance(hi, Infinity) else float(hi)
-    # IEEE infinities serve only as comparison sentinels for the fast path
-    _clo = float("-inf") if flo is NEG_INF else flo
-    _chi = float("inf") if fhi is POS_INF else fhi
 
     def coerce(v):
         if isinstance(v, Infinity):
@@ -308,17 +296,11 @@ def _make_maxmin(lo, hi) -> SemiringDescriptor:
         raise IllegalElement(f"{v!r} is outside [{flo},{fhi}]")
 
     def add(x, y):
-        if type(x) is float and type(y) is float \
-                and _clo <= x <= _chi and _clo <= y <= _chi:
-            return x if x >= y else y
         x = coerce(x)
         y = coerce(y)
-        return y if usual_leq(x, y) else x
+        return x if usual_leq(y, x) else y
 
     def mul(x, y):
-        if type(x) is float and type(y) is float \
-                and _clo <= x <= _chi and _clo <= y <= _chi:
-            return x if x <= y else y
         x = coerce(x)
         y = coerce(y)
         return x if usual_leq(x, y) else y
@@ -390,9 +372,6 @@ def _make_rplus(complete: bool) -> SemiringDescriptor:
         return v
 
     def add(x, y):
-        if type(x) is float and type(y) is float \
-                and 0.0 <= x < _HUGE and 0.0 <= y < _HUGE:
-            return x + y
         x = coerce(x)
         y = coerce(y)
         if x is POS_INF or y is POS_INF:
@@ -400,9 +379,6 @@ def _make_rplus(complete: bool) -> SemiringDescriptor:
         return x + y
 
     def mul(x, y):
-        if type(x) is float and type(y) is float \
-                and 0.0 <= x < _HUGE and 0.0 <= y < _HUGE:
-            return x * y
         x = coerce(x)
         y = coerce(y)
         if x is POS_INF:
@@ -440,15 +416,9 @@ def _make_real_field() -> SemiringDescriptor:
         return _finite(v, name)
 
     def add(x, y):
-        if type(x) is float and type(y) is float \
-                and math.isfinite(x) and math.isfinite(y):
-            return x + y
         return coerce(x) + coerce(y)
 
     def mul(x, y):
-        if type(x) is float and type(y) is float \
-                and math.isfinite(x) and math.isfinite(y):
-            return x * y
         return coerce(x) * coerce(y)
 
     def star(x):
@@ -469,9 +439,6 @@ def _make_real_field() -> SemiringDescriptor:
         coerce=coerce, fma=fma,
         flags=SemiringFlags(idempotent=False, complete=False,
                             commutative_mul=True, positive=False))
-
-
-_HUGE = float("inf")
 
 
 # ---------------------------------------------------------------- row kernels

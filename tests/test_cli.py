@@ -311,6 +311,18 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,bad", [
+    (cmd, name) for cmd in ("solve", "profit") for name in _READERS[cmd][1]])
+def test_invalid_json_error_names_its_file(tmp_path, capsys, command, bad):
+    semiring, slots = _READERS[command]
+    paths = [_malformed(tmp_path, "truncated") if name == bad else
+             _write(tmp_path / f"{name}.json", _GOOD[name]) for name in slots]
+    code, out, err = _run(capsys, command, "--semiring", semiring, *paths)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {tmp_path / 'bad.json'}: line 1 column 17: "
+                   "invalid JSON: Expecting value\n")
+
+
 def test_exit_2_argparse_usage(tmp_path, capsys):
     assert main([]) == 2                      # no command
     capsys.readouterr()

@@ -5,12 +5,15 @@ import dataclasses
 import pytest
 
 from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
-                      assert_bit_identical, descriptor, kernel_descriptor,
-                      kernel_rows, random_oracle_matrix, random_stable_matrix)
+                      assert_bit_identical, descriptor, interval_hull,
+                      kernel_descriptor, kernel_rows, pair_endpoints,
+                      random_oracle_matrix, random_stable_matrix)
 from semiralg import (NEG_INF, POS_INF, Matrix, Path, WeightedDigraph,
-                      identity, matrix_to_graph, path_weight, zeros)
+                      identity, lift_semiring, matrix_to_graph, path_weight,
+                      zeros)
 from semiralg.errors import (DescriptorMismatch, DimensionMismatch,
                              IllegalElement)
+from semiralg.intervals import _endpoint as endpoint
 
 MX = descriptor("maxplus")
 MN = descriptor("minplus")
@@ -84,6 +87,48 @@ def test_add_zero_matrix_is_neutral(name, rng):
 def test_add_idempotent(name, rng):
     a = random_stable_matrix(name, 4, rng)
     assert a.add(a) == a
+
+
+@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+def test_add_matches_the_scalar_add_bit_for_bit(label, rng):
+    # a dataclasses.replace copy adds with its own scalar add
+    d = kernel_descriptor(label)
+    copy = dataclasses.replace(d)
+    cases = [kernel_rows(label, rows, cols, rng) for rows, cols in
+             ((1, 1), (1, 5), (4, 1), (6, 7), (16, 16)) for _ in range(2)]
+    if label != "boolean":
+        cases += [[[0.0, -0.0, -0.0]], [[-0.0, 0.0, -0.0]]]      # ties
+    for x, y in zip(cases[::2], cases[1::2]):
+        assert_bit_identical(Matrix(d, x).add(Matrix(d, y)),
+                             Matrix(copy, x).add(Matrix(copy, y)))
+
+
+@pytest.mark.parametrize("label", [k for k in KERNEL_CARRIERS if k != "real_field"])
+def test_lifted_add_is_the_pair_of_its_base_sums(label, rng):
+    # the lift adds with the base's scalar add, a base matrix on the
+    # base's row kernels
+    base = kernel_descriptor(label)
+    for rows, cols in ((1, 1), (3, 4), (9, 9)):
+        x, y = (interval_hull(base, Matrix(base, kernel_rows(label, rows, cols, rng)),
+                              Matrix(base, kernel_rows(label, rows, cols, rng)))
+                for _ in range(2))
+        lo, hi = ([endpoint(m, k) for m in (x, y)] for k in (0, 1))
+        want = pair_endpoints(base, lo[0].add(lo[1]), hi[0].add(hi[1]))
+        assert_bit_identical(x.add(y), want)
+
+
+@pytest.mark.parametrize("label", ["real_field", "rplus", "rplus_complete",
+                                   "interval(rplus)"])
+def test_add_past_the_float_range_raises(label):
+    # as a product past it does; the sum must not hold an IEEE inf
+    if label == "interval(rplus)":
+        d, big, one = lift_semiring(descriptor("rplus")), (1.0, 1e308), (1.0, 1.0)
+    else:
+        d, big, one = descriptor(label), 1e308, 1.0
+    a = Matrix(d, [[big, one], [one, one]])
+    with pytest.raises(IllegalElement, match="float range"):
+        a.add(a)
+    assert a.add(zeros(d, 2, 2)) == a
 
 
 def test_mul_worked_example_minplus():

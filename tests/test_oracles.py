@@ -1,13 +1,16 @@
-"""Differential tests at scale: closures against independent libraries.
+"""Differential tests at scale: closures, factorizations and solves
+against independent libraries.
 
 The brute-force checks of the other test files stop at n <= 8.  Here
 the closures run at n = 64 and 128 on the benchmark's seeded inputs
 (``bench/workloads.py``) and are compared with the benchmark's oracles
 (``bench/oracles.py``): scipy's Floyd-Warshall for minplus and maxplus,
 networkx transitive closure for boolean, threshold reachability for
-maxmin, and ``numpy.linalg.inv`` for the real field.  The tropical
-comparisons are exact; the real field one is within ``oracles.REAL_TOL``
-relative.  Skipped where numpy, scipy or networkx is not installed.
+maxmin, and ``numpy.linalg.inv`` for the real field and rplus.  An LDM
+triple is checked by ``M* D* L* = A*``, a solve through the factors by
+``numpy.linalg.solve``.  The tropical comparisons are exact; the real
+ones are within ``oracles.REAL_TOL`` relative.  Skipped where numpy,
+scipy or networkx is not installed.
 """
 
 import random
@@ -23,8 +26,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import oracles    # noqa: E402
 import workloads  # noqa: E402
+from harness import plain  # noqa: E402
 
-from semiralg import closure_block, closure_gauss_jordan  # noqa: E402
+from semiralg import (ClosureOptions, closure_block,  # noqa: E402
+                      closure_gauss_jordan, closure_iterative, ldm_factorize,
+                      solve_ldm)
 from semiralg.serialize import matrix_to_json  # noqa: E402
 
 ALGORITHMS = {"block": closure_block, "gauss_jordan": closure_gauss_jordan}
@@ -66,3 +72,30 @@ def test_lifted_closure_equals_endpoint_oracles():
     for k in (0, 1):
         assert _matches_oracle("maxplus", oracles.endpoint(data, k),
                                oracles.endpoint(got, k))
+
+
+@pytest.mark.parametrize("carrier", ["maxplus", "minplus"])
+def test_tropical_factorization_equals_oracle(carrier):
+    data = workloads.tropical_matrix(_rng("ldm", carrier), carrier, 64, 64, 0.5)
+    triple = ldm_factorize(workloads.to_matrix(carrier, data))
+    assert oracles.Oracle().triple_ok(carrier, data, plain(triple), False)
+
+
+def test_real_field_solve_through_the_factors_equals_oracle():
+    rng = _rng("solve_ldm", 96)
+    data = workloads.contraction(rng, "real_field", 96)
+    triple = ldm_factorize(workloads.to_matrix("real_field", data))
+    for _ in range(3):
+        b = workloads.vector(rng, "real_field", 96)
+        assert oracles.Oracle().solve_ok(data, b, plain(solve_ldm(triple, b)))
+
+
+@pytest.mark.parametrize("carrier", ["real_field", "rplus"])
+def test_series_equals_inverse(carrier):
+    # at most 60 partial sums of a contraction of norm 0.4, as the
+    # benchmark runs them: a cut tail is below 1e-23
+    data = workloads.contraction(_rng("series", carrier), carrier, 32)
+    series = closure_iterative(workloads.to_matrix(carrier, data),
+                               ClosureOptions(algorithm="iterative",
+                                              max_iterations=60))
+    assert oracles.Oracle().closure_ok(carrier, data, plain(series.matrix), False)

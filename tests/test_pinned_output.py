@@ -802,8 +802,8 @@ READ_GOLDEN = {
     "not utf-8": (b"\xff\xfe\x00bad", "error: <dir>/a.json: not UTF-8 "
                   "text: invalid start byte at byte 0\n"),
     "nested too deeply": (b"[" * 100_000 + b"]" * 100_000,
-                          "error: invalid JSON: arrays or objects nested "
-                          "too deeply\n"),
+                          "error: <dir>/a.json: invalid JSON: arrays or "
+                          "objects nested too deeply\n"),
 }
 
 

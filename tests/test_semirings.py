@@ -174,6 +174,26 @@ def test_maxmin_fma_keeps_acc_on_ties_next_to_a_tag():
     assert repr(d.fma(-0.0, 0.0, 1.0)) == "-0.0"
 
 
+def test_maxmin_add_and_mul_keep_their_first_argument_on_ties():
+    # as the row kernels do: max and min return the first of equal values,
+    # also where an integer argument becomes a float first
+    for d in (descriptor("maxmin"), make_semiring("maxmin", (NEG_INF, POS_INF))):
+        for op in (d.add, d.mul):
+            for zero in (0.0, 0):
+                assert repr(op(zero, -0.0)) == "0.0"
+                assert repr(op(-0.0, zero)) == "-0.0"
+
+
+def test_maxmin_with_infinite_bounds_rejects_ieee_infinities():
+    # its infinities are the tags; an IEEE inf is no element
+    d = make_semiring("maxmin", (NEG_INF, POS_INF))
+    for x, y in ((math.inf, 1.0), (1.0, math.inf), (math.inf, 0.0),
+                 (-math.inf, 0.0), (POS_INF, -math.inf)):
+        for op in (d.add, d.mul):
+            with pytest.raises(IllegalElement, match="IEEE"):
+                op(x, y)
+
+
 def test_row_kernels_specialise_only_catalog_instances():
     # specialised kernels bring their own scalar product; the fold of
     # fma uses the descriptor's
