@@ -11,11 +11,11 @@ trusts.
 
 from dataclasses import dataclass
 
-from .closure import ClosureOptions, closure
+from .closure import ClosureOptions, closure, closure_gauss_jordan
 from .errors import (IndexOutOfRange, InvalidGraph, InvalidPath,
-                     OracleScaleExceeded, WrongDescriptor)
+                     OracleScaleExceeded, StarUndefined, WrongDescriptor)
 from .matrices import Matrix, identity, zeros
-from .semirings import SemiringDescriptor
+from .semirings import SemiringDescriptor, row_kernels
 
 __all__ = ["WeightedDigraph", "Path", "graph_to_matrix", "matrix_to_graph",
            "path_weight", "brute_force_star", "shortest_paths", "widest_paths",
@@ -179,7 +179,100 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
 
 
 def real_matrix_star(A: Matrix) -> Matrix:
-    """Closure over the real field: the inverse of (E - A) when it exists."""
+    """Closure over the real field: the inverse of (E - A) when it exists.
+
+    Gauss-Jordan elimination first, pivot by pivot in index order.  When
+    a pivot has no star (a diagonal entry of 1 as it reaches its turn),
+    the elimination runs on P A P^T for a permutation P whose order of
+    pivots meets none, and A* = P^T (P A P^T)* P.  If no such order is
+    found, ``StarUndefined`` names the pivots that blocked.
+    """
     if A.descriptor.name != "real_field":
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
-    return closure(A, ClosureOptions(algorithm="gauss_jordan"))
+    try:
+        return closure_gauss_jordan(A)
+    except StarUndefined as exc:
+        order = _pivot_order(A, exc)
+    rows = A._data
+    S = closure_gauss_jordan(
+        Matrix._wrap(A.descriptor, [[rows[i][j] for j in order] for i in order]))
+    place = [0] * A.rows        # place[i]: the position of pivot i in order
+    for p, i in enumerate(order):
+        place[i] = p
+    return Matrix._wrap(A.descriptor, [[S._data[place[i]][place[j]]
+                                        for j in range(A.rows)]
+                                       for i in range(A.rows)])
+
+
+# the elimination steps the pivot search may take, per row of the matrix
+_PIVOT_SEARCH_STEPS = 8
+
+
+def _pivot_order(A: Matrix, failure: StarUndefined) -> list:
+    """An order of the indices of A in which Gauss-Jordan finds the star
+    of every pivot, by depth-first search, the largest pivot of E - A
+    first; else ``failure``'s message extended by the pivots that block.
+
+    After pivots S the candidates' values are the diagonal of the block
+    of A's other indices, updated by the elimination steps of S; that
+    block is the search's state.  A step updates its entries by the
+    same operations, in the same order, as the Gauss-Jordan run on the
+    permuted matrix does, so that run meets the same pivots.
+    """
+    d = A.descriptor
+    kernels = row_kernels(d)
+    mul, axpy = kernels.mul, kernels.axpy
+    blocked = set()
+
+    def candidates(idx, B):
+        ok = []
+        for p, row in enumerate(B):
+            try:
+                d.star(row[p])
+                ok.append(p)
+            except StarUndefined:
+                blocked.add(idx[p] + 1)     # 1-based, as locations are
+        return iter(sorted(ok, key=lambda p: -abs(1.0 - B[p][p])))
+
+    def eliminate(idx, B, p):
+        s = d.star(B[p][p])
+        pivot = B[p]
+        rest = [axpy(row, mul(row[p], s), pivot)
+                for q, row in enumerate(B) if q != p]
+        return idx[:p] + idx[p + 1:], [row[:p] + row[p + 1:] for row in rest]
+
+    start = (list(range(A.rows)), list(map(kernels.encode, A._data)))
+    steps = _PIVOT_SEARCH_STEPS * A.rows
+    path = []       # (index eliminated, the other candidates at its depth)
+    idx, B = start
+    tries = candidates(idx, B)
+    while idx:
+        p = next(tries, None)
+        if p is None:
+            if not path:
+                raise StarUndefined(
+                    f"{failure} at pivots {_listing(blocked)}; no symmetric "
+                    "permutation of the matrix avoids them",
+                    element=failure.element, location=failure.location)
+            tries = path.pop()[1]
+            # back one pivot: the block again, from the pivots on the path
+            idx, B = start
+            for i, _ in path:
+                idx, B = eliminate(idx, B, idx.index(i))
+            steps -= len(path)
+            continue
+        steps -= 1
+        if steps < 0:
+            raise StarUndefined(
+                f"{failure}; no symmetric permutation that avoids pivots "
+                f"{_listing(blocked)} was found in "
+                f"{_PIVOT_SEARCH_STEPS * A.rows} elimination steps",
+                element=failure.element, location=failure.location)
+        path.append((idx[p], tries))
+        idx, B = eliminate(idx, B, p)
+        tries = candidates(idx, B)
+    return [i for i, _ in path]
+
+
+def _listing(pivots):
+    return ", ".join(map(str, sorted(pivots)))

@@ -14,6 +14,18 @@ over k of the scalar definition.  Inputs are encoded at entry and
 results decoded at exit; each pivot goes to ``star`` as a carrier
 value, so a failure names the same location and reads the same.
 
+Factor once, solve many: the stages run on factors prepared in kernel
+form (``_Solver``): the strict rows of L, the strict rows of M
+reversed, so that the back substitution is the forward one over the
+reversed vector, and D with its stars once computed.  The first
+uncounted ``solve_ldm`` on a triple over a base carrier checks the
+factors, prepares them and keeps them on the triple; later solves
+(and every column of ``solve_via_ldm``) check only the vector and
+cost the three passes alone.  A solve that fails keeps nothing, so
+it fails again the same way.  Every other call (a single
+substitution stage, a counted solve, the endpoint runs of a lift)
+prepares its factors for that one call, on the same stage code.
+
 Every function here takes an optional :class:`OpCounter`.  Counting
 runs on :func:`counted`, a copy of the descriptor whose ``add``,
 ``mul`` and ``star`` tally into the counter; the copy gets the fold
@@ -61,6 +73,13 @@ class LdmTriple:
     L: Matrix
     D: tuple
     M: Matrix
+    # the factors prepared by the first uncounted solve that got through
+    # (see solve_ldm); not a field, so == and repr do not see it
+    _solver = None
+
+    def __getstate__(self):
+        # a solver holds kernels, which do not pickle; the copy builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_solver"}
 
     @property
     def descriptor(self):
@@ -127,68 +146,89 @@ def _require_strict_triangle(A, lower: bool, what: str):
                 f"{what} factor has a nonzero entry at ({i}, {j})")
 
 
-# The substitution stages take the counted descriptor, its kernels, the
-# factors as carrier values and the vector x in kernel form, which they
-# update in place and return.
+class _Solver:
+    """Factors in kernel form, ready for the substitution stages.
 
-def _forward(d, kernels, L, x):
-    fold, encode = kernels.fold, kernels.encode
-    for i, row in enumerate(L._data):
-        x[i] = fold(x[i], encode(row[:i]), x)
-    return x
+    Built over one descriptor (``counted(d, counter)`` for a counted
+    run) from any of L, the diagonal D and M; a stage whose factor is
+    None is skipped.  ``lower`` holds row i of L up to the diagonal,
+    ``upper`` row i of M from its end back to the diagonal, the last
+    row first, so the back substitution is the forward one over the
+    reversed vector.  ``stars`` holds the stars of D once the diagonal
+    stage has run without error.
+    """
+    __slots__ = ("d", "kernels", "lower", "diag", "upper", "stars")
+
+    def __init__(self, d, L, D, M):
+        kernels = row_kernels(d)
+        encode = kernels.encode
+        self.d, self.kernels, self.stars = d, kernels, None
+        self.lower = (None if L is None else
+                      [encode(row[:i]) for i, row in enumerate(L._data)])
+        self.diag = None if D is None else encode(D)
+        self.upper = (None if M is None else
+                      [encode(M._data[i][:i:-1])
+                       for i in range(M.rows - 1, -1, -1)])
+
+    def solve(self, b):
+        """x = M* D* L* b for the coerced vector ``b``, the stages on one
+        buffer: each keeps the values of the one before."""
+        kernels = self.kernels
+        x = kernels.encode(b)
+        if self.lower is not None:
+            _substitute_rows(kernels.fold, self.lower, x)
+        if self.diag is not None:
+            x = self._diagonal(x)
+        if self.upper is not None:
+            x.reverse()
+            _substitute_rows(kernels.fold, self.upper, x)
+            x.reverse()
+        return kernels.decode(x)
+
+    def _diagonal(self, x):
+        mul = self.kernels.mul
+        if self.stars is not None:
+            return list(map(mul, self.stars, x))
+        stars = []
+        for i, v in enumerate(self.diag):
+            s = kernel_star(self.d, self.kernels, v, i + 1)   # 1-based index
+            stars.append(s)
+            x[i] = mul(s, x[i])
+        self.stars = stars
+        return x
 
 
-def _back(d, kernels, M, x):
-    # j = n - 1 ... i + 1, as reversed slices
-    fold, encode = kernels.fold, kernels.encode
-    rows = M._data
-    for i in range(len(x) - 2, -1, -1):
-        x[i] = fold(x[i], encode(rows[i][:i:-1]), x[:i:-1])
-    return x
+def _substitute_rows(fold, rows, x):
+    # x[i] folds rows[i] against x[:i], in place; zip stops at the row
+    for i, row in enumerate(rows):
+        x[i] = fold(x[i], row, x)
 
 
-def _diagonal(d, kernels, dv, x):
-    mul = kernels.mul
-    for i, v in enumerate(kernels.encode(dv)):
-        x[i] = mul(kernel_star(d, kernels, v, i + 1), x[i])   # 1-based index
-    return x
-
-
-def _solve(d, kernels, L, dv, M, x):
-    # one buffer through all three stages: the back substitution keeps
-    # the diagonal stage's values instead of reinitializing from b
-    return _back(d, kernels, M,
-                 _diagonal(d, kernels, dv, _forward(d, kernels, L, x)))
-
-
-def _substitute(stage, d, *args, counter=None):
-    """``stage`` on the factors ``args[:-1]`` and the vector ``args[-1]``
-    over ``d`` counted into ``counter``, the vector in kernel form; on a
-    lift, its two endpoint runs joined back into intervals (the
-    arguments are checked already)."""
+def _substitute(d, L, D, M, b, counter=None):
+    """The stages of L, D and M (None skips one) on the coerced vector
+    ``b`` over ``d`` counted into ``counter``, on a solver built for this
+    call; on a lift, its two endpoint runs joined back into intervals.
+    The factors are checked already."""
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(
-            _substitute, stage, d.base, *args, counter=counter))
-    d = counted(d, counter)
-    kernels = row_kernels(d)
-    *factors, b = args
-    return kernels.decode(stage(d, kernels, *factors, kernels.encode(b)))
+            _substitute, d.base, L, D, M, b, counter=counter))
+    return _Solver(counted(d, counter), L, D, M).solve(b)
 
 
 def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
     """Least solution of x = Lx + b for strictly lower triangular L."""
     _require_strict_triangle(L, lower=True, what="lower")
     d = L.descriptor
-    return _substitute(_forward, d, L, _coerce_vector(d, b, L.rows),
-                       counter=counter)
+    return _substitute(d, L, None, None, _coerce_vector(d, b, L.rows),
+                       counter)
 
 
 def back_substitution(M: Matrix, b, counter: "OpCounter | None" = None):
     """Least solution of x = Mx + b for strictly upper triangular M."""
     _require_strict_triangle(M, lower=False, what="upper")
     d = M.descriptor
-    return _substitute(_back, d, M, _coerce_vector(d, b, M.rows),
-                       counter=counter)
+    return _substitute(d, None, None, M, _coerce_vector(d, b, M.rows),
+                       counter)
 
 
 def diagonal_solve(diag, b, descriptor=None, counter: "OpCounter | None" = None):
@@ -213,23 +253,45 @@ def diagonal_solve(diag, b, descriptor=None, counter: "OpCounter | None" = None)
         d = descriptor
         n = len(diag)
         dv = [d.coerce(v) for v in diag]
-    return _substitute(_diagonal, d, dv, _coerce_vector(d, b, n),
-                       counter=counter)
+    return _substitute(d, None, dv, None, _coerce_vector(d, b, n), counter)
+
+
+def _solve_triple(triple, b, counter):
+    """X for the coerced vector ``b`` through the checked ``triple``.
+
+    An uncounted solve over a base carrier runs on the triple's solver,
+    which the first such solve builds and keeps once it got through;
+    a failed solve keeps nothing.
+    """
+    d = triple.descriptor
+    if counter is not None or is_lift(d):
+        return _substitute(d, triple.L, triple.D, triple.M, b, counter)
+    solver = triple._solver
+    if solver is not None:
+        return solver.solve(b)
+    solver = _Solver(d, triple.L, triple.D, triple.M)
+    x = solver.solve(b)
+    object.__setattr__(triple, "_solver", solver)
+    return x
 
 
 def solve_ldm(triple: LdmTriple, b, counter: "OpCounter | None" = None):
-    """Solve X = AX + B through the factors: X = M* D* L* B."""
+    """Solve X = AX + B through the factors: X = M* D* L* B.
+
+    The first uncounted solve on a triple checks and encodes its
+    factors and computes the stars of D; later ones reuse that work.
+    """
     L, D, M = triple.L, triple.D, triple.M
     d = L.descriptor
     n = L.rows
-    if M.rows != n or M.cols != n or len(D) != n:
-        raise ShapeViolation("factors disagree on n")
-    if not same_descriptor(L.descriptor, M.descriptor):
-        raise DescriptorMismatch("factors built over different semirings")
-    _require_strict_triangle(L, lower=True, what="lower")
-    _require_strict_triangle(M, lower=False, what="upper")
-    return _substitute(_solve, d, L, D, M, _coerce_vector(d, b, n),
-                       counter=counter)
+    if triple._solver is None:
+        if M.rows != n or M.cols != n or len(D) != n:
+            raise ShapeViolation("factors disagree on n")
+        if not same_descriptor(L.descriptor, M.descriptor):
+            raise DescriptorMismatch("factors built over different semirings")
+        _require_strict_triangle(L, lower=True, what="lower")
+        _require_strict_triangle(M, lower=False, what="upper")
+    return _solve_triple(triple, _coerce_vector(d, b, n), counter)
 
 
 def solve_via_ldm(A: Matrix, B, counter: "OpCounter | None" = None):
@@ -247,8 +309,7 @@ def solve_via_ldm(A: Matrix, B, counter: "OpCounter | None" = None):
     if not same_descriptor(A.descriptor, B.descriptor):
         raise DescriptorMismatch("system and right-hand side disagree")
     # the factors are well formed and B is coerced: substitute directly
-    sols = [_substitute(_solve, A.descriptor, triple.L, triple.D, triple.M,
-                        list(col), counter=counter) for col in zip(*B._data)]
+    sols = [_solve_triple(triple, list(col), counter) for col in zip(*B._data)]
     return Matrix._wrap(A.descriptor, [list(row) for row in zip(*sols)])
 
 

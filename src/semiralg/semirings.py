@@ -9,7 +9,10 @@ value into the carrier.  ``fma(acc, x, y)`` computes
 ``add(acc, mul(x, y))`` in one call.  ``fma`` assumes its inputs were
 already validated (matrices coerce every entry at construction); the
 plain ``add``/``mul`` entry points validate every argument and reject
-illegal values.  They are the reference that the scalar API, the law
+illegal values, results too: one past the float range raises
+``IllegalElement`` as the row kernels below do, and on maxplus and
+minplus a product that overflows to the zero's infinity is that tag,
+as there.  They are the reference that the scalar API, the law
 checker, the lifted operations and the fold kernels below run on.
 
 The matrix kernels (the product and the entrywise sum, which runs on
@@ -42,6 +45,7 @@ real_field                all reals, + and *; star is (1 - x)^-1
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
@@ -128,6 +132,22 @@ def _finite(v, name):
     raise IllegalElement(f"{v!r} is not a {name} element")
 
 
+# a result outside [-_MAX, _MAX] left the float range
+_MAX = sys.float_info.max
+
+
+def _left_range(v, name):
+    return IllegalElement(f"a result left the float range ({v!r}); it is not "
+                          f"a {name} element")
+
+
+def _in_range(v, name):
+    """The float ``v``, a result of finite arguments, if it is in range."""
+    if -_MAX <= v <= _MAX:
+        return v
+    raise _left_range(v, name)
+
+
 def _eq_exact(x, y):
     if x is y:
         return True
@@ -175,7 +195,10 @@ def _make_maxplus(complete: bool) -> SemiringDescriptor:
             return NEG_INF
         if x is POS_INF or y is POS_INF:
             return POS_INF
-        return x + y
+        s = x + y
+        if s <= _MAX:
+            return s if s >= -_MAX else NEG_INF
+        raise _left_range(s, name)
 
     def star(x):
         x = coerce(x)
@@ -245,7 +268,10 @@ def _make_minplus() -> SemiringDescriptor:
         y = coerce(y)
         if x is POS_INF or y is POS_INF:
             return POS_INF
-        return x + y
+        s = x + y
+        if s >= -_MAX:
+            return s if s <= _MAX else POS_INF
+        raise _left_range(s, name)
 
     def star(x):
         x = coerce(x)
@@ -376,7 +402,7 @@ def _make_rplus(complete: bool) -> SemiringDescriptor:
         y = coerce(y)
         if x is POS_INF or y is POS_INF:
             return POS_INF
-        return x + y
+        return _in_range(x + y, name)
 
     def mul(x, y):
         x = coerce(x)
@@ -385,7 +411,7 @@ def _make_rplus(complete: bool) -> SemiringDescriptor:
             return 0.0 if y == 0.0 else POS_INF
         if y is POS_INF:
             return 0.0 if x == 0.0 else POS_INF
-        return x * y
+        return _in_range(x * y, name)
 
     def star(x):
         x = coerce(x)
@@ -416,10 +442,10 @@ def _make_real_field() -> SemiringDescriptor:
         return _finite(v, name)
 
     def add(x, y):
-        return coerce(x) + coerce(y)
+        return _in_range(coerce(x) + coerce(y), name)
 
     def mul(x, y):
-        return coerce(x) * coerce(y)
+        return _in_range(coerce(x) * coerce(y), name)
 
     def star(x):
         x = coerce(x)
@@ -508,8 +534,7 @@ def _fold_decode(d):
     def decode(row):
         for v in entries(row):
             if type(v) is float and not math.isfinite(v):
-                raise IllegalElement(f"a result left the float range ({v!r}); "
-                                     f"it is not a {name} element")
+                raise _left_range(v, name)
         return list(row)
 
     return decode
@@ -560,9 +585,7 @@ def _codec(name, *tags, valid=None):
         if not valid(sum(row)):
             for v in row:
                 if not valid(v):
-                    raise IllegalElement(
-                        f"a result left the float range ({v!r}); it is not "
-                        f"a {name} element")
+                    raise _left_range(v, name)
         return untag(row)
 
     return encode, decode

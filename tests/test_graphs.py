@@ -280,6 +280,84 @@ def test_real_matrix_star_matches_series(rng):
         assert star.mul(e_minus_a).allclose(identity(REAL, 4), 1e-9)
 
 
+def _inverse_of_e_minus(rows):
+    np = pytest.importorskip("numpy")
+    return np.linalg.inv(np.eye(len(rows)) - np.array(rows, dtype=float))
+
+
+def _assert_close(star, want, tol=1e-9):
+    got = star.to_lists()
+    scale = max(1.0, float(abs(want).max()))
+    assert max(abs(got[i][j] - want[i][j]) for i in range(len(got))
+               for j in range(len(got))) <= tol * scale
+
+
+# E - A is invertible, but a pivot reaches 1 in index order; the 3 x 3
+# matrix needs the search to go back: after pivot 1 both others block
+PIVOTED = [[[1.0, 2.0], [3.0, 4.0]],
+           [[0.0, -1.0, -1.0], [-1.0, 0.0, -2.0], [-1.0, -2.0, 0.0]],
+           [[0.5, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, -1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("rows", PIVOTED)
+def test_real_matrix_star_pivots_symmetrically(rows):
+    a = Matrix(REAL, rows)
+    with pytest.raises(StarUndefined):
+        closure_gauss_jordan(a)
+    _assert_close(real_matrix_star(a), _inverse_of_e_minus(rows))
+
+
+def test_real_matrix_star_pivots_random_unit_pivots(rng):
+    np = pytest.importorskip("numpy")
+    checked = 0
+    while checked < 30:
+        n = rng.randint(2, 7)
+        rows = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            rows[i][i] = 1.0
+        m = np.eye(n) - np.array(rows)
+        if abs(np.linalg.det(m)) < 0.5:
+            continue        # E - A singular, or too close to it
+        a = Matrix(REAL, rows)
+        try:
+            star = real_matrix_star(a)
+        except StarUndefined as exc:
+            assert "symmetric permutation" in str(exc)
+            continue
+        _assert_close(star, np.linalg.inv(m))
+        checked += 1
+
+
+def test_real_matrix_star_keeps_unpivoted_results(rng):
+    for _ in range(5):
+        a = random_contraction(6, rng)
+        assert repr(real_matrix_star(a).to_lists()) == \
+            repr(closure_gauss_jordan(a).to_lists())
+
+
+def test_real_matrix_star_names_the_pivots_no_permutation_avoids():
+    with pytest.raises(StarUndefined) as info:
+        real_matrix_star(Matrix(REAL, [[1.0, 2.0], [2.0, 1.0]]))
+    assert str(info.value) == ("star of 1 does not exist in real_field at "
+                               "pivots 1, 2; no symmetric permutation of the "
+                               "matrix avoids them")
+    assert info.value.location == 1
+
+
+def test_real_matrix_star_pivot_search_is_bounded():
+    # pivots 5 and 6 block after any order of the first four, which the
+    # search would otherwise try one by one
+    rows = [[0.1 * (i == j) for j in range(6)] for i in range(6)]
+    rows[4][4] = rows[5][5] = 1.0
+    rows[4][5] = rows[5][4] = 2.0
+    with pytest.raises(StarUndefined) as info:
+        real_matrix_star(Matrix(REAL, rows))
+    assert str(info.value) == (
+        "star of 1 does not exist in real_field; no symmetric permutation "
+        "that avoids pivots 5, 6 was found in 48 elimination steps")
+    assert info.value.location == 5
+
+
 def test_wrong_descriptor_guards(rng):
     g_max = random_graph("maxplus", 3, rng)
     g_min = random_graph("minplus", 3, rng)

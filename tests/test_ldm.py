@@ -1,8 +1,14 @@
 """Triangular solvers, LDM factorization, and exact operation counts."""
 
 import dataclasses
+import pickle
+import random
+import re
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (KERNEL_CARRIERS, assert_bit_identical, descriptor,
                       kernel_descriptor, kernel_rows, random_contraction,
@@ -15,8 +21,10 @@ from semiralg.errors import (DescriptorMismatch, DimensionMismatch,
                              IllegalElement, NotCommutative, NotSymmetric,
                              ShapeViolation, StarUndefined)
 from semiralg import forward_substitution
+from semiralg.intervals import lift_semiring
 from semiralg.ldm import LdmTriple
 from semiralg.semirings import SemiringDescriptor, SemiringFlags
+from semiralg.serialize import loads, dumps, triple_from_json, triple_to_json
 
 MX = descriptor("maxplus")
 MN = descriptor("minplus")
@@ -513,3 +521,207 @@ def test_results_past_the_float_range_are_rejected():
     for desc in (MX, dataclasses.replace(MX)):
         with pytest.raises(IllegalElement):
             ldm_factorize(Matrix(desc, big.to_lists()))
+
+
+# ------------------------------------------------- factor once, solve many
+#
+# The first uncounted solve on a triple checks and encodes its factors
+# and computes the stars of D; later solves reuse that work.  Every
+# solve must still read as a solve on a fresh triple, bit for bit.
+
+
+def _scalar_solve(d, t, b):
+    """M* D* L* b by the scalar definitions, one operation per term."""
+    x = _scalar_forward(d, t.L.to_lists(), list(b))
+    x = [d.mul(d.star(v), xi) for v, xi in zip(t.D, x)]
+    return _scalar_back(d, t.M.to_lists(), x)
+
+
+def _strict_parts(d, rows):
+    n = len(rows)
+    L = Matrix(d, [[rows[i][j] if j < i else d.zero for j in range(n)]
+                   for i in range(n)])
+    M = Matrix(d, [[rows[i][j] if j > i else d.zero for j in range(n)]
+                   for i in range(n)])
+    return L, tuple(rows[i][i] for i in range(n)), M
+
+
+@st.composite
+def factor_triples(draw):
+    """(descriptor, triple, seeded rng) over a kernel carrier: factored,
+    hand-built from strict parts, or read back from JSON."""
+    label = draw(st.sampled_from(KERNEL_CARRIERS))
+    n = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = kernel_descriptor(label)
+    rows = kernel_rows(label, n, n, rng)
+    source = draw(st.sampled_from(["factored", "hand-built", "json"]))
+    if source == "factored":
+        t = ldm_factorize(Matrix(d, rows))
+    else:
+        t = LdmTriple(*_strict_parts(d, rows))
+        if source == "json":
+            t = triple_from_json(d, loads(dumps(triple_to_json(t))))
+    return label, d, t, rng
+
+
+def _same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_triples())
+def test_repeat_solves_are_bit_identical(case):
+    label, d, t, rng = case
+    n = t.n
+    b = kernel_rows(label, 1, n, rng)[0]
+    others = kernel_rows(label, 13, n, rng)
+    want = _scalar_solve(d, t, b)
+    fresh = LdmTriple(t.L, t.D, t.M)
+    firsts = [solve_ldm(t, b), solve_ldm(t, b)]
+    for other in others:
+        _same(solve_ldm(t, other), _scalar_solve(d, t, other))
+    for got in firsts + [solve_ldm(t, b), solve_ldm(fresh, b)]:
+        _same(got, want)
+    # the prepared state is no field: equality, repr and pickling ignore it
+    assert t == fresh and repr(t) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t
+    _same(solve_ldm(copy, b), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_triples(), st.booleans())
+def test_counts_hold_whether_or_not_solved_before(case, solved_before):
+    label, d, t, rng = case
+    n = t.n
+    b = kernel_rows(label, 1, n, rng)[0]
+    if solved_before:
+        solve_ldm(t, b)
+    c = OpCounter()
+    _same(solve_ldm(t, b, c), _scalar_solve(d, t, b))
+    assert c.as_dict() == {"adds": n * n - n, "muls": n * n, "stars": n}
+    c.reset()
+    solve_ldm(t, b, c)
+    assert c.as_dict() == {"adds": n * n - n, "muls": n * n, "stars": n}
+
+
+def test_solve_via_ldm_columns_match_vector_solves(rng):
+    for label in KERNEL_CARRIERS:
+        d = kernel_descriptor(label)
+        rows = kernel_rows(label, 6, 6, rng)
+        rhs = kernel_rows(label, 6, 4, rng)
+        got = solve_via_ldm(Matrix(d, rows), Matrix(d, rhs))
+        t = ldm_factorize(Matrix(d, rows))
+        for j, col in enumerate(zip(*rhs)):
+            _same([got[i, j] for i in range(6)], _scalar_solve(d, t, col))
+
+
+def _failure(run):
+    with pytest.raises(Exception) as info:
+        run()
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "location", None)
+
+
+def test_solve_error_order_on_first_and_repeat_solves():
+    z = zeros(MX, 3, 3)
+    lower = Matrix(MX, [[NEG_INF] * 3, [1.0, NEG_INF, NEG_INF],
+                        [NEG_INF, 2.0, NEG_INF]])
+    not_strict = Matrix(MX, [[NEG_INF] * 3, [NEG_INF, 1.0, NEG_INF],
+                             [NEG_INF] * 3])
+    bad_stars = (-1.0, 0.5, 0.25)       # the stars of pivots 2 and 3 fail
+    short = [0.0, 0.0]
+    cases = [
+        # factor shapes before the triangles, the vector and the stars
+        (LdmTriple(not_strict, bad_stars, zeros(MX, 2, 2)), short,
+         ShapeViolation, "disagree on n"),
+        # the triangles before the vector and the stars
+        (LdmTriple(not_strict, bad_stars, z), short,
+         ShapeViolation, r"lower factor has a nonzero entry at \(1, 1\)"),
+        (LdmTriple(lower, bad_stars, not_strict), short,
+         ShapeViolation, r"upper factor has a nonzero entry at \(1, 1\)"),
+        # the vector before the stars
+        (LdmTriple(lower, bad_stars, z), short, ShapeViolation, "vector length"),
+        (LdmTriple(lower, bad_stars, z), [0.0, "x", 0.0], IllegalElement, "'x'"),
+        # the first failing pivot, 1-based, before an overflow
+        (LdmTriple(lower, bad_stars, z), [1e308, 0.0, 0.0], StarUndefined,
+         "star needs x <= 0"),
+    ]
+    for t, b, kind, message in cases:
+        first = _failure(lambda: solve_ldm(t, b))
+        assert first[0] is kind
+        assert re.search(message, first[1])
+        assert t._solver is None        # a failed solve keeps nothing
+        assert _failure(lambda: solve_ldm(t, b)) == first
+        assert _failure(lambda: solve_ldm(t, b, OpCounter())) == first
+        assert t._solver is None
+    assert _failure(lambda: solve_ldm(cases[-1][0], [0.0] * 3))[2] == 2
+
+
+def test_repeat_solve_checks_the_vector_and_the_range():
+    t = ldm_factorize(Matrix(MX, OVERFLOWING_PATH))
+    good = [0.0, 0.0, NEG_INF]
+    want = solve_ldm(t, good)
+    assert want == [1e308, 0.0, NEG_INF] and t._solver is not None
+    for b, kind, message in (([0.0, 0.0], ShapeViolation, "vector length"),
+                             ([0.0, 0.0, POS_INF], IllegalElement, "inf"),
+                             ([NEG_INF, NEG_INF, 0.0], IllegalElement,
+                              "float range")):
+        for _ in range(2):
+            with pytest.raises(kind, match=message):
+                solve_ldm(t, b)
+    _same(solve_ldm(t, good), want)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_PIVOT))
+def test_failed_stars_fail_again_and_keep_nothing(name):
+    d = descriptor(name)
+    rows = FAILING_PIVOT[name]
+    t = LdmTriple(zeros(d, 3, 3), tuple(rows[i][i] for i in range(3)),
+                  zeros(d, 3, 3))
+    runs = [lambda: solve_ldm(t, [d.one] * 3),
+            lambda: solve_ldm(t, [d.one] * 3),
+            lambda: solve_ldm(t, [d.one] * 3, OpCounter()),
+            lambda: solve_ldm(LdmTriple(t.L, t.D, t.M), [d.one] * 3)]
+    failures = [_failure(run) for run in runs]
+    assert failures[0][0] is StarUndefined and failures[0][2] == 2
+    assert failures == [failures[0]] * 4
+    assert t._solver is None
+
+
+def test_threads_solving_one_fresh_triple_agree(rng):
+    # each thread may build the state and keep it; what it keeps is never
+    # written again, so every solve reads as a solve on a fresh triple
+    a = random_contraction(24, rng)
+    bs = [[rng.uniform(-1, 1) for _ in range(24)] for _ in range(8)]
+    want = [solve_ldm(ldm_factorize(a), b) for b in bs]
+    t = ldm_factorize(a)
+    got = [None] * 64
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(k):
+            got[k] = solve_ldm(t, bs[k % 8])
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(64)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [want[k % 8] for k in range(64)]
+
+
+def test_lifted_solves_keep_no_state(rng):
+    lifted = lift_semiring(MX)
+    a = random_stable_matrix("maxplus", 4, rng)
+    iv = Matrix(lifted, [[(v, v) for v in row] for row in a.to_lists()])
+    t = ldm_factorize(iv)
+    b = [(0.0, 1.0)] * 4
+    first = solve_ldm(t, b)
+    assert solve_ldm(t, b) == first and t._solver is None
+    lo = solve_ldm(ldm_factorize(a), [0.0] * 4)
+    hi = solve_ldm(ldm_factorize(a), [1.0] * 4)
+    assert [(v.lo, v.hi) for v in first] == list(zip(lo, hi))

@@ -189,6 +189,12 @@ CLI_CASES = {
                {"a": {"data": [[0.5, -0.0], [0.0, 0.25]]}}),
     "invert negative": (["invert", "--semiring", "real_field", "{a}"],
                         {"a": {"data": [[-0.5, 0.25], [0.125, -1.0]]}}),
+    # the first pivot is 1: the elimination runs in the order 2, 1
+    "invert pivoted": (["invert", "--semiring", "real_field", "{a}"],
+                       {"a": {"data": [[1.0, 2.0], [3.0, 4.0]]}}),
+    # E - A is invertible, but every order of the pivots meets a 1 first
+    "invert blocked": (["invert", "--semiring", "real_field", "{a}"],
+                       {"a": {"data": [[1.0, 2.0], [2.0, 1.0]]}}),
     "bad vector entry": (["profit", "--semiring", "maxplus", "{g}", "{b}"],
                          {"g": _DAG, "b": [0.0, "bad", 1.0]}),
     "null vector entry": (["profit", "--semiring", "maxplus", "{g}", "{b}"],
@@ -522,6 +528,16 @@ CLI_GOLDEN = {('bad graph weight', 'json'): (2,
  ('invert', 'table'): (0,
                        '2.0                  .\n  . 1.3333333333333333\n',
                        ''),
+ ('invert blocked', 'json'): (4,
+                              '',
+                              'error: star of 1 does not exist in real_field '
+                              'at pivots 1, 2; no symmetric permutation of the '
+                              'matrix avoids them (at 1)\n'),
+ ('invert blocked', 'table'): (4,
+                               '',
+                               'error: star of 1 does not exist in real_field '
+                               'at pivots 1, 2; no symmetric permutation of '
+                               'the matrix avoids them (at 1)\n'),
  ('invert negative', 'json'): (0,
                                '{"result":{"cols":2,"data":[[0.6736842105263158,0.08421052631578949],[0.04210526315789474,0.5052631578947369]],"rows":2}}\n',
                                ''),
@@ -529,6 +545,13 @@ CLI_GOLDEN = {('bad graph weight', 'json'): (2,
                                 ' 0.6736842105263158 0.08421052631578949\n'
                                 '0.04210526315789474  0.5052631578947369\n',
                                 ''),
+ ('invert pivoted', 'json'): (0,
+                              '{"result":{"cols":2,"data":[[0.5,-0.33333333333333326],[-0.5,2.220446049250313e-16]],"rows":2}}\n',
+                              ''),
+ ('invert pivoted', 'table'): (0,
+                               ' 0.5  -0.33333333333333326\n'
+                               '-0.5 2.220446049250313e-16\n',
+                               ''),
  ('null vector entry', 'json'): (2,
                                  '',
                                  'error: <dir>/b.json[2]: not a scalar: '

@@ -467,6 +467,52 @@ def test_strict_add_mul_validate_inputs():
         descriptor("real_field").mul(1.0, float("inf"))
 
 
+# carrier, operation, arguments -> the result past the float range
+INF = math.inf
+SCALAR_OVERFLOW = [
+    ("real_field", "add", 1e308, INF),
+    ("real_field", "add", -1e308, -INF),
+    ("real_field", "mul", 1e308, INF),
+    ("real_field", "mul", -1e308, INF),
+    ("real_field", "mul", (1e308, -1e308), -INF),
+    ("rplus", "add", 1e308, INF),
+    ("rplus", "mul", 1e308, INF),
+    ("rplus_complete", "add", 1e308, INF),
+    ("rplus_complete", "mul", 1e308, INF),
+    ("maxplus", "mul", 1e308, INF),
+    ("maxplus_complete", "mul", 1e308, INF),
+    ("minplus", "mul", -1e308, -INF),
+]
+
+
+@pytest.mark.parametrize("name, op, args, past", SCALAR_OVERFLOW)
+def test_scalar_results_past_the_float_range_are_rejected(name, op, args, past):
+    d = descriptor(name)
+    x, y = args if isinstance(args, tuple) else (args, args)
+    message = (f"a result left the float range ({past!r}); it is not a "
+               f"{name} element")
+    with pytest.raises(IllegalElement) as info:
+        getattr(d, op)(x, y)
+    assert str(info.value) == message
+    # as the matrix kernels do, on both kernel families
+    for desc in (d, dataclasses.replace(d)):
+        with pytest.raises(IllegalElement, match="float range"):
+            getattr(Matrix(desc, [[x]]), op)(Matrix(desc, [[y]]))
+
+
+@pytest.mark.parametrize("name, big", [("maxplus", -1e308),
+                                       ("maxplus_complete", -1e308),
+                                       ("minplus", 1e308)])
+def test_scalar_product_overflowing_to_the_zero_is_the_zero(name, big):
+    d = descriptor(name)
+    assert d.mul(big, big) is d.zero
+    assert d.mul(big, big) is Matrix(d, [[big]]).mul(Matrix(d, [[big]]))[0, 0]
+    # fma and add(acc, mul(x, y)) still agree there
+    for acc in (d.zero, d.one, big):
+        assert d.fma(acc, big, big) == d.add(acc, d.mul(big, big))
+    assert d.add(big, big) == big
+
+
 # ---------------------------------------------------------------- tag algebra
 
 
