@@ -154,6 +154,23 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     return Matrix._wrap(d, list(map(kernels.decode, data)))
 
 
+def _eliminate(d, kernels, C, k):
+    """The kernel rows C after the elimination step of pivot k."""
+    s = kernel_star(d, kernels, C[k][k], k + 1)
+    # pivot row and column are read at their pre-update values: the
+    # step builds a new list of rows and axpy never mutates a row
+    mul, axpy, rowk = kernels.mul, kernels.axpy, C[k]
+    return [axpy(row, mul(row[k], s), rowk) for row in C]
+
+
+def _finish(d, kernels, C):
+    """The closure from the kernel rows after every pivot's step."""
+    C = list(map(kernels.decode, C))
+    for i, row in enumerate(C):
+        row[i] = d.add(row[i], d.one)
+    return Matrix._wrap(d, C)
+
+
 def closure_gauss_jordan(A: Matrix) -> Matrix:
     """Closure by pivot elimination over the whole matrix."""
     _require_square(A)
@@ -161,20 +178,10 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(closure_gauss_jordan, A))
     kernels = row_kernels(d)
-    mul, axpy = kernels.mul, kernels.axpy
-    n = A.rows
     C = list(map(kernels.encode, A._data))
-    for k in range(n):
-        s = kernel_star(d, kernels, C[k][k], k + 1)
-        # pivot row and column are read at their pre-update values: the
-        # step builds a new list of rows and axpy never mutates a row
-        rowk = C[k]
-        C = [axpy(row, mul(row[k], s), rowk) for row in C]
-    C = list(map(kernels.decode, C))
-    add, one = d.add, d.one
-    for i in range(n):
-        C[i][i] = add(C[i][i], one)
-    return Matrix._wrap(d, C)
+    for k in range(A.rows):
+        C = _eliminate(d, kernels, C, k)
+    return _finish(d, kernels, C)
 
 
 def closure_iterative(A: Matrix,

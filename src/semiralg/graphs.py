@@ -11,9 +11,11 @@ trusts.
 
 from dataclasses import dataclass
 
-from .closure import ClosureOptions, closure, closure_gauss_jordan
-from .errors import (IndexOutOfRange, InvalidGraph, InvalidPath,
-                     OracleScaleExceeded, StarUndefined, WrongDescriptor)
+from .closure import (ClosureOptions, _eliminate, _finish, closure,
+                      closure_gauss_jordan)
+from .errors import (IllegalElement, IndexOutOfRange, InvalidGraph,
+                     InvalidPath, OracleScaleExceeded, StarUndefined,
+                     WrongDescriptor)
 from .matrices import Matrix, identity, zeros
 from .semirings import SemiringDescriptor, row_kernels
 
@@ -183,70 +185,50 @@ def real_matrix_star(A: Matrix) -> Matrix:
 
     Gauss-Jordan elimination first, pivot by pivot in index order.  When
     a pivot has no star (a diagonal entry of 1 as it reaches its turn),
-    the elimination runs on P A P^T for a permutation P whose order of
-    pivots meets none, and A* = P^T (P A P^T)* P.  If no such order is
-    found, ``StarUndefined`` names the pivots that blocked.
+    the same steps run in an order P of the pivots that meets none:
+    steps in the order of P give (P A P^T)* = P A* P^T on A's own
+    indices.  If no such order is found, ``StarUndefined`` names the
+    pivots that blocked.
     """
     if A.descriptor.name != "real_field":
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
     try:
         return closure_gauss_jordan(A)
     except StarUndefined as exc:
-        order = _pivot_order(A, exc)
-    rows = A._data
-    S = closure_gauss_jordan(
-        Matrix._wrap(A.descriptor, [[rows[i][j] for j in order] for i in order]))
-    place = [0] * A.rows        # place[i]: the position of pivot i in order
-    for p, i in enumerate(order):
-        place[i] = p
-    return Matrix._wrap(A.descriptor, [[S._data[place[i]][place[j]]
-                                        for j in range(A.rows)]
-                                       for i in range(A.rows)])
+        return _pivoted_star(A, exc)
 
 
 # the elimination steps the pivot search may take, per row of the matrix
 _PIVOT_SEARCH_STEPS = 8
 
 
-def _pivot_order(A: Matrix, failure: StarUndefined) -> list:
-    """An order of the indices of A in which Gauss-Jordan finds the star
-    of every pivot, by depth-first search, the largest pivot of E - A
+def _pivoted_star(A: Matrix, failure: StarUndefined) -> Matrix:
+    """A* by Gauss-Jordan steps in an order of the pivots whose stars all
+    exist, found by depth-first search, the largest pivot of E - A
     first; else ``failure``'s message extended by the pivots that block.
 
-    After pivots S the candidates' values are the diagonal of the block
-    of A's other indices, updated by the elimination steps of S; that
-    block is the search's state.  A step updates its entries by the
-    same operations, in the same order, as the Gauss-Jordan run on the
-    permuted matrix does, so that run meets the same pivots.
+    The search's state is the kernel rows after the steps on its path;
+    once every pivot is on the path they hold the closure.
     """
     d = A.descriptor
     kernels = row_kernels(d)
-    mul, axpy = kernels.mul, kernels.axpy
     blocked = set()
 
-    def candidates(idx, B):
+    def candidates(C):
         ok = []
-        for p, row in enumerate(B):
+        for p in sorted(set(range(len(C))).difference(i for i, _ in path)):
             try:
-                d.star(row[p])
+                d.star(C[p][p])
                 ok.append(p)
             except StarUndefined:
-                blocked.add(idx[p] + 1)     # 1-based, as locations are
-        return iter(sorted(ok, key=lambda p: -abs(1.0 - B[p][p])))
+                blocked.add(p + 1)      # 1-based, as locations are
+        return iter(sorted(ok, key=lambda p: -abs(1.0 - C[p][p])))
 
-    def eliminate(idx, B, p):
-        s = d.star(B[p][p])
-        pivot = B[p]
-        rest = [axpy(row, mul(row[p], s), pivot)
-                for q, row in enumerate(B) if q != p]
-        return idx[:p] + idx[p + 1:], [row[:p] + row[p + 1:] for row in rest]
-
-    start = (list(range(A.rows)), list(map(kernels.encode, A._data)))
+    start = C = list(map(kernels.encode, A._data))
     steps = _PIVOT_SEARCH_STEPS * A.rows
-    path = []       # (index eliminated, the other candidates at its depth)
-    idx, B = start
-    tries = candidates(idx, B)
-    while idx:
+    path = []       # (pivot eliminated, the other candidates at its depth)
+    tries = candidates(C)
+    while len(path) < A.rows:
         p = next(tries, None)
         if p is None:
             if not path:
@@ -255,10 +237,10 @@ def _pivot_order(A: Matrix, failure: StarUndefined) -> list:
                     "permutation of the matrix avoids them",
                     element=failure.element, location=failure.location)
             tries = path.pop()[1]
-            # back one pivot: the block again, from the pivots on the path
-            idx, B = start
+            # back one pivot: the rows again, from the steps on the path
+            C = start
             for i, _ in path:
-                idx, B = eliminate(idx, B, idx.index(i))
+                C = _eliminate(d, kernels, C, i)
             steps -= len(path)
             continue
         steps -= 1
@@ -268,10 +250,18 @@ def _pivot_order(A: Matrix, failure: StarUndefined) -> list:
                 f"{_listing(blocked)} was found in "
                 f"{_PIVOT_SEARCH_STEPS * A.rows} elimination steps",
                 element=failure.element, location=failure.location)
-        path.append((idx[p], tries))
-        idx, B = eliminate(idx, B, p)
-        tries = candidates(idx, B)
-    return [i for i, _ in path]
+        path.append((p, tries))
+        C = _eliminate(d, kernels, C, p)
+        tries = candidates(C)
+    try:
+        return _finish(d, kernels, C)
+    except IllegalElement:
+        # name the entry past the float range that the run on P A P^T
+        # decodes first: rows, then columns, in the order of the path
+        for i, _ in path:
+            for j, _ in path:
+                kernels.decode([C[i][j]])
+        raise
 
 
 def _listing(pivots):

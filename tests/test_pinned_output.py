@@ -5,14 +5,18 @@ the decode-then-render table printer that the one-pass codecs
 replaced; every message, error context and output byte must stay as
 it was.  The parser test runs a mixed sequence of ``main`` calls in
 one process and compares each with a run on a freshly built parser.
+The ``invert`` outcomes at the end were produced when the pivot search
+ran Gauss-Jordan a second time on a permuted copy of the matrix; taking
+the same steps in the found order on the matrix itself keeps them.
 """
 
 import json
+import random
 
 import pytest
 
-from semiralg import NEG_INF, cli
-from semiralg.errors import ParseError
+from semiralg import NEG_INF, Matrix, cli, real_matrix_star
+from semiralg.errors import ParseError, SemiringError
 from semiralg.intervals import lift_semiring
 from semiralg.semirings import make_semiring
 from semiralg.serialize import (graph_from_json, loads, matrix_from_json,
@@ -195,6 +199,12 @@ CLI_CASES = {
     # E - A is invertible, but every order of the pivots meets a 1 first
     "invert blocked": (["invert", "--semiring", "real_field", "{a}"],
                        {"a": {"data": [[1.0, 2.0], [2.0, 1.0]]}}),
+    # the pivot search goes back once (``_pivoted_rows(2091)``)
+    "invert pivot search": (["invert", "--semiring", "real_field", "{a}"],
+                            {"a": {"data": [[1.0, -2.0, 0.0, 0.0],
+                                            [-2.0, 1.0, 2.0, 0.0],
+                                            [2.0, -1.0, -1.0, 3.0],
+                                            [1.0, 3.0, 2.0, -2.0]]}}),
     "bad vector entry": (["profit", "--semiring", "maxplus", "{g}", "{b}"],
                          {"g": _DAG, "b": [0.0, "bad", 1.0]}),
     "null vector entry": (["profit", "--semiring", "maxplus", "{g}", "{b}"],
@@ -545,6 +555,24 @@ CLI_GOLDEN = {('bad graph weight', 'json'): (2,
                                 ' 0.6736842105263158 0.08421052631578949\n'
                                 '0.04210526315789474  0.5052631578947369\n',
                                 ''),
+ ('invert pivot search', 'json'): (0,
+                                   '{"result":{"cols":4,"data":[[-0.33333333333333304,0.0,-0.33333333333333326,-0.33333333333333326],[0.5,0.0,0.0,0.0],[-0.33333333333333326,-0.5,-0.33333333333333326,-0.3333333333333333],[0.16666666666666652,-0.33333333333333304,-0.33333333333333304,4.440892098500626e-16]],"rows":4}}\n',
+                                   ''),
+ ('invert pivot search', 'table'): (0,
+                                    '-0.33333333333333304                    '
+                                    '. -0.33333333333333326  '
+                                    '-0.33333333333333326\n'
+                                    '                 0.5                    '
+                                    '.                    '
+                                    '.                     .\n'
+                                    '-0.33333333333333326                 '
+                                    '-0.5 -0.33333333333333326   '
+                                    '-0.3333333333333333\n'
+                                    ' 0.16666666666666652 '
+                                    '-0.33333333333333304 '
+                                    '-0.33333333333333304 '
+                                    '4.440892098500626e-16\n',
+                                    ''),
  ('invert pivoted', 'json'): (0,
                               '{"result":{"cols":2,"data":[[0.5,-0.33333333333333326],[-0.5,2.220446049250313e-16]],"rows":2}}\n',
                               ''),
@@ -921,3 +949,319 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     codes = [r[0] for r in reused]
     assert codes == [0, 2, 0, 2, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 2, 0]
     assert reused[7][1].startswith("usage: semiralg")
+
+
+# ------------------------------------------------------ invert's pivot search
+
+
+def _pivoted_rows(seed):
+    """A seeded n x n input, n in 2..9, on which Gauss-Jordan in index
+    order meets a unit pivot at once: entry (0, 0) and about a third of
+    the other diagonal entries are 1.  Half are sparse small integers,
+    half dense thousandths in [-1, 1)."""
+    rand = random.Random(seed)
+    n = 2 + int(rand.random() * 8)
+    sparse = rand.random() < 0.5
+    if sparse:
+        rows = [[float(int(rand.random() * 7) - 3) if rand.random() < 0.5
+                 else 0.0 for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [[int(rand.random() * 2000 - 1000) / 1000 for _ in range(n)]
+                for _ in range(n)]
+    for i in range(n):
+        if i == 0 or rand.random() < 0.3:
+            rows[i][i] = 1.0
+    return rows
+
+
+_REAL = make_semiring("real_field")
+_X = 1e200
+# label -> rows of an input whose pivot search ends in an error
+INVERT_FAILURES = {
+    "blocked": _pivoted_rows(4),
+    "step budget": _pivoted_rows(50),
+    # replaying the path after a step back counts against the budget
+    "step budget with replays": _pivoted_rows(644),
+    # the search meets a diagonal entry past the float range
+    "overflow at a pivot": [[1.0, 1e300], [1e300, 0.5]],
+    # the closure has an entry past the float range off the diagonal
+    "overflow at decode": [[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0],
+                           [_X, 0.0, 0.5, 0.0], [0.0, 0.0, _X, 0.25]],
+}
+
+
+def invert_outcome(rows):
+    """repr of the closure's rows, or (error type, message, location)."""
+    try:
+        return repr(real_matrix_star(Matrix(_REAL, rows)).to_lists())
+    except SemiringError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "location", None))
+
+
+# seed of _pivoted_rows -> repr of the closure's rows; 2091, 2941, 691
+# and 880 make the search go back
+INVERT_GOLDEN = {0: '[[-1.7637833187728997, 1.2660758171823918, 1.0263192847668994, '
+    '0.5400597641464491, 1.5812260763080144, -1.9418655260696989, '
+    '-1.2511457854460402, -1.3719162615822578], [-1.159380089305992, '
+    '0.997381346909817, 0.3124551940291224, -0.10431912333160898, '
+    '1.3343476939290142, -0.9727190559441321, -0.4059819318079416, '
+    '-0.4593447313546526], [-0.2654957690904649, 0.2686776802761976, '
+    '0.5028894534355666, -0.17482956285078194, 0.4003540261165009, '
+    '-0.4226715166348833, -0.0378167143929474, -0.6275761933496761], '
+    '[2.0144685990885307, -1.3020428568117612, -1.0636768057347976, '
+    '-0.49917440226876675, -1.2537631894108807, 0.9440520622918965, '
+    '1.383366516275707, 0.5955723940484172], [-0.5424894096071716, '
+    '-0.37756928756109254, -0.5563950758367713, -0.5703739379121862, '
+    '-0.21661867777733734, 0.49222511340758174, 0.3085457665894467, '
+    '0.12249471825369873], [1.769203005260999, -1.0376212478384952, '
+    '-0.6299324423592946, -0.6922811396265977, -1.1265730211133045, '
+    '1.241323761246595, 0.21736709273445898, 0.5127079504662265], '
+    '[1.037407608295511, -0.8154999341435749, 0.01973941841666066, '
+    '-0.048326109528557926, -0.09726332406908111, 0.8018857188183022, '
+    '0.05138089012898872, 0.0866598212582777], [-0.7206158795315942, '
+    '-0.022756649842005205, 0.037721770218408474, -0.555217889214102, '
+    '0.4321582771457734, -0.2081119146396939, -0.11547196739782661, '
+    '0.2505261546458437]]',
+ 1: '[[-3.098731984852214, 0.6105682809165065, 1.1555820241717154], '
+    '[2.0102790572771894, 0.029279584477983844, -0.003641918758961027], '
+    '[1.8859489990504814, -1.590857423303775, 0.19787758590354831]]',
+ 2: '[[6.118133349573842, -2.7787535471316787, -0.38166047478817244, '
+    '0.48490446497753, -2.367285110436776, -2.0863628897020137, '
+    '-0.19918756584470126, 3.1925820742281252, 4.97744384185629], '
+    '[0.38411915663994445, -0.040768644672771526, 0.6077470959693387, '
+    '-0.07351271408920013, 0.1718079459115025, 0.1820837694965173, '
+    '0.16941644644787762, -0.3256316899716935, -0.14934437270839196], '
+    '[-1.2738203924130036, -0.01950106554668389, 0.9720830336517631, '
+    '-0.5222481897866703, -0.06142427223231819, 1.1818655450430324, '
+    '0.3635937319615647, 0.03752385097716771, -1.170016746409793], '
+    '[-0.0026649030624699144, -0.07097066733858542, -0.294451185848255, '
+    '0.45877285385454936, 0.10493518032890631, -0.4463071006333385, '
+    '-0.38058682015895073, -0.5623937239594837, 0.618552102365993], '
+    '[0.7598227552256327, -0.6807860741762288, 0.4866914973715541, '
+    '-0.03291694054222175, 0.09990954832954446, -0.3420265451854123, '
+    '0.10564460044196701, 0.18442820300818585, 0.31209673830156], '
+    '[3.42462857096763, -2.0483401497420997, 0.23809433798568852, '
+    '-0.40890906220259626, -1.8219639018339997, -0.4469067612632962, '
+    '0.1542380841786276, 2.0196517453733978, 2.322431438631969], '
+    '[1.0350689302986622, -0.5125178280518987, -0.2036286398682092, '
+    '0.3552832375988344, -0.3573919952673208, -0.8675871064846254, '
+    '0.27839323148911777, 0.32023418540890836, 1.0950149242330371], '
+    '[6.643215989096145, -3.200512990651564, -0.04085077185575043, '
+    '-0.24295887280173836, -2.815224393152198, -1.638590269382158, '
+    '0.3060517206385095, 3.60139031891715, 5.710444085936144], '
+    '[-2.5050493150684816, 1.5356645288679203, -0.18710162407761466, '
+    '-0.5917230303013832, 0.47963816681463756, 0.2861270000138758, '
+    '-0.15065480998310615, -0.9517773594980719, -1.8213885313181524]]',
+ 3: '[[1.9642950826757923, -0.6871903207367667, 3.31908773056032], '
+    '[-1.736073518289207, 0.6313075424437337, -1.1392410537238271], '
+    '[-2.5523218394985427, -0.5206400848041944, 0.939533458648734]]',
+ 5: '[[362.5492887213488, -403.2625475733062, 0.22727436583214178, '
+    '280.297650020906, -28.392707735074083, -425.54312402586004], '
+    '[412.2181408483174, -457.5318082412033, 0.5595380174590807, '
+    '318.1503015317393, -32.590780536999304, -484.38545075055185], '
+    '[-4.731126339087282, 4.15420389582761, 0.41749514723062975, '
+    '-3.080787704045237, -0.27018541003364027, 5.582311465695516], '
+    '[-25.826740351127615, 28.93716607227027, 0.05048726999842358, '
+    '-19.62826474466215, 2.441098478800129, 30.377146955393812], '
+    '[359.06803606210576, -397.5445269308958, 0.7754352226615333, '
+    '276.77706857878155, -28.18931985507936, -420.69311640239937], '
+    '[50.79170886318645, -58.17480606107886, 0.11086021046273462, '
+    '40.52488627487751, -5.19458391730186, -59.00406921190738]]',
+ 6: '[[-3.87969710086396, 6.147803110128619, 1.037684125275882, '
+    '2.7337470948324754, 5.173010425888159, 1.1169794570161367, '
+    '1.1019061863633346, -1.8393110338538832], [-5.6672714226450775, '
+    '7.922381370723311, 1.9071432061394327, 3.927385822978989, '
+    '6.291314576787958, 1.1538644760216794, 1.6123123655372864, '
+    '-3.2301092148805846], [-1.5103676574360527, 2.8417482127828975, '
+    '0.5847459035164495, 1.5157862850859696, 2.582644365510985, '
+    '0.751225176658737, 0.7078148241204183, -0.9617729674941522], '
+    '[2.104082824987435, -2.2892713837839858, -0.8912710250107905, '
+    '-0.9570056633008766, -2.4482073470605075, -0.5490032470736981, '
+    '-0.45609843633591823, 1.197913158613741], [5.339810205362346, '
+    '-7.231883070290818, -2.3976668026257157, -3.210722654994407, '
+    '-5.761527760279273, -2.001463834507881, -0.7355672062914801, '
+    '2.6359244627584775], [-2.5983707773482103, 2.6718311452520194, '
+    '0.8507008501659701, 1.7105949899071127, 2.924434815542611, '
+    '0.14054197098559262, 1.0177992697347418, -0.9340429360579715], '
+    '[2.803379996968851, -3.0497797726291194, -0.7847509445782104, '
+    '-1.850794475728599, -3.05270358777769, -0.6604662110130219, '
+    '-0.38060587883891217, 1.5715164267357302], [-6.513790796824759, '
+    '8.831513793992741, 1.8520487690638272, 3.980093615455314, '
+    '6.926572282704365, 2.074099808895494, 1.7682779881323079, '
+    '-3.4255249523672298]]',
+ 10: '[[-0.5833333333333348, 0.0, 0.1666666666666675, 0.3888888888888892, '
+     '-0.1111111111111112, 0.0555555555555556], [1.416666666666668, 1.0, '
+     '-2.833333333333334, -0.944444444444445, 0.5555555555555555, '
+     '0.7222222222222223], [0.5833333333333337, 0.0, -1.166666666666667, '
+     '-0.38888888888888895, 0.11111111111111112, -0.05555555555555556], '
+     '[-0.3333333333333334, 0.0, 0.666666666666667, 0.22222222222222232, '
+     '0.22222222222222224, -0.11111111111111112], [0.1666666666666663, 0.0, '
+     '-0.33333333333333326, -0.11111111111111094, -0.11111111111111116, '
+     '-0.4444444444444445], [1.9166666666666683, 1.0, -2.8333333333333344, '
+     '-0.944444444444445, 0.5555555555555556, 0.7222222222222222]]',
+ 11: '[[2.277469650770602, 0.6103379780039908, 0.7741061940159907, '
+     '-0.3928960718407214, -0.2824724294460925], [-1.9766474098457798, '
+     '0.40273818835559494, -0.36938998628541453, -0.3690657659744933, '
+     '0.5613948120831548], [-1.9268650322308438, -0.8113758634590059, '
+     '-0.01839536183318624, -0.044552094417996846, 0.8036274034701746], '
+     '[-0.32599414144092265, 0.28887161048644705, 0.2884738760975195, '
+     '0.24266363223589305, 0.0695190939185332], [1.6647397901195713, '
+     '0.01699496105488285, 0.1191064175886965, 0.10579628996673174, '
+     '-0.022260498139328844]]',
+ 12: '[[0.7708780427949302, -2.287413908986121, -1.0536099159214123, '
+     '-0.815417527112416, 0.27866689759316177], [-0.1829906240448994, '
+     '-2.27488393536753, -0.7598661797238416, 0.1064111303807008, '
+     '1.1752909772677753], [2.3794944305054755, 1.4020187081174793, '
+     '-0.4714015272993679, -1.0838200898215715, -0.7501197144323801], '
+     '[1.6697331908203399, 0.7314761369278193, -0.5110995462324512, '
+     '-0.3511818589062805, -0.8657630687876534], [-3.5785444460562803, '
+     '0.1557068715777545, 2.5085366576046964, 2.3764832937477762, '
+     '0.2458982043072938]]',
+ 13: '[[0.5959952312148479, 0.8097911339263099, 0.4708934022738228, '
+     '-0.6789520615154494], [-1.153079413797214, 0.27496932637546334, '
+     '0.4345492856174795, 0.24727602872061905], [0.5172282655987531, '
+     '-0.12434987755343896, 0.5626047529938394, -0.18155282720117394], '
+     '[-0.2410200401979041, 0.5018964924045225, -0.09293751583481494, '
+     '0.5327394861139954]]',
+ 14: '[[3.700019892580068, 2.188183807439825], [-1.1363636363636365, 0.0]]',
+ 15: '[[-0.05272774732445851, -0.33803184547115683, 0.002349256068911478, '
+     '-0.05116157661185061, 0.1725398068389456, 0.22317932654659378, '
+     '-0.165492038632211, 0.07830853563038365, 0.05116157661185066], '
+     '[0.13938919342208284, -0.04698512137823041, 0.023492560689115503, '
+     '0.15505090054815934, 0.058731401722787985, 0.23179326546593587, '
+     '0.011746280344557707, -0.2169146436961622, -0.15505090054815968], '
+     '[-0.4173844949099451, -0.10649960845732244, 0.05324980422866077, '
+     '-0.04855129209083786, 0.13312451057165234, 0.05873140172278782, '
+     '0.02662490211433039, 0.44166014095536404, 0.048551292090837875], '
+     '[-0.1618376403027929, -0.19263899765074471, 0.09631949882537197, '
+     '-0.09762464108587832, 0.07413208039676325, 0.1503523884103367, '
+     '0.21482641607935263, 0.21064996084573212, 0.09762464108587827], '
+     '[0.3800574262594624, -0.0981466979900811, -0.28425998433829297, '
+     '0.19055077003393375, 0.1226833724876012, -0.004698512137822852, '
+     '0.024536674497520283, -0.4753328112764292, -0.19055077003393367], '
+     '[-0.1127642913077525, -0.366483946750197, 0.18324197337509784, '
+     '0.009397024275646128, 0.458104933437745, 0.40798747063429963, '
+     '0.09162098668754878, 0.10806577916992927, -0.009397024275646048], '
+     '[-0.21456538762725136, -0.19733750978856765, 0.0986687548942834, '
+     '-0.14878621769772887, 0.24667188723570885, 0.37353171495693055, '
+     '0.04933437744714153, 0.28895849647611566, 0.14878621769772907], '
+     '[-0.3444705472896543, -0.25841816758026714, 0.12920908379013307, '
+     '-0.2583311580962324, 0.26746715391977727, 0.2748629600626469, '
+     '0.12016009745062209, 0.6403027930044374, -0.07500217523710079], '
+     '[0.19028974158183237, -0.13155833985904497, 0.06577916992952224, '
+     '0.2341425215348471, 0.1644479248238058, 0.2490211433046202, '
+     '0.03288958496476127, 0.19263899765074383, -0.23414252153484738]]',
+ 16: '[[-0.05555555555555558, -0.16666666666666663, -0.5, '
+     '0.05555555555555555], [-0.16666666666666669, 0.5, 0.5, '
+     '0.16666666666666669], [-0.16666666666666663, -0.5, -0.5, '
+     '0.16666666666666663], [0.6666666666666667, 0.0, 0.0, '
+     '0.33333333333333326]]',
+ 19: '[[0.9375958882551163, -0.1323616996840027, 0.4937819693744243, '
+     '-1.0841610577973917, -1.2125592578605195, -0.29586315696550525, '
+     '-2.5145330107117645], [-0.25703426341486674, 0.3600814840141543, '
+     '-0.38425862988722687, 1.7174218782844035, 0.8446408937333458, '
+     '-0.3641239569534027, 2.6798313209051643], [-0.2308177965806682, '
+     '-0.24029155175377848, 0.17233633068394094, 0.14894772030711056, '
+     '0.03911539167238365, 0.1417027853254722, 1.1499876537610485], '
+     '[-0.5117185883519846, 0.27092854724047105, -0.04409797022411299, '
+     '-0.8549998288780163, -0.4623937234662741, 0.38943566667944807, '
+     '-1.1667202038350242], [0.6204652267495009, 0.4156508924456923, '
+     '1.1945585645815147, -2.808620010102609, -1.0300688551184272, '
+     '1.1517902769988067, -6.4981208174111815], [0.4610677971356865, '
+     '0.6501801582420361, -0.60850423179555, -0.19116280834856092, '
+     '0.24851691287412553, -0.3118528823213045, 1.1231445296158395], '
+     '[-0.10525044235109818, -0.6376730145364508, -0.343624648074643, '
+     '0.9937274906991926, -0.39814618976954774, 0.17397645519097651, '
+     '1.2636142638670107]]',
+ 24: '[[6.683128881767808, 2.3476868282496777, -7.589826423470406, '
+     '0.7788100641636434, -0.8236335515255186, 0.7634402340422829, '
+     '2.380822766537626], [-0.5105929400539908, 1.3860784887975341, '
+     '-0.883462464910523, -0.3984432223380584, 1.1658745884337507, '
+     '-0.6059951643781044, 1.097124911936529], [-9.18197672769711, '
+     '-4.91470888922794, 11.572376726818261, -1.4448039407396311, '
+     '0.3700781034802634, -1.2806566807830788, -3.5408995320945773], '
+     '[4.0476803708414275, 2.3391378146175112, -5.488670083136294, '
+     '1.1702366773181305, -0.11600653117636879, 0.4913411927415307, '
+     '1.9669408950737841], [5.0540113219799006, 3.8085006403479835, '
+     '-7.133618065219196, 0.5967441596761208, 1.0105233118765096, '
+     '0.4229284578270056, 3.3209336696183547], [6.366161082662641, '
+     '1.016617684985913, -6.98503328419269, 1.4349996791733723, '
+     '-1.3015693473964076, 0.28105048691429124, 0.09941496692601293], '
+     '[9.521371503044108, 3.725809018922492, -10.90178923045435, '
+     '1.6313602091639343, -0.8599140526225947, 0.20959651956492698, '
+     '1.8196122025495667]]',
+ 28: '[[-0.6666666666666661, 1.0], [0.33333333333333326, 0.0]]',
+ 691: '[[0.0, 0.0, 0.0, 0.0, -0.25, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, '
+      '0.0], [-0.0476190476190477, 0.0, -0.04761904761904723, '
+      '-0.2857142857142858, -0.19047619047619066, -0.047619047619047644, '
+      '0.047619047619047644], [0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0], '
+      '[-1.0000000000000002, 0.0, 3.191891195797325e-16, '
+      '1.942890293094024e-16, 1.1102230246251565e-16, -1.942890293094024e-16, '
+      '1.942890293094024e-16], [0.0, 0.0, 4.0, 2.0, 4.0, -1.0, 2.0], [0.0, '
+      '0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]',
+ 880: '[[0.143410852713179, -0.2403100775193798, -0.3333333333333335, '
+      '-0.2131782945736434, 0.09302325581395345, -0.5000000000000001, '
+      '-0.02713178294573637, -0.06330749354005158, 0.4767441860465117], '
+      '[-7.565008051515602e-16, 0.6666666666666665, 0.0, 0.6666666666666665, '
+      '-0.3333333333333332, 0.0, -1.2393187251629637e-16, '
+      '0.11111111111111091, -0.6666666666666665], [-0.3255813953488377, '
+      '0.635658914728682, 0.0, 0.6821705426356589, -0.3643410852713177, '
+      '-1.1102230246251565e-16, -0.04651162790697683, -0.21963824289405703, '
+      '-0.6589147286821704], [0.4883720930232559, 0.04651162790697689, 0.0, '
+      '-0.02325581395348819, 0.046511627906976674, 0.0, 0.06976744186046524, '
+      '0.16279069767441884, 0.48837209302325574], [7.565008051515602e-16, '
+      '-0.6666666666666664, 0.0, -0.6666666666666665, 0.33333333333333326, '
+      '0.0, 1.2393187251629637e-16, 0.22222222222222232, 0.6666666666666665], '
+      '[0.02325581395348819, -0.09302325581395347, 0.0, 0.046511627906976744, '
+      '-0.0930232558139535, 4.440892098500626e-16, -0.13953488372093004, '
+      '0.007751937984496193, 0.023255813953488413], [0.24418604651162834, '
+      '0.023255813953488413, 0.0, -0.011627906976744151, '
+      '0.023255813953488413, -0.5, 0.03488372093023173, 0.08139534883720945, '
+      '0.24418604651162834], [0.015503875968992609, -0.06201550387596908, '
+      '1.1102230246251565e-16, -0.30232558139534876, -0.06201550387596899, '
+      '0.0, -0.09302325581395365, 0.0051679586563306845, '
+      '0.015503875968992387], [-0.30232558139534893, 0.20930232558139522, '
+      '0.0, 0.39534883720930225, 0.20930232558139544, 0.0, '
+      '-0.1860465116279073, -0.10077519379844968, -0.3023255813953485]]',
+ 2091: '[[-0.33333333333333304, 0.0, -0.33333333333333326, '
+       '-0.33333333333333326], [0.5, 0.0, 0.0, 0.0], [-0.33333333333333326, '
+       '-0.5, -0.33333333333333326, -0.3333333333333333], '
+       '[0.16666666666666652, -0.33333333333333304, -0.33333333333333304, '
+       '4.440892098500626e-16]]',
+ 2941: '[[0.0, 0.33333333333333326, 0.0, 0.0, 0.5], [-2.0, '
+       '4.440892098500626e-16, 2.0, 1.0, 3.0], [0.0, 0.0, 1.0, 0.0, 0.0], '
+       '[0.0, 0.0, 0.0, 0.0, -0.5], [-1.0, 0.0, 0.0, 0.0, 1.0]]'}
+
+INVERT_FAILURE_GOLDEN = {'blocked': ('StarUndefined',
+             'star of 1 does not exist in real_field at pivots 1; no '
+             'symmetric permutation of the matrix avoids them',
+             1),
+ 'overflow at a pivot': ('IllegalElement',
+                         'IEEE inf is not a real_field element; use the '
+                         'infinity tags',
+                         None),
+ 'overflow at decode': ('IllegalElement',
+                        'a result left the float range (-inf); it is not a '
+                        'real_field element',
+                        None),
+ 'step budget': ('StarUndefined',
+                 'star of 1 does not exist in real_field; no symmetric '
+                 'permutation that avoids pivots 1, 2 was found in 40 '
+                 'elimination steps',
+                 1),
+ 'step budget with replays': ('StarUndefined',
+                              'star of 1 does not exist in real_field; no '
+                              'symmetric permutation that avoids pivots 1, 2, '
+                              '3 was found in 40 elimination steps',
+                              1)}
+
+
+@pytest.mark.parametrize("seed", sorted(INVERT_GOLDEN))
+def test_invert_with_pivot_search_is_pinned(seed):
+    assert invert_outcome(_pivoted_rows(seed)) == INVERT_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("label", sorted(INVERT_FAILURES))
+def test_invert_failure_is_pinned(label):
+    assert invert_outcome(INVERT_FAILURES[label]) == \
+        INVERT_FAILURE_GOLDEN[label]
