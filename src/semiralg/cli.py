@@ -25,6 +25,7 @@ Commands:
 """
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -95,11 +96,27 @@ def _read(path: str):
         raise ParseError(str(exc), context=path) from exc
 
 
+@contextlib.contextmanager
+def _graph_fits(path: str, g):
+    """Report a graph too large for its n x n matrix against its file.
+
+    Building the matrix raises MemoryError when n rows of n cells cannot
+    be allocated, and OverflowError when n is past the index range.
+    """
+    try:
+        yield
+    except (MemoryError, OverflowError):
+        raise ParseError(f'"n" is {g.n}: an n x n matrix does not fit in '
+                         "memory", context=path) from None
+
+
 def _square_input(descriptor, path: str) -> Matrix:
     """A closure-style input: either a matrix file or a graph file."""
     obj = _read(path)
     if isinstance(obj, dict) and "arcs" in obj:
-        return graph_to_matrix(graph_from_json(descriptor, obj, where=path))
+        g = graph_from_json(descriptor, obj, where=path)
+        with _graph_fits(path, g):
+            return graph_to_matrix(g)
     return matrix_from_json(descriptor, obj, where=path)
 
 
@@ -152,20 +169,22 @@ def _run(args, d) -> dict:
 
     if cmd == "paths":
         g = _graph_input(d, args.inputs[0])
-        if d.name == "minplus":
-            result = shortest_paths(g, _closure_options(args))
-        elif d.name == "maxmin":
-            result = widest_paths(g, _closure_options(args))
-        else:
-            raise WrongDescriptor(
-                f"paths needs minplus or maxmin, got {d.label}")
+        with _graph_fits(args.inputs[0], g):
+            if d.name == "minplus":
+                result = shortest_paths(g, _closure_options(args))
+            elif d.name == "maxmin":
+                result = widest_paths(g, _closure_options(args))
+            else:
+                raise WrongDescriptor(
+                    f"paths needs minplus or maxmin, got {d.label}")
         return {"result": matrix_to_json(result)}
 
     if cmd == "profit":
         g = _graph_input(d, args.inputs[0])
         terminal = _vector_input(d, args.inputs[1])
-        values = max_profit(g, terminal, args.horizon,
-                            _closure_options(args))
+        with _graph_fits(args.inputs[0], g):
+            values = max_profit(g, terminal, args.horizon,
+                                _closure_options(args))
         return {"result": scalars_to_json(d, values)}
 
     # cmd == "invert", the one command left: argparse admits no other

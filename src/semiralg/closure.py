@@ -154,15 +154,6 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     return Matrix._wrap(d, list(map(kernels.decode, data)))
 
 
-def _eliminate(d, kernels, C, k):
-    """The kernel rows C after the elimination step of pivot k."""
-    s = kernel_star(d, kernels, C[k][k], k + 1)
-    # pivot row and column are read at their pre-update values: the
-    # step builds a new list of rows and axpy never mutates a row
-    mul, axpy, rowk = kernels.mul, kernels.axpy, C[k]
-    return [axpy(row, mul(row[k], s), rowk) for row in C]
-
-
 def _finish(d, kernels, C):
     """The closure from the kernel rows after every pivot's step."""
     C = list(map(kernels.decode, C))
@@ -178,9 +169,14 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(closure_gauss_jordan, A))
     kernels = row_kernels(d)
+    mul, axpy = kernels.mul, kernels.axpy
     C = list(map(kernels.encode, A._data))
     for k in range(A.rows):
-        C = _eliminate(d, kernels, C, k)
+        s = kernel_star(d, kernels, C[k][k], k + 1)
+        # pivot row and column are read at their pre-update values: the
+        # step builds a new list of rows and axpy never mutates a row
+        rowk = C[k]
+        C = [axpy(row, mul(row[k], s), rowk) for row in C]
     return _finish(d, kernels, C)
 
 

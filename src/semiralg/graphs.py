@@ -10,12 +10,11 @@ trusts.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from .closure import (ClosureOptions, _eliminate, _finish, closure,
-                      closure_gauss_jordan)
-from .errors import (IllegalElement, IndexOutOfRange, InvalidGraph,
-                     InvalidPath, OracleScaleExceeded, StarUndefined,
-                     WrongDescriptor)
+from .closure import ClosureOptions, _finish, _require_square, closure
+from .errors import (IndexOutOfRange, InvalidGraph, InvalidPath,
+                     OracleScaleExceeded, StarUndefined, WrongDescriptor)
 from .matrices import Matrix, identity, zeros
 from .semirings import SemiringDescriptor, row_kernels
 
@@ -181,88 +180,40 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
 
 
 def real_matrix_star(A: Matrix) -> Matrix:
-    """Closure over the real field: the inverse of (E - A) when it exists.
+    """Closure over the real field: the inverse of (E - A).
 
-    Gauss-Jordan elimination first, pivot by pivot in index order.  When
-    a pivot has no star (a diagonal entry of 1 as it reaches its turn),
-    the same steps run in an order P of the pivots that meets none:
-    steps in the order of P give (P A P^T)* = P A* P^T on A's own
-    indices.  If no such order is found, ``StarUndefined`` names the
-    pivots that blocked.
+    Gauss-Jordan elimination with partial pivoting (Golub & Van Loan,
+    *Matrix Computations*, 3.4).  Step k places the remaining row of
+    A - E with the largest entry c in column k, for a pivot of 1 + c;
+    the steps close A' = E - P(E - A) for a row permutation P, and
+    A* = (A')* P.  When c is 0, E - A is singular to working precision
+    and ``StarUndefined`` names column k + 1.
     """
     if A.descriptor.name != "real_field":
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
-    try:
-        return closure_gauss_jordan(A)
-    except StarUndefined as exc:
-        return _pivoted_star(A, exc)
-
-
-# the elimination steps the pivot search may take, per row of the matrix
-_PIVOT_SEARCH_STEPS = 8
-
-
-def _pivoted_star(A: Matrix, failure: StarUndefined) -> Matrix:
-    """A* by Gauss-Jordan steps in an order of the pivots whose stars all
-    exist, found by depth-first search, the largest pivot of E - A
-    first; else ``failure``'s message extended by the pivots that block.
-
-    The search's state is the kernel rows after the steps on its path;
-    once every pivot is on the path they hold the closure.
-    """
-    d = A.descriptor
+    _require_square(A)
+    d, n = A.descriptor, A.rows
     kernels = row_kernels(d)
-    blocked = set()
-
-    def candidates(C):
-        ok = []
-        for p in sorted(set(range(len(C))).difference(i for i, _ in path)):
-            try:
-                d.star(C[p][p])
-                ok.append(p)
-            except StarUndefined:
-                blocked.add(p + 1)      # 1-based, as locations are
-        return iter(sorted(ok, key=lambda p: -abs(1.0 - C[p][p])))
-
-    start = C = list(map(kernels.encode, A._data))
-    steps = _PIVOT_SEARCH_STEPS * A.rows
-    path = []       # (pivot eliminated, the other candidates at its depth)
-    tries = candidates(C)
-    while len(path) < A.rows:
-        p = next(tries, None)
-        if p is None:
-            if not path:
-                raise StarUndefined(
-                    f"{failure} at pivots {_listing(blocked)}; no symmetric "
-                    "permutation of the matrix avoids them",
-                    element=failure.element, location=failure.location)
-            tries = path.pop()[1]
-            # back one pivot: the rows again, from the steps on the path
-            C = start
-            for i, _ in path:
-                C = _eliminate(d, kernels, C, i)
-            steps -= len(path)
-            continue
-        steps -= 1
-        if steps < 0:
+    C = list(map(kernels.encode, A._data))
+    for i, row in enumerate(C):
+        row[i] -= 1.0
+    placed = list(range(n))     # the row of A at each position
+    for k in range(n):
+        r = max(range(k, n), key=lambda r: abs(C[r][k]))
+        C[k], C[r] = C[r], C[k]
+        placed[k], placed[r] = placed[r], placed[k]
+        rowk, c = C[k], C[k][k]
+        if c == 0.0:
             raise StarUndefined(
-                f"{failure}; no symmetric permutation that avoids pivots "
-                f"{_listing(blocked)} was found in "
-                f"{_PIVOT_SEARCH_STEPS * A.rows} elimination steps",
-                element=failure.element, location=failure.location)
-        path.append((p, tries))
-        C = _eliminate(d, kernels, C, p)
-        tries = candidates(C)
-    try:
-        return _finish(d, kernels, C)
-    except IllegalElement:
-        # name the entry past the float range that the run on P A P^T
-        # decodes first: rows, then columns, in the order of the path
-        for i, _ in path:
-            for j, _ in path:
-                kernels.decode([C[i][j]])
-        raise
-
-
-def _listing(pivots):
-    return ", ".join(map(str, sorted(pivots)))
+                "E - A is singular to working precision: no remaining row "
+                f"has a nonzero entry in column {k + 1}",
+                element=1.0, location=k + 1)
+        # the star of the pivot 1 + c, 1 / (1 - (1 + c)), without rounding
+        # 1 + c first: that would lose c's low bits when |c| << 1
+        rowk[k] = c + 1.0
+        rowk = list(map(kernels.mul, repeat(-1.0 / c), rowk))
+        C = [rowk if i == k else kernels.axpy(row, row[k], rowk)
+             for i, row in enumerate(C)]
+    columns = sorted(range(n), key=placed.__getitem__)
+    return Matrix._wrap(d, [list(map(row.__getitem__, columns))
+                            for row in _finish(d, kernels, C)._data])

@@ -146,7 +146,7 @@ def matrix_from_json(descriptor: SemiringDescriptor, obj,
         raise ParseError("rows have unequal lengths", context=where)
     for key, expect in (("rows", len(data)), ("cols", width)):
         if key in obj and obj[key] != expect:
-            raise ParseError(f'"{key}" says {obj[key]} but data has {expect}',
+            raise ParseError(f'"{key}" says {obj[key]!r} but data has {expect}',
                              context=where)
     rows = [scalars_from_json(descriptor, row, f"{where}.data[{i}]")
             for i, row in enumerate(data)]

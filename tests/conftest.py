@@ -121,6 +121,26 @@ def random_contraction(n, rand, radius=0.4):
     return Matrix(d, [[v * scale for v in row] for row in rows])
 
 
+def pivoted_rows(seed):
+    """A seeded n x n input, n in 2..9, on which Gauss-Jordan in index
+    order meets a unit pivot at once: entry (0, 0) and about a third of
+    the other diagonal entries are 1.  Half are sparse small integers,
+    half dense thousandths in [-1, 1)."""
+    rand = random.Random(seed)
+    n = 2 + int(rand.random() * 8)
+    sparse = rand.random() < 0.5
+    if sparse:
+        rows = [[float(int(rand.random() * 7) - 3) if rand.random() < 0.5
+                 else 0.0 for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [[int(rand.random() * 2000 - 1000) / 1000 for _ in range(n)]
+                for _ in range(n)]
+    for i in range(n):
+        if i == 0 or rand.random() < 0.3:
+            rows[i][i] = 1.0
+    return rows
+
+
 def random_graph(name, n, rand, density=0.5):
     """Random digraph with star-safe arc weights (absent arcs omitted)."""
     d = descriptor(name)

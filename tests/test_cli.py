@@ -323,6 +323,20 @@ def test_invalid_json_error_names_its_file(tmp_path, capsys, command, bad):
                    "invalid JSON: Expecting value\n")
 
 
+# past memory and past the index range: building the first row fails at
+# its size check, before anything is allocated
+@pytest.mark.parametrize("n", [2**62, 10**20])
+@pytest.mark.parametrize("command", ["closure", "paths", "profit"])
+def test_graph_too_large_for_its_matrix_exits_2(tmp_path, capsys, command, n):
+    g = _write(tmp_path / "g.json", {"n": n, "arcs": []})
+    inputs = [g, _write(tmp_path / "b.json", [0.0])][:len(_READERS[command][1])]
+    code, out, err = _run(capsys, command, "--semiring", _READERS[command][0],
+                          *inputs)
+    assert (code, out) == (2, "")
+    assert err == (f'error: {g}: "n" is {n}: an n x n matrix does not fit '
+                   "in memory\n")
+
+
 def test_exit_2_argparse_usage(tmp_path, capsys):
     assert main([]) == 2                      # no command
     capsys.readouterr()
@@ -376,6 +390,15 @@ def test_exit_4_star_undefined_with_location(tmp_path, capsys):
     code, _, err = _run(capsys, "closure", "--semiring", "maxplus", cyc)
     assert code == 4
     assert "(at " in err
+
+
+def test_invert_exits_4_at_the_singular_column(tmp_path, capsys):
+    # E - A = [[1, 2], [2, 4]]: the step on column 1 zeroes column 2
+    pa = _write(tmp_path / "a.json", {"data": [[0.0, -2.0], [-2.0, -3.0]]})
+    code, out, err = _run(capsys, "invert", "--semiring", "real_field", pa)
+    assert (code, out) == (4, "")
+    assert err == ("error: E - A is singular to working precision: no "
+                   "remaining row has a nonzero entry in column 2 (at 2)\n")
 
 
 def test_exit_5_semiring_selection(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import descriptor, random_contraction, random_graph
+from conftest import (descriptor, pivoted_rows, random_contraction,
+                      random_graph)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, Path,
                       WeightedDigraph, brute_force_star, closure,
                       closure_gauss_jordan, graph_to_matrix, identity,
@@ -292,8 +293,7 @@ def _assert_close(star, want, tol=1e-9):
                for j in range(len(got))) <= tol * scale
 
 
-# E - A is invertible, but a pivot reaches 1 in index order; the 3 x 3
-# matrix needs the search to go back: after pivot 1 both others block
+# E - A is invertible, but a pivot reaches 1 in index order
 PIVOTED = [[[1.0, 2.0], [3.0, 4.0]],
            [[0.0, -1.0, -1.0], [-1.0, 0.0, -2.0], [-1.0, -2.0, 0.0]],
            [[0.5, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, -1.0, 0.0]]]
@@ -318,44 +318,69 @@ def test_real_matrix_star_pivots_random_unit_pivots(rng):
         m = np.eye(n) - np.array(rows)
         if abs(np.linalg.det(m)) < 0.5:
             continue        # E - A singular, or too close to it
-        a = Matrix(REAL, rows)
-        try:
-            star = real_matrix_star(a)
-        except StarUndefined as exc:
-            assert "symmetric permutation" in str(exc)
-            continue
-        _assert_close(star, np.linalg.inv(m))
+        _assert_close(real_matrix_star(Matrix(REAL, rows)), np.linalg.inv(m))
         checked += 1
 
 
-def test_real_matrix_star_keeps_unpivoted_results(rng):
+def test_real_matrix_star_agrees_with_gauss_jordan_on_contractions(rng):
     for _ in range(5):
         a = random_contraction(6, rng)
-        assert repr(real_matrix_star(a).to_lists()) == \
-            repr(closure_gauss_jordan(a).to_lists())
+        assert real_matrix_star(a).allclose(closure_gauss_jordan(a), 1e-12)
 
 
-def test_real_matrix_star_names_the_pivots_no_permutation_avoids():
-    with pytest.raises(StarUndefined) as info:
-        real_matrix_star(Matrix(REAL, [[1.0, 2.0], [2.0, 1.0]]))
-    assert str(info.value) == ("star of 1 does not exist in real_field at "
-                               "pivots 1, 2; no symmetric permutation of the "
-                               "matrix avoids them")
-    assert info.value.location == 1
+def test_real_matrix_star_inverts_where_every_symmetric_order_blocks():
+    # both pivots are 1 in either order; a row swap makes the first one 3
+    got = real_matrix_star(Matrix(REAL, [[1.0, 2.0], [2.0, 1.0]])).to_lists()
+    assert got == [[0.0, -0.5], [-0.5, 0.0]]      # == ignores the zeros' sign
+    _assert_close(Matrix(REAL, got), _inverse_of_e_minus([[1.0, 2.0],
+                                                          [2.0, 1.0]]))
 
 
-def test_real_matrix_star_pivot_search_is_bounded():
-    # pivots 5 and 6 block after any order of the first four, which the
-    # search would otherwise try one by one
+def test_real_matrix_star_inverts_a_unit_pivot_block():
+    # pivots 5 and 6 are 1, and stay 1 after any steps on the first four
     rows = [[0.1 * (i == j) for j in range(6)] for i in range(6)]
     rows[4][4] = rows[5][5] = 1.0
     rows[4][5] = rows[5][4] = 2.0
+    _assert_close(real_matrix_star(Matrix(REAL, rows)), _inverse_of_e_minus(rows))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e8]], [[1e20]], [[1.0, 1e300], [1e300, 0.5]],
+    [[1.0, -1e-10], [-1e-10, 1.0]], [[1.0, -1e-20], [-1e-20, 1.0]]],
+    ids=["1e8", "1e20", "1e300", "1e-10", "1e-20"])
+def test_real_matrix_star_far_from_unit_scale(rows):
+    # large pivots: the pivot row is scaled by the star, not added to its
+    # own multiple, which cancelled to 0.0 for [[1e8]] and 1.0 for [[1e20]];
+    # small ones: the star of 1 + c is -1/c, so c is not rounded into 1
+    _assert_close(real_matrix_star(Matrix(REAL, rows)), _inverse_of_e_minus(rows))
+
+
+def test_real_matrix_star_matches_numpy_on_seeded_unit_pivots():
+    np = pytest.importorskip("numpy")
+    for seed in range(3000):
+        rows = pivoted_rows(seed)
+        m = np.eye(len(rows)) - np.array(rows)
+        if np.linalg.matrix_rank(m) == len(rows):
+            _assert_close(real_matrix_star(Matrix(REAL, rows)), np.linalg.inv(m))
+
+
+def test_real_matrix_star_matches_numpy_on_contractions(rng):
+    for n in (1, 2, 5, 12, 24):
+        a = random_contraction(n, rng, radius=0.9)
+        _assert_close(real_matrix_star(a), _inverse_of_e_minus(a.to_lists()))
+
+
+@pytest.mark.parametrize("rows,column", [
+    ([[1.0, 0.0], [0.0, 1.0]], 1),
+    ([[0.0, -2.0], [-2.0, -3.0]], 2),       # E - A = [[1, 2], [2, 4]]
+    ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]], 2)])
+def test_real_matrix_star_names_the_singular_column(rows, column):
     with pytest.raises(StarUndefined) as info:
         real_matrix_star(Matrix(REAL, rows))
-    assert str(info.value) == (
-        "star of 1 does not exist in real_field; no symmetric permutation "
-        "that avoids pivots 5, 6 was found in 48 elimination steps")
-    assert info.value.location == 5
+    assert str(info.value) == ("E - A is singular to working precision: no "
+                               "remaining row has a nonzero entry in column "
+                               f"{column}")
+    assert info.value.location == column
 
 
 def test_wrong_descriptor_guards(rng):
