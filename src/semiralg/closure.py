@@ -9,8 +9,13 @@ The block recursion and the elimination run on the descriptor's row
 kernels (``semirings.row_kernels``): they encode the matrix once at
 entry, decode it once at exit, and hand each pivot to ``star`` as a
 carrier value, so a failing pivot reads as it does in the matrix.
-The block recursion multiplies with ``matrices.product``, the kernel
-of ``Matrix.mul``.
+They never index a row themselves.  The kernels read a pivot
+(``entry``), cut a block into four and glue it back (``split``,
+``join``), add and multiply blocks (``add_rows``, ``product``, the
+kernel of ``Matrix.mul`` too) and take a Gauss-Jordan step
+(``eliminate``).  So one program runs on list rows and on boolean rows
+packed into ints, one bit per entry, where a step ORs the pivot row
+into every row that has bit k set: one big-int operation per row.
 
 The block recursion can fork its independent block products onto
 worker threads.  Parallel runs compute the very same expression tree
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidOptions, NoStabilization
 from .intervals import endpoint_runs, is_lift, join_endpoints
-from .matrices import Matrix, identity, product
+from .matrices import Matrix, identity
 from .semirings import kernel_star, row_kernels
 
 __all__ = ["ClosureOptions", "IterativeClosure", "closure", "closure_block",
@@ -109,32 +114,28 @@ def _both(f, g, limiter, want_fork):
 def _close_rec(d, kernels, M, offset, opts, limiter):
     n = len(M)
     if n == 1:
-        return [[kernel_star(d, kernels, M[0][0], offset + 1)]]
+        return [kernels.encode([kernel_star(d, kernels, kernels.entry(M[0], 0),
+                                            offset + 1)])]
     if opts.split is None:
         k = (n + 1) // 2
     else:
         k = min(opts.split, n - 1)
-    A11 = [row[:k] for row in M[:k]]
-    A12 = [row[k:] for row in M[:k]]
-    A21 = [row[:k] for row in M[k:]]
-    A22 = [row[k:] for row in M[k:]]
-    add_rows = kernels.add_rows
+    A11, A12 = kernels.split(M[:k], k)
+    A21, A22 = kernels.split(M[k:], k)
+    add_rows, product = kernels.add_rows, kernels.product
 
     S11 = _close_rec(d, kernels, A11, offset, opts, limiter)
     fork = n >= opts.parallel_grain
     # the two products on either side of the closed leading block are
     # independent of each other, as are the two off-diagonal results
-    P, Q = _both(lambda: product(kernels, S11, A12),
-                 lambda: product(kernels, A21, S11), limiter, fork)
-    D = list(map(add_rows, A22, product(kernels, A21, P)))
+    P, Q = _both(lambda: product(S11, A12), lambda: product(A21, S11),
+                 limiter, fork)
+    D = list(map(add_rows, A22, product(A21, P)))
     SD = _close_rec(d, kernels, D, offset + k, opts, limiter)
-    TR, BL = _both(lambda: product(kernels, P, SD),
-                   lambda: product(kernels, SD, Q), limiter, fork)
-    TL = list(map(add_rows, S11, product(kernels, TR, Q)))
-
-    out = [tl + tr for tl, tr in zip(TL, TR)]
-    out += [bl + br for bl, br in zip(BL, SD)]
-    return out
+    TR, BL = _both(lambda: product(P, SD), lambda: product(SD, Q),
+                   limiter, fork)
+    TL = list(map(add_rows, S11, product(TR, Q)))
+    return kernels.join(TL, TR) + kernels.join(BL, SD)
 
 
 def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
@@ -169,14 +170,12 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(closure_gauss_jordan, A))
     kernels = row_kernels(d)
-    mul, axpy = kernels.mul, kernels.axpy
+    entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
+                                    kernels.encode_one)
     C = list(map(kernels.encode, A._data))
     for k in range(A.rows):
-        s = kernel_star(d, kernels, C[k][k], k + 1)
-        # pivot row and column are read at their pre-update values: the
-        # step builds a new list of rows and axpy never mutates a row
-        rowk = C[k]
-        C = [axpy(row, mul(row[k], s), rowk) for row in C]
+        s = encode_one(kernel_star(d, kernels, entry(C[k], k), k + 1))
+        C = eliminate(C, k, s)
     return _finish(d, kernels, C)
 
 

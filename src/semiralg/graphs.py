@@ -16,7 +16,7 @@ from .closure import ClosureOptions, _finish, _require_square, closure
 from .errors import (IndexOutOfRange, InvalidGraph, InvalidPath,
                      OracleScaleExceeded, StarUndefined, WrongDescriptor)
 from .matrices import Matrix, identity, zeros
-from .semirings import SemiringDescriptor, row_kernels
+from .semirings import SemiringDescriptor, list_kernels
 
 __all__ = ["WeightedDigraph", "Path", "graph_to_matrix", "matrix_to_graph",
            "path_weight", "brute_force_star", "shortest_paths", "widest_paths",
@@ -193,7 +193,7 @@ def real_matrix_star(A: Matrix) -> Matrix:
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
     _require_square(A)
     d, n = A.descriptor, A.rows
-    kernels = row_kernels(d)
+    kernels = list_kernels(d)
     C = list(map(kernels.encode, A._data))
     for i, row in enumerate(C):
         row[i] -= 1.0

@@ -7,10 +7,11 @@ three cheap passes (``solve_ldm``): a forward substitution through L,
 a diagonal closure through D, and a back substitution through M, all
 carried in one buffer.
 
-Every loop runs on the descriptor's row kernels
-(``semirings.row_kernels``) as row folds: each entry of a substitution
-or of a factor column is one ``fold`` over a row slice, in the order
-over k of the scalar definition.  Inputs are encoded at entry and
+Every loop runs on the descriptor's row kernels on list rows
+(``semirings.list_kernels``; boolean, whose own kernels pack a row into
+an int, gets the fold of its ``fma``) as row folds: each entry of a
+substitution or of a factor column is one ``fold`` over a row slice, in
+the order over k of the scalar definition.  Inputs are encoded at entry and
 results decoded at exit; each pivot goes to ``star`` as a carrier
 value, so a failure names the same location and reads the same.
 
@@ -46,7 +47,7 @@ from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
                      NotSymmetric, ShapeViolation)
 from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix
-from .semirings import kernel_star, row_kernels, same_descriptor
+from .semirings import kernel_star, list_kernels, same_descriptor
 
 __all__ = ["OpCounter", "LdmTriple", "forward_substitution",
            "back_substitution", "diagonal_solve", "solve_ldm", "counted",
@@ -160,7 +161,7 @@ class _Solver:
     __slots__ = ("d", "kernels", "lower", "diag", "upper", "stars")
 
     def __init__(self, d, L, D, M):
-        kernels = row_kernels(d)
+        kernels = list_kernels(d)
         encode = kernels.encode
         self.d, self.kernels, self.stars = d, kernels, None
         self.lower = (None if L is None else
@@ -186,12 +187,14 @@ class _Solver:
         return kernels.decode(x)
 
     def _diagonal(self, x):
-        mul = self.kernels.mul
+        kernels = self.kernels
+        mul = kernels.mul
         if self.stars is not None:
             return list(map(mul, self.stars, x))
         stars = []
         for i, v in enumerate(self.diag):
-            s = kernel_star(self.d, self.kernels, v, i + 1)   # 1-based index
+            s = kernels.encode_one(
+                kernel_star(self.d, kernels, v, i + 1))   # 1-based index
             stars.append(s)
             x[i] = mul(s, x[i])
         self.stars = stars
@@ -327,8 +330,8 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
         return _join_triples(d, *endpoint_runs(ldm_factorize, A, counter=counter))
     n = A.rows
     dc = counted(d, counter)
-    kernels = row_kernels(dc)
-    fold, mul = kernels.fold, kernels.mul
+    kernels = list_kernels(dc)
+    fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     C = list(map(kernels.encode, A._data))
     for j in range(n):
         # column j through the lower factor so far: v[i] folds C[i][k] v[k]
@@ -337,14 +340,15 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
         for i in range(1, j + 1):
             v[i] = fold(v[i], C[i][:i], v)
         for i in range(j):
-            C[i][j] = mul(kernel_star(dc, kernels, C[i][i], (j + 1, i + 1)),
+            C[i][j] = mul(encode_one(kernel_star(dc, kernels, C[i][i],
+                                                 (j + 1, i + 1))),
                           v[i])   # 1-based (column, pivot)
         C[j][j] = v[j]
         vj = v[:j]
         lower = C[j + 1:]
         for row in lower:
             row[j] = fold(row[j], row, vj)
-        s = kernel_star(dc, kernels, v[j], (j + 1, j + 1))
+        s = encode_one(kernel_star(dc, kernels, v[j], (j + 1, j + 1)))
         for row in lower:
             row[j] = mul(row[j], s)
 
@@ -381,8 +385,8 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
         return _join_triples(d, *endpoint_runs(symmetric_factorize, A, counter=counter))
 
     dc = counted(d, counter)
-    kernels = row_kernels(dc)
-    fold, mul = kernels.fold, kernels.mul
+    kernels = list_kernels(dc)
+    fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     E = list(map(kernels.encode, rows))
     # T[i] is row i of L up to the diagonal: U[k][i] for k < i, the
     # transposed upper factor, so a fold over k reads a row
@@ -393,7 +397,8 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
         t = []
         for i in range(j):
             v[i] = fold(v[i], T[i], v)
-            t.append(mul(kernel_star(dc, kernels, diag[i], (j + 1, i + 1)),
+            t.append(mul(encode_one(kernel_star(dc, kernels, diag[i],
+                                                (j + 1, i + 1))),
                          v[i]))   # 1-based (column, pivot)
         v[j] = fold(v[j], t, v)
         T.append(t)

@@ -2,17 +2,18 @@
 
 Matrices are immutable: every public constructor validates and
 normalizes entries through the descriptor's ``coerce``, and no method
-mutates ``self``.  One list-of-rows kernel, :func:`product`, serves
-the matrix product and the block closure.  It reduces each entry with
-the descriptor's row kernels, which equal a fixed left-to-right fold
-of ``fma`` over k, so float results are reproducible across runs and
-across algorithms that share this kernel.  The entrywise sum runs on
-the row kernels' ``add_rows``, as the block closure's sums do, so a
-sum that leaves the float range raises ``IllegalElement`` as a product
-does.  Over an interval lift the product is the pair of its base
-products on the lo and the hi endpoints (``intervals.endpoint_runs``),
-as the closures are; the hi product runs in the lift's worker process
-once it is large enough (from n = 46 for an n x n by n x 8 product),
+mutates ``self``.  The product is an operation of the descriptor's
+row kernels (``semirings.row_kernels``), ``product``, which the block
+closure multiplies with too.  Each of its entries equals a fixed
+left-to-right fold of ``fma`` over k, so float results are
+reproducible across runs and across algorithms that share this kernel;
+on boolean it ORs whole packed rows.  The entrywise sum runs on the row
+kernels' ``add_rows``, as the block closure's sums do, so a sum that
+leaves the float range raises ``IllegalElement`` as a product does.
+Over an interval lift the product is the pair of its base products on
+the lo and the hi endpoints (``intervals.endpoint_runs``), as the
+closures are; the hi product runs in the lift's worker process once
+it is large enough (from n = 46 for an n x n by n x 8 product),
 with the same result bit for bit.  A matrix over a catalog descriptor
 pickles, as its descriptor does, so that it can travel to that process.
 """
@@ -23,19 +24,12 @@ from .semirings import SemiringDescriptor, row_kernels, same_descriptor
 __all__ = ["Matrix", "identity", "zeros"]
 
 
-def product(kernels, X, Y):
-    """Product of two lists of rows of kernel values, as new rows."""
-    dot = kernels.dot
-    cols = list(zip(*Y))
-    return [[dot(xrow, ycol) for ycol in cols] for xrow in X]
-
-
 def _matrix_product(A, B):
     d = A.descriptor
     kernels = row_kernels(d)
     encode = kernels.encode
-    out = product(kernels, list(map(encode, A._data)),
-                  list(map(encode, B._data)))
+    out = kernels.product(list(map(encode, A._data)),
+                          list(map(encode, B._data)))
     return Matrix._wrap(d, list(map(kernels.decode, out)))
 
 

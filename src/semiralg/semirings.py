@@ -21,7 +21,9 @@ substitutions run on whole rows through :func:`row_kernels`.
 Every descriptor gets the left fold of its own ``fma`` over k; six
 catalog instances (maxplus, minplus, maxmin, boolean, rplus and
 real_field) get kernels on IEEE floats and bools instead, mostly loops
-that run in C, equal to that fold bit for bit.  Inside such a kernel
+that run in C, equal to that fold bit for bit.  Boolean packs each row
+into one int, a bit per entry; LDM, which writes single entries, runs
+boolean on the fold (:func:`list_kernels`).  Inside such a kernel
 the infinity tags are IEEE infinities; they become tags again on the
 way out, so a finite sum that overflows to the zero's infinity also
 comes out as the tag, and any other value past the float range raises
@@ -49,14 +51,15 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
-from operator import add as _add, and_ as _and, mul as _mul, or_ as _or
+from operator import (add as _add, and_ as _and, getitem as _getitem,
+                      mul as _mul, or_ as _or)
 from typing import Callable, NamedTuple
 
 from .errors import IllegalElement, InvalidBounds, StarUndefined, UnknownSemiring
 from .scalars import NEG_INF, POS_INF, Infinity, usual_leq
 
 __all__ = ["SemiringFlags", "SemiringDescriptor", "make_semiring", "RowKernels",
-           "row_kernels", "kernel_star"]
+           "row_kernels", "list_kernels", "kernel_star"]
 
 
 @dataclass(frozen=True)
@@ -472,54 +475,116 @@ def _make_real_field() -> SemiringDescriptor:
 class RowKernels(NamedTuple):
     """The row-level operations the matrix kernels run on.
 
-    They act on kernel values: ``encode`` maps one row of carrier values
-    into that form and ``decode`` maps one back, each as a new list.
-    ``mul`` is the scalar product, ``dot(xrow, ycol)`` one entry of a
-    matrix product, ``fold(acc, xrow, ycol)`` one entry of a substitution
-    or factorization step, ``axpy(row, a, krow)`` the row ``row + a krow``
-    of a Gauss-Jordan update and ``add_rows`` the entrywise sum.  Each
-    equals its definition by the descriptor's operations bit for bit:
-    ``fold`` the left fold over k of ``fma`` that starts from ``acc``
-    (``acc`` itself for empty rows), ``dot`` the same fold started from
-    ``mul(x[0], y[0])``, ``axpy`` one ``fma`` per entry and ``add_rows``
-    one ``add`` per entry.  ``dot`` and ``fold`` run over ``zip(xrow,
-    ycol)``, so the shorter row sets their length.  ``axpy`` may return
-    ``row`` itself; no operation mutates a row.
+    They act on kernel values and kernel rows.  ``encode`` maps one row
+    of carrier values to a kernel row and ``decode`` maps a kernel row
+    back to a new list; ``encode_one`` and ``decode_one`` do the same
+    for one value.
+
+    Arithmetic: ``mul`` is the scalar product, ``add_rows`` the
+    entrywise sum of two rows, ``product(X, Y)`` the matrix product of
+    two lists of rows as a new list, and ``eliminate(C, k, s)`` the rows
+    of C after the Gauss-Jordan step at pivot k whose star is ``s``:
+    ``row + (row[k] s) C[k]`` for every row, C[k] included, each read
+    before the step.  ``fold(acc, xrow, ycol)`` is one entry of a
+    substitution or factorization step and ``axpy(row, a, krow)`` the
+    row ``row + a krow``.  Each equals its definition by the
+    descriptor's operations bit for bit: ``fold`` the left fold over k
+    of ``fma`` that starts from ``acc`` (``acc`` itself for empty rows),
+    an entry of ``product`` the same fold started from ``mul(x[0],
+    y[0])``, ``axpy`` and ``eliminate`` one ``fma`` per entry and
+    ``add_rows`` one ``add`` per entry.  ``fold`` runs over ``zip(xrow,
+    ycol)``, so the shorter row sets its length.  No operation mutates
+    a row; ``axpy`` and ``eliminate`` may return their input itself.
+
+    Shape: ``entry(row, k)`` is the kernel value in column k,
+    ``split(rows, k)`` cuts every row of a list at column k and returns
+    the list of heads and the list of tails, and ``join(heads, tails)``
+    glues two such lists back, row by row.  The closures and the
+    product touch rows only through these operations.
+
+    Kernel rows are lists, except on boolean, where a row is one int:
+    bit j holds entry j, and a length bit at position n holds the width
+    of the row.  There a split is a mask and a shift, a sum is ``|``,
+    the Gauss-Jordan step ORs the pivot row into each row with bit k
+    set, and row i of a product is the OR of the rows k of Y over the
+    set bits k of row i of X: one big-int operation per row where a
+    list takes one Python operation per entry.  Its kernel values are
+    the carrier's bools.  Packed rows have no ``fold`` and no ``axpy``
+    (both None); code that reads or writes single entries of a row
+    (LDM) runs on :func:`list_kernels`.
     """
     encode: Callable
     decode: Callable
+    encode_one: Callable
+    decode_one: Callable
     mul: Callable
-    dot: Callable
-    fold: Callable
-    axpy: Callable
     add_rows: Callable
+    product: Callable
+    eliminate: Callable
+    fold: "Callable | None"
+    axpy: "Callable | None"
+    entry: Callable
+    split: Callable
+    join: Callable
 
 
 def row_kernels(d: SemiringDescriptor) -> RowKernels:
     """The row kernels of ``d``.
 
     The six catalog instances whose values map onto IEEE floats or bools
-    get kernels of their own, mostly loops that run in C; every other
-    descriptor (the complete carriers, lifts, and any copy of a catalog
-    instance, whose operations may have been replaced) gets the fold of
-    its own ``fma``.
+    get kernels of their own, mostly loops that run in C, and boolean
+    packs its rows into ints; every other descriptor (the complete
+    carriers, lifts, and any copy of a catalog instance, whose
+    operations may have been replaced) gets the fold of its own ``fma``.
     """
     kernels = _kernels.get(d)
     return kernels if kernels is not None else _fold_kernels(d)
 
 
+def list_kernels(d: SemiringDescriptor) -> RowKernels:
+    """Row kernels of ``d`` whose rows are lists: ``row_kernels(d)``, or
+    the fold of ``d``'s own ``fma`` where those pack their rows."""
+    kernels = row_kernels(d)
+    return kernels if kernels.fold is not None else _fold_kernels(d)
+
+
 def kernel_star(d, kernels, v, location):
-    """Kernel value of the star of kernel value ``v``.
+    """The star of kernel value ``v``, as a carrier value.
 
     The pivot goes to ``d.star`` as a carrier value, so a failure reads
     as in the matrix; it gets ``location`` unless it has one already.
     """
     try:
-        return kernels.encode([d.star(kernels.decode([v])[0])])[0]
+        return d.star(kernels.decode_one(v))
     except StarUndefined as exc:
         if exc.location is None:
             exc.location = location
         raise
+
+
+def _same(v):
+    return v
+
+
+def _split_lists(rows, k):
+    return [row[:k] for row in rows], [row[k:] for row in rows]
+
+
+def _list_kernels(encode, decode, encode_one, decode_one, mul, dot, fold,
+                  axpy, add_rows):
+    """Kernels on list rows from their arithmetic; ``dot(xrow, ycol)``,
+    the fold started from the first product, is one entry of a product."""
+    def product(X, Y):
+        cols = list(zip(*Y))
+        return [[dot(xrow, ycol) for ycol in cols] for xrow in X]
+
+    def eliminate(C, k, s):
+        rowk = C[k]
+        return [axpy(row, mul(row[k], s), rowk) for row in C]
+
+    return RowKernels(encode, decode, encode_one, decode_one, mul, add_rows,
+                      product, eliminate, fold, axpy, _getitem, _split_lists,
+                      lambda heads, tails: list(map(_add, heads, tails)))
 
 
 def _fold_decode(d):
@@ -542,6 +607,7 @@ def _fold_decode(d):
 
 def _fold_kernels(d):
     mul, fma, add = d.mul, d.fma, d.add
+    decode = _fold_decode(d)
 
     def fold(acc, xrow, ycol):
         for x, y in zip(xrow, ycol):
@@ -562,11 +628,13 @@ def _fold_kernels(d):
     def add_rows(xrow, yrow):
         return list(map(add, xrow, yrow))
 
-    return RowKernels(list, _fold_decode(d), mul, dot, fold, axpy, add_rows)
+    return _list_kernels(list, decode, _same, lambda v: decode([v])[0], mul,
+                         dot, fold, axpy, add_rows)
 
 
 def _codec(name, *tags, valid=None):
-    """Row encode/decode between the given tags and IEEE infinities.
+    """encode, decode, encode_one and decode_one between the given tags
+    and IEEE infinities.
 
     With ``valid``, decode rejects a kernel value it calls false: a
     finite result that overflowed to an infinity the carrier has no tag
@@ -576,10 +644,16 @@ def _codec(name, *tags, valid=None):
     """
     to_ieee = {t: math.copysign(math.inf, t.sign) for t in tags}
     to_tag = {v: t for t, v in to_ieee.items()}
-    encode = (lambda row: [to_ieee.get(v, v) for v in row]) if tags else list
-    untag = (lambda row: [to_tag.get(v, v) for v in row]) if tags else list
+    if tags:
+        encode = lambda row: [to_ieee.get(v, v) for v in row]
+        untag = lambda row: [to_tag.get(v, v) for v in row]
+        encode_one = lambda v: to_ieee.get(v, v)
+        untag_one = lambda v: to_tag.get(v, v)
+    else:
+        encode = untag = list
+        encode_one = untag_one = _same
     if valid is None:
-        return encode, untag
+        return encode, untag, encode_one, untag_one
 
     def decode(row):
         if not valid(sum(row)):
@@ -588,7 +662,12 @@ def _codec(name, *tags, valid=None):
                     raise _left_range(v, name)
         return untag(row)
 
-    return encode, decode
+    def decode_one(v):
+        if valid(v):
+            return untag_one(v)
+        raise _left_range(v, name)
+
+    return encode, decode, encode_one, decode_one
 
 
 # In the tropical and maxmin kernels a row update by the zero returns the
@@ -602,13 +681,13 @@ def _maxplus_kernels(d, _ninf=-math.inf):
             return row
         return [r if r >= (s := a + k) else s for r, k in zip(row, krow)]
 
-    return RowKernels(*_codec(d.name, NEG_INF, valid=math.inf.__gt__), _add,
-                      lambda xrow, ycol: max(map(_add, xrow, ycol)),
-                      lambda acc, xrow, ycol:
-                          max(chain((acc,), map(_add, xrow, ycol))),
-                      axpy,
-                      lambda xrow, yrow: [x if x >= y else y
-                                          for x, y in zip(xrow, yrow)])
+    return _list_kernels(*_codec(d.name, NEG_INF, valid=math.inf.__gt__), _add,
+                         lambda xrow, ycol: max(map(_add, xrow, ycol)),
+                         lambda acc, xrow, ycol:
+                             max(chain((acc,), map(_add, xrow, ycol))),
+                         axpy,
+                         lambda xrow, yrow: [x if x >= y else y
+                                             for x, y in zip(xrow, yrow)])
 
 
 def _minplus_kernels(d, _pinf=math.inf):
@@ -617,21 +696,22 @@ def _minplus_kernels(d, _pinf=math.inf):
             return row
         return [r if r <= (s := a + k) else s for r, k in zip(row, krow)]
 
-    return RowKernels(*_codec(d.name, POS_INF, valid=(-math.inf).__lt__), _add,
-                      lambda xrow, ycol: min(map(_add, xrow, ycol)),
-                      lambda acc, xrow, ycol:
-                          min(chain((acc,), map(_add, xrow, ycol))),
-                      axpy,
-                      lambda xrow, yrow: [x if x <= y else y
-                                          for x, y in zip(xrow, yrow)])
+    return _list_kernels(*_codec(d.name, POS_INF, valid=(-math.inf).__lt__),
+                         _add,
+                         lambda xrow, ycol: min(map(_add, xrow, ycol)),
+                         lambda acc, xrow, ycol:
+                             min(chain((acc,), map(_add, xrow, ycol))),
+                         axpy,
+                         lambda xrow, yrow: [x if x <= y else y
+                                             for x, y in zip(xrow, yrow)])
 
 
 def _maxmin_kernels(d):
     # max and min only pick among their arguments, so every kernel value
     # is an input value and decode needs no range check
-    encode, decode = _codec(d.name,
-                            *(t for t in d.params if isinstance(t, Infinity)))
-    zero = encode([d.zero])[0]
+    encode, decode, encode_one, decode_one = _codec(
+        d.name, *(t for t in d.params if isinstance(t, Infinity)))
+    zero = encode_one(d.zero)
 
     def fold(acc, xrow, ycol):
         # the fold takes min(x, y) only when it exceeds acc, that is when
@@ -659,33 +739,74 @@ def _maxmin_kernels(d):
         return [r if r >= a or r >= k else a if a <= k else k
                 for r, k in zip(row, krow)]
 
-    return RowKernels(encode, decode, min, dot, fold, axpy,
-                      lambda xrow, yrow: [x if x >= y else y
-                                          for x, y in zip(xrow, yrow)])
+    return _list_kernels(encode, decode, encode_one, decode_one, min, dot, fold,
+                         axpy,
+                         lambda xrow, yrow: [x if x >= y else y
+                                             for x, y in zip(xrow, yrow)])
+
+
+# bools as the bytes 0 and 1, to the digits of a binary literal and back
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _boolean_kernels(d):
-    def axpy(row, a, krow):
-        return list(map(_or, row, krow)) if a else row
+    # a row is one int: bit j holds entry j, and a length bit at position
+    # n holds the width, so that a row of zeros knows it too
+    def encode(row):
+        return int((bytes(row) + b"\x01")[::-1].translate(_TO_DIGITS), 2)
 
-    return RowKernels(list, list, _and,
-                      lambda xrow, ycol: any(map(_and, xrow, ycol)),
-                      lambda acc, xrow, ycol: acc or any(map(_and, xrow, ycol)),
-                      axpy,
-                      lambda xrow, yrow: list(map(_or, xrow, yrow)))
+    def decode(x):
+        return list(map(bool, format(x, "b").encode()[:0:-1]
+                        .translate(_FROM_DIGITS)))
+
+    def product(X, Y):
+        # row i is the OR of the rows k of Y over the set bits k of X[i].
+        # The ORs of all subsets of each eight rows of Y are tabled once,
+        # so that row i takes one lookup per byte of X[i]
+        m = len(Y)
+        tables = []
+        for g in range(0, m, 8):
+            table = [0]
+            for y in Y[g:g + 8]:
+                table += [v | y for v in table]
+            tables.append(table)
+        width, top, size = 1 << (Y[0].bit_length() - 1), 1 << m, (m + 7) // 8
+        return [reduce(_or, map(list.__getitem__, tables,
+                                (x ^ top).to_bytes(size, "little")), width)
+                for x in X]
+
+    def eliminate(C, k, s):
+        if not s:
+            return C
+        krow, bit = C[k], 1 << k
+        return [row | krow if row & bit else row for row in C]
+
+    def split(rows, k):
+        low, bit = (1 << k) - 1, 1 << k
+        return [row & low | bit for row in rows], [row >> k for row in rows]
+
+    def join(heads, tails):
+        k = heads[0].bit_length() - 1
+        bit = 1 << k
+        return [tail << k | head ^ bit for head, tail in zip(heads, tails)]
+
+    return RowKernels(encode, decode, bool, bool, _and, _or, product,
+                      eliminate, None, None,
+                      lambda row, k: row >> k & 1 == 1, split, join)
 
 
 def _field_kernels(d):
     # no shortcut for a zero factor: 0 * k is -0.0 for negative k, and
     # -0.0 + 0.0 is 0.0, so even a zero row update can change a sign.
     # reduce, not sum: sum compensates its rounding since Python 3.12
-    return RowKernels(*_codec(d.name, valid=math.isfinite), _mul,
-                      lambda xrow, ycol: reduce(_add, map(_mul, xrow, ycol)),
-                      lambda acc, xrow, ycol:
-                          reduce(_add, map(_mul, xrow, ycol), acc),
-                      lambda row, a, krow: list(map(_add, row,
-                                                    map(_mul, repeat(a), krow))),
-                      lambda xrow, yrow: list(map(_add, xrow, yrow)))
+    return _list_kernels(*_codec(d.name, valid=math.isfinite), _mul,
+                         lambda xrow, ycol: reduce(_add, map(_mul, xrow, ycol)),
+                         lambda acc, xrow, ycol:
+                             reduce(_add, map(_mul, xrow, ycol), acc),
+                         lambda row, a, krow:
+                             list(map(_add, row, map(_mul, repeat(a), krow))),
+                         lambda xrow, yrow: list(map(_add, xrow, yrow)))
 
 
 _SPECIALISED = {"maxplus": _maxplus_kernels, "minplus": _minplus_kernels,

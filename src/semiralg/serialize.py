@@ -145,7 +145,8 @@ def matrix_from_json(descriptor: SemiringDescriptor, obj,
     if any(len(row) != width for row in data):
         raise ParseError("rows have unequal lengths", context=where)
     for key, expect in (("rows", len(data)), ("cols", width)):
-        if key in obj and obj[key] != expect:
+        # an integer, as in the format: true == 1 and 1.0 == 1 pass !=
+        if key in obj and (type(obj[key]) is not int or obj[key] != expect):
             raise ParseError(f'"{key}" says {obj[key]!r} but data has {expect}',
                              context=where)
     rows = [scalars_from_json(descriptor, row, f"{where}.data[{i}]")

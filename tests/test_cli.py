@@ -49,6 +49,14 @@ def test_closure_on_shortest_path_graph(tmp_path, capsys):
     assert payload["result"]["data"][0][0] == 0.0
 
 
+def test_closure_of_the_committed_reachability_example(capsys):
+    # the input of the standard-library step of the CI workflow
+    path = Path(__file__).resolve().parent / "data" / "reachability.json"
+    payload = _json_out(capsys, "closure", "--semiring", "boolean", str(path))
+    assert payload["result"]["data"] == [[True, True, True, False]] * 3 \
+        + [[True] * 4]
+
+
 def test_paths_shortest_and_widest(tmp_path, capsys):
     g1 = _write(tmp_path / "g1.json", SHORTEST_GRAPH)
     payload = _json_out(capsys, "paths", "--semiring", "minplus", g1)
@@ -255,6 +263,16 @@ def test_exit_2_parse_failures(tmp_path, capsys):
     neg = _write(tmp_path / "neg.json", {"data": [["-inf"]]})
     code, _, err = _run(capsys, "closure", "--semiring", "rplus", neg)
     assert code == 2
+
+
+def test_exit_2_declared_size_not_an_integer(tmp_path, capsys):
+    # true == 1 and 1.0 == 1, yet the format asks for integers
+    for payload, key in (({"rows": True, "cols": 1.0, "data": [[1.0]]}, "rows"),
+                         ({"rows": 1, "cols": 1.0, "data": [[1.0]]}, "cols")):
+        path = _write(tmp_path / "size.json", payload)
+        code, out, err = _run(capsys, "closure", "--semiring", "maxplus", path)
+        assert code == 2 and out == ""
+        assert f'"{key}" says' in err and "but data has 1" in err
 
 
 def test_exit_2_integer_literal_too_large(tmp_path, capsys):

@@ -2,7 +2,8 @@
 against independent libraries.
 
 The brute-force checks of the other test files stop at n <= 8.  Here
-the closures run at n = 64 and 128 on the benchmark's seeded inputs
+the closures run at n = 64 and 128 (boolean also at 256) on the
+benchmark's seeded inputs
 (``bench/workloads.py``) and are compared with the benchmark's oracles
 (``bench/oracles.py``): scipy's Floyd-Warshall for minplus and maxplus,
 networkx transitive closure for boolean, threshold reachability for
@@ -46,12 +47,16 @@ def _matches_oracle(carrier, data, result_data):
     return oracles.same(carrier, oracles.array(result_data, carrier), ref)
 
 
+# boolean also at n = 256, where its packed rows span several machine words
+TROPICAL_CASES = [(carrier, n) for carrier in ("minplus", "maxplus", "boolean",
+                                               "maxmin")
+                  for n in (64, 128)] + [("boolean", 256)]
+
+
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-@pytest.mark.parametrize("n", [64, 128])
-@pytest.mark.parametrize("carrier", ["minplus", "maxplus", "boolean",
-                                     "maxmin"])
+@pytest.mark.parametrize("carrier,n", TROPICAL_CASES)
 def test_tropical_closure_equals_oracle(carrier, n, algorithm):
-    # dense at n = 64, sparse at n = 128, as the benchmark alternates them
+    # dense at n = 64, sparse from n = 128, as the benchmark alternates them
     density = 1.0 if n == 64 else 0.3
     data = workloads.tropical_matrix(_rng(carrier, n), carrier, n, n, density)
     result = ALGORITHMS[algorithm](workloads.to_matrix(carrier, data))

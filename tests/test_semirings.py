@@ -212,12 +212,14 @@ def _same_value(got, want):
     assert got is want or got == want
 
 
-@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+# boolean has no fold of its own: its kernels pack a row into an int, and
+# LDM runs it on the fold of its fma (see tests/test_boolean_kernels.py)
+@pytest.mark.parametrize("label", [c for c in KERNEL_CARRIERS if c != "boolean"])
 def test_fold_matches_the_fma_fold(label, rng):
     d = kernel_descriptor(label)
     kernels = row_kernels(d)
     encode, decode = kernels.encode, kernels.decode
-    zeros = [] if label == "boolean" else [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]
+    zeros = [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]
     cases = [(acc, list(x), list(y)) for acc in (-0.0, 0.0) for x in zeros
              for y in zeros]
     cases += [(acc, [], []) for acc in kernel_rows(label, 1, 8, rng)[0]]

@@ -123,6 +123,10 @@ def test_matrix_from_json_validation():
         matrix_from_json(MX, {"cols": 2, "data": [[1.0]]})
     with pytest.raises(ParseError, match=""""rows" says '2' but data has 2"""):
         matrix_from_json(MX, {"rows": "2", "data": [[1.0], [1.0]]})
+    with pytest.raises(ParseError, match='"rows" says True but data has 1'):
+        matrix_from_json(MX, {"rows": True, "data": [[1.0]]})
+    with pytest.raises(ParseError, match='"cols" says 1.0 but data has 1'):
+        matrix_from_json(MX, {"cols": 1.0, "data": [[1.0]]})
     with pytest.raises(ParseError, match=r"data\[0\]\[1\]"):
         matrix_from_json(MX, {"data": [[1.0, "oops"]]})
 
