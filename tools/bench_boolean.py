@@ -134,7 +134,10 @@ def measure(libs, reps):
                     dt, result = timed(
                         lambda: OPERATIONS[key[1]](libs[side], inputs[side]))
                     times[key][side].append(dt)
-                    results.append(result.to_lists())
+                    # repr: each side has its own infinity tags, which
+                    # compare by identity
+                    results.append([list(map(repr, row))
+                                    for row in result.to_lists()])
                 identical[key] &= all(r == results[0] for r in results)
                 del results
             gc.collect()
