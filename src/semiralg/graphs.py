@@ -12,9 +12,11 @@ trusts.
 from dataclasses import dataclass
 from itertools import repeat
 
-from .closure import ClosureOptions, _finish, _require_square, closure
-from .errors import (IndexOutOfRange, InvalidGraph, InvalidPath,
-                     OracleScaleExceeded, StarUndefined, WrongDescriptor)
+from .closure import (ClosureOptions, _finish, _require_square, closure,
+                      solve_bellman)
+from .errors import (DimensionMismatch, IndexOutOfRange, InvalidGraph,
+                     InvalidPath, OracleScaleExceeded, StarUndefined,
+                     WrongDescriptor)
 from .matrices import Matrix, identity, zeros
 from .semirings import SemiringDescriptor, list_kernels
 
@@ -169,9 +171,10 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
     A = graph_to_matrix(g)
     b = Matrix(d, [[v] for v in terminal])
     if b.rows != g.n:
-        raise InvalidGraph(f"terminal rewards: expected {g.n} values, got {b.rows}")
+        raise DimensionMismatch(
+            f"terminal rewards: expected {g.n} values, got {b.rows}")
     if horizon is None:
-        values = closure(A, options).mul(b)
+        values = solve_bellman(A, b, options)
     else:
         if horizon < 0:
             raise InvalidPath("horizon must be >= 0")

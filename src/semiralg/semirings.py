@@ -50,7 +50,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import (add as _add, and_ as _and, getitem as _getitem,
                       mul as _mul, or_ as _or)
 from typing import Callable, NamedTuple
@@ -506,8 +506,8 @@ class RowKernels(NamedTuple):
     bit j holds entry j, and a length bit at position n holds the width
     of the row.  There a split is a mask and a shift, a sum is ``|``,
     the Gauss-Jordan step ORs the pivot row into each row with bit k
-    set, and row i of a product is the OR of the rows k of Y over the
-    set bits k of row i of X: one big-int operation per row where a
+    set, and row i of a product is the OR of the rows of Y that the
+    bits of row i of X select: one big-int operation per row where a
     list takes one Python operation per entry.  Its kernel values are
     the carrier's bools.  Packed rows have no ``fold`` and no ``axpy``
     (both None); code that reads or writes single entries of a row
@@ -756,25 +756,17 @@ def _boolean_kernels(d):
     def encode(row):
         return int((bytes(row) + b"\x01")[::-1].translate(_TO_DIGITS), 2)
 
+    def bits(x):
+        # the entries of row x as the bytes 0 and 1, entry 0 first
+        return format(x, "b").encode()[:0:-1].translate(_FROM_DIGITS)
+
     def decode(x):
-        return list(map(bool, format(x, "b").encode()[:0:-1]
-                        .translate(_FROM_DIGITS)))
+        return list(map(bool, bits(x)))
 
     def product(X, Y):
-        # row i is the OR of the rows k of Y over the set bits k of X[i].
-        # The ORs of all subsets of each eight rows of Y are tabled once,
-        # so that row i takes one lookup per byte of X[i]
-        m = len(Y)
-        tables = []
-        for g in range(0, m, 8):
-            table = [0]
-            for y in Y[g:g + 8]:
-                table += [v | y for v in table]
-            tables.append(table)
-        width, top, size = 1 << (Y[0].bit_length() - 1), 1 << m, (m + 7) // 8
-        return [reduce(_or, map(list.__getitem__, tables,
-                                (x ^ top).to_bytes(size, "little")), width)
-                for x in X]
+        # row i is the OR of the rows of Y that the bits of X[i] select
+        width = 1 << (Y[0].bit_length() - 1)
+        return [reduce(_or, compress(Y, bits(x)), width) for x in X]
 
     def eliminate(C, k, s):
         if not s:

@@ -10,9 +10,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiralg import (ClosureOptions, Matrix, closure_block,
-                      closure_gauss_jordan, make_semiring)
+                      closure_gauss_jordan, make_semiring, solve_bellman)
 from semiralg.semirings import list_kernels, row_kernels
 
 BOOLEAN = make_semiring("boolean")
@@ -67,8 +68,10 @@ def test_packed_rows_round_trip(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_packed_closures_match_the_fma_fold(n, density):
     A, A_oracle = _both(_rows(n, n, density, "closure"))
+    B, B_oracle = _both(_rows(n, 8, density, "bellman"))
     _same(closure_gauss_jordan(A), closure_gauss_jordan(A_oracle))
     _same(closure_block(A), closure_block(A_oracle))
+    _same(solve_bellman(A, B), solve_bellman(A_oracle, B_oracle))
 
 
 @pytest.mark.parametrize("density", DENSITIES)
@@ -91,3 +94,35 @@ def test_packed_product_and_sum_match_the_fma_fold(n, density):
     _same(A.mul(B), A_oracle.mul(B_oracle))
     _same(C.mul(A), C_oracle.mul(A_oracle))
     _same(A.add(D), A_oracle.add(D_oracle))
+    # rectangular: n x 1 . 1 x n, 1 x n . n x 1 and 3 x n . n x 17
+    col, col_oracle = _both(_rows(n, 1, density, "col"))
+    row, row_oracle = _both(_rows(1, n, density, "row"))
+    _same(col.mul(row), col_oracle.mul(row_oracle))
+    _same(row.mul(col), row_oracle.mul(col_oracle))
+    left = _rows(3, n, density, "left")
+    left[0] = [False] * n       # selects no row of the right factor
+    L, L_oracle = _both(left)
+    R, R_oracle = _both(_rows(n, 17, density, "right"))
+    _same(L.mul(R), L_oracle.mul(R_oracle))
+    assert L.mul(R).to_lists()[0] == [False] * 17
+
+
+def _drawn(rows, cols):
+    # one draw per row, its bits the entries
+    row = st.integers(0, (1 << cols) - 1).map(
+        lambda bits: [bits >> j & 1 == 1 for j in range(cols)])
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_kernels_match_the_fma_fold_on_drawn_shapes(data):
+    n, m, p = (data.draw(st.integers(1, 40)) for _ in range(3))
+    X, X_oracle = _both(data.draw(_drawn(n, m)))
+    Y, Y_oracle = _both(data.draw(_drawn(m, p)))
+    _same(X.mul(Y), X_oracle.mul(Y_oracle))
+    A, A_oracle = _both(data.draw(_drawn(n, n)))
+    opts = ClosureOptions(split=data.draw(st.integers(1, max(1, n - 1))))
+    _same(closure_block(A, opts), closure_block(A_oracle, opts))
+    B, B_oracle = _both(data.draw(_drawn(n, p)))
+    _same(solve_bellman(A, B), solve_bellman(A_oracle, B_oracle))

@@ -400,6 +400,13 @@ def test_exit_3_dimension_mismatch(tmp_path, capsys):
     b = _write(tmp_path / "b.json", {"data": [[0.0]]})
     code, _, err = _run(capsys, "solve", "--semiring", "maxplus", a, b)
     assert code == 3
+    g = _write(tmp_path / "g.json", PROFIT_GRAPH)
+    short = _write(tmp_path / "short.json", [0.0])
+    for horizon in ([], ["--horizon", "1"]):
+        code, out, err = _run(capsys, "profit", "--semiring", "maxplus",
+                              *horizon, g, short)
+        assert (code, out) == (3, "")
+        assert err == "error: terminal rewards: expected 2 values, got 1\n"
 
 
 def test_exit_4_star_undefined_with_location(tmp_path, capsys):

@@ -9,9 +9,9 @@ from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, Path,
                       closure_gauss_jordan, graph_to_matrix, identity,
                       matrix_to_graph, max_profit, path_weight,
                       real_matrix_star, shortest_paths, widest_paths, zeros)
-from semiralg.errors import (IndexOutOfRange, InvalidGraph, InvalidPath,
-                             OracleScaleExceeded, StarUndefined,
-                             WrongDescriptor)
+from semiralg.errors import (DimensionMismatch, IndexOutOfRange,
+                             InvalidGraph, InvalidPath, OracleScaleExceeded,
+                             StarUndefined, WrongDescriptor)
 
 MX = descriptor("maxplus")
 MN = descriptor("minplus")
@@ -253,8 +253,10 @@ def test_max_profit_unbounded_positive_cycle_diverges():
 
 def test_max_profit_validation():
     g = WeightedDigraph(2, ((1, 2, 3.0),), MX)
-    with pytest.raises(InvalidGraph):
-        max_profit(g, [0.0], 1)  # terminal vector too short
+    for horizon in (1, None):
+        with pytest.raises(DimensionMismatch,
+                           match="expected 2 values, got 1"):
+            max_profit(g, [0.0], horizon)  # terminal vector too short
     with pytest.raises(InvalidPath):
         max_profit(g, [0.0, 0.0], -1)
 

@@ -1,20 +1,25 @@
-"""Time the packed boolean kernels against a baseline revision.
+"""Time the boolean kernels against a baseline revision.
 
 Runs boolean Gauss-Jordan closure, block closure and matrix product at
-n = 64, 128 and 256 on dense and sparse inputs, and, as the control that
-the refactor of the row kernels costs the other carriers nothing,
-maxplus, minplus and maxmin Gauss-Jordan and block closure at n = 128.
-Each call runs on the working tree's ``src/semiralg`` and on the same
-package at a baseline git revision (before the boolean rows were
-packed, that is the list kernels), loaded side by side in one process.
+n = 64, 128 and 256 on dense and sparse inputs; then the shapes the
+benchmark's workloads run on boolean: ``solve_bellman`` (block closure,
+then the n x 8 product) at n = 64, 96 and 128 as in tropical-closure,
+and block closure at n = 8, 16 and 24 as in the cli-jobs ``closure``
+jobs; and, as the control that a change to the row kernels costs the
+other carriers nothing, maxplus, minplus and maxmin Gauss-Jordan and
+block closure at n = 128.  Each call runs on the working tree's
+``src/semiralg`` and on the same package at a baseline git revision,
+loaded side by side in one process.
 
 Timing is interleaved best-of-N: every repetition times each case on
 both sides, alternating which side runs first, with the collector
-parked.  Only ratios within one run mean anything; absolute times
-drift between runs.  The control rows also time a second copy of the
-baseline: on a shared machine two copies of one program can differ by
-several per cent, and that spread bounds what a control row can show.
-Every result is checked to be identical on all sides.
+parked.  A timing below n = 64 covers several calls, so that it is
+not lost in the clock's noise; every time is given per call.  Only
+ratios within one run mean anything; absolute times drift between
+runs.  The control rows also time a second copy of the baseline: on a
+shared machine two copies of one program can differ by several per
+cent, and that spread bounds what a control row can show.  Every
+result is checked to be identical on all sides.
 
     python3 tools/bench_boolean.py --baseline HEAD~1 --out BENCH_boolean.json
 """
@@ -70,12 +75,12 @@ def weight(rng, carrier):
     return float(rng.randint(1, 9))
 
 
-def plain_matrix(carrier, n, density, seed):
+def plain_matrix(carrier, n, density, seed, cols=None):
     rng = random.Random(f"{carrier}/{n}/{density}/{seed}")
     zero = {"boolean": False, "maxplus": "-inf", "minplus": "inf",
             "maxmin": 0.0}[carrier]
     return [[weight(rng, carrier) if rng.random() < density else zero
-             for _ in range(n)] for _ in range(n)]
+             for _ in range(cols or n)] for _ in range(n)]
 
 
 def to_matrix(lib, carrier, data):
@@ -87,29 +92,46 @@ def to_matrix(lib, carrier, data):
 
 
 OPERATIONS = {
-    "gauss_jordan": lambda lib, A: lib.closure_gauss_jordan(A),
-    "block": lambda lib, A: lib.closure_block(A),
-    "product": lambda lib, A: A.mul(A),
+    "gauss_jordan": lambda lib, A, B: lib.closure_gauss_jordan(A),
+    "block": lambda lib, A, B: lib.closure_block(A),
+    "product": lambda lib, A, B: A.mul(A),
+    "solve_bellman": lambda lib, A, B: lib.solve_bellman(A, B),
 }
+# the right-hand side of solve_bellman: n x 8 at density 0.5, as in the
+# tropical-closure workload
+B_COLS, B_DENSITY = 8, 0.5
 
 
 def cases():
-    """(carrier, op, n, density, sides): the boolean rows, then the controls,
-    which also time a second copy of the baseline, so that the spread of
-    two identical programs shows next to the change."""
+    """(carrier, op, n, density, sides): the boolean rows, the workload
+    shapes, then the controls, which also time a second copy of the
+    baseline, so that the spread of two identical programs shows next to
+    the change."""
     for op in ("gauss_jordan", "block", "product"):
         for n in (64, 128, 256):
             for density in (1.0, 0.3, 0.02):
                 yield "boolean", op, n, density, ("baseline", "change")
+    # tropical-closure draws boolean matrices at density 1.0 and 0.3, and
+    # cli-jobs at 0.5 below n = 96
+    for n in (64, 96, 128):
+        for density in (1.0, 0.3):
+            yield "boolean", "solve_bellman", n, density, ("baseline", "change")
+    for n in (8, 16, 24):
+        yield "boolean", "block", n, 0.5, ("baseline", "change")
     for carrier in ("maxplus", "minplus", "maxmin"):
         for op in ("gauss_jordan", "block"):
             yield carrier, op, 128, 1.0, ("baseline", "change", "baseline_copy")
 
 
-def timed(run):
+def calls_per_timing(n):
+    return 1 if n >= 64 else 25
+
+
+def timed(run, calls):
     t = time.perf_counter()
-    result = run()
-    return time.perf_counter() - t, result
+    for _ in range(calls):
+        result = run()
+    return (time.perf_counter() - t) / calls, result
 
 
 def measure(libs, reps):
@@ -117,8 +139,11 @@ def measure(libs, reps):
     plan = []
     for carrier, op, n, density, sides in cases():
         data = plain_matrix(carrier, n, density, 0)
+        b_data = (plain_matrix(carrier, n, B_DENSITY, 1, B_COLS)
+                  if op == "solve_bellman" else None)
         plan.append(((carrier, op, n, density),
-                     {side: to_matrix(libs[side], carrier, data)
+                     {side: (to_matrix(libs[side], carrier, data),
+                             b_data and to_matrix(libs[side], carrier, b_data))
                       for side in sides}))
     times = {key: {side: [] for side in inputs} for key, inputs in plan}
     identical = {key: True for key, _ in plan}
@@ -132,7 +157,8 @@ def measure(libs, reps):
                 results = []
                 for side in sides:
                     dt, result = timed(
-                        lambda: OPERATIONS[key[1]](libs[side], inputs[side]))
+                        lambda: OPERATIONS[key[1]](libs[side], *inputs[side]),
+                        calls_per_timing(key[2]))
                     times[key][side].append(dt)
                     # repr: each side has its own infinity tags, which
                     # compare by identity
@@ -171,8 +197,8 @@ def main(argv=None):
     for key, t in times.items():
         carrier, op, n, density = key
         row = {"carrier": carrier, "op": op, "n": n, "density": density,
-               "baseline_ms": round(min(t["baseline"]) * 1e3, 3),
-               "change_ms": round(min(t["change"]) * 1e3, 3),
+               "baseline_ms": round(min(t["baseline"]) * 1e3, 4),
+               "change_ms": round(min(t["change"]) * 1e3, 4),
                "speedup": round(min(t["baseline"]) / min(t["change"]), 3),
                "paired_speedup": paired(t["baseline"], t["change"])}
         if "baseline_copy" in t:
@@ -196,9 +222,9 @@ def main(argv=None):
     for r in rows:
         copy = (f' copy x{r["copy_speedup"]} paired x{r["copy_paired_speedup"]}'
                 if "copy_speedup" in r else "")
-        print(f'{r["carrier"]:<7} {r["op"]:<12} n={r["n"]:<3} '
-              f'density={r["density"]:<4} {r["baseline_ms"]:>9.2f} -> '
-              f'{r["change_ms"]:>8.2f} ms  x{r["speedup"]:<7} '
+        print(f'{r["carrier"]:<7} {r["op"]:<13} n={r["n"]:<3} '
+              f'density={r["density"]:<4} {r["baseline_ms"]:>9.3f} -> '
+              f'{r["change_ms"]:>8.3f} ms  x{r["speedup"]:<7} '
               f'paired x{r["paired_speedup"]:<6}{copy} '
               f'{"identical" if r["identical"] else "DIFFERENT"}')
     return 0 if all(identical.values()) else 1
