@@ -35,8 +35,8 @@ from .errors import (DescriptorMismatch, DimensionMismatch, InvalidBounds,
                      NotPositive, NotSymmetric, ParseError, SemiringError,
                      ShapeViolation, StarUndefined, UnknownSemiring,
                      WrongDescriptor)
-from .graphs import graph_to_matrix, max_profit, real_matrix_star, \
-    shortest_paths, widest_paths
+from .graphs import _carrier, graph_to_matrix, max_profit, \
+    real_matrix_star, shortest_paths, widest_paths
 from .intervals import lift_semiring
 from .ldm import OpCounter, ldm_factorize
 from .matrices import Matrix
@@ -170,9 +170,9 @@ def _run(args, d) -> dict:
     if cmd == "paths":
         g = _graph_input(d, args.inputs[0])
         with _graph_fits(args.inputs[0], g):
-            if d.name == "minplus":
+            if _carrier(d) == "minplus":
                 result = shortest_paths(g, _closure_options(args))
-            elif d.name == "maxmin":
+            elif _carrier(d) == "maxmin":
                 result = widest_paths(g, _closure_options(args))
             else:
                 raise WrongDescriptor(

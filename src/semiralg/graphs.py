@@ -11,9 +11,9 @@ trusts.
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import sub
 
-from .closure import (ClosureOptions, _finish, _require_square, closure,
-                      solve_bellman)
+from .closure import ClosureOptions, _require_square, closure, solve_bellman
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidGraph,
                      InvalidPath, OracleScaleExceeded, StarUndefined,
                      WrongDescriptor)
@@ -139,18 +139,24 @@ def brute_force_star(g: WeightedDigraph, max_len: int) -> Matrix:
     return Matrix._wrap(d, out)
 
 
+def _carrier(d: SemiringDescriptor) -> str:
+    """The name of ``d``, or of its base for an interval lift: a path
+    problem on intervals is its pair of base problems."""
+    return d.name if d.base is None else d.base.name
+
+
 def shortest_paths(g: WeightedDigraph,
                    options: "ClosureOptions | None" = None) -> Matrix:
-    """All-pairs shortest path weights; needs the minplus semiring."""
-    if g.descriptor.name != "minplus":
+    """All-pairs shortest path weights; needs minplus or its lift."""
+    if _carrier(g.descriptor) != "minplus":
         raise WrongDescriptor(f"shortest paths need minplus, got {g.descriptor.label}")
     return closure(graph_to_matrix(g), options)
 
 
 def widest_paths(g: WeightedDigraph,
                  options: "ClosureOptions | None" = None) -> Matrix:
-    """All-pairs maximal bottleneck widths; needs a maxmin semiring."""
-    if g.descriptor.name != "maxmin":
+    """All-pairs maximal bottleneck widths; needs maxmin or its lift."""
+    if _carrier(g.descriptor) != "maxmin":
         raise WrongDescriptor(f"widest paths need maxmin, got {g.descriptor.label}")
     return closure(graph_to_matrix(g), options)
 
@@ -159,13 +165,14 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
                options: "ClosureOptions | None" = None):
     """Best achievable profit per start node of a staged decision walk.
 
-    Arc weights are per-step profits over maxplus, ``terminal`` is the
-    reward collected at the node a walk ends in.  With ``horizon`` k
-    the walk takes exactly k steps; ``horizon=None`` searches over all
-    lengths, which requires the closure (and so either no profitable
-    cycles or the completed carrier).
+    Arc weights are per-step profits over maxplus (or intervals over
+    it), ``terminal`` is the reward collected at the node a walk ends
+    in.  With ``horizon`` k the walk takes exactly k steps;
+    ``horizon=None`` searches over all lengths, which requires the
+    closure (and so either no profitable cycles or the completed
+    carrier).
     """
-    if g.descriptor.name not in ("maxplus", "maxplus_complete"):
+    if _carrier(g.descriptor) not in ("maxplus", "maxplus_complete"):
         raise WrongDescriptor(f"profit search needs maxplus, got {g.descriptor.label}")
     d = g.descriptor
     A = graph_to_matrix(g)
@@ -186,37 +193,40 @@ def real_matrix_star(A: Matrix) -> Matrix:
     """Closure over the real field: the inverse of (E - A).
 
     Gauss-Jordan elimination with partial pivoting (Golub & Van Loan,
-    *Matrix Computations*, 3.4).  Step k places the remaining row of
-    A - E with the largest entry c in column k, for a pivot of 1 + c;
-    the steps close A' = E - P(E - A) for a row permutation P, and
-    A* = (A')* P.  When c is 0, E - A is singular to working precision
-    and ``StarUndefined`` names column k + 1.
+    *Matrix Computations*, 3.4) on E - A, in place.  Step k places the
+    remaining row with the largest entry p in column k, scales it by
+    1/p and subtracts its multiples from the other rows; the steps
+    invert P(E - A) for a row permutation P, and A* = (P(E - A))^-1 P.
+    When p is 0, E - A is singular to working precision and
+    ``StarUndefined`` names column k + 1.
     """
     if A.descriptor.name != "real_field":
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
     _require_square(A)
     d, n = A.descriptor, A.rows
     kernels = list_kernels(d)
-    C = list(map(kernels.encode, A._data))
+    C = [list(map(sub, repeat(0.0), row)) for row in A._data]   # E - A
     for i, row in enumerate(C):
-        row[i] -= 1.0
+        row[i] += 1.0
     placed = list(range(n))     # the row of A at each position
     for k in range(n):
         r = max(range(k, n), key=lambda r: abs(C[r][k]))
         C[k], C[r] = C[r], C[k]
         placed[k], placed[r] = placed[r], placed[k]
-        rowk, c = C[k], C[k][k]
-        if c == 0.0:
+        rowk, p = C[k], C[k][k]
+        if p == 0.0:
             raise StarUndefined(
                 "E - A is singular to working precision: no remaining row "
                 f"has a nonzero entry in column {k + 1}",
                 element=1.0, location=k + 1)
-        # the star of the pivot 1 + c, 1 / (1 - (1 + c)), without rounding
-        # 1 + c first: that would lose c's low bits when |c| << 1
-        rowk[k] = c + 1.0
-        rowk = list(map(kernels.mul, repeat(-1.0 / c), rowk))
-        C = [rowk if i == k else kernels.axpy(row, row[k], rowk)
-             for i, row in enumerate(C)]
+        # column k turns into column k of the inverse: 1/p in the pivot
+        # row, -a/p in a row whose entry there was a
+        rowk[k] = 1.0
+        rowk = C[k] = list(map(kernels.mul, repeat(1.0 / p), rowk))
+        for i, row in enumerate(C):
+            if i != k:
+                a, row[k] = row[k], 0.0
+                C[i] = kernels.axpy(row, -a, rowk)
     columns = sorted(range(n), key=placed.__getitem__)
     return Matrix._wrap(d, [list(map(row.__getitem__, columns))
-                            for row in _finish(d, kernels, C)._data])
+                            for row in map(kernels.decode, C)])

@@ -13,8 +13,9 @@ interval matrix, exactly the pair of its base runs on the lo and on
 the hi matrix.  The closures, factorizations and substitutions use
 that, and so does the matrix product: ``endpoint_runs`` runs a kernel
 once per endpoint and ``join_endpoints`` zips the two results back
-into intervals.  The lifted ``fma`` (two base accumulates) serves
-everything else.
+into intervals.  The lifted ``fma`` is ``add(acc, mul(x, y))``, for the
+scalar API, the law checker and copies of a lift, whose operations
+may have been replaced and which therefore run the fold kernels.
 
 The two endpoint runs are independent.  ``endpoint_runs`` sends the hi
 run to one worker process, forked at the first call that ships and
@@ -338,8 +339,8 @@ def _build_lift(base: SemiringDescriptor) -> SemiringDescriptor:
     badd, bmul, bstar = base.add, base.mul, base.star
     bleq, beq, bcoerce = base.leq, base.eq, base.coerce
     bzero, label = base.zero, base.label
-    # one canonical zero object, shared by every zero-valued entry, so
-    # kernels can recognize it with a single identity test
+    # one canonical zero object, shared by every zero-valued entry: the
+    # one form of a zero pair, which is_zero finds by identity first
     zero = Interval(bzero, bzero)
 
     def _canon(lo, hi, _new=tuple.__new__):
@@ -388,22 +389,10 @@ def _build_lift(base: SemiringDescriptor) -> SemiringDescriptor:
         name="interval", zero=zero,
         one=Interval(base.one, base.one),
         add=add, mul=mul, star=star, leq=leq, eq=eq,
-        coerce=coerce, fma=_generic_fma(base.fma, zero), base=base,
+        coerce=coerce, fma=lambda acc, x, y: add(acc, mul(x, y)),
+        base=base,
         flags=SemiringFlags(idempotent=base.flags.idempotent,
                             complete=base.flags.complete,
                             commutative_mul=base.flags.commutative_mul,
                             positive=True))
 
-
-def _generic_fma(bfma, _zero):
-    # two base accumulates; handing back acc itself when neither endpoint
-    # moved relies on the base fma returning its own acc in that case
-    def fma(acc, x, y, _new=tuple.__new__, _I=Interval):
-        if x is _zero or y is _zero:
-            return acc
-        lo = bfma(acc[0], x[0], y[0])
-        hi = bfma(acc[1], x[1], y[1])
-        if lo is acc[0] and hi is acc[1]:
-            return acc
-        return _new(_I, (lo, hi))
-    return fma

@@ -457,10 +457,7 @@ def _make_real_field() -> SemiringDescriptor:
         return 1.0 / (1.0 - x)
 
     def fma(acc, x, y):
-        try:
-            return acc + x * y
-        except TypeError:
-            return add(acc, mul(x, y))
+        return acc + x * y
 
     return SemiringDescriptor(
         name=name, zero=0.0, one=1.0,
@@ -769,8 +766,7 @@ def _boolean_kernels(d):
         return [reduce(_or, compress(Y, bits(x)), width) for x in X]
 
     def eliminate(C, k, s):
-        if not s:
-            return C
+        # s is the star of a pivot, which is True on boolean
         krow, bit = C[k], 1 << k
         return [row | krow if row & bit else row for row in C]
 

@@ -10,10 +10,13 @@ import pytest
 
 import semiralg
 
-from conftest import descriptor, random_graph, random_stable_matrix
-from semiralg import Matrix, NEG_INF, closure, graph_to_matrix, solve_bellman
+from conftest import (descriptor, random_graph, random_interval_matrix,
+                      random_stable_matrix)
+from semiralg import (Interval, Matrix, NEG_INF, closure, graph_to_matrix,
+                      matrix_to_graph, solve_bellman)
 from semiralg.cli import main
-from semiralg.serialize import dumps, graph_to_json, matrix_to_json
+from semiralg.serialize import (dumps, graph_to_json, matrix_to_json,
+                                scalars_to_json)
 
 
 def _write(path, payload):
@@ -178,6 +181,44 @@ def test_interval_closure_equals_endpoint_runs(tmp_path, capsys, rng):
                 hi_out["result"]["data"][i][j]]
 
 
+@pytest.mark.parametrize("command,semiring,horizon", [
+    ("paths", "minplus", ()), ("paths", "maxmin,0,10", ()),
+    ("profit", "maxplus", ("--horizon", "inf")),
+    ("profit", "maxplus", ("--horizon", "2"))])
+def test_interval_paths_and_profit_equal_endpoint_runs(tmp_path, capsys, rng,
+                                                       command, semiring,
+                                                       horizon):
+    # the interval run is the pair of base runs on the lo and the hi input
+    name = semiring.split(",")[0]
+    base = descriptor(name)
+    av = random_interval_matrix(name, 5, rng)
+    b = [Interval(NEG_INF, NEG_INF), Interval(NEG_INF, 1.0)] + [
+        Interval(v, v + rng.randint(0, 3))
+        for v in (float(rng.randint(-3, 3)) for _ in range(3))]
+    runs = []     # the interval run, then the base runs on lo and on hi
+    for end, label in ((None, "iv"), (0, "lo"), (1, "hi")):
+        if end is None:
+            d, graph, vector = av.descriptor, av, b
+        else:
+            d = base
+            graph = Matrix(base, [[v[end] for v in row] for row in av.to_lists()])
+            vector = [v[end] for v in b]
+        inputs = [_write(tmp_path / f"g_{label}.json",
+                         graph_to_json(matrix_to_graph(graph)))]
+        if command == "profit":
+            inputs.append(_write(tmp_path / f"b_{label}.json",
+                                 scalars_to_json(d, vector)))
+        flags = ["--interval"] if end is None else []
+        runs.append(_json_out(capsys, command, "--semiring", semiring,
+                              *flags, *horizon, *inputs)["result"])
+    got, lo, hi = runs
+    if command == "paths":
+        got, lo, hi = got["data"], lo["data"], hi["data"]
+        assert got == [list(map(list, zip(*rows))) for rows in zip(lo, hi)]
+    else:
+        assert got == list(map(list, zip(lo, hi)))
+
+
 def test_minplus_closure_is_negated_maxplus_closure(tmp_path, capsys, rng):
     g = random_graph("minplus", 4, rng)
     negated = {"n": g.n,
@@ -263,6 +304,13 @@ def test_exit_2_parse_failures(tmp_path, capsys):
     neg = _write(tmp_path / "neg.json", {"data": [["-inf"]]})
     code, _, err = _run(capsys, "closure", "--semiring", "rplus", neg)
     assert code == 2
+    # paths and profit read a graph, not a matrix
+    b = _write(tmp_path / "b.json", [0.0])
+    for argv in (["paths", "--semiring", "minplus", neg],
+                 ["profit", "--semiring", "maxplus", neg, b]):
+        assert _run(capsys, *argv) == (
+            2, "", f'error: {neg}: expected a graph object with an "arcs" '
+                   "field\n")
 
 
 def test_exit_2_declared_size_not_an_integer(tmp_path, capsys):
@@ -442,6 +490,13 @@ def test_exit_5_semiring_selection(tmp_path, capsys):
     code, _, _ = _run(capsys, "closure", "--semiring", "real_field",
                       "--interval", pa)
     assert code == 5  # interval lift needs a positive base
+    gi = _write(tmp_path / "gi.json", {"n": 2, "arcs": [[1, 2, [1.0, 2.0]]]})
+    code, _, err = _run(capsys, "paths", "--semiring", "maxplus", "--interval",
+                        gi)
+    assert code == 5 and "got interval(maxplus)" in err
+    code, _, _ = _run(capsys, "invert", "--semiring", "real_field",
+                      "--interval", pa)
+    assert code == 5
 
 
 def test_exit_1_other_failures(tmp_path, capsys):

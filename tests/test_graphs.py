@@ -7,7 +7,7 @@ from conftest import (descriptor, pivoted_rows, random_contraction,
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, Path,
                       WeightedDigraph, brute_force_star, closure,
                       closure_gauss_jordan, graph_to_matrix, identity,
-                      matrix_to_graph, max_profit, path_weight,
+                      lift_semiring, matrix_to_graph, max_profit, path_weight,
                       real_matrix_star, shortest_paths, widest_paths, zeros)
 from semiralg.errors import (DimensionMismatch, IndexOutOfRange,
                              InvalidGraph, InvalidPath, OracleScaleExceeded,
@@ -351,10 +351,14 @@ def test_real_matrix_star_inverts_a_unit_pivot_block():
     [[1.0, -1e-10], [-1e-10, 1.0]], [[1.0, -1e-20], [-1e-20, 1.0]]],
     ids=["1e8", "1e20", "1e300", "1e-10", "1e-20"])
 def test_real_matrix_star_far_from_unit_scale(rows):
-    # large pivots: the pivot row is scaled by the star, not added to its
-    # own multiple, which cancelled to 0.0 for [[1e8]] and 1.0 for [[1e20]];
-    # small ones: the star of 1 + c is -1/c, so c is not rounded into 1
-    _assert_close(real_matrix_star(Matrix(REAL, rows)), _inverse_of_e_minus(rows))
+    # every entry within a relative 1e-12 of numpy's: an entry s far below
+    # 1 keeps its digits, which adding E back at the end would round away
+    # as (s - 1) + 1, and a pivot is not rounded into 1 + c
+    got = real_matrix_star(Matrix(REAL, rows)).to_lists()
+    want = _inverse_of_e_minus(rows)
+    for i, row in enumerate(got):
+        for j, v in enumerate(row):
+            assert abs(v - want[i][j]) <= 1e-12 * abs(want[i][j])
 
 
 def test_real_matrix_star_matches_numpy_on_seeded_unit_pivots():
@@ -396,6 +400,15 @@ def test_wrong_descriptor_guards(rng):
         max_profit(g_min, [0.0, 0.0, 0.0], 1)
     with pytest.raises(WrongDescriptor):
         real_matrix_star(graph_to_matrix(g_max))
+    # a lift passes for its base; a lift of a lift does not
+    twice = lift_semiring(lift_semiring(MN))
+    shortest_paths(WeightedDigraph(2, (), lift_semiring(MN)))
+    for run, d in ((shortest_paths, twice), (widest_paths, lift_semiring(MN)),
+                   (shortest_paths, lift_semiring(MX)),
+                   (lambda g: max_profit(g, [twice.zero], 1),
+                    lift_semiring(lift_semiring(MX)))):
+        with pytest.raises(WrongDescriptor, match="got interval"):
+            run(WeightedDigraph(1, (), d))
 
 
 def test_solvers_accept_closure_options(rng):

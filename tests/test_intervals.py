@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (assert_bit_identical, descriptor, interval_hull, interval_samples,
-                      pair_endpoints, random_interval_matrix,
+                      kernel_rows, pair_endpoints, random_interval_matrix,
                       random_nilpotent_matrix, random_stable_matrix,
                       random_symmetric_stable_matrix, scalar_samples)
 from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
@@ -168,15 +168,6 @@ def test_lifted_fma_matches_add_mul(rng):
         assert laws.fused_accumulate_matches(lifted, samples) == []
 
 
-def test_lifted_fma_returns_acc_on_dominated_update():
-    lifted = lift_semiring(MX)
-    acc = Interval(10.0, 20.0)
-    dominated = lifted.fma(acc, Interval(0.0, 1.0), Interval(0.0, 1.0))
-    assert dominated is acc
-    moved = lifted.fma(acc, Interval(5.0, 30.0), Interval(6.0, 1.0))
-    assert moved == Interval(11.0, 31.0)
-
-
 def test_enclosure_property(rng):
     """Base results stay inside the interval results, op by op."""
     for name in ("maxplus", "minplus", "maxmin"):
@@ -245,22 +236,63 @@ def _sampled(name, rows, cols, rand):
                            for _ in range(rows)])
 
 
-@pytest.mark.parametrize("name", LIFT_NAMES)
-def test_product_decomposes_endpoint_wise(name, rng):
-    # the product of a lift is its pair of base products bit for bit, and
-    # equals the lifted fma fold that a dataclasses.replace copy runs
+def _star_safe(name, rows, cols, rand, signed_zeros):
+    """A lifted matrix whose endpoint matrices have closures, from
+    ``kernel_rows``; without ``signed_zeros`` no endpoint is -0.0."""
+    base = descriptor(name)
+    label = name.replace("_complete", "")   # its values are legal there too
+    lo, hi = (Matrix(base, [[v if signed_zeros or type(v) is not float
+                             else v + 0.0 for v in row]
+                            for row in kernel_rows(label, rows, cols, rand)])
+              for _ in range(2))
+    return interval_hull(base, lo, hi)
+
+
+def _ldm_matrices(t):
+    return [t.L, Matrix._wrap(t.L.descriptor, [list(t.D)]), t.M]
+
+
+# kernel -> its results as matrices, from a square A and a B with 3 columns
+ENDPOINT_KERNELS = {
+    "product": lambda a, b: [a.mul(b)],
+    "closure_gauss_jordan": lambda a, b: [closure_gauss_jordan(a)],
+    "closure_block": lambda a, b: [closure_block(a)],
+    "solve_bellman": lambda a, b: [solve_bellman(a, b)],
+    "ldm_factorize": lambda a, b: _ldm_matrices(ldm_factorize(a)),
+}
+
+
+@pytest.mark.parametrize("name,kernel", [
+    pytest.param(name, kernel,
+                 id=name if kernel == "product" else f"{kernel}-{name}")
+    for kernel in ENDPOINT_KERNELS for name in LIFT_NAMES])
+def test_product_decomposes_endpoint_wise(name, kernel, rng):
+    # a lifted kernel is its pair of base runs bit for bit, and equals the
+    # run on a dataclasses.replace copy, whose fold kernels run the lift's
+    # add, mul and star.  The copy makes a (-0.0, -0.0) the zero object
+    # (0.0, 0.0) as it goes, so an input with a -0.0 is compared by ==
     base = descriptor(name)
     fold = dataclasses.replace(lift_semiring(base))
-    for rows, inner, cols in ((1, 1, 1), (1, 5, 3), (4, 1, 2), (6, 6, 6),
-                              (7, 4, 1)):
-        x = _sampled(name, rows, inner, rng)
-        y = _sampled(name, inner, cols, rng)
+    run = ENDPOINT_KERNELS[kernel]
+    cases = [(_star_safe(name, n, n, rng, signed),
+              _star_safe(name, n, 3, rng, signed), signed)
+             for n in (1, 2, 5, 8) for signed in (False, True)]
+    if kernel == "product":
+        cases += [(_sampled(name, rows, inner, rng),
+                   _sampled(name, inner, cols, rng), False)
+                  for rows, inner, cols in ((1, 1, 1), (1, 5, 3), (4, 1, 2),
+                                            (6, 6, 6), (7, 4, 1))]
+    for x, y, signed in cases:
         (lo_x, hi_x), (lo_y, hi_y) = _split_endpoints(x), _split_endpoints(y)
-        got = x.mul(y)
-        assert_bit_identical(got, pair_endpoints(base, lo_x.mul(lo_y),
-                                                 hi_x.mul(hi_y)))
-        assert_bit_identical(got, Matrix(fold, x.to_lists()).mul(
-            Matrix(fold, y.to_lists())))
+        got = run(x, y)
+        for g, lo, hi in zip(got, run(lo_x, lo_y), run(hi_x, hi_y)):
+            assert_bit_identical(g, pair_endpoints(base, lo, hi))
+        copy = run(Matrix(fold, x.to_lists()), Matrix(fold, y.to_lists()))
+        for g, c in zip(got, copy, strict=True):
+            if signed:
+                assert g == c
+            else:
+                assert_bit_identical(g, c)
 
 
 def test_product_keeps_the_base_runs_signed_zeros():

@@ -108,6 +108,10 @@ def test_substitution_shape_guards():
         back_substitution(lower_entry, [0.0, 0.0])
     with pytest.raises(ShapeViolation):
         forward_substitution(zeros(MX, 2, 2), [0.0, 0.0, 0.0])  # length
+    for solve, what in ((forward_substitution, "lower"),
+                        (back_substitution, "upper")):
+        with pytest.raises(ShapeViolation, match=f"{what} factor must be square"):
+            solve(zeros(MX, 2, 3), [0.0, 0.0])
 
 
 def test_triangle_check_names_the_first_nonzero_entry():
@@ -142,6 +146,10 @@ def test_diagonal_solve_accepts_diagonal_matrix():
     off = Matrix(MX, [[-1.0, 2.0], [NEG_INF, 0.0]])
     with pytest.raises(ShapeViolation):
         diagonal_solve(off, [5.0, 7.0])
+    with pytest.raises(ShapeViolation, match="must be square"):
+        diagonal_solve(zeros(MX, 2, 3), [5.0, 7.0])
+    with pytest.raises(TypeError, match="needs a descriptor"):
+        diagonal_solve([-1.0, 0.0], [5.0, 7.0])     # a sequence, no descriptor
 
 
 # ------------------------------------------------------------- combined solve
@@ -636,6 +644,9 @@ def test_solve_error_order_on_first_and_repeat_solves():
         # factor shapes before the triangles, the vector and the stars
         (LdmTriple(not_strict, bad_stars, zeros(MX, 2, 2)), short,
          ShapeViolation, "disagree on n"),
+        # the semirings before the triangles
+        (LdmTriple(not_strict, bad_stars, zeros(MN, 3, 3)), short,
+         DescriptorMismatch, "different semirings"),
         # the triangles before the vector and the stars
         (LdmTriple(not_strict, bad_stars, z), short,
          ShapeViolation, r"lower factor has a nonzero entry at \(1, 1\)"),

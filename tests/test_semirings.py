@@ -9,9 +9,9 @@ import pytest
 
 from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS, descriptor,
                       kernel_descriptor, kernel_rows, scalar_samples)
-from semiralg import (NEG_INF, POS_INF, Interval, Matrix, from_token, laws,
-                      lift_semiring, make_semiring, same_descriptor, to_token,
-                      usual_leq)
+from semiralg import (NEG_INF, POS_INF, Interval, Matrix, from_token,
+                      is_finite, laws, lift_semiring, make_semiring,
+                      same_descriptor, to_token, usual_leq)
 from semiralg.errors import (IllegalElement, InvalidBounds, ParseError,
                              StarUndefined, UnknownSemiring)
 from semiralg.scalars import TOKENS
@@ -565,6 +565,13 @@ def test_usual_leq_with_tags():
     assert usual_leq(NEG_INF, NEG_INF)
     assert not usual_leq(POS_INF, 1e300)
     assert usual_leq(1e300, POS_INF)
+
+
+def test_is_finite():
+    for v in (0.0, -0.0, -3.5, 1e308, 7):
+        assert is_finite(v)
+    for v in (NEG_INF, POS_INF, math.inf, math.nan, True, False, "1.0", None):
+        assert not is_finite(v)
 
 
 def test_tokens_round_trip():
