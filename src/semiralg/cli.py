@@ -30,7 +30,8 @@ import functools
 import sys
 from pathlib import Path
 
-from .closure import ClosureOptions, closure, closure_iterative, solve_bellman
+from .closure import (ClosureOptions, _require_square, closure,
+                      closure_iterative, solve_bellman)
 from .errors import (DescriptorMismatch, DimensionMismatch, InvalidBounds,
                      NotPositive, NotSymmetric, ParseError, SemiringError,
                      ShapeViolation, StarUndefined, UnknownSemiring,
@@ -155,6 +156,13 @@ def _run(args, d) -> dict:
     if cmd == "solve":
         A = _square_input(d, args.inputs[0])
         B = _matrix_input(d, args.inputs[1])
+        if args.algorithm == "iterative":
+            # solve_bellman's checks, in its order, before the series runs
+            _require_square(A)
+            A._check_same(B, "chain")
+            res = closure_iterative(A, _closure_options(args))
+            return {"result": matrix_to_json(res.matrix.mul(B)),
+                    "iterations": res.iterations, "truncated": res.truncated}
         X = solve_bellman(A, B, _closure_options(args))
         return {"result": matrix_to_json(X)}
 

@@ -16,14 +16,8 @@ kernel of ``Matrix.mul`` too) and take a Gauss-Jordan step
 (``eliminate``).  So one program runs on list rows and on boolean rows
 packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
-
-The block recursion can fork its independent block products onto
-worker threads.  Parallel runs compute the very same expression tree
-as serial runs (only the schedule changes), so results are identical
-bit for bit.
 """
 
-import threading
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidOptions, NoStabilization
@@ -42,8 +36,9 @@ class ClosureOptions:
     algorithm: str = "block"
     split: "int | None" = None     # block size of the leading diagonal block
     max_iterations: int = 60       # truncation point for non-idempotent series
+    # read by no code; kept only until the benchmark retires
+    # closure.fork_speedup, which still passes them (ROADMAP item 1)
     parallel: bool = False
-    parallel_grain: int = 16       # blocks smaller than this never fork
     threads: int = 4
 
     def __post_init__(self):
@@ -53,10 +48,6 @@ class ClosureOptions:
             raise InvalidOptions("split must be at least 1")
         if self.max_iterations < 1:
             raise InvalidOptions("max_iterations must be at least 1")
-        if self.parallel_grain < 1:
-            raise InvalidOptions("parallel_grain must be at least 1")
-        if self.threads < 1:
-            raise InvalidOptions("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -72,46 +63,7 @@ def _require_square(A):
         raise DimensionMismatch(f"closure needs a square matrix, got {A.rows}x{A.cols}")
 
 
-class _Limiter:
-    """Hands out fork permits; refuses once all worker slots are taken."""
-
-    __slots__ = ("_sem",)
-
-    def __init__(self, workers):
-        self._sem = threading.BoundedSemaphore(workers) if workers > 0 else None
-
-    def try_acquire(self):
-        return self._sem is not None and self._sem.acquire(blocking=False)
-
-    def release(self):
-        self._sem.release()
-
-
-def _both(f, g, limiter, want_fork):
-    """Evaluate two independent thunks, forking f when a slot is free."""
-    if want_fork and limiter is not None and limiter.try_acquire():
-        result, trouble = [], []
-
-        def run():
-            try:
-                result.append(f())
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                trouble.append(exc)
-
-        worker = threading.Thread(target=run)
-        worker.start()
-        try:
-            gv = g()
-        finally:
-            worker.join()
-            limiter.release()
-        if trouble:
-            raise trouble[0]
-        return result[0], gv
-    return f(), g()
-
-
-def _close_rec(d, kernels, M, offset, opts, limiter):
+def _close_rec(d, kernels, M, offset, opts):
     n = len(M)
     if n == 1:
         return [kernels.encode([kernel_star(d, kernels, kernels.entry(M[0], 0),
@@ -124,16 +76,11 @@ def _close_rec(d, kernels, M, offset, opts, limiter):
     A21, A22 = kernels.split(M[k:], k)
     add_rows, product = kernels.add_rows, kernels.product
 
-    S11 = _close_rec(d, kernels, A11, offset, opts, limiter)
-    fork = n >= opts.parallel_grain
-    # the two products on either side of the closed leading block are
-    # independent of each other, as are the two off-diagonal results
-    P, Q = _both(lambda: product(S11, A12), lambda: product(A21, S11),
-                 limiter, fork)
+    S11 = _close_rec(d, kernels, A11, offset, opts)
+    P, Q = product(S11, A12), product(A21, S11)
     D = list(map(add_rows, A22, product(A21, P)))
-    SD = _close_rec(d, kernels, D, offset + k, opts, limiter)
-    TR, BL = _both(lambda: product(P, SD), lambda: product(SD, Q),
-                   limiter, fork)
+    SD = _close_rec(d, kernels, D, offset + k, opts)
+    TR, BL = product(P, SD), product(SD, Q)
     TL = list(map(add_rows, S11, product(TR, Q)))
     return kernels.join(TL, TR) + kernels.join(BL, SD)
 
@@ -148,10 +95,8 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     d = A.descriptor
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(closure_block, A, opts))
-    limiter = _Limiter(opts.threads - 1) if opts.parallel else None
     kernels = row_kernels(d)
-    data = _close_rec(d, kernels, list(map(kernels.encode, A._data)), 0, opts,
-                      limiter)
+    data = _close_rec(d, kernels, list(map(kernels.encode, A._data)), 0, opts)
     return Matrix._wrap(d, list(map(kernels.decode, data)))
 
 
@@ -210,7 +155,8 @@ def closure_iterative(A: Matrix,
 
 
 def closure(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
-    """Dispatch on ``options.algorithm`` (block by default)."""
+    """Dispatch on ``options.algorithm`` (block by default).  An iterative
+    run on a non-idempotent carrier returns the cut series, unflagged."""
     opts = options or ClosureOptions()
     if opts.algorithm == "block":
         return closure_block(A, opts)
@@ -221,7 +167,8 @@ def closure(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
 
 def solve_bellman(A: Matrix, B: Matrix,
                   options: "ClosureOptions | None" = None) -> Matrix:
-    """Least solution X = A*B of the fixpoint equation X = AX + B."""
+    """Least solution X = A*B of X = AX + B.  With ``iterative`` on a
+    non-idempotent carrier, A* is the cut series and nothing says so."""
     _require_square(A)
     A._check_same(B, "chain")
     return closure(A, options).mul(B)

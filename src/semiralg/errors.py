@@ -84,7 +84,7 @@ class WrongDescriptor(SemiringError):
 
 
 class InvalidOptions(SemiringError):
-    """Inconsistent algorithm options (bad split point, thread count, ...)."""
+    """Inconsistent algorithm options (unknown algorithm, bad split point, ...)."""
 
 
 class ParseError(SemiringError):

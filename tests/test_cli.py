@@ -124,6 +124,41 @@ def test_iterative_closure_reports_progress(tmp_path, capsys):
     assert payload["truncated"] is False
 
 
+def test_iterative_solve_reports_progress(tmp_path, capsys):
+    # the least solution is 2 in each row; three terms of the series give
+    # 1 + 0.5 + 0.25 = 1.75 of A* and so 1.875 of X, which must say it is cut
+    pa = _write(tmp_path / "a.json", {"data": [[0.5, 0.0], [0.0, 0.5]]})
+    pb = _write(tmp_path / "b.json", {"data": [[1.0], [1.0]]})
+    payload = _json_out(capsys, "solve", "--semiring", "rplus",
+                        "--algorithm", "iterative", "--max-iterations", "3",
+                        pa, pb)
+    assert payload == {"iterations": 3, "truncated": True,
+                       "result": {"rows": 2, "cols": 1,
+                                  "data": [[1.875], [1.875]]}}
+    nil = _write(tmp_path / "n.json", {"data": [[0.0, 1.0], [0.0, 0.0]]})
+    payload = _json_out(capsys, "solve", "--semiring", "rplus",
+                        "--algorithm", "iterative", nil, pb)
+    assert (payload["iterations"], payload["truncated"]) == (2, False)
+    assert payload["result"]["data"] == [[2.0], [1.0]]
+    # the other algorithms print the matrix alone
+    payload = _json_out(capsys, "solve", "--semiring", "rplus", pa, pb)
+    assert payload == {"result": {"rows": 2, "cols": 1,
+                                  "data": [[2.0], [2.0]]}}
+
+
+def test_iterative_solve_checks_shapes_first(tmp_path, capsys):
+    # as solve_bellman: A square, then B chained to A, before any series
+    sq = _write(tmp_path / "sq.json", {"data": [[0.5, 0.0], [0.0, 0.5]]})
+    wide = _write(tmp_path / "wide.json", {"data": [[0.5, 0.0]]})
+    pb = _write(tmp_path / "b.json", {"data": [[1.0, 1.0]]})
+    for pa, message in ((sq, "cannot chain 2x2 with 1x2"),
+                        (wide, "closure needs a square matrix, got 1x2")):
+        for algo in ("block", "iterative"):
+            code, out, err = _run(capsys, "solve", "--semiring", "rplus",
+                                  "--algorithm", algo, pa, pb)
+            assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------------ invariants
 
 
@@ -277,6 +312,15 @@ def test_table_iteration_lines(tmp_path, capsys):
     assert code == 0
     assert "iterations: 5" in out
     assert "truncated: true" in out
+
+
+def test_table_iteration_lines_of_solve(tmp_path, capsys):
+    pa = _write(tmp_path / "a.json", {"data": [[0.5, 0.0], [0.0, 0.5]]})
+    pb = _write(tmp_path / "b.json", {"data": [[1.0], [1.0]]})
+    code, out, _ = _run(capsys, "solve", "--semiring", "rplus",
+                        "--algorithm", "iterative", "--max-iterations", "3",
+                        "--format", "table", pa, pb)
+    assert (code, out) == (0, "1.875\n1.875\niterations: 3\ntruncated: true\n")
 
 
 def test_table_interval_cells(tmp_path, capsys):

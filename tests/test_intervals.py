@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -725,6 +726,74 @@ def test_an_interrupt_stops_the_worker(ship, rng):
     assert not worker.process.is_alive()
     assert_bit_identical(closure_gauss_jordan(av), want)
     assert ship == [True, True, True]
+
+
+class _FailingReply:
+    """The worker's pipe, save that ``recv`` takes the real reply and then
+    raises ``exc``, as when the reply does not unpickle or the user
+    interrupts the wait."""
+
+    def __init__(self, conn, exc):
+        self.conn, self.exc = conn, exc
+
+    def send(self, obj):
+        self.conn.send(obj)
+
+    def recv(self):
+        self.conn.recv()
+        raise self.exc
+
+
+_RUNS_HERE = []
+
+
+def _counted_here(M):
+    # a run that notes each time it runs in this process
+    if os.getpid() == _PYTEST_PID:
+        _RUNS_HERE.append(M)
+    return closure_gauss_jordan(M)
+
+
+def test_a_reply_that_does_not_unpickle_is_redone_here(monkeypatch, ship,
+                                                       rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    want = closure_gauss_jordan(av)
+    worker = intervals._worker
+    conn = worker.conn
+    monkeypatch.setattr(worker, "conn",
+                        _FailingReply(conn, pickle.UnpicklingError("bad")))
+    _RUNS_HERE.clear()
+    runs = intervals.endpoint_runs(_counted_here, av)
+    assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
+    assert ship[-1] is True
+    assert _RUNS_HERE == [intervals._endpoint(av, 0), intervals._endpoint(av, 1)]
+    assert intervals._worker is worker and worker.process.is_alive()
+    assert not intervals._busy.locked()
+    # the real reply was read, so the same worker serves the next call
+    monkeypatch.setattr(worker, "conn", conn)
+    _RUNS_HERE.clear()
+    runs = intervals.endpoint_runs(_counted_here, av)
+    assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
+    assert ship[-1] is True and _RUNS_HERE == [intervals._endpoint(av, 0)]
+    assert intervals._worker is worker
+
+
+def test_an_interrupt_while_waiting_stops_the_worker(monkeypatch, ship, rng):
+    av = random_interval_matrix("maxplus", 6, rng)
+    want = closure_gauss_jordan(av)
+    worker = intervals._worker
+    monkeypatch.setattr(worker, "conn",
+                        _FailingReply(worker.conn, KeyboardInterrupt()))
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    cpus = affinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        closure_gauss_jordan(av)
+    assert ship[-1] is True
+    assert intervals._worker is None and not intervals._busy.locked()
+    assert not worker.process.is_alive()
+    assert affinity(0) == cpus
+    assert_bit_identical(closure_gauss_jordan(av), want)
+    assert ship[-1] is True and intervals._worker not in (None, worker)
 
 
 def test_the_worker_ignores_sigint(ship, rng):

@@ -138,6 +138,54 @@ def test_full_law_suite(name):
     assert laws.all_violations(d, scalar_samples(name)) == []
 
 
+def _flagged(d, **flags):
+    return dataclasses.replace(d, flags=dataclasses.replace(d.flags, **flags))
+
+
+# law family, carrier, the copy with one thing broken, the first words of
+# the violation it must report
+_BROKEN = [
+    (laws.semiring_axioms, "maxplus",
+     lambda d: dataclasses.replace(d, add=lambda x, y: x),
+     "add not commutative"),
+    (laws.semiring_axioms, "maxplus",
+     lambda d: dataclasses.replace(d, one=d.zero), "zero equals one"),
+    (laws.idempotency_axioms, "rplus",
+     lambda d: _flagged(d, idempotent=True), "x + x != x"),
+    (laws.star_axioms, "rplus",
+     lambda d: dataclasses.replace(d, star=lambda x: 1.0), "x* != 1 + x*x"),
+    (laws.fused_accumulate_matches, "maxplus",
+     lambda d: dataclasses.replace(d, fma=lambda acc, x, y: acc),
+     "fma diverges"),
+    (laws.positivity_axioms, "real_field",
+     lambda d: _flagged(d, positive=True), "zero not below"),
+]
+
+
+@pytest.mark.parametrize("family, name, broken, message", _BROKEN,
+                         ids=[m for *_, m in _BROKEN])
+def test_law_checker_reports_a_broken_law(family, name, broken, message):
+    d = broken(descriptor(name))
+    found = family(d, scalar_samples(name))
+    assert any(v.startswith(message) for v in found), found
+    # all_violations runs the same family on the same copy
+    assert set(found) <= set(laws.all_violations(d, scalar_samples(name)))
+
+
+def test_all_violations_picks_families_by_flags():
+    # rplus breaks the idempotency laws and real_field the positivity ones,
+    # but all_violations runs each family only where the flag claims it
+    for name, family, flag in (("rplus", laws.idempotency_axioms,
+                                "idempotent"),
+                               ("real_field", laws.positivity_axioms,
+                                "positive")):
+        d, samples = descriptor(name), scalar_samples(name)
+        broken = family(d, samples)
+        assert broken and laws.all_violations(d, samples) == []
+        assert set(broken) <= set(
+            laws.all_violations(_flagged(d, **{flag: True}), samples))
+
+
 @pytest.mark.parametrize("name", ["rplus", "real_field"])
 def test_field_like_laws_at_1e12(name, rng):
     """Associativity/distributivity hold to 1e-12 on tame random reals."""

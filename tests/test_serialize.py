@@ -95,6 +95,15 @@ def test_interval_matrix_round_trips(rng):
     # every scalar slot is a two-element array
     assert all(isinstance(v, list) and len(v) == 2
                for row in obj["data"] for v in row)
+    # a lift of a lift: each endpoint is itself a pair
+    twice = lift_semiring(lift_semiring(MX))
+    b = Matrix(twice, [[((NEG_INF, NEG_INF), (NEG_INF, 1.0)),
+                        ((-2.0, 0.0), (0.0, 3.0))]])
+    obj = matrix_to_json(b)
+    assert obj["data"] == [[[["-inf", "-inf"], ["-inf", 1.0]],
+                            [[-2.0, 0.0], [0.0, 3.0]]]]
+    back = matrix_from_json(twice, loads(dumps(obj)))
+    assert back == b and repr(back.to_lists()) == repr(b.to_lists())
 
 
 def test_matrix_json_shape():
