@@ -101,8 +101,11 @@ def _read(path: str):
 def _graph_fits(path: str, g):
     """Report a graph too large for its n x n matrix against its file.
 
-    Building the matrix raises MemoryError when n rows of n cells cannot
-    be allocated, and OverflowError when n is past the index range.
+    ``graph_to_matrix`` raises MemoryError before it allocates when the
+    matrix would exceed the physical memory, and building it raises
+    MemoryError when the memory runs short all the same (under an
+    address-space limit, say) and OverflowError when n is past the index
+    range where the system cannot tell its physical memory.
     """
     try:
         yield

@@ -9,6 +9,8 @@ that reading by explicit enumeration and is the oracle the test suite
 trusts.
 """
 
+import math
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
@@ -17,7 +19,7 @@ from .closure import ClosureOptions, _require_square, closure, solve_bellman
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidGraph,
                      InvalidPath, OracleScaleExceeded, StarUndefined,
                      WrongDescriptor)
-from .matrices import Matrix, identity, zeros
+from .matrices import Matrix, identity
 from .semirings import SemiringDescriptor, list_kernels
 
 __all__ = ["WeightedDigraph", "Path", "graph_to_matrix", "matrix_to_graph",
@@ -70,10 +72,30 @@ class Path:
 
 
 def graph_to_matrix(g: WeightedDigraph) -> Matrix:
-    A = zeros(g.descriptor, g.n, g.n).to_lists()
+    """The n x n arc-weight matrix of ``g``.
+
+    Raises MemoryError, before anything is allocated, when its rows,
+    about n (56 + 8 n) bytes of lists, would exceed the physical memory:
+    where the system overcommits memory, building them would not fail
+    but run the system out of memory.
+    """
+    if g.n * (56 + 8 * g.n) > _physical_memory():
+        raise MemoryError(f"an n x n matrix with n = {g.n} exceeds the "
+                          "physical memory")
+    zero = g.descriptor.zero
+    A = [[zero] * g.n for _ in range(g.n)]
     for u, v, w in g.arcs:
         A[u - 1][v - 1] = w
     return Matrix._wrap(g.descriptor, A)
+
+
+def _physical_memory():
+    """Bytes of physical memory, or infinity where the system cannot say."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):    # no sysconf, or no such name
+        return math.inf
+    return size if size > 0 else math.inf
 
 
 def matrix_to_graph(A: Matrix) -> WeightedDigraph:

@@ -18,30 +18,24 @@ scalar API, the law checker and copies of a lift, whose operations
 may have been replaced and which therefore run the fold kernels.
 
 The two endpoint runs are independent.  ``endpoint_runs`` sends the hi
-run to one worker process, forked at the first call that ships and
-never at import, and runs the lo run meanwhile.  The hi run stays in
-this process when its work is below ``SHIP_MIN_WORK`` (about n = 25
-for a closure or a factorization), when the base is not a catalog
-instance, when another thread's call holds the worker, when the worker
-has died (the next call starts a new one), in a process forked from
-the one that started it, and where there is no fork.  Both runs call
-the same module-level function on the same values, so results are the
-same bit for bit wherever the hi run goes.
-
-Where the caller may run on two CPUs or more, the worker keeps to one
-of them and the calling thread keeps off it while a call waits on the
-worker.  Left to itself, the scheduler may wake the worker on the
-caller's CPU and leave both there for many calls, which then run their
-two endpoint runs one after the other.
+run to the package's one worker process (``offload.side_by_side``,
+which also serves the block closure's products) and runs the lo run
+meanwhile.  The hi run stays in this process when its work is below
+``offload.SHIP_MIN_WORK`` (about n = 25 for a closure or a
+factorization), when the base is not a catalog instance, when another
+call holds the worker, and in the other cases ``offload`` names.  The
+lifted call holds the worker while its runs last, so the block
+products of its runs stay in their process.  Both runs call the same
+module-level function on the same values, so results are the same bit
+for bit wherever the hi run goes.
 """
 
-import _thread
-import os
 from typing import NamedTuple
 
 from .errors import EmptyInterval, IllegalElement, NotPositive, StarUndefined
 from .matrices import Matrix, _matrix_product, _split_products
-from .semirings import SemiringDescriptor, SemiringFlags, in_catalog
+from .offload import side_by_side
+from .semirings import SemiringDescriptor, SemiringFlags
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
 
@@ -111,22 +105,27 @@ def endpoint_runs(run, *args, counter=None):
     location is raised, the lo run's on a tie.  Any other failure is
     raised before those, the lo run's first.
 
-    The two runs are independent, so the hi run goes to a worker
-    process (see ``_ship``) while the lo run runs here.  Both run the
-    same function on the same values, so results are the same bit for
-    bit wherever the hi run goes.
+    The two runs are independent, so the hi run goes to the worker
+    process of ``offload.side_by_side`` while the lo run runs here.  Its
+    work is the entries of the first operand, a matrix, times the
+    columns of the last one (one for a vector): n^3 for a closure or a
+    factorization, n k m for a product, n^2 for a substitution, and
+    none for a diagonal solve, whose operands are vectors.
     """
-    hi = [_endpoint(a, 1) for a in args]
-    worker = _ship(run, hi, args)
-    try:
-        outcomes = [_attempt(run, [_endpoint(a, 0) for a in args], counter)]
-    except BaseException:
-        if worker is not None:      # its reply would reach the next call
-            worker.stop()
-            worker.release()
-        raise
-    outcomes.append(_attempt(run, hi) if worker is None
-                    else worker.outcome(run, hi))
+    split = [a for a in args if isinstance(a, (Matrix, list, tuple))]
+    first, last = split[0], split[-1]
+    work, base = 0, None        # a diagonal solve stays here
+    if isinstance(first, Matrix):
+        work = first.rows * first.cols * (last.cols
+                                          if isinstance(last, Matrix) else 1)
+        base = first.descriptor.base
+
+    def lo_run():
+        lo = [_endpoint(a, 0) for a in args]
+        return run(*lo) if counter is None else run(*lo, counter=counter)
+
+    outcomes = side_by_side(lo_run, run, [_endpoint(a, 1) for a in args],
+                            work, base)
     failures = [exc for _, exc in outcomes if exc is not None]
     if failures:
         others = [exc for exc in failures if not isinstance(exc, StarUndefined)]
@@ -141,178 +140,6 @@ def _endpoint(a, end):
     if isinstance(a, (list, tuple)):
         return [v[end] for v in a]
     return a
-
-
-def _attempt(run, args, counter=None):
-    """(result, None), or (None, the exception) when ``run`` raised one."""
-    try:
-        return (run(*args) if counter is None
-                else run(*args, counter=counter)), None
-    except Exception as exc:    # noqa: BLE001 - endpoint_runs picks which to raise
-        return None, exc
-
-
-# A hi run goes to the worker when its work is at least this many base
-# operations, up to a constant factor (see ``_ship``); below it, shipping
-# the operands and the result costs more than it saves.
-SHIP_MIN_WORK = 16384
-
-_worker = None                      # this process's worker, once started
-_busy = _thread.allocate_lock()     # held by the call that uses the worker
-
-
-def _ship(run, args, operands):
-    """The worker, running ``run(*args)`` for this call, or None when the
-    hi run stays in this process: when the work is small, this system
-    has no fork, the base is not a catalog instance (only those pickle),
-    the worker serves another thread's call, or it belongs to the process
-    this one was forked from.
-
-    The work is the entries of the first operand, a matrix, times the
-    columns of the last one (one for a vector): n^3 for a closure or a
-    factorization, n k m for a product, n^2 for a substitution, and none
-    for a diagonal solve, whose operands are vectors.
-    """
-    global _worker
-    split = [a for a in operands if isinstance(a, (Matrix, list, tuple))]
-    first, last = split[0], split[-1]
-    if (not isinstance(first, Matrix)
-            or first.rows * first.cols * (last.cols if isinstance(last, Matrix)
-                                          else 1) < SHIP_MIN_WORK
-            or not hasattr(os, "fork")
-            or not in_catalog(first.descriptor.base)
-            or not _busy.acquire(blocking=False)):
-        return None
-    try:
-        if _worker is None:
-            _worker = _Worker()
-        if _worker.pid == os.getpid():
-            _worker.conn.send((run, args))
-            _worker.keep_off()
-            return _worker
-    except OSError:         # no worker could start, or it died
-        if _worker is not None:
-            _worker.stop()
-    except Exception:       # noqa: BLE001 - a run or value that does not pickle
-        pass
-    _busy.release()
-    return None
-
-
-class _Worker:
-    """One forked process that runs the hi endpoint runs of lifted calls,
-    one call at a time, for the process that started it.
-
-    It starts at the first call that ships, never at import.  The fork
-    copies the imported modules, so a run and its arguments travel as
-    pickles: a function by its name, a catalog descriptor as its
-    ``make_semiring`` call.
-    """
-
-    def __init__(self):
-        # imported here, not with this module: they cost ~20 ms.  signal
-        # is for _serve: the forked worker should import nothing, as
-        # another thread of this process may hold an import lock
-        import multiprocessing
-        import signal   # noqa: F401
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child = ctx.Pipe()
-        self.cpu = _worker_cpu()
-        self.restore = None     # the calling thread's CPUs, while kept off
-        self.process = ctx.Process(target=_serve,
-                                   args=(child, self.conn, self.cpu),
-                                   daemon=True)
-        self.process.start()
-        child.close()
-        self.pid = os.getpid()
-        # not one of multiprocessing's children: at exit it terminates and
-        # joins those, also in a copy of this process made by os.fork,
-        # which would kill this worker and fail to join it.  The worker
-        # leaves by itself when this process closes its end of the pipe.
-        multiprocessing.process._children.discard(self.process)
-
-    def outcome(self, run, args):
-        """The outcome of the shipped run; ``run(*args)`` run here when
-        the worker died or could not run it."""
-        try:
-            got = self.conn.recv()
-        except (EOFError, OSError):
-            self.stop()
-            got = None
-        except Exception:       # noqa: BLE001 - a reply that does not unpickle
-            got = None
-        except BaseException:
-            self.stop()
-            raise
-        finally:
-            self.release()
-        return _attempt(run, args) if got is None else got
-
-    def keep_off(self):
-        """Keep the calling thread off the worker's CPU until ``release``."""
-        if self.cpu is None:
-            return
-        try:
-            cpus = os.sched_getaffinity(0)
-            if self.cpu in cpus and len(cpus) > 1:
-                os.sched_setaffinity(0, cpus - {self.cpu})
-                self.restore = cpus
-        except OSError:         # the CPU set changed under us: stay as is
-            pass
-
-    def release(self):
-        """Give the calling thread its CPUs back and free the worker for
-        the next call."""
-        cpus, self.restore = self.restore, None
-        try:
-            if cpus is not None:
-                os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
-        finally:
-            _busy.release()
-
-    def stop(self):
-        """End the worker; the next call that ships starts another."""
-        global _worker
-        _worker = None
-        self.process.kill()
-        self.process.join()
-
-
-def _worker_cpu():
-    """The CPU the worker keeps to: the highest the calling thread may
-    use, or None where it may use only one or the system cannot say."""
-    try:
-        cpus = os.sched_getaffinity(0)
-    except (AttributeError, OSError):
-        return None
-    return max(cpus) if len(cpus) > 1 else None
-
-
-def _serve(conn, parent_end, cpu):
-    """The worker's loop: take (run, args), reply (result, exception), or
-    None for a message it could not take or a reply it could not send.
-    It ends, quietly, when the caller's end of the pipe closes."""
-    import signal       # loaded already, by _Worker
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:
-            pass
-    try:
-        while True:
-            try:
-                run, args = conn.recv()
-                conn.send(_attempt(run, args))
-            except (EOFError, OSError):
-                break
-            except Exception:   # noqa: BLE001 - the caller runs it instead
-                conn.send(None)
-    finally:
-        os._exit(0)
 
 
 def join_endpoints(d: SemiringDescriptor, lo, hi):

@@ -12,10 +12,11 @@ kernels' ``add_rows``, as the block closure's sums do, so a sum that
 leaves the float range raises ``IllegalElement`` as a product does.
 Over an interval lift the product is the pair of its base products on
 the lo and the hi endpoints (``intervals.endpoint_runs``), as the
-closures are; the hi product runs in the lift's worker process once
-it is large enough (from n = 46 for an n x n by n x 8 product),
-with the same result bit for bit.  A matrix over a catalog descriptor
-pickles, as its descriptor does, so that it can travel to that process.
+closures are; the hi product runs in the worker process of
+``offload.side_by_side`` once it is large enough (from n = 46 for an
+n x n by n x 8 product), with the same result bit for bit.  A matrix
+over a catalog descriptor pickles, as its descriptor does, so that it
+can travel to that process.
 """
 
 from .errors import DescriptorMismatch, DimensionMismatch

@@ -1,0 +1,216 @@
+"""One worker process for two independent runs of one call.
+
+``side_by_side(here, run, args, work, d)`` returns the outcomes of
+``here()``, run in this process, and of ``run(*args)``, run meanwhile
+in a worker process when that pays and else here after ``here()``.
+Two callers use it: ``intervals.endpoint_runs``, whose hi endpoint run
+it ships, and the block closure, which ships one product of each
+independent pair.
+
+``run`` runs here instead when its ``work`` is below ``SHIP_MIN_WORK``,
+when the descriptor ``d`` it computes over is not a catalog instance
+(only those pickle), when another call holds the worker (another
+thread's, or a lifted call whose own products would otherwise wait on
+it), when the worker has died (the next call starts a new one), in a
+process forked from the one that started it, inside the worker itself,
+and where there is no fork.  ``run`` is the same module-level function
+on the same values wherever it runs, so its result is the same bit for
+bit.
+
+The worker is forked at the first call that ships, never at import.
+Where the caller may run on two CPUs or more, the worker keeps to one
+of them and the calling thread keeps off it while a call waits on the
+worker.  Left to itself, the scheduler may wake the worker on the
+caller's CPU and leave both there for many calls, which then run their
+two runs one after the other.
+"""
+
+import _thread
+import os
+
+from .semirings import in_catalog
+
+__all__ = ["side_by_side", "SHIP_MIN_WORK"]
+
+
+# A run goes to the worker when its work is at least this many base
+# operations, up to a constant factor; below it, shipping the operands
+# and the result costs more than it saves.
+SHIP_MIN_WORK = 16384
+
+_worker = None                      # this process's worker, once started
+_busy = _thread.allocate_lock()     # held by the call that uses the worker
+
+
+def side_by_side(here, run, args, work, d):
+    """``[(result, exception), (result, exception)]`` of ``here()`` and of
+    ``run(*args)``, each with None in the place it did not fill.
+
+    ``run`` is a module-level function and ``work`` its cost in base
+    operations over the descriptor ``d``; it runs on the worker while
+    ``here()`` runs here when that pays (see ``_ship``).  An exception
+    that is not an ``Exception``, such as an interrupt, leaves ``here()``
+    at once and stops the worker, whose reply would reach the next call.
+    """
+    worker = _ship(run, args, work, d)
+    try:
+        mine = _attempt(here, ())
+    except BaseException:
+        if worker is not None:
+            worker.stop()
+            worker.release()
+        raise
+    return [mine, _attempt(run, args) if worker is None
+            else worker.outcome(run, args)]
+
+
+def _attempt(run, args):
+    """(result, None), or (None, the exception) when ``run`` raised one."""
+    try:
+        return run(*args), None
+    except Exception as exc:    # noqa: BLE001 - the caller picks which to raise
+        return None, exc
+
+
+def _ship(run, args, work, d):
+    """The worker, running ``run(*args)`` for this call, or None when the
+    run stays in this process: when the work is small, this system has
+    no fork, ``d`` is None or not a catalog instance, the worker serves
+    another call, or it belongs to the process this one was forked from."""
+    global _worker
+    if (work < SHIP_MIN_WORK
+            or not hasattr(os, "fork")
+            or d is None or not in_catalog(d)
+            or not _busy.acquire(blocking=False)):
+        return None
+    try:
+        if _worker is None:
+            _worker = _Worker()
+        if _worker.pid == os.getpid():
+            _worker.conn.send((run, args))
+            _worker.keep_off()
+            return _worker
+    except OSError:         # no worker could start, or it died
+        if _worker is not None:
+            _worker.stop()
+    except Exception:       # noqa: BLE001 - a run or value that does not pickle
+        pass
+    _busy.release()
+    return None
+
+
+class _Worker:
+    """One forked process that runs the shipped runs, one call at a time,
+    for the process that started it.
+
+    It starts at the first call that ships, never at import.  The fork
+    copies the imported modules, so a run and its arguments travel as
+    pickles: a function by its name, a catalog descriptor as its
+    ``make_semiring`` call.  The fork happens while ``_busy`` is held, so
+    the worker's copy of it stays held and nothing the worker runs ships.
+    """
+
+    def __init__(self):
+        # imported here, not with this module: they cost ~20 ms.  signal
+        # is for _serve: the forked worker should import nothing, as
+        # another thread of this process may hold an import lock
+        import multiprocessing
+        import signal   # noqa: F401
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.cpu = _worker_cpu()
+        self.restore = None     # the calling thread's CPUs, while kept off
+        self.process = ctx.Process(target=_serve,
+                                   args=(child, self.conn, self.cpu),
+                                   daemon=True)
+        self.process.start()
+        child.close()
+        self.pid = os.getpid()
+        # not one of multiprocessing's children: at exit it terminates and
+        # joins those, also in a copy of this process made by os.fork,
+        # which would kill this worker and fail to join it.  The worker
+        # leaves by itself when this process closes its end of the pipe.
+        multiprocessing.process._children.discard(self.process)
+
+    def outcome(self, run, args):
+        """The outcome of the shipped run; ``run(*args)`` run here when
+        the worker died or could not run it."""
+        try:
+            got = self.conn.recv()
+        except (EOFError, OSError):
+            self.stop()
+            got = None
+        except Exception:       # noqa: BLE001 - a reply that does not unpickle
+            got = None
+        except BaseException:
+            self.stop()
+            raise
+        finally:
+            self.release()
+        return _attempt(run, args) if got is None else got
+
+    def keep_off(self):
+        """Keep the calling thread off the worker's CPU until ``release``."""
+        if self.cpu is None:
+            return
+        try:
+            cpus = os.sched_getaffinity(0)
+            if self.cpu in cpus and len(cpus) > 1:
+                os.sched_setaffinity(0, cpus - {self.cpu})
+                self.restore = cpus
+        except OSError:         # the CPU set changed under us: stay as is
+            pass
+
+    def release(self):
+        """Give the calling thread its CPUs back and free the worker for
+        the next call."""
+        cpus, self.restore = self.restore, None
+        try:
+            if cpus is not None:
+                os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+        finally:
+            _busy.release()
+
+    def stop(self):
+        """End the worker; the next call that ships starts another."""
+        global _worker
+        _worker = None
+        self.process.kill()
+        self.process.join()
+
+
+def _worker_cpu():
+    """The CPU the worker keeps to: the highest the calling thread may
+    use, or None where it may use only one or the system cannot say."""
+    try:
+        cpus = os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return None
+    return max(cpus) if len(cpus) > 1 else None
+
+
+def _serve(conn, parent_end, cpu):
+    """The worker's loop: take (run, args), reply (result, exception), or
+    None for a message it could not take or a reply it could not send.
+    It ends, quietly, when the caller's end of the pipe closes."""
+    import signal       # loaded already, by _Worker
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass
+    try:
+        while True:
+            try:
+                run, args = conn.recv()
+                conn.send(_attempt(run, args))
+            except (EOFError, OSError):
+                break
+            except Exception:   # noqa: BLE001 - the caller runs it instead
+                conn.send(None)
+    finally:
+        os._exit(0)

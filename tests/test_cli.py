@@ -1,12 +1,16 @@
 """End-to-end command line tests: payloads, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiralg
 
@@ -447,6 +451,51 @@ def test_graph_too_large_for_its_matrix_exits_2(tmp_path, capsys, command, n):
                    "in memory\n")
 
 
+# the address space of the child below: a check that ran after the
+# allocation would fill it before failing, not exit at once
+_ADDRESS_CAP = 1 << 30
+
+
+def _capped():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_CAP, _ADDRESS_CAP))
+
+
+_PEAK_CHILD = """\
+import resource, sys
+from semiralg.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+@pytest.mark.parametrize("command,semiring,weight", [
+    ("closure", "boolean", True), ("paths", "minplus", 1.0),
+    ("profit", "maxplus", 1.0)])
+def test_graph_past_the_physical_memory_exits_2_before_allocating(
+        tmp_path, command, semiring, weight):
+    # n = 10^7 makes a matrix of 800 TB; only the address-space cap keeps
+    # a regression here from exhausting the machine
+    n = 10**7
+    g = _write(tmp_path / "g.json", {"n": n, "arcs": [[1, 2, weight]]})
+    inputs = [g, _write(tmp_path / "b.json", [0.0])][:2 if command == "profit"
+                                                     else 1]
+    src = str(Path(semiralg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, command, "--semiring", semiring,
+         *inputs], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_capped)
+    message, peak = done.stderr.splitlines()
+    assert (done.returncode, done.stdout) == (2, "")
+    assert message == (f'error: {g}: "n" is {n}: an n x n matrix does not '
+                       "fit in memory")
+    assert int(peak) < 200 * 1024     # KiB: no row of the matrix was built
+
+
 def test_exit_2_argparse_usage(tmp_path, capsys):
     assert main([]) == 2                      # no command
     capsys.readouterr()
@@ -577,3 +626,171 @@ def test_semiring_flag_parses_bounds(tmp_path, capsys):
     pa = _write(tmp_path / "a.json", {"data": [[3.0, 0.0], [0.0, 7.0]]})
     payload = _json_out(capsys, "closure", "--semiring", "maxmin,0,10", pa)
     assert payload["result"]["data"] == [[10.0, 0.0], [0.0, 10.0]]
+
+
+# ---------------------------------------------------------------- fuzzing
+
+
+# hypothesis draws small indices most: the first value is the usual one
+_rare = st.sampled_from([False] * 19 + [True])
+_sometimes = st.sampled_from([False] * 3 + [True])
+
+# per carrier, values in its canonical order, signed zeros, range edges
+# and values outside it among them; an interval cell pairs two of them
+_POOLS = {"maxplus": ["-inf", -1e308, -1.0, -0.0, 0.0, 1.0, 2.5, 1e308],
+          "minplus": ["inf", 1e308, 2.5, 1.0, 0.0, -0.0, -1.0],
+          "maxmin": ["-inf", 0.0, 2.0, 5.0, 10.0, 11.0, "inf"],
+          "boolean": [False, True],
+          "rplus": [0.0, -0.0, 0.25, 0.5, 1.0, 2.0, 1e308, "inf"],
+          "real_field": [-0.5, -0.0, 0.0, 0.5, 2.0, 1e308]}
+# anything else a JSON cell can hold
+_ODD = [10**400, -10**400, 5e-324, "nan", "+inf", "x", None, {}, [], [[0.0]],
+        [0.0, 1.0, 2.0], 3, True, "-inf", "inf"]
+_VALID = ["rplus", "rplus_complete", "maxplus", "maxplus_complete",
+          "minplus", "boolean", "real_field", "maxmin,0,10", "maxmin,-inf,inf",
+          "maxmin,-1e308,1e308"]
+_INVALID = ["maxmin,10,0", "maxmin,0,0", "maxmin,0", "maxmin,0,1,2", "maxmin",
+            "maxmin,a,b", "maxmin,0,1e400", "maxmin,nan,1", "boolean,0,1",
+            "nope", "", "MAXPLUS"]
+# the semirings each command runs over; any other exits 5
+_RUNS_OVER = {"paths": ["minplus", "maxmin,0,10", "maxmin,-inf,inf"],
+              "profit": ["maxplus", "maxplus_complete"],
+              "invert": ["real_field"]}
+# input slots: a matrix or a graph (a), a matrix (m), a graph (g) and a
+# vector (v)
+_SLOTS = {"closure": "a", "solve": "am", "factor": "m", "paths": "g",
+          "profit": "gv", "invert": "m"}
+_ALGO = {"closure", "solve", "paths", "profit"}
+
+
+def _pool(semiring):
+    name = semiring.split(",")[0].replace("_complete", "")
+    return _POOLS.get(name, _POOLS["maxplus"])
+
+
+@st.composite
+def _cells(draw, pool, interval):
+    if draw(_rare):
+        return draw(st.sampled_from(_ODD))
+    i = draw(st.integers(0, len(pool) - 1))
+    if not interval:
+        return pool[i]
+    j = draw(st.integers(i, len(pool) - 1))
+    return [pool[j], pool[i]] if draw(_rare) \
+        else [pool[i], pool[j]]
+
+
+@st.composite
+def _matrix_objects(draw, cell, n):
+    rows = n if draw(st.booleans()) else draw(st.integers(1, 4))
+    cols = n if not draw(_sometimes) else draw(st.integers(1, 4))
+    data = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    if draw(_rare):          # a ragged or an empty row
+        data[-1] = data[-1][:draw(st.integers(0, cols - 1))]
+    obj = {"data": data}
+    for key, size in (("rows", rows), ("cols", cols)):
+        if draw(st.booleans()):
+            obj[key] = size if not draw(_rare) else draw(
+                st.sampled_from([size + 1, 0, -1, 1.0, True, None, "2",
+                                 10**400]))
+    return obj
+
+
+@st.composite
+def _graph_objects(draw, cell, n):
+    if draw(_rare):
+        n = draw(st.sampled_from([0, -1, 1.5, "3", True, None, 2**62, 10**20,
+                                  10**400]))
+    top = n if type(n) is int and 1 <= n <= 5 else 3
+    node = st.one_of(st.integers(1, top), st.sampled_from(
+        [0, top + 1, -1, 1.0, "1", None]))
+    good = st.tuples(st.integers(1, top), st.integers(1, top), cell)
+    bad = st.one_of(st.tuples(node, node, cell), st.sampled_from(
+        [(1, 2), (1, 2, 1.0, 0), None, 3, "arc"]))
+    arcs = [draw(bad if draw(_rare) else good)
+            for _ in range(draw(st.integers(0, 6)))]
+    obj = {"n": n, "arcs": [list(a) if isinstance(a, tuple) else a
+                            for a in arcs]}
+    if draw(_rare):
+        obj = draw(st.sampled_from([{"arcs": obj["arcs"]}, {"n": n},
+                                    {"n": n, "arcs": {}}]))
+    return obj
+
+
+@st.composite
+def _vector_objects(draw, cell, n):
+    return [draw(cell) for _ in range(draw(st.sampled_from([n, n, 1, 0])))]
+
+
+# inputs that are no JSON value, or no file
+_BROKEN = [b'{"data": [[1.0, ', b"", b"nul", b"\xff\xfe", b"[" * 5000,
+           b'{"data": [[1e999]]}', b'{"n": 2, "arcs": [[1, 2, 1e999]]}',
+           "missing", "directory"]
+
+
+@st.composite
+def _cli_runs(draw):
+    def value(good, bad):
+        # mostly a value the command takes, at times one it refuses
+        return draw(st.sampled_from(bad if draw(_rare)
+                                    else good))
+
+    command = draw(st.sampled_from(sorted(_SLOTS)))
+    semiring = value(_RUNS_OVER.get(command, _VALID), _VALID + _INVALID)
+    interval = draw(_sometimes)
+    argv = [command, "--semiring", semiring] + ["--interval"] * interval
+    if draw(st.booleans()):
+        argv += ["--format", value(["table", "json"], ["csv"])]
+    if command in _ALGO or draw(_rare):
+        if draw(st.booleans()):
+            argv += ["--algorithm", value(["block", "gauss_jordan",
+                                           "iterative"], ["fast"])]
+        if draw(_sometimes):
+            argv += ["--split", value(["1", "2", "3"], ["0", "-1", "9", "x"])]
+        if draw(_sometimes):
+            argv += ["--max-iterations", value(["1", "3", "60"],
+                                               ["0", "-2", "x"])]
+    if command == "factor" and draw(st.booleans()):
+        argv.append("--count-ops")
+    if command == "profit" and draw(st.booleans()):
+        argv += ["--horizon", value(["0", "1", "3", "inf"], ["-1", "x"])]
+    cell = _cells(_pool(semiring), interval)
+    n = draw(st.integers(1, 4))
+    kinds = {"m": _matrix_objects, "g": _graph_objects, "v": _vector_objects}
+    inputs = []
+    for slot in _SLOTS[command]:
+        if draw(_rare):
+            inputs.append(draw(st.sampled_from(_BROKEN)))
+            continue
+        kind = draw(st.sampled_from("mg")) if slot == "a" else slot
+        if draw(_rare):             # a value of another kind
+            kind = draw(st.sampled_from(sorted(kinds)))
+        inputs.append(draw(kinds[kind](cell, n)))
+    return argv, inputs
+
+
+def _input_file(root, k, obj):
+    path = Path(root) / f"in{k}.json"
+    if obj == "directory":
+        path.mkdir()
+    elif obj != "missing":
+        # bytes are the file as it is; other values go as JSON
+        path.write_bytes(obj if isinstance(obj, bytes)
+                         else json.dumps(obj).encode())
+    return str(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cli_runs())
+def test_every_cli_run_exits_with_a_documented_code(run):
+    # in process: an uncaught exception fails the test with its traceback
+    argv, inputs = run
+    with tempfile.TemporaryDirectory() as root:
+        paths = [_input_file(root, k, obj) for k, obj in enumerate(inputs)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + paths)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(6), (code, out, err)
+    assert "Traceback" not in out + err
+    assert out == "" if code else err == "", (code, out, err)

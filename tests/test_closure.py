@@ -2,6 +2,10 @@
 
 import dataclasses
 import itertools
+import math
+import os
+import sys
+import threading
 
 import pytest
 
@@ -12,6 +16,8 @@ from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
                       identity, lift_semiring, solve_bellman, zeros)
+from semiralg import intervals, offload, semirings
+from semiralg.closure import _product
 from semiralg.errors import (DimensionMismatch, IllegalElement,
                              InvalidOptions, NoStabilization, StarUndefined)
 
@@ -312,3 +318,179 @@ def test_gauss_jordan_performs_n_cubed_accumulates(name, rng):
         tally = [0]
         closure_gauss_jordan(Matrix(_counting_copy(d, tally), a.to_lists()))
         assert tally[0] == n ** 3
+
+
+# ------------------------------------------- the block products on the worker
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Every block product of a pair may go to the worker; the list
+    returned records each placement of one, True for a product that went."""
+    placements = []
+    place = offload._ship
+
+    def spy(run, args, work, d):
+        worker = place(run, args, work, d)
+        if run is _product:
+            placements.append(worker is not None)
+        return worker
+
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(offload, "_ship", spy)
+    return placements
+
+
+def _shipped_and_here(monkeypatch, placements, call):
+    """The outcomes of ``call`` with every block product shipped and with
+    every one in this process: (result, None) or (None, (type, message,
+    location))."""
+    outcomes = []
+    for threshold in (0, math.inf):
+        monkeypatch.setattr(offload, "SHIP_MIN_WORK", threshold)
+        placements.clear()
+        try:
+            outcomes.append((call(), None))
+        except StarUndefined as exc:
+            outcomes.append((None, (type(exc), str(exc), exc.location)))
+        if threshold == 0:
+            assert placements and all(placements)
+        else:       # below the threshold a product stays here unasked
+            assert not any(placements)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    return outcomes
+
+
+def _catalog_matrix(name, rows, cols, rand):
+    """Star-safe rows over a catalog carrier, signed zeros among them;
+    square ones carry -0.0 on the diagonal."""
+    label = {"maxplus_complete": "maxplus", "rplus_complete": "rplus"}.get(
+        name, name)
+    data = kernel_rows(label, rows, cols, rand)
+    if rows == cols:
+        for i in range(rows):
+            data[i][i] = -0.0 if label != "boolean" else data[i][i]
+    return Matrix(kernel_descriptor(name), data)
+
+
+CATALOG_LABELS = KERNEL_CARRIERS + ["maxplus_complete", "rplus_complete"]
+
+
+@pytest.mark.parametrize("name", CATALOG_LABELS)
+def test_shipped_products_are_bit_identical(monkeypatch, products, rng, name):
+    for n in (9, 16):
+        a = _catalog_matrix(name, n, n, rng)
+        b = _catalog_matrix(name, n, 3, rng)
+        for call in (lambda: closure_block(a), lambda: solve_bellman(a, b)):
+            (got, _), (want, _) = _shipped_and_here(monkeypatch, products, call)
+            assert_bit_identical(got, want)
+
+
+def test_a_star_failure_in_the_second_recursion_reads_as_here(monkeypatch,
+                                                              products, rng):
+    # the pivot at 7 fails in the recursion on the trailing block, after
+    # the products of the leading one went to the worker and came back
+    data = kernel_rows("maxplus", 8, 8, rng)
+    data[6][6] = 1.0
+    a = Matrix(MX, data)
+    shipped, here = _shipped_and_here(monkeypatch, products,
+                                      lambda: closure_block(a))
+    assert shipped == here
+    assert here[1][0] is StarUndefined and here[1][2] == 7
+    assert not offload._busy.locked()
+    good = _catalog_matrix("maxplus", 8, 8, rng)
+    (got, _), (want, _) = _shipped_and_here(monkeypatch, products,
+                                            lambda: closure_block(good))
+    assert_bit_identical(got, want)
+
+
+_PYTEST_PID = os.getpid()
+
+
+def test_an_interrupt_while_a_product_is_in_flight_stops_the_worker(
+        monkeypatch, products, rng):
+    a = _catalog_matrix("maxplus", 16, 16, rng)
+    want = closure_block(a)             # shipped: the worker is up
+    worker = offload._worker
+    kernels = semirings.row_kernels(MX)
+
+    def interrupted(X, Y):
+        # the user interrupts this process while its worker holds a product
+        if os.getpid() == _PYTEST_PID and offload._busy.locked():
+            raise KeyboardInterrupt
+        return kernels.product(X, Y)
+
+    monkeypatch.setitem(semirings._kernels, MX,
+                        kernels._replace(product=interrupted))
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    cpus = affinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        closure_block(a)
+    assert offload._worker is None and not offload._busy.locked()
+    assert not worker.process.is_alive()
+    assert affinity(0) == cpus
+    monkeypatch.setitem(semirings._kernels, MX, kernels)
+    products.clear()
+    assert_bit_identical(closure_block(a), want)
+    assert products and all(products)
+    assert offload._worker not in (None, worker)
+
+
+def test_a_lifted_block_closure_keeps_its_products_here(monkeypatch, products,
+                                                        rng):
+    av = random_interval_matrix("maxplus", 16, rng)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
+    want = closure_block(av)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    got = []
+    # the hi run holds the worker, so the products of both endpoint runs
+    # stay in their process; a product that waited on it would hang
+    thread = threading.Thread(target=lambda: got.append(closure_block(av)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert_bit_identical(got[0], want)
+    assert products and not any(products)
+
+
+def _busy_where_run(M):
+    return os.getpid(), offload._busy.locked()
+
+
+def test_the_worker_ships_nothing_itself(products, rng):
+    av = random_interval_matrix("maxplus", 4, rng)
+    here, there = intervals.endpoint_runs(_busy_where_run, av)
+    assert here == (os.getpid(), True)      # held by this call
+    assert there[0] != os.getpid() and there[1] is True
+
+
+def test_threads_share_the_worker_for_products(products, rng):
+    # more threads than cores, switching often: a product that reached
+    # the wrong call would put one thread's block in another's place
+    cases = [_catalog_matrix(name, 12, 12, rng)
+             for name in ("maxplus", "minplus", "maxmin", "real_field")] * 2
+    want = [closure_block(a) for a in cases]
+    got = [[] for _ in cases]
+
+    def work(k):
+        for _ in range(10):
+            got[k].append(closure_block(cases[k]))
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not offload._busy.locked()
+    assert any(products) and not all(products)
+    for results, w in zip(got, want):
+        assert len(results) == 10
+        for g in results:
+            assert_bit_identical(g, w)

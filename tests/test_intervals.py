@@ -26,7 +26,8 @@ from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
                       lift_semiring, make_interval, matrix_to_graph,
                       shortest_paths, solve_bellman, solve_ldm, solve_via_ldm,
                       symmetric_factorize, widest_paths, zeros)
-from semiralg import intervals, laws
+from semiralg import intervals, laws, offload
+from semiralg.closure import _product
 from semiralg.errors import (DimensionMismatch, EmptyInterval, IllegalElement,
                              NotPositive, NotSymmetric, SemiringError,
                              StarUndefined)
@@ -505,17 +506,20 @@ def test_interval_identity_and_zeros():
 @pytest.fixture
 def ship(monkeypatch):
     """Every hi run with a matrix operand goes to the worker; the list
-    returned records each placement, True for a run that went."""
+    returned records each placement of a hi run, True for a run that
+    went.  The block products of an endpoint run are not recorded: they
+    find the worker held by their own lifted call."""
     placements = []
-    place = intervals._ship
+    place = offload._ship
 
-    def spy(run, args, operands):
-        worker = place(run, args, operands)
-        placements.append(worker is not None)
+    def spy(run, args, work, d):
+        worker = place(run, args, work, d)
+        if run is not _product:
+            placements.append(worker is not None)
         return worker
 
-    monkeypatch.setattr(intervals, "SHIP_MIN_WORK", 0)
-    monkeypatch.setattr(intervals, "_ship", spy)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(offload, "_ship", spy)
     return placements
 
 
@@ -532,11 +536,11 @@ def _shipped_and_here(monkeypatch, placements, call):
     placements.clear()
     shipped = _outcome(call)
     assert placements and all(placements)
-    monkeypatch.setattr(intervals, "SHIP_MIN_WORK", math.inf)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
     placements.clear()
     here = _outcome(call)
     assert placements and not any(placements)
-    monkeypatch.setattr(intervals, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
     return shipped, here
 
 
@@ -685,28 +689,28 @@ def _held_in_the_worker(M):
 def test_a_killed_worker_gives_correct_calls(monkeypatch, ship, rng):
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
-    worker = intervals._worker
+    worker = offload._worker
     worker.process.kill()
     worker.process.join(timeout=30)
     assert not worker.process.is_alive()
     # the send finds no worker: the hi run stays here
     assert_bit_identical(closure_gauss_jordan(av), want)
-    assert ship[-1] is False and intervals._worker is None
+    assert ship[-1] is False and offload._worker is None
     # the next call starts a new worker, which dies before it replies
-    outcome = intervals._Worker.outcome
+    outcome = offload._Worker.outcome
 
     def die_first(self, run, args):
         self.process.kill()
         self.process.join(timeout=30)
         return outcome(self, run, args)
 
-    monkeypatch.setattr(intervals._Worker, "outcome", die_first)
+    monkeypatch.setattr(offload._Worker, "outcome", die_first)
     runs = intervals.endpoint_runs(_held_in_the_worker, av)
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
-    assert ship[-1] is True and intervals._worker is None
-    monkeypatch.setattr(intervals._Worker, "outcome", outcome)
+    assert ship[-1] is True and offload._worker is None
+    monkeypatch.setattr(offload._Worker, "outcome", outcome)
     assert_bit_identical(closure_gauss_jordan(av), want)
-    assert ship[-1] is True and intervals._worker.process.is_alive()
+    assert ship[-1] is True and offload._worker.process.is_alive()
 
 
 def _interrupted_here(M):
@@ -719,10 +723,10 @@ def _interrupted_here(M):
 def test_an_interrupt_stops_the_worker(ship, rng):
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
-    worker = intervals._worker
+    worker = offload._worker
     with pytest.raises(KeyboardInterrupt):
         intervals.endpoint_runs(_interrupted_here, av)
-    assert intervals._worker is None and not intervals._busy.locked()
+    assert offload._worker is None and not offload._busy.locked()
     assert not worker.process.is_alive()
     assert_bit_identical(closure_gauss_jordan(av), want)
     assert ship == [True, True, True]
@@ -758,7 +762,7 @@ def test_a_reply_that_does_not_unpickle_is_redone_here(monkeypatch, ship,
                                                        rng):
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
-    worker = intervals._worker
+    worker = offload._worker
     conn = worker.conn
     monkeypatch.setattr(worker, "conn",
                         _FailingReply(conn, pickle.UnpicklingError("bad")))
@@ -767,21 +771,21 @@ def test_a_reply_that_does_not_unpickle_is_redone_here(monkeypatch, ship,
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
     assert ship[-1] is True
     assert _RUNS_HERE == [intervals._endpoint(av, 0), intervals._endpoint(av, 1)]
-    assert intervals._worker is worker and worker.process.is_alive()
-    assert not intervals._busy.locked()
+    assert offload._worker is worker and worker.process.is_alive()
+    assert not offload._busy.locked()
     # the real reply was read, so the same worker serves the next call
     monkeypatch.setattr(worker, "conn", conn)
     _RUNS_HERE.clear()
     runs = intervals.endpoint_runs(_counted_here, av)
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
     assert ship[-1] is True and _RUNS_HERE == [intervals._endpoint(av, 0)]
-    assert intervals._worker is worker
+    assert offload._worker is worker
 
 
 def test_an_interrupt_while_waiting_stops_the_worker(monkeypatch, ship, rng):
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
-    worker = intervals._worker
+    worker = offload._worker
     monkeypatch.setattr(worker, "conn",
                         _FailingReply(worker.conn, KeyboardInterrupt()))
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
@@ -789,20 +793,20 @@ def test_an_interrupt_while_waiting_stops_the_worker(monkeypatch, ship, rng):
     with pytest.raises(KeyboardInterrupt):
         closure_gauss_jordan(av)
     assert ship[-1] is True
-    assert intervals._worker is None and not intervals._busy.locked()
+    assert offload._worker is None and not offload._busy.locked()
     assert not worker.process.is_alive()
     assert affinity(0) == cpus
     assert_bit_identical(closure_gauss_jordan(av), want)
-    assert ship[-1] is True and intervals._worker not in (None, worker)
+    assert ship[-1] is True and offload._worker not in (None, worker)
 
 
 def test_the_worker_ignores_sigint(ship, rng):
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
-    worker = intervals._worker
+    worker = offload._worker
     os.kill(worker.process.pid, signal.SIGINT)
     assert_bit_identical(closure_gauss_jordan(av), want)
-    assert intervals._worker is worker and worker.process.is_alive()
+    assert offload._worker is worker and worker.process.is_alive()
 
 
 _CALLER_CPUS = []
@@ -826,7 +830,7 @@ def test_the_worker_and_the_caller_keep_to_their_own_cpus(ship, rng):
     cpu = max(mine)
     _CALLER_CPUS.clear()
     intervals.endpoint_runs(_recording_cpus, av)
-    worker = intervals._worker
+    worker = offload._worker
     assert os.sched_getaffinity(worker.process.pid) == {cpu}
     assert os.sched_getaffinity(0) == mine
     with pytest.raises(KeyboardInterrupt):
@@ -835,7 +839,7 @@ def test_the_worker_and_the_caller_keep_to_their_own_cpus(ship, rng):
     assert os.sched_getaffinity(0) == mine
     # the interrupt stopped the worker; the next call starts another
     closure_gauss_jordan(av)
-    assert os.sched_getaffinity(intervals._worker.process.pid) == {cpu}
+    assert os.sched_getaffinity(offload._worker.process.pid) == {cpu}
     assert ship == [True, True, True]
 
 
@@ -843,7 +847,7 @@ def test_runs_that_do_not_travel_stay_here(monkeypatch, ship, rng):
     av = random_interval_matrix("maxplus", 6, rng)
     lo, hi = _split_endpoints(av)
     want = [closure_gauss_jordan(lo), closure_gauss_jordan(hi)]
-    worker = intervals._worker
+    worker = offload._worker
     # a local function does not pickle: it is never sent
     ship.clear()
     got = intervals.endpoint_runs(lambda m: closure_gauss_jordan(m), av)
@@ -856,7 +860,7 @@ def test_runs_that_do_not_travel_stay_here(monkeypatch, ship, rng):
     monkeypatch.setattr(sys.modules[__name__], "late_run", late, raising=False)
     got_late = intervals.endpoint_runs(late, av)
     assert ship == [False, True]
-    assert intervals._worker is worker and worker.process.is_alive()
+    assert offload._worker is worker and worker.process.is_alive()
     for g in (got, got_late):
         for a, b in zip(g, want):
             assert_bit_identical(a, b)
@@ -874,7 +878,7 @@ def test_a_lift_of_a_copied_base_never_ships(ship, rng):
 def test_a_busy_worker_leaves_the_hi_run_here(ship, rng):
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
-    with intervals._busy:       # as while another thread's call holds it
+    with offload._busy:       # as while another thread's call holds it
         got = closure_gauss_jordan(av)
     assert ship == [True, False]
     assert_bit_identical(got, want)
@@ -903,7 +907,7 @@ def test_threads_share_the_worker(ship, rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert not intervals._busy.locked()
+    assert not offload._busy.locked()
     for results, w in zip(got, want):
         assert len(results) == 20
         for g in results:
@@ -938,16 +942,16 @@ def _python(code):
 _PRELUDE = """\
 import os, sys
 sys.path.insert(0, sys.argv[1])
-from semiralg import Matrix, closure_block, intervals, lift_semiring, make_semiring
+from semiralg import Matrix, closure_block, lift_semiring, make_semiring, offload
 av = Matrix(lift_semiring(make_semiring("maxplus")), [[(-1.0, 0.0)] * 20] * 20)
 """
 
 
 def test_no_worker_at_import_nor_below_the_crossover():
     done = _python(_PRELUDE + """\
-print(intervals._worker, "multiprocessing" in sys.modules)
+print(offload._worker, "multiprocessing" in sys.modules)
 closure_block(av)
-print(intervals._worker, "multiprocessing" in sys.modules)
+print(offload._worker, "multiprocessing" in sys.modules)
 """)
     assert done.stdout == "None False\nNone False\n"
 
@@ -955,15 +959,15 @@ print(intervals._worker, "multiprocessing" in sys.modules)
 def test_a_plain_fork_leaves_the_worker_alone():
     # the copy made by os.fork exits through the usual interpreter exit
     done = _python(_PRELUDE + """\
-intervals.SHIP_MIN_WORK = 0
+offload.SHIP_MIN_WORK = 0
 want = closure_block(av)
-worker = intervals._worker
+worker = offload._worker
 pid = os.fork()
 if pid == 0:
     closure_block(av)
     sys.exit(0)
 os.waitpid(pid, 0)
-print(closure_block(av) == want, intervals._worker is worker,
+print(closure_block(av) == want, offload._worker is worker,
       worker.process.is_alive())
 """)
     assert (done.stdout, done.stderr) == ("True True True\n", "")
@@ -972,7 +976,7 @@ print(closure_block(av) == want, intervals._worker is worker,
 def test_the_worker_flushes_no_inherited_stream():
     # text buffered when the worker forks is written once, by this process
     done = _python(_PRELUDE + """\
-intervals.SHIP_MIN_WORK = 0
+offload.SHIP_MIN_WORK = 0
 sys.stdout.write("once")
 closure_block(av)
 """)
