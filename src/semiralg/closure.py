@@ -17,13 +17,22 @@ kernel of ``Matrix.mul`` too) and take a Gauss-Jordan step
 packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
 
-The block recursion has two independent products at each level, P =
-S11 A12 with Q = A21 S11 and TR = P SD with BL = SD Q.  Q and BL go to
-the worker process of ``offload.side_by_side`` while this process
-computes P and TR, when a product is large enough to pay for the trip;
-each comes back before the recursion goes on, so the products of the
-next level may use the worker too.  The shipped product is the same
-kernel on the same rows, so the result is the same bit for bit.
+Both use the worker process of ``offload`` when the work is large
+enough to pay for the trip.  The block recursion has two independent
+products at each level, P = S11 A12 with Q = A21 S11 and TR = P SD
+with BL = SD Q: Q and BL go to the worker while this process computes
+P and TR.  Its two other products, A21 P for D and TR Q for TL, are
+split by rows, the bottom half going to the worker.  Each comes back
+before the recursion goes on, so the products of the next level may
+use the worker too.  The elimination hands the bottom half of the rows
+to the worker, and the two stripes take the steps in lockstep
+(``offload.lockstep``): the step at pivot k updates a row from itself
+and the pivot row k before the step alone, so the stripe that holds
+row k sends it to the other before its own step, and each then takes
+the step on its own rows (Kumar, Grama, Gupta and Karypis,
+*Introduction to Parallel Computing*, 2nd ed., ch. 10, Floyd's
+algorithm, pipelined 1-D mapping).  A shipped product or stripe is the
+same kernel on the same rows, so the result is the same bit for bit.
 """
 
 from dataclasses import dataclass
@@ -87,33 +96,40 @@ def _close_rec(d, kernels, M, offset, opts):
 
     S11 = _close_rec(d, kernels, A11, offset, opts)
     P, Q = _products(d, product, S11, A12, A21, S11)
-    D = list(map(add_rows, A22, product(A21, P)))
+    D = list(map(add_rows, A22, _split_product(d, product, A21, P)))
     SD = _close_rec(d, kernels, D, offset + k, opts)
     TR, BL = _products(d, product, P, SD, SD, Q)
-    TL = list(map(add_rows, S11, product(TR, Q)))
+    TL = list(map(add_rows, S11, _split_product(d, product, TR, Q)))
     return kernels.join(TL, TR) + kernels.join(BL, SD)
+
+
+def _split_product(d, product, X, Y):
+    """``product(X, Y)``, its top rows here and its bottom rows on the
+    worker process when that pays (see ``_products``)."""
+    m = len(X) // 2
+    if ((len(X) - m) * len(Y) * (len(Y[0]) if type(Y[0]) is list else 1)
+            < offload.SHIP_MIN_WORK):
+        return product(X, Y)
+    top, bottom = _products(d, product, X[:m], Y, X[m:], Y)
+    return top + bottom
 
 
 def _products(d, product, X1, Y1, X2, Y2):
     """``product(X1, Y1)`` here and ``X2 Y2`` meanwhile on the worker
-    process when that pays.  The work of a product is its rows times its
-    inner dimension times the width of a kernel row, which is 1 for a
-    boolean row packed into an int: such products are too cheap to ship.
+    process when that pays; a failure is raised as ``offload.results``
+    orders it.  The work of a product is its rows times its inner
+    dimension times the width of a kernel row, which is 1 for a boolean
+    row packed into an int: such products are too cheap to ship.
 
     A product below ``offload.SHIP_MIN_WORK`` never ships, so a pair of
     them is multiplied here at once: most pairs of a recursion are small,
     and ``side_by_side`` adds about 1.5 us to each, some 4 % of a boolean
     closure at n = 128 or a tropical one at n = 24."""
-    width = len(Y2[0]) if type(Y2[0]) is list else 1
-    work = len(X2) * len(Y2) * width
+    work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
     if work < offload.SHIP_MIN_WORK:
         return product(X1, Y1), product(X2, Y2)
-    outcomes = offload.side_by_side(lambda: product(X1, Y1), _product,
-                                    (d, X2, Y2), work, d)
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [result for result, _ in outcomes]
+    return offload.results(offload.side_by_side(
+        lambda: product(X1, Y1), _product, (d, X2, Y2), work, d))
 
 
 def _product(d, X, Y):
@@ -145,19 +161,81 @@ def _finish(d, kernels, C):
 
 
 def closure_gauss_jordan(A: Matrix) -> Matrix:
-    """Closure by pivot elimination over the whole matrix."""
+    """Closure by pivot elimination over the whole matrix.
+
+    The top half of the rows stays here and the bottom half goes to the
+    worker process, the two stripes stepping in lockstep (``_stripe``),
+    when the work of the bottom one, its rows times n times the width of
+    a kernel row, reaches ``offload.SHIP_MIN_WORK``; a packed boolean
+    row counts 1, so boolean ships from n = 181 only.  The rows are
+    eliminated here, one step after the other, when the stripe does not
+    ship, and again from the start when the worker dies mid-way.
+    """
     _require_square(A)
     d = A.descriptor
     if is_lift(d):
         return join_endpoints(d, *endpoint_runs(closure_gauss_jordan, A))
     kernels = row_kernels(d)
+    C = list(map(kernels.encode, A._data))
+    n = A.rows
+    if n > 1:
+        h = n // 2
+        work = (n - h) * n * (n if type(C[0]) is list else 1)
+        outcomes = offload.lockstep(_stripe, (d, C[:h], 0, n),
+                                    (d, C[h:], h, n), work, d)
+        if outcomes is not None:
+            top, bottom = offload.results(outcomes)
+            return _finish(d, kernels, top + bottom)
     entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
                                     kernels.encode_one)
-    C = list(map(kernels.encode, A._data))
-    for k in range(A.rows):
-        s = encode_one(kernel_star(d, kernels, entry(C[k], k), k + 1))
-        C = eliminate(C, k, s)
+    for k in range(n):
+        krow = C[k]
+        s = encode_one(kernel_star(d, kernels, entry(krow, k), k + 1))
+        C = eliminate(C, k, s, krow)
     return _finish(d, kernels, C)
+
+
+def _stripe(peer, d, C, lo, n):
+    """The encoded rows C, rows lo.. of an n x n matrix, after the
+    Gauss-Jordan steps at pivots 0..n-1, taken in lockstep with the
+    process that holds the other rows, at the other end of the pipe
+    ``peer``.  Private: a public name may be rebound by a wrapper that
+    does not pickle.
+
+    The stripe that holds pivot row k sends it before its step, and the
+    other takes it, so each step reads the row as it was before the
+    step.  Both compute the star of the pivot, so a failing pivot fails
+    in both stripes at once, in the same way.  A stripe that fails
+    takes the other's rows until the other needs one of its own, and
+    sends None for that one; a stripe that takes None stops and returns
+    None.  So neither waits on the other, nor leaves a row unread.
+    """
+    kernels = row_kernels(d)
+    entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
+                                    kernels.encode_one)
+    hi = lo + len(C)
+    passed = 0          # the pivots whose row went one way or the other
+    try:
+        for k in range(n):
+            if lo <= k < hi:
+                krow = C[k - lo]
+                peer.send(krow)
+            else:
+                krow = peer.recv()
+                if krow is None:
+                    return None
+            passed = k + 1
+            s = encode_one(kernel_star(d, kernels, entry(krow, k), k + 1))
+            C = eliminate(C, k, s, krow)
+    except Exception:
+        for k in range(passed, n):
+            if lo <= k < hi:
+                peer.send(None)
+                break
+            if peer.recv() is None:
+                break
+        raise
+    return C
 
 
 def closure_iterative(A: Matrix,

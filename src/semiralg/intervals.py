@@ -19,22 +19,22 @@ may have been replaced and which therefore run the fold kernels.
 
 The two endpoint runs are independent.  ``endpoint_runs`` sends the hi
 run to the package's one worker process (``offload.side_by_side``,
-which also serves the block closure's products) and runs the lo run
-meanwhile.  The hi run stays in this process when its work is below
+which also serves the block closure's products and the Gauss-Jordan
+stripes) and runs the lo run meanwhile.  The hi run stays in this process when its work is below
 ``offload.SHIP_MIN_WORK`` (about n = 25 for a closure or a
 factorization), when the base is not a catalog instance, when another
 call holds the worker, and in the other cases ``offload`` names.  The
 lifted call holds the worker while its runs last, so the block
-products of its runs stay in their process.  Both runs call the same
+products and the stripes of its runs stay in their process.  Both runs call the same
 module-level function on the same values, so results are the same bit
 for bit wherever the hi run goes.
 """
 
 from typing import NamedTuple
 
-from .errors import EmptyInterval, IllegalElement, NotPositive, StarUndefined
+from .errors import EmptyInterval, IllegalElement, NotPositive
 from .matrices import Matrix, _matrix_product, _split_products
-from .offload import side_by_side
+from .offload import results, side_by_side
 from .semirings import SemiringDescriptor, SemiringFlags
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
@@ -124,13 +124,8 @@ def endpoint_runs(run, *args, counter=None):
         lo = [_endpoint(a, 0) for a in args]
         return run(*lo) if counter is None else run(*lo, counter=counter)
 
-    outcomes = side_by_side(lo_run, run, [_endpoint(a, 1) for a in args],
-                            work, base)
-    failures = [exc for _, exc in outcomes if exc is not None]
-    if failures:
-        others = [exc for exc in failures if not isinstance(exc, StarUndefined)]
-        raise others[0] if others else min(failures, key=lambda exc: exc.location)
-    return [result for result, _ in outcomes]
+    return results(side_by_side(lo_run, run, [_endpoint(a, 1) for a in args],
+                                work, base))
 
 
 def _endpoint(a, end):

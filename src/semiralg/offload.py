@@ -1,21 +1,27 @@
-"""One worker process for two independent runs of one call.
+"""One worker process for two runs of one call.
 
 ``side_by_side(here, run, args, work, d)`` returns the outcomes of
 ``here()``, run in this process, and of ``run(*args)``, run meanwhile
 in a worker process when that pays and else here after ``here()``.
 Two callers use it: ``intervals.endpoint_runs``, whose hi endpoint run
 it ships, and the block closure, which ships one product of each
-independent pair.
+independent pair.  ``lockstep(run, here_args, there_args, work, d)``
+runs ``run`` here and on the worker at once, each run with its end of
+one pipe to talk to the other; the Gauss-Jordan closure eliminates
+two row stripes so.  It answers None before anything runs when the
+run does not ship, as two runs that wait on each other cannot run one
+after the other.
 
-``run`` runs here instead when its ``work`` is below ``SHIP_MIN_WORK``,
-when the descriptor ``d`` it computes over is not a catalog instance
-(only those pickle), when another call holds the worker (another
-thread's, or a lifted call whose own products would otherwise wait on
-it), when the worker has died (the next call starts a new one), in a
-process forked from the one that started it, inside the worker itself,
-and where there is no fork.  ``run`` is the same module-level function
-on the same values wherever it runs, so its result is the same bit for
-bit.
+``run`` stays here when its ``work`` is below ``SHIP_MIN_WORK``, when
+the descriptor ``d`` it computes over is not a catalog instance (only
+those pickle), when another call holds the worker (another thread's,
+or a lifted call whose own products would otherwise wait on it), when
+the calling thread may use only one CPU (the worker would only take
+turns with it), when the worker has died (the next call starts a new
+one), in a process forked from the one that started it, inside the
+worker itself, and where there is no fork.  ``run`` is the same
+module-level function on the same values wherever it runs, so its
+result is the same bit for bit.
 
 The worker is forked at the first call that ships, never at import.
 Where the caller may run on two CPUs or more, the worker keeps to one
@@ -28,9 +34,10 @@ two runs one after the other.
 import _thread
 import os
 
+from .errors import StarUndefined
 from .semirings import in_catalog
 
-__all__ = ["side_by_side", "SHIP_MIN_WORK"]
+__all__ = ["side_by_side", "lockstep", "results", "SHIP_MIN_WORK"]
 
 
 # A run goes to the worker when its work is at least this many base
@@ -64,6 +71,43 @@ def side_by_side(here, run, args, work, d):
             else worker.outcome(run, args)]
 
 
+def lockstep(run, here_args, there_args, work, d):
+    """``[(result, exception), (result, exception)]`` of ``run(peer,
+    *here_args)`` here and of ``run(peer, *there_args)`` on the worker,
+    run at once, each with its end of one pipe as ``peer``; or None
+    when the second run does not ship (see ``_ship``), or the worker
+    died or replied what does not unpickle, and the caller is to do the
+    whole job here instead.
+
+    Each run sends the other what it needs with ``peer.send`` and takes
+    what it needs with ``peer.recv``, and must leave nothing unread
+    behind it.  An exception that is not an ``Exception`` stops the
+    worker, as in ``side_by_side``.
+    """
+    worker = _ship(run, there_args, work, d, peer=True)
+    if worker is None:
+        return None
+    try:
+        mine = _attempt(run, (worker.conn, *here_args))
+    except BaseException:
+        worker.stop()
+        worker.release()
+        raise
+    theirs = worker.reply()
+    return None if theirs is None else [mine, theirs]
+
+
+def results(outcomes):
+    """The results of ``outcomes``, or the failure to raise: any that is
+    not a ``StarUndefined`` first, the first outcome's first; else the
+    star failure at the earlier location, the first outcome's on a tie."""
+    failures = [exc for _, exc in outcomes if exc is not None]
+    if failures:
+        others = [exc for exc in failures if not isinstance(exc, StarUndefined)]
+        raise others[0] if others else min(failures, key=lambda exc: exc.location)
+    return [result for result, _ in outcomes]
+
+
 def _attempt(run, args):
     """(result, None), or (None, the exception) when ``run`` raised one."""
     try:
@@ -72,11 +116,13 @@ def _attempt(run, args):
         return None, exc
 
 
-def _ship(run, args, work, d):
-    """The worker, running ``run(*args)`` for this call, or None when the
-    run stays in this process: when the work is small, this system has
-    no fork, ``d`` is None or not a catalog instance, the worker serves
-    another call, or it belongs to the process this one was forked from."""
+def _ship(run, args, work, d, peer=False):
+    """The worker, running ``run(*args)`` for this call, or ``run(its end
+    of the pipe, *args)`` with ``peer``; or None when the run stays in
+    this process: when the work is small, this system has no fork, ``d``
+    is None or not a catalog instance, the worker serves another call,
+    the calling thread may use only one CPU, or the worker belongs to
+    the process this one was forked from."""
     global _worker
     if (work < SHIP_MIN_WORK
             or not hasattr(os, "fork")
@@ -84,12 +130,15 @@ def _ship(run, args, work, d):
             or not _busy.acquire(blocking=False)):
         return None
     try:
-        if _worker is None:
-            _worker = _Worker()
-        if _worker.pid == os.getpid():
-            _worker.conn.send((run, args))
-            _worker.keep_off()
-            return _worker
+        # read once the worker is ours: a call that holds it has kept
+        # its thread off a CPU (keep_off)
+        if not _one_cpu():
+            if _worker is None:
+                _worker = _Worker()
+            if _worker.pid == os.getpid():
+                _worker.conn.send((run, args, peer))
+                _worker.keep_off()
+                return _worker
     except OSError:         # no worker could start, or it died
         if _worker is not None:
             _worker.stop()
@@ -135,6 +184,13 @@ class _Worker:
     def outcome(self, run, args):
         """The outcome of the shipped run; ``run(*args)`` run here when
         the worker died or could not run it."""
+        got = self.reply()
+        return _attempt(run, args) if got is None else got
+
+    def reply(self):
+        """The worker's reply to this call, freeing the worker: the
+        outcome of the shipped run, or None when the worker died, could
+        not run it, or replied what does not unpickle."""
         try:
             got = self.conn.recv()
         except (EOFError, OSError):
@@ -147,7 +203,7 @@ class _Worker:
             raise
         finally:
             self.release()
-        return _attempt(run, args) if got is None else got
+        return got
 
     def keep_off(self):
         """Keep the calling thread off the worker's CPU until ``release``."""
@@ -181,20 +237,34 @@ class _Worker:
         self.process.join()
 
 
+def _cpus():
+    """The CPUs the calling thread may use, or None where the system
+    cannot say."""
+    try:
+        return os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return None
+
+
+def _one_cpu():
+    """True when the calling thread may use only one CPU."""
+    cpus = _cpus()
+    return cpus is not None and len(cpus) < 2
+
+
 def _worker_cpu():
     """The CPU the worker keeps to: the highest the calling thread may
     use, or None where it may use only one or the system cannot say."""
-    try:
-        cpus = os.sched_getaffinity(0)
-    except (AttributeError, OSError):
-        return None
-    return max(cpus) if len(cpus) > 1 else None
+    cpus = _cpus()
+    return max(cpus) if cpus is not None and len(cpus) > 1 else None
 
 
 def _serve(conn, parent_end, cpu):
-    """The worker's loop: take (run, args), reply (result, exception), or
-    None for a message it could not take or a reply it could not send.
-    It ends, quietly, when the caller's end of the pipe closes."""
+    """The worker's loop: take (run, args, peer), reply (result,
+    exception) of ``run(*args)``, or of ``run(conn, *args)`` with
+    ``peer``, or None for a message it could not take or a reply it
+    could not send.  It ends, quietly, when the caller's end of the
+    pipe closes."""
     import signal       # loaded already, by _Worker
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -206,8 +276,8 @@ def _serve(conn, parent_end, cpu):
     try:
         while True:
             try:
-                run, args = conn.recv()
-                conn.send(_attempt(run, args))
+                run, args, peer = conn.recv()
+                conn.send(_attempt(run, (conn, *args) if peer else args))
             except (EOFError, OSError):
                 break
             except Exception:   # noqa: BLE001 - the caller runs it instead

@@ -48,6 +48,7 @@ real_field                all reals, + and *; star is (1 - x)^-1
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, repeat
@@ -479,12 +480,14 @@ class RowKernels(NamedTuple):
 
     Arithmetic: ``mul`` is the scalar product, ``add_rows`` the
     entrywise sum of two rows, ``product(X, Y)`` the matrix product of
-    two lists of rows as a new list, and ``eliminate(C, k, s)`` the rows
-    of C after the Gauss-Jordan step at pivot k whose star is ``s``:
-    ``row + (row[k] s) C[k]`` for every row, C[k] included, each read
-    before the step.  ``fold(acc, xrow, ycol)`` is one entry of a
-    substitution or factorization step and ``axpy(row, a, krow)`` the
-    row ``row + a krow``.  Each equals its definition by the
+    two lists of rows as a new list, and ``eliminate(C, k, s, krow)``
+    the rows of C after the Gauss-Jordan step at pivot k whose pivot row
+    is ``krow`` and whose star is ``s``: ``row + (row[k] s) krow`` for
+    every row, each read before the step.  C may hold every row, krow
+    among them, or a stripe of them, with or without krow.
+    ``fold(acc, xrow, ycol)`` is one entry of a substitution or
+    factorization step and ``axpy(row, a, krow)`` the row ``row + a
+    krow``.  Each equals its definition by the
     descriptor's operations bit for bit: ``fold`` the left fold over k
     of ``fma`` that starts from ``acc`` (``acc`` itself for empty rows),
     an entry of ``product`` the same fold started from ``mul(x[0],
@@ -532,7 +535,8 @@ def row_kernels(d: SemiringDescriptor) -> RowKernels:
     get kernels of their own, mostly loops that run in C, and boolean
     packs its rows into ints; every other descriptor (the complete
     carriers, lifts, and any copy of a catalog instance, whose
-    operations may have been replaced) gets the fold of its own ``fma``.
+    operations may have been replaced) gets the fold of its own ``fma``,
+    built once per descriptor.
     """
     kernels = _kernels.get(d)
     return kernels if kernels is not None else _fold_kernels(d)
@@ -575,9 +579,8 @@ def _list_kernels(encode, decode, encode_one, decode_one, mul, dot, fold,
         cols = list(zip(*Y))
         return [[dot(xrow, ycol) for ycol in cols] for xrow in X]
 
-    def eliminate(C, k, s):
-        rowk = C[k]
-        return [axpy(row, mul(row[k], s), rowk) for row in C]
+    def eliminate(C, k, s, krow):
+        return [axpy(row, mul(row[k], s), krow) for row in C]
 
     return RowKernels(encode, decode, encode_one, decode_one, mul, add_rows,
                       product, eliminate, fold, axpy, _getitem, _split_lists,
@@ -603,6 +606,13 @@ def _fold_decode(d):
 
 
 def _fold_kernels(d):
+    kernels = _folds.get(d)
+    if kernels is None:
+        kernels = _folds[d] = _new_fold_kernels(d)
+    return kernels
+
+
+def _new_fold_kernels(d):
     mul, fma, add = d.mul, d.fma, d.add
     decode = _fold_decode(d)
 
@@ -765,9 +775,9 @@ def _boolean_kernels(d):
         width = 1 << (Y[0].bit_length() - 1)
         return [reduce(_or, compress(Y, bits(x)), width) for x in X]
 
-    def eliminate(C, k, s):
+    def eliminate(C, k, s, krow):
         # s is the star of a pivot, which is True on boolean
-        krow, bit = C[k], 1 << k
+        bit = 1 << k
         return [row | krow if row & bit else row for row in C]
 
     def split(rows, k):
@@ -802,6 +812,10 @@ _SPECIALISED = {"maxplus": _maxplus_kernels, "minplus": _minplus_kernels,
                 "rplus": _field_kernels, "real_field": _field_kernels}
 # catalog descriptor -> its specialised kernels; copies are not keys
 _kernels: dict = {}
+# descriptor -> its fold kernels, built at its first use.  Descriptors
+# hash by identity, so a copy has kernels of its own, and the keys are
+# weak, so they go with the copy
+_folds = weakref.WeakKeyDictionary()
 
 _CATALOG = {
     "rplus": lambda: _make_rplus(False),

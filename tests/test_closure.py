@@ -4,8 +4,12 @@ import dataclasses
 import itertools
 import math
 import os
+import signal
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +21,10 @@ from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
                       identity, lift_semiring, solve_bellman, zeros)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _product
+from semiralg.closure import _product, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
-                             InvalidOptions, NoStabilization, StarUndefined)
+                             InvalidOptions, NoStabilization, SemiringError,
+                             StarUndefined)
 
 MX = descriptor("maxplus")
 BOOL = descriptor("boolean")
@@ -325,18 +330,30 @@ def test_gauss_jordan_performs_n_cubed_accumulates(name, rng):
 
 @pytest.fixture
 def products(monkeypatch):
-    """Every block product of a pair may go to the worker; the list
-    returned records each placement of one, True for a product that went."""
+    """Every block product of a pair may go to the worker, also where
+    the calling thread may use only one CPU; the list returned records
+    each placement of one, True for a product that went."""
+    return _placements(monkeypatch, _product)
+
+
+@pytest.fixture
+def stripes(monkeypatch):
+    """As ``products``, for the bottom stripe of a Gauss-Jordan closure."""
+    return _placements(monkeypatch, _stripe)
+
+
+def _placements(monkeypatch, kind):
     placements = []
     place = offload._ship
 
-    def spy(run, args, work, d):
-        worker = place(run, args, work, d)
-        if run is _product:
+    def spy(run, args, work, d, peer=False):
+        worker = place(run, args, work, d, peer)
+        if run is kind:
             placements.append(worker is not None)
         return worker
 
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(offload, "_one_cpu", lambda: False)
     monkeypatch.setattr(offload, "_ship", spy)
     return placements
 
@@ -351,8 +368,9 @@ def _shipped_and_here(monkeypatch, placements, call):
         placements.clear()
         try:
             outcomes.append((call(), None))
-        except StarUndefined as exc:
-            outcomes.append((None, (type(exc), str(exc), exc.location)))
+        except SemiringError as exc:
+            outcomes.append((None, (type(exc), str(exc),
+                                    getattr(exc, "location", None))))
         if threshold == 0:
             assert placements and all(placements)
         else:       # below the threshold a product stays here unasked
@@ -378,7 +396,9 @@ CATALOG_LABELS = KERNEL_CARRIERS + ["maxplus_complete", "rplus_complete"]
 
 @pytest.mark.parametrize("name", CATALOG_LABELS)
 def test_shipped_products_are_bit_identical(monkeypatch, products, rng, name):
-    for n in (9, 16):
+    # every product ships: the independent pairs and both halves of the
+    # products split by rows, D = A22 + A21 P and TL = S11 + TR Q
+    for n in (2, 9, 16, 17):
         a = _catalog_matrix(name, n, n, rng)
         b = _catalog_matrix(name, n, 3, rng)
         for call in (lambda: closure_block(a), lambda: solve_bellman(a, b)):
@@ -465,16 +485,21 @@ def test_the_worker_ships_nothing_itself(products, rng):
 
 
 def test_threads_share_the_worker_for_products(products, rng):
-    # more threads than cores, switching often: a product that reached
-    # the wrong call would put one thread's block in another's place
+    # a product that reached the wrong call would put one thread's block
+    # in another's place
+    _share_the_worker(closure_block, products, rng)
+
+
+def _share_the_worker(kernel, placements, rng):
+    # more threads than cores, switching often
     cases = [_catalog_matrix(name, 12, 12, rng)
              for name in ("maxplus", "minplus", "maxmin", "real_field")] * 2
-    want = [closure_block(a) for a in cases]
+    want = [kernel(a) for a in cases]
     got = [[] for _ in cases]
 
     def work(k):
         for _ in range(10):
-            got[k].append(closure_block(cases[k]))
+            got[k].append(kernel(cases[k]))
 
     threads = [threading.Thread(target=work, args=(k,))
                for k in range(len(cases))]
@@ -489,8 +514,170 @@ def test_threads_share_the_worker_for_products(products, rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not offload._busy.locked()
-    assert any(products) and not all(products)
+    assert any(placements) and not all(placements)
     for results, w in zip(got, want):
         assert len(results) == 10
         for g in results:
             assert_bit_identical(g, w)
+
+
+# --------------------------------------- the Gauss-Jordan stripes on the worker
+
+
+@pytest.mark.parametrize("name", CATALOG_LABELS)
+def test_striped_elimination_is_bit_identical(monkeypatch, stripes, rng, name):
+    for n in (2, 9, 16, 17):
+        a = _catalog_matrix(name, n, n, rng)
+        (got, _), (want, _) = _shipped_and_here(
+            monkeypatch, stripes, lambda: closure_gauss_jordan(a))
+        assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("pivot", [3, 12])     # the caller's rows are 0..7
+def test_a_failing_pivot_reads_as_here_in_either_stripe(monkeypatch, stripes,
+                                                        rng, pivot):
+    data = kernel_rows("maxplus", 16, 16, rng)
+    data[pivot][pivot] = 1.0
+    a = Matrix(MX, data)
+    shipped, here = _shipped_and_here(monkeypatch, stripes,
+                                      lambda: closure_gauss_jordan(a))
+    assert shipped == here
+    assert here[1][0] is StarUndefined and here[1][2] == pivot + 1
+    assert not offload._busy.locked()
+    good = _catalog_matrix("maxplus", 16, 16, rng)
+    (got, _), (want, _) = _shipped_and_here(
+        monkeypatch, stripes, lambda: closure_gauss_jordan(good))
+    assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("row", [1, 2])       # the caller's rows are 0, 1
+def test_a_failure_in_one_stripe_alone_reads_as_here(monkeypatch, stripes,
+                                                     rng, row):
+    # over maxplus_complete, the step at pivot 0 raises in this row only:
+    # its top tag meets a sum past the float range, 1e308 + 1e308
+    data = [[-1.0, 1e308, -1.0, -1.0]] + [[-1.0] * 4 for _ in range(3)]
+    data[row] = [1e308, POS_INF, -1.0, -1.0]
+    a = Matrix(descriptor("maxplus_complete"), data)
+    shipped, here = _shipped_and_here(monkeypatch, stripes,
+                                      lambda: closure_gauss_jordan(a))
+    assert shipped == here
+    assert here[1][0] is IllegalElement and "float range" in here[1][1]
+    assert not offload._busy.locked()
+    good = _catalog_matrix("maxplus_complete", 4, 4, rng)
+    (got, _), (want, _) = _shipped_and_here(
+        monkeypatch, stripes, lambda: closure_gauss_jordan(good))
+    assert_bit_identical(got, want)
+
+
+def _fork_anew(monkeypatch, eliminate):
+    """The next worker forks with ``eliminate`` as the maxplus step; the
+    kernels to put back."""
+    if offload._worker is not None:
+        offload._worker.stop()
+    kernels = semirings.row_kernels(MX)
+    monkeypatch.setitem(semirings._kernels, MX,
+                        kernels._replace(eliminate=eliminate))
+    return kernels
+
+
+def test_an_interrupt_while_waiting_for_a_pivot_row_stops_the_worker(
+        monkeypatch, stripes, rng):
+    a = _catalog_matrix("maxplus", 16, 16, rng)
+    want = closure_gauss_jordan(a)
+
+    def slow(C, k, s, krow):
+        # the worker, at the caller's last pivot, keeps the caller
+        # waiting for its first pivot row, and the user interrupts that
+        if os.getpid() != _PYTEST_PID and k == 7:
+            time.sleep(0.2)
+            os.kill(_PYTEST_PID, signal.SIGUSR1)
+        return kernels.eliminate(C, k, s, krow)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    kernels = _fork_anew(monkeypatch, slow)
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    cpus = affinity(0)
+    handler = signal.signal(signal.SIGUSR1, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            closure_gauss_jordan(a)
+    finally:
+        signal.signal(signal.SIGUSR1, handler)
+    assert stripes[-1] is True
+    assert offload._worker is None and not offload._busy.locked()
+    assert affinity(0) == cpus
+    monkeypatch.setitem(semirings._kernels, MX, kernels)
+    assert_bit_identical(closure_gauss_jordan(a), want)
+    assert stripes[-1] is True and offload._worker.process.is_alive()
+
+
+@pytest.mark.parametrize("pivot", [3, 12])
+def test_a_worker_killed_mid_elimination_leaves_it_here(monkeypatch, stripes,
+                                                        rng, pivot):
+    a = _catalog_matrix("maxplus", 16, 16, rng)
+    want = closure_gauss_jordan(a)
+
+    def dying(C, k, s, krow):
+        if os.getpid() != _PYTEST_PID and k == pivot:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return kernels.eliminate(C, k, s, krow)
+
+    kernels = _fork_anew(monkeypatch, dying)
+    got = closure_gauss_jordan(a)
+    assert stripes[-1] is True
+    assert_bit_identical(got, want)
+    assert offload._worker is None and not offload._busy.locked()
+    monkeypatch.setitem(semirings._kernels, MX, kernels)
+    assert_bit_identical(closure_gauss_jordan(a), want)
+    assert stripes[-1] is True and offload._worker.process.is_alive()
+
+
+def test_a_lifted_gauss_jordan_keeps_its_stripes_here(monkeypatch, stripes,
+                                                      rng):
+    av = random_interval_matrix("maxplus", 16, rng)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
+    want = closure_gauss_jordan(av)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    got = []
+    # the hi run holds the worker, so the stripes of both endpoint runs
+    # stay in their process; a stripe that waited on it would hang
+    thread = threading.Thread(
+        target=lambda: got.append(closure_gauss_jordan(av)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert_bit_identical(got[0], want)
+    assert stripes and not any(stripes)
+
+
+def test_threads_share_the_worker_for_stripes(stripes, rng):
+    _share_the_worker(closure_gauss_jordan, stripes, rng)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_a_thread_on_one_cpu_ships_nothing(rng):
+    # the worker could only take turns with it.  Floats only, so that
+    # the rows print as Python
+    a = Matrix(MX, [[-5.0 if v is NEG_INF else v for v in row]
+                    for row in _catalog_matrix("maxplus", 16, 16, rng)._data])
+    src = str(Path(offload.__file__).resolve().parent.parent)
+    code = f"""\
+import os, sys
+sys.path.insert(0, {src!r})
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from semiralg import Matrix, closure_block, closure_gauss_jordan, make_semiring
+from semiralg import offload
+offload.SHIP_MIN_WORK = 0
+a = Matrix(make_semiring("maxplus"), {a.to_lists()!r})
+print(repr(closure_block(a).to_lists()))
+print(repr(closure_gauss_jordan(a).to_lists()))
+print(offload._worker)
+"""
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines() == [repr(closure_block(a).to_lists()),
+                                        repr(closure_gauss_jordan(a).to_lists()),
+                                        "None"]

@@ -27,7 +27,7 @@ from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
                       shortest_paths, solve_bellman, solve_ldm, solve_via_ldm,
                       symmetric_factorize, widest_paths, zeros)
 from semiralg import intervals, laws, offload
-from semiralg.closure import _product
+from semiralg.closure import _product, _stripe
 from semiralg.errors import (DimensionMismatch, EmptyInterval, IllegalElement,
                              NotPositive, NotSymmetric, SemiringError,
                              StarUndefined)
@@ -505,20 +505,22 @@ def test_interval_identity_and_zeros():
 
 @pytest.fixture
 def ship(monkeypatch):
-    """Every hi run with a matrix operand goes to the worker; the list
-    returned records each placement of a hi run, True for a run that
-    went.  The block products of an endpoint run are not recorded: they
-    find the worker held by their own lifted call."""
+    """Every hi run with a matrix operand goes to the worker, also where
+    the calling thread may use only one CPU; the list returned records
+    each placement of a hi run, True for a run that went.  The block
+    products and Gauss-Jordan stripes of an endpoint run are not
+    recorded: they find the worker held by their own lifted call."""
     placements = []
     place = offload._ship
 
-    def spy(run, args, work, d):
-        worker = place(run, args, work, d)
-        if run is not _product:
+    def spy(run, args, work, d, peer=False):
+        worker = place(run, args, work, d, peer)
+        if run not in (_product, _stripe):
             placements.append(worker is not None)
         return worker
 
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(offload, "_one_cpu", lambda: False)
     monkeypatch.setattr(offload, "_ship", spy)
     return placements
 
@@ -693,13 +695,16 @@ def test_a_killed_worker_gives_correct_calls(monkeypatch, ship, rng):
     worker.process.kill()
     worker.process.join(timeout=30)
     assert not worker.process.is_alive()
-    # the send finds no worker: the hi run stays here
+    # the send finds no worker: the hi run stays here, and the dead
+    # worker is dropped (the stripes of the runs may start another)
     assert_bit_identical(closure_gauss_jordan(av), want)
-    assert ship[-1] is False and offload._worker is None
-    # the next call starts a new worker, which dies before it replies
+    assert ship[-1] is False and offload._worker is not worker
+    # the next call's worker dies before it replies
     outcome = offload._Worker.outcome
+    killed = []
 
     def die_first(self, run, args):
+        killed.append(self)
         self.process.kill()
         self.process.join(timeout=30)
         return outcome(self, run, args)
@@ -707,7 +712,7 @@ def test_a_killed_worker_gives_correct_calls(monkeypatch, ship, rng):
     monkeypatch.setattr(offload._Worker, "outcome", die_first)
     runs = intervals.endpoint_runs(_held_in_the_worker, av)
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
-    assert ship[-1] is True and offload._worker is None
+    assert ship[-1] is True and offload._worker is not killed[0]
     monkeypatch.setattr(offload._Worker, "outcome", outcome)
     assert_bit_identical(closure_gauss_jordan(av), want)
     assert ship[-1] is True and offload._worker.process.is_alive()
@@ -733,9 +738,10 @@ def test_an_interrupt_stops_the_worker(ship, rng):
 
 
 class _FailingReply:
-    """The worker's pipe, save that ``recv`` takes the real reply and then
-    raises ``exc``, as when the reply does not unpickle or the user
-    interrupts the wait."""
+    """The worker's pipe, save that the first ``recv`` takes the real
+    reply and then raises ``exc``, as when the reply does not unpickle or
+    the user interrupts the wait.  The hi run redone here may ship its
+    own stripes through the pipe after that."""
 
     def __init__(self, conn, exc):
         self.conn, self.exc = conn, exc
@@ -744,8 +750,11 @@ class _FailingReply:
         self.conn.send(obj)
 
     def recv(self):
-        self.conn.recv()
-        raise self.exc
+        got = self.conn.recv()
+        if self.exc is None:
+            return got
+        exc, self.exc = self.exc, None
+        raise exc
 
 
 _RUNS_HERE = []
@@ -960,6 +969,7 @@ def test_a_plain_fork_leaves_the_worker_alone():
     # the copy made by os.fork exits through the usual interpreter exit
     done = _python(_PRELUDE + """\
 offload.SHIP_MIN_WORK = 0
+offload._one_cpu = lambda: False    # ship on a one-CPU host too
 want = closure_block(av)
 worker = offload._worker
 pid = os.fork()
@@ -977,6 +987,7 @@ def test_the_worker_flushes_no_inherited_stream():
     # text buffered when the worker forks is written once, by this process
     done = _python(_PRELUDE + """\
 offload.SHIP_MIN_WORK = 0
+offload._one_cpu = lambda: False    # ship on a one-CPU host too
 sys.stdout.write("once")
 closure_block(av)
 """)

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
+import weakref
 
 import pytest
 
@@ -252,6 +254,29 @@ def test_row_kernels_specialise_only_catalog_instances():
         assert row_kernels(copy).mul is copy.mul
     lifted = lift_semiring(descriptor("maxplus"))
     assert row_kernels(lifted).mul is lifted.mul
+
+
+def test_fold_kernels_are_built_once_per_descriptor():
+    d = make_semiring("maxplus_complete")
+    assert row_kernels(d) is row_kernels(d)
+    tally = [0]
+
+    def fma(acc, x, y):
+        tally[0] += 1
+        return d.fma(acc, x, y)
+
+    # a copy hashes by identity: it gets kernels of its own, on its fma
+    twin = dataclasses.replace(d, fma=fma)
+    assert row_kernels(twin) is row_kernels(twin)
+    assert row_kernels(twin) is not row_kernels(d)
+    a = Matrix(twin, [[0.0, -1.0], [-2.0, 0.0]])
+    assert a.mul(a) == Matrix(d, a.to_lists()).mul(Matrix(d, a.to_lists()))
+    assert tally[0] == 4        # n^2 (n - 1): each entry folds from a mul
+    # and the cache keeps no copy alive
+    gone = weakref.ref(twin)
+    del twin, a
+    gc.collect()
+    assert gone() is None
 
 
 def _same_value(got, want):
