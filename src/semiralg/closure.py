@@ -18,21 +18,24 @@ packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
 
 Both use the worker process of ``offload`` when the work is large
-enough to pay for the trip.  The block recursion has two independent
-products at each level, P = S11 A12 with Q = A21 S11 and TR = P SD
-with BL = SD Q: Q and BL go to the worker while this process computes
-P and TR.  Its two other products, A21 P for D and TR Q for TL, are
-split by rows, the bottom half going to the worker.  Each comes back
-before the recursion goes on, so the products of the next level may
-use the worker too.  The elimination hands the bottom half of the rows
-to the worker, and the two stripes take the steps in lockstep
-(``offload.lockstep``): the step at pivot k updates a row from itself
-and the pivot row k before the step alone, so the stripe that holds
-row k sends it to the other before its own step, and each then takes
-the step on its own rows (Kumar, Grama, Gupta and Karypis,
-*Introduction to Parallel Computing*, 2nd ed., ch. 10, Floyd's
-algorithm, pipelined 1-D mapping).  A shipped product or stripe is the
-same kernel on the same rows, so the result is the same bit for bit.
+enough to pay for the trip (``offload.side_by_side``); when it is not,
+or the worker was lost, they do the whole job here.  The block
+recursion has two independent products at each level, P = S11 A12
+with Q = A21 S11 and TR = P SD with BL = SD Q: Q and BL go to the
+worker while this process computes P and TR.  Its two other products,
+A21 P for D and TR Q for TL, are split by rows, the bottom half going
+to the worker.  Each comes back before the recursion goes on, so the
+products of the next level may use the worker too.  The elimination
+hands the bottom half of the rows to the worker, and the two stripes
+take the steps at the same time (``_stripe``): the step at pivot k
+updates a row from itself and the pivot row k before the step alone,
+so the stripe that holds row k sends it to the other before its own
+step, and each then takes the step on its own rows (Kumar, Grama,
+Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed.,
+ch. 10, Floyd's algorithm, pipelined 1-D mapping).  The serial
+elimination is the one stripe that holds every row.  A shipped product
+or stripe is the same kernel on the same rows, so the result is the
+same bit for bit.
 """
 
 from dataclasses import dataclass
@@ -117,22 +120,25 @@ def _split_product(d, product, X, Y):
 def _products(d, product, X1, Y1, X2, Y2):
     """``product(X1, Y1)`` here and ``X2 Y2`` meanwhile on the worker
     process when that pays; a failure is raised as ``offload.results``
-    orders it.  The work of a product is its rows times its inner
-    dimension times the width of a kernel row, which is 1 for a boolean
-    row packed into an int: such products are too cheap to ship.
+    orders it.  Both are multiplied here, one after the other, when the
+    second does not ship or the worker was lost.  The work of a product
+    is its rows times its inner dimension times the width of a kernel
+    row, which is 1 for a boolean row packed into an int: such products
+    are too cheap to ship.
 
     A product below ``offload.SHIP_MIN_WORK`` never ships, so a pair of
-    them is multiplied here at once: most pairs of a recursion are small,
-    and ``side_by_side`` adds about 1.5 us to each, some 4 % of a boolean
-    closure at n = 128 or a tropical one at n = 24."""
+    them is multiplied here without asking: most pairs of a recursion
+    are small, and ``side_by_side`` adds about 1.5 us to each, some 4 %
+    of a boolean closure at n = 128 or a tropical one at n = 24."""
     work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
-    if work < offload.SHIP_MIN_WORK:
+    outcomes = work >= offload.SHIP_MIN_WORK and offload.side_by_side(
+        lambda peer: product(X1, Y1), _product, (d, X2, Y2), work, d)
+    if not outcomes:
         return product(X1, Y1), product(X2, Y2)
-    return offload.results(offload.side_by_side(
-        lambda: product(X1, Y1), _product, (d, X2, Y2), work, d))
+    return offload.results(outcomes)
 
 
-def _product(d, X, Y):
+def _product(peer, d, X, Y):
     # private: a public name may be rebound by a wrapper that does not pickle
     return row_kernels(d).product(X, Y)
 
@@ -164,12 +170,12 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     """Closure by pivot elimination over the whole matrix.
 
     The top half of the rows stays here and the bottom half goes to the
-    worker process, the two stripes stepping in lockstep (``_stripe``),
-    when the work of the bottom one, its rows times n times the width of
-    a kernel row, reaches ``offload.SHIP_MIN_WORK``; a packed boolean
-    row counts 1, so boolean ships from n = 181 only.  The rows are
-    eliminated here, one step after the other, when the stripe does not
-    ship, and again from the start when the worker dies mid-way.
+    worker process, the two stripes stepping at the same time
+    (``_stripe``), when the work of the bottom one, its rows times n
+    times the width of a kernel row, reaches ``offload.SHIP_MIN_WORK``;
+    a packed boolean row counts 1, so boolean ships from n = 181 only.
+    When the stripe does not ship, and again from the start when the
+    worker was lost mid-way, one stripe here holds every row.
     """
     _require_square(A)
     d = A.descriptor
@@ -178,28 +184,22 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     kernels = row_kernels(d)
     C = list(map(kernels.encode, A._data))
     n = A.rows
-    if n > 1:
-        h = n // 2
-        work = (n - h) * n * (n if type(C[0]) is list else 1)
-        outcomes = offload.lockstep(_stripe, (d, C[:h], 0, n),
-                                    (d, C[h:], h, n), work, d)
-        if outcomes is not None:
-            top, bottom = offload.results(outcomes)
-            return _finish(d, kernels, top + bottom)
-    entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
-                                    kernels.encode_one)
-    for k in range(n):
-        krow = C[k]
-        s = encode_one(kernel_star(d, kernels, entry(krow, k), k + 1))
-        C = eliminate(C, k, s, krow)
-    return _finish(d, kernels, C)
+    h = n // 2
+    outcomes = n > 1 and offload.side_by_side(
+        lambda peer: _stripe(peer, d, C[:h], 0, n), _stripe, (d, C[h:], h, n),
+        (n - h) * n * (n if type(C[0]) is list else 1), d)
+    if not outcomes:
+        return _finish(d, kernels, _stripe(None, d, C, 0, n))
+    top, bottom = offload.results(outcomes)
+    return _finish(d, kernels, top + bottom)
 
 
 def _stripe(peer, d, C, lo, n):
     """The encoded rows C, rows lo.. of an n x n matrix, after the
-    Gauss-Jordan steps at pivots 0..n-1, taken in lockstep with the
+    Gauss-Jordan steps at pivots 0..n-1, taken at the same time as the
     process that holds the other rows, at the other end of the pipe
-    ``peer``.  Private: a public name may be rebound by a wrapper that
+    ``peer``; or, with ``peer`` None, taken here on every row, C holding
+    them all.  Private: a public name may be rebound by a wrapper that
     does not pickle.
 
     The stripe that holds pivot row k sends it before its step, and the
@@ -219,7 +219,8 @@ def _stripe(peer, d, C, lo, n):
         for k in range(n):
             if lo <= k < hi:
                 krow = C[k - lo]
-                peer.send(krow)
+                if peer is not None:
+                    peer.send(krow)
             else:
                 krow = peer.recv()
                 if krow is None:
@@ -230,7 +231,8 @@ def _stripe(peer, d, C, lo, n):
     except Exception:
         for k in range(passed, n):
             if lo <= k < hi:
-                peer.send(None)
+                if peer is not None:
+                    peer.send(None)
                 break
             if peer.recv() is None:
                 break

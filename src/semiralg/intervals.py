@@ -20,12 +20,14 @@ may have been replaced and which therefore run the fold kernels.
 The two endpoint runs are independent.  ``endpoint_runs`` sends the hi
 run to the package's one worker process (``offload.side_by_side``,
 which also serves the block closure's products and the Gauss-Jordan
-stripes) and runs the lo run meanwhile.  The hi run stays in this process when its work is below
-``offload.SHIP_MIN_WORK`` (about n = 25 for a closure or a
-factorization), when the base is not a catalog instance, when another
-call holds the worker, and in the other cases ``offload`` names.  The
-lifted call holds the worker while its runs last, so the block
-products and the stripes of its runs stay in their process.  Both runs call the same
+stripes) and runs the lo run meanwhile.  The hi run stays in this
+process when its work is below ``offload.SHIP_MIN_WORK`` (about n = 25
+for a closure or a factorization), when the call counts operations,
+when the base is not a catalog instance, when another call holds the
+worker, and in the other cases ``offload`` names; then, and when the
+worker was lost, both runs run here, lo first.  The lifted call holds
+the worker while its runs last, so the block products and the stripes
+of its runs stay in their process.  Both runs call the same
 module-level function on the same values, so results are the same bit
 for bit wherever the hi run goes.
 """
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 from .errors import EmptyInterval, IllegalElement, NotPositive
 from .matrices import Matrix, _matrix_product, _split_products
-from .offload import results, side_by_side
+from .offload import _attempt, results, side_by_side
 from .semirings import SemiringDescriptor, SemiringFlags
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
@@ -110,22 +112,30 @@ def endpoint_runs(run, *args, counter=None):
     work is the entries of the first operand, a matrix, times the
     columns of the last one (one for a vector): n^3 for a closure or a
     factorization, n k m for a product, n^2 for a substitution, and
-    none for a diagonal solve, whose operands are vectors.
+    none for a diagonal solve, whose operands are vectors.  A counted
+    call keeps its hi run here too, so a lost worker, after which both
+    runs are run here again, cannot count the lo run twice.
     """
     split = [a for a in args if isinstance(a, (Matrix, list, tuple))]
     first, last = split[0], split[-1]
-    work, base = 0, None        # a diagonal solve stays here
-    if isinstance(first, Matrix):
+    work, base = 0, None        # a diagonal solve and a counted call stay here
+    if isinstance(first, Matrix) and counter is None:
         work = first.rows * first.cols * (last.cols
                                           if isinstance(last, Matrix) else 1)
         base = first.descriptor.base
 
-    def lo_run():
+    def lo_run(peer):
         lo = [_endpoint(a, 0) for a in args]
         return run(*lo) if counter is None else run(*lo, counter=counter)
 
-    return results(side_by_side(lo_run, run, [_endpoint(a, 1) for a in args],
-                                work, base))
+    hi = [_endpoint(a, 1) for a in args]
+    return results(side_by_side(lo_run, _peerless, (run, *hi), work, base)
+                   or [_attempt(lo_run, (None,)), _attempt(run, hi)])
+
+
+def _peerless(peer, run, *args):
+    """``run(*args)``, shipped: a hi run does not talk to the lo run."""
+    return run(*args)
 
 
 def _endpoint(a, end):

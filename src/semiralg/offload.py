@@ -1,16 +1,16 @@
 """One worker process for two runs of one call.
 
-``side_by_side(here, run, args, work, d)`` returns the outcomes of
-``here()``, run in this process, and of ``run(*args)``, run meanwhile
-in a worker process when that pays and else here after ``here()``.
-Two callers use it: ``intervals.endpoint_runs``, whose hi endpoint run
-it ships, and the block closure, which ships one product of each
-independent pair.  ``lockstep(run, here_args, there_args, work, d)``
-runs ``run`` here and on the worker at once, each run with its end of
-one pipe to talk to the other; the Gauss-Jordan closure eliminates
-two row stripes so.  It answers None before anything runs when the
-run does not ship, as two runs that wait on each other cannot run one
-after the other.
+``side_by_side(here, run, args, work, d)`` runs ``here(peer)`` in this
+process and ``run(peer, *args)`` meanwhile in a worker process, each
+with its end of one pipe as ``peer``, and returns both outcomes.  A run
+that does not talk to the other ignores ``peer``.  It returns None when
+the run does not ship, and when the worker was lost: it died, could not
+take the run, or replied what does not unpickle.  On None the caller
+does the whole job here.  Three callers use it:
+``intervals.endpoint_runs``, whose hi endpoint run it ships; the block
+closure, which ships one product of each independent pair; and the
+Gauss-Jordan closure, whose two row stripes pass each other the pivot
+rows through the pipe.
 
 ``run`` stays here when its ``work`` is below ``SHIP_MIN_WORK``, when
 the descriptor ``d`` it computes over is not a catalog instance (only
@@ -37,7 +37,7 @@ import os
 from .errors import StarUndefined
 from .semirings import in_catalog
 
-__all__ = ["side_by_side", "lockstep", "results", "SHIP_MIN_WORK"]
+__all__ = ["side_by_side", "results", "SHIP_MIN_WORK"]
 
 
 # A run goes to the worker when its work is at least this many base
@@ -50,45 +50,26 @@ _busy = _thread.allocate_lock()     # held by the call that uses the worker
 
 
 def side_by_side(here, run, args, work, d):
-    """``[(result, exception), (result, exception)]`` of ``here()`` and of
-    ``run(*args)``, each with None in the place it did not fill.
+    """``[(result, exception), (result, exception)]`` of ``here(peer)``
+    here and of ``run(peer, *args)`` on the worker, run at once, each
+    with its end of one pipe as ``peer``; or None when ``run`` does not
+    ship (see ``_ship``), or the worker died, could not take the run or
+    replied what does not unpickle, and the caller is to do the whole
+    job here instead.
 
     ``run`` is a module-level function and ``work`` its cost in base
-    operations over the descriptor ``d``; it runs on the worker while
-    ``here()`` runs here when that pays (see ``_ship``).  An exception
-    that is not an ``Exception``, such as an interrupt, leaves ``here()``
-    at once and stops the worker, whose reply would reach the next call.
+    operations over the descriptor ``d``.  A run that talks to the other
+    sends what it needs with ``peer.send`` and takes what it needs with
+    ``peer.recv``, and must leave nothing unread behind it.  An
+    exception that is not an ``Exception``, such as an interrupt, leaves
+    ``here`` at once and stops the worker, whose reply would reach the
+    next call.
     """
     worker = _ship(run, args, work, d)
-    try:
-        mine = _attempt(here, ())
-    except BaseException:
-        if worker is not None:
-            worker.stop()
-            worker.release()
-        raise
-    return [mine, _attempt(run, args) if worker is None
-            else worker.outcome(run, args)]
-
-
-def lockstep(run, here_args, there_args, work, d):
-    """``[(result, exception), (result, exception)]`` of ``run(peer,
-    *here_args)`` here and of ``run(peer, *there_args)`` on the worker,
-    run at once, each with its end of one pipe as ``peer``; or None
-    when the second run does not ship (see ``_ship``), or the worker
-    died or replied what does not unpickle, and the caller is to do the
-    whole job here instead.
-
-    Each run sends the other what it needs with ``peer.send`` and takes
-    what it needs with ``peer.recv``, and must leave nothing unread
-    behind it.  An exception that is not an ``Exception`` stops the
-    worker, as in ``side_by_side``.
-    """
-    worker = _ship(run, there_args, work, d, peer=True)
     if worker is None:
         return None
     try:
-        mine = _attempt(run, (worker.conn, *here_args))
+        mine = _attempt(here, (worker.conn,))
     except BaseException:
         worker.stop()
         worker.release()
@@ -116,13 +97,13 @@ def _attempt(run, args):
         return None, exc
 
 
-def _ship(run, args, work, d, peer=False):
-    """The worker, running ``run(*args)`` for this call, or ``run(its end
-    of the pipe, *args)`` with ``peer``; or None when the run stays in
-    this process: when the work is small, this system has no fork, ``d``
-    is None or not a catalog instance, the worker serves another call,
-    the calling thread may use only one CPU, or the worker belongs to
-    the process this one was forked from."""
+def _ship(run, args, work, d):
+    """The worker, running ``run(its end of the pipe, *args)`` for this
+    call; or None when the run stays in this process: when the work is
+    small, this system has no fork, ``d`` is None or not a catalog
+    instance, the worker serves another call, the calling thread may use
+    only one CPU, or the worker belongs to the process this one was
+    forked from."""
     global _worker
     if (work < SHIP_MIN_WORK
             or not hasattr(os, "fork")
@@ -136,7 +117,7 @@ def _ship(run, args, work, d, peer=False):
             if _worker is None:
                 _worker = _Worker()
             if _worker.pid == os.getpid():
-                _worker.conn.send((run, args, peer))
+                _worker.conn.send((run, args))
                 _worker.keep_off()
                 return _worker
     except OSError:         # no worker could start, or it died
@@ -180,12 +161,6 @@ class _Worker:
         # which would kill this worker and fail to join it.  The worker
         # leaves by itself when this process closes its end of the pipe.
         multiprocessing.process._children.discard(self.process)
-
-    def outcome(self, run, args):
-        """The outcome of the shipped run; ``run(*args)`` run here when
-        the worker died or could not run it."""
-        got = self.reply()
-        return _attempt(run, args) if got is None else got
 
     def reply(self):
         """The worker's reply to this call, freeing the worker: the
@@ -260,11 +235,10 @@ def _worker_cpu():
 
 
 def _serve(conn, parent_end, cpu):
-    """The worker's loop: take (run, args, peer), reply (result,
-    exception) of ``run(*args)``, or of ``run(conn, *args)`` with
-    ``peer``, or None for a message it could not take or a reply it
-    could not send.  It ends, quietly, when the caller's end of the
-    pipe closes."""
+    """The worker's loop: take (run, args), reply (result, exception) of
+    ``run(conn, *args)``, or None for a message it could not take or a
+    reply it could not send.  It ends, quietly, when the caller's end of
+    the pipe closes."""
     import signal       # loaded already, by _Worker
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -276,11 +250,11 @@ def _serve(conn, parent_end, cpu):
     try:
         while True:
             try:
-                run, args, peer = conn.recv()
-                conn.send(_attempt(run, (conn, *args) if peer else args))
+                run, args = conn.recv()
+                conn.send(_attempt(run, (conn, *args)))
             except (EOFError, OSError):
                 break
-            except Exception:   # noqa: BLE001 - the caller runs it instead
+            except Exception:   # noqa: BLE001 - the caller redoes the job
                 conn.send(None)
     finally:
         os._exit(0)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -346,8 +347,8 @@ def _placements(monkeypatch, kind):
     placements = []
     place = offload._ship
 
-    def spy(run, args, work, d, peer=False):
-        worker = place(run, args, work, d, peer)
+    def spy(run, args, work, d):
+        worker = place(run, args, work, d)
         if run is kind:
             placements.append(worker is not None)
         return worker
@@ -454,6 +455,56 @@ def test_an_interrupt_while_a_product_is_in_flight_stops_the_worker(
     assert_bit_identical(closure_block(a), want)
     assert products and all(products)
     assert offload._worker not in (None, worker)
+
+
+class _Unloadable:
+    """A product that pickles in the worker and does not unpickle here."""
+
+    def __reduce__(self):
+        return _fail_to_unpickle, ()
+
+
+def _fail_to_unpickle():
+    raise pickle.UnpicklingError("bad reply")
+
+
+@pytest.mark.parametrize("lost", ["killed", "unpicklable"])
+def test_a_worker_lost_while_q_is_out_leaves_the_pair_here(
+        monkeypatch, products, rng, tmp_path, lost):
+    a = _catalog_matrix("maxplus", 16, 16, rng)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
+    want = closure_block(a)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    marker = tmp_path / "q"
+
+    def q_lost(X, Y):
+        # the worker's first product of 8 rows is Q = A21 S11 at the top
+        # level; it dies with it, or replies what does not unpickle, once
+        if (os.getpid() != _PYTEST_PID and len(X) == 8
+                and not marker.exists()):
+            marker.touch()
+            if lost == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _Unloadable()
+        return kernels.product(X, Y)
+
+    kernels = _fork_anew(monkeypatch, product=q_lost)
+    closure_block(_catalog_matrix("maxplus", 4, 4, rng))   # starts the worker
+    worker = offload._worker
+    products.clear()
+    got = closure_block(a)
+    assert marker.exists() and products and all(products)
+    assert_bit_identical(got, want)
+    assert not offload._busy.locked()
+    if lost == "killed":
+        assert not worker.process.is_alive() and offload._worker is not worker
+    else:
+        assert offload._worker is worker and worker.process.is_alive()
+    monkeypatch.setitem(semirings._kernels, MX, kernels)
+    products.clear()
+    assert_bit_identical(closure_block(a), want)
+    assert products and all(products)
+    assert offload._worker.process.is_alive()
 
 
 def test_a_lifted_block_closure_keeps_its_products_here(monkeypatch, products,
@@ -569,14 +620,13 @@ def test_a_failure_in_one_stripe_alone_reads_as_here(monkeypatch, stripes,
     assert_bit_identical(got, want)
 
 
-def _fork_anew(monkeypatch, eliminate):
-    """The next worker forks with ``eliminate`` as the maxplus step; the
-    kernels to put back."""
+def _fork_anew(monkeypatch, **replaced):
+    """The next worker forks with the maxplus kernels ``replaced``, such
+    as ``eliminate``, the step; the kernels to put back."""
     if offload._worker is not None:
         offload._worker.stop()
     kernels = semirings.row_kernels(MX)
-    monkeypatch.setitem(semirings._kernels, MX,
-                        kernels._replace(eliminate=eliminate))
+    monkeypatch.setitem(semirings._kernels, MX, kernels._replace(**replaced))
     return kernels
 
 
@@ -596,7 +646,7 @@ def test_an_interrupt_while_waiting_for_a_pivot_row_stops_the_worker(
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    kernels = _fork_anew(monkeypatch, slow)
+    kernels = _fork_anew(monkeypatch, eliminate=slow)
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
     cpus = affinity(0)
     handler = signal.signal(signal.SIGUSR1, interrupt)
@@ -624,7 +674,7 @@ def test_a_worker_killed_mid_elimination_leaves_it_here(monkeypatch, stripes,
             os.kill(os.getpid(), signal.SIGKILL)
         return kernels.eliminate(C, k, s, krow)
 
-    kernels = _fork_anew(monkeypatch, dying)
+    kernels = _fork_anew(monkeypatch, eliminate=dying)
     got = closure_gauss_jordan(a)
     assert stripes[-1] is True
     assert_bit_identical(got, want)

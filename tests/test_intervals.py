@@ -27,7 +27,6 @@ from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
                       shortest_paths, solve_bellman, solve_ldm, solve_via_ldm,
                       symmetric_factorize, widest_paths, zeros)
 from semiralg import intervals, laws, offload
-from semiralg.closure import _product, _stripe
 from semiralg.errors import (DimensionMismatch, EmptyInterval, IllegalElement,
                              NotPositive, NotSymmetric, SemiringError,
                              StarUndefined)
@@ -507,15 +506,15 @@ def test_interval_identity_and_zeros():
 def ship(monkeypatch):
     """Every hi run with a matrix operand goes to the worker, also where
     the calling thread may use only one CPU; the list returned records
-    each placement of a hi run, True for a run that went.  The block
-    products and Gauss-Jordan stripes of an endpoint run are not
-    recorded: they find the worker held by their own lifted call."""
+    each placement of a hi run, True for a run that went.  Block
+    products and Gauss-Jordan stripes are not recorded; those of an
+    endpoint run find the worker held by their own lifted call."""
     placements = []
     place = offload._ship
 
-    def spy(run, args, work, d, peer=False):
-        worker = place(run, args, work, d, peer)
-        if run not in (_product, _stripe):
+    def spy(run, args, work, d):
+        worker = place(run, args, work, d)
+        if run is intervals._peerless:
             placements.append(worker is not None)
         return worker
 
@@ -664,6 +663,8 @@ def test_worker_overflow_reads_as_here(monkeypatch, ship):
 
 
 def test_worker_keeps_the_closed_form_counts(ship, rng):
+    # a counted call keeps its hi run here: a lost worker, after which
+    # both runs are run here again, would count the lo run twice
     for n in (2, 5, 8):
         av = random_interval_matrix("maxplus", n, rng)
         c = OpCounter()
@@ -674,7 +675,7 @@ def test_worker_keeps_the_closed_form_counts(ship, rng):
         c.reset()
         solve_ldm(t, [(0.0, 0.0)] * n, c)
         assert c.as_dict() == {"adds": n * n - n, "muls": n * n, "stars": n}
-    assert ship and all(ship)
+    assert ship and not any(ship)
 
 
 _PYTEST_PID = os.getpid()
@@ -699,21 +700,24 @@ def test_a_killed_worker_gives_correct_calls(monkeypatch, ship, rng):
     # worker is dropped (the stripes of the runs may start another)
     assert_bit_identical(closure_gauss_jordan(av), want)
     assert ship[-1] is False and offload._worker is not worker
-    # the next call's worker dies before it replies
-    outcome = offload._Worker.outcome
+    # the next call's worker dies before it replies: both runs are run
+    # here again (the stripes of the runs may start another worker)
+    reply = offload._Worker.reply
     killed = []
 
-    def die_first(self, run, args):
-        killed.append(self)
-        self.process.kill()
-        self.process.join(timeout=30)
-        return outcome(self, run, args)
+    def die_first(self):
+        if not killed:
+            killed.append(self)
+            self.process.kill()
+            self.process.join(timeout=30)
+        return reply(self)
 
-    monkeypatch.setattr(offload._Worker, "outcome", die_first)
+    monkeypatch.setattr(offload._Worker, "reply", die_first)
     runs = intervals.endpoint_runs(_held_in_the_worker, av)
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
     assert ship[-1] is True and offload._worker is not killed[0]
-    monkeypatch.setattr(offload._Worker, "outcome", outcome)
+    assert not offload._busy.locked()
+    monkeypatch.setattr(offload._Worker, "reply", reply)
     assert_bit_identical(closure_gauss_jordan(av), want)
     assert ship[-1] is True and offload._worker.process.is_alive()
 
@@ -740,7 +744,7 @@ def test_an_interrupt_stops_the_worker(ship, rng):
 class _FailingReply:
     """The worker's pipe, save that the first ``recv`` takes the real
     reply and then raises ``exc``, as when the reply does not unpickle or
-    the user interrupts the wait.  The hi run redone here may ship its
+    the user interrupts the wait.  The runs redone here may ship their
     own stripes through the pipe after that."""
 
     def __init__(self, conn, exc):
@@ -779,7 +783,9 @@ def test_a_reply_that_does_not_unpickle_is_redone_here(monkeypatch, ship,
     runs = intervals.endpoint_runs(_counted_here, av)
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
     assert ship[-1] is True
-    assert _RUNS_HERE == [intervals._endpoint(av, 0), intervals._endpoint(av, 1)]
+    # the lo run, then the whole job again here: lo, then hi
+    lo, hi = intervals._endpoint(av, 0), intervals._endpoint(av, 1)
+    assert _RUNS_HERE == [lo, lo, hi]
     assert offload._worker is worker and worker.process.is_alive()
     assert not offload._busy.locked()
     # the real reply was read, so the same worker serves the next call
