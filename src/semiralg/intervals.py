@@ -13,21 +13,20 @@ interval matrix, exactly the pair of its base runs on the lo and on
 the hi matrix.  The closures, factorizations and substitutions use
 that, and so does the matrix product: ``endpoint_runs`` runs a kernel
 once per endpoint and ``join_endpoints`` zips the two results back
-into intervals.  The lifted ``fma`` is ``add(acc, mul(x, y))``, for the
-scalar API, the law checker and copies of a lift, whose operations
-may have been replaced and which therefore run the fold kernels.
+into intervals.  The lifted ``fma`` is ``add(acc, mul(x, y))``
+(``semirings.fma_of``), for the scalar API, the law checker and copies
+of a lift, such as the counted copies of ``ldm.counted``, whose
+operations may have been replaced and which therefore run the fold
+kernels on the intervals themselves.
 
 The two endpoint runs are independent.  ``endpoint_runs`` sends the hi
 run to the package's one worker process (``offload.side_by_side``,
 which also serves the block closure's products and the Gauss-Jordan
-stripes) and runs the lo run meanwhile.  The hi run stays in this
-process when its work is below ``offload.SHIP_MIN_WORK`` (about n = 25
-for a closure or a factorization), when the call counts operations,
-when the base is not a catalog instance, when another call holds the
-worker, and in the other cases ``offload`` names; then, and when the
-worker was lost, both runs run here, lo first.  The lifted call holds
-the worker while its runs last, so the block products and the stripes
-of its runs stay in their process.  Both runs call the same
+stripes) and runs the lo run meanwhile.  The cases in which the hi run
+stays in this process are those of ``offload._ship``; then, and when
+the worker was lost, both runs run here, lo first.  The lifted call
+holds the worker while its runs last, so the block products and the
+stripes of its runs stay in their process.  Both runs call the same
 module-level function on the same values, so results are the same bit
 for bit wherever the hi run goes.
 """
@@ -37,7 +36,7 @@ from typing import NamedTuple
 from .errors import EmptyInterval, IllegalElement, NotPositive
 from .matrices import Matrix, _matrix_product, _split_products
 from .offload import _attempt, results, side_by_side
-from .semirings import SemiringDescriptor, SemiringFlags
+from .semirings import SemiringDescriptor, SemiringFlags, fma_of
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
 
@@ -93,40 +92,36 @@ def is_lift(d: SemiringDescriptor) -> bool:
     return d.base is not None and _lift_cache.get(d.base) is d
 
 
-def endpoint_runs(run, *args, counter=None):
-    """``[run(*lo_args, counter=counter), run(*hi_args)]``.
+def endpoint_runs(run, *args):
+    """``[run(*lo_args), run(*hi_args)]``.
 
     ``run`` is a module-level function.  Each argument that is a Matrix
     over a lift stands for its endpoint, a Matrix over the base; a list
     or tuple of intervals for the list of its endpoint values; any other
     argument goes to both runs as it is.  ``run`` must not branch on
-    values.  Only the lo run gets ``counter``, so it tallies one
-    operation per interval operation.  A lifted run stops at the first
-    pivot where either endpoint star fails, the lo endpoint first; so
-    when both runs fail at a pivot, the failure with the earlier
-    location is raised, the lo run's on a tie.  Any other failure is
-    raised before those, the lo run's first.
+    values.  A lifted run stops at the first pivot where either
+    endpoint star fails, the lo endpoint first; so when both runs fail
+    at a pivot, the failure with the earlier location is raised, the lo
+    run's on a tie.  Any other failure is raised before those, the lo
+    run's first.
 
     The two runs are independent, so the hi run goes to the worker
     process of ``offload.side_by_side`` while the lo run runs here.  Its
     work is the entries of the first operand, a matrix, times the
     columns of the last one (one for a vector): n^3 for a closure or a
     factorization, n k m for a product, n^2 for a substitution, and
-    none for a diagonal solve, whose operands are vectors.  A counted
-    call keeps its hi run here too, so a lost worker, after which both
-    runs are run here again, cannot count the lo run twice.
+    none for a diagonal solve, whose operands are vectors.
     """
     split = [a for a in args if isinstance(a, (Matrix, list, tuple))]
     first, last = split[0], split[-1]
-    work, base = 0, None        # a diagonal solve and a counted call stay here
-    if isinstance(first, Matrix) and counter is None:
+    work, base = 0, None        # a diagonal solve stays here
+    if isinstance(first, Matrix):
         work = first.rows * first.cols * (last.cols
                                           if isinstance(last, Matrix) else 1)
         base = first.descriptor.base
 
     def lo_run(peer):
-        lo = [_endpoint(a, 0) for a in args]
-        return run(*lo) if counter is None else run(*lo, counter=counter)
+        return run(*[_endpoint(a, 0) for a in args])
 
     hi = [_endpoint(a, 1) for a in args]
     return results(side_by_side(lo_run, _peerless, (run, *hi), work, base)
@@ -221,7 +216,7 @@ def _build_lift(base: SemiringDescriptor) -> SemiringDescriptor:
         name="interval", zero=zero,
         one=Interval(base.one, base.one),
         add=add, mul=mul, star=star, leq=leq, eq=eq,
-        coerce=coerce, fma=lambda acc, x, y: add(acc, mul(x, y)),
+        coerce=coerce, fma=fma_of(add, mul),
         base=base,
         flags=SemiringFlags(idempotent=base.flags.idempotent,
                             complete=base.flags.complete,

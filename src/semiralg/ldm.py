@@ -30,8 +30,11 @@ prepares its factors for that one call, on the same stage code.
 Every function here takes an optional :class:`OpCounter`.  Counting
 runs on :func:`counted`, a copy of the descriptor whose ``add``,
 ``mul`` and ``star`` tally into the counter; the copy gets the fold
-kernels, so each folded term is one add and one mul.  The counts are
-exact functions of n:
+kernels, so each folded term is one add and one mul.  A counted call
+over an interval lift runs on its counted copy too, as one run on the
+intervals themselves in this process, not as two endpoint runs; so it
+counts one operation per interval operation and fails as the
+uncounted call does.  The counts are exact functions of n:
 
     forward/back substitution   (n^2 - n)/2 adds, same muls
     diagonal closure            n stars, n muls
@@ -47,7 +50,7 @@ from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
                      NotSymmetric, ShapeViolation)
 from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix
-from .semirings import kernel_star, list_kernels, same_descriptor
+from .semirings import fma_of, kernel_star, list_kernels, same_descriptor
 
 __all__ = ["OpCounter", "LdmTriple", "forward_substitution",
            "back_substitution", "diagonal_solve", "solve_ldm", "counted",
@@ -94,7 +97,7 @@ class LdmTriple:
 def counted(d, counter: "OpCounter | None"):
     """``d`` itself without a counter; with one, a copy of ``d`` whose
     ``add``, ``mul`` and ``star`` tally into it and whose ``fma`` is
-    ``add(acc, mul(x, y))``.
+    ``add(acc, mul(x, y))`` (``semirings.fma_of``).
 
     Being a copy, it gets the fold row kernels, so every folded term
     counts one add and one mul; ``fma`` equals ``add(acc, mul(x, y))``
@@ -116,8 +119,7 @@ def counted(d, counter: "OpCounter | None"):
         counter.stars += 1
         return base_star(x)
 
-    return replace(d, add=add, mul=mul, star=star,
-                   fma=lambda acc, x, y: add(acc, mul(x, y)))
+    return replace(d, add=add, mul=mul, star=star, fma=fma_of(add, mul))
 
 
 def _join_triples(d, lo, hi):
@@ -210,12 +212,13 @@ def _substitute_rows(fold, rows, x):
 def _substitute(d, L, D, M, b, counter=None):
     """The stages of L, D and M (None skips one) on the coerced vector
     ``b`` over ``d`` counted into ``counter``, on a solver built for this
-    call; on a lift, its two endpoint runs joined back into intervals.
-    The factors are checked already."""
-    if is_lift(d):
-        return join_endpoints(d, *endpoint_runs(
-            _substitute, d.base, L, D, M, b, counter=counter))
-    return _Solver(counted(d, counter), L, D, M).solve(b)
+    call; on an uncounted lift, its two endpoint runs joined back into
+    intervals.  The factors are checked already."""
+    dc = counted(d, counter)
+    if is_lift(dc):
+        return join_endpoints(d, *endpoint_runs(_substitute, d.base,
+                                                L, D, M, b))
+    return _Solver(dc, L, D, M).solve(b)
 
 
 def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
@@ -326,10 +329,10 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     if A.rows != A.cols:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
     d = A.descriptor
-    if is_lift(d):
-        return _join_triples(d, *endpoint_runs(ldm_factorize, A, counter=counter))
-    n = A.rows
     dc = counted(d, counter)
+    if is_lift(dc):
+        return _join_triples(d, *endpoint_runs(ldm_factorize, A))
+    n = A.rows
     kernels = list_kernels(dc)
     fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     C = list(map(kernels.encode, A._data))
@@ -381,10 +384,9 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
         for j in range(i):
             if not d.eq(rows[i][j], rows[j][i]):
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    if is_lift(d):
-        return _join_triples(d, *endpoint_runs(symmetric_factorize, A, counter=counter))
-
     dc = counted(d, counter)
+    if is_lift(dc):
+        return _join_triples(d, *endpoint_runs(symmetric_factorize, A))
     kernels = list_kernels(dc)
     fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     E = list(map(kernels.encode, rows))

@@ -4,24 +4,16 @@
 process and ``run(peer, *args)`` meanwhile in a worker process, each
 with its end of one pipe as ``peer``, and returns both outcomes.  A run
 that does not talk to the other ignores ``peer``.  It returns None when
-the run does not ship, and when the worker was lost: it died, could not
-take the run, or replied what does not unpickle.  On None the caller
-does the whole job here.  Three callers use it:
+the run stays here, in the cases that ``_ship`` lists, and when the
+worker was lost (``_Worker.reply``).  On None the caller does the whole
+job here.  Three callers use it:
 ``intervals.endpoint_runs``, whose hi endpoint run it ships; the block
 closure, which ships one product of each independent pair; and the
 Gauss-Jordan closure, whose two row stripes pass each other the pivot
 rows through the pipe.
 
-``run`` stays here when its ``work`` is below ``SHIP_MIN_WORK``, when
-the descriptor ``d`` it computes over is not a catalog instance (only
-those pickle), when another call holds the worker (another thread's,
-or a lifted call whose own products would otherwise wait on it), when
-the calling thread may use only one CPU (the worker would only take
-turns with it), when the worker has died (the next call starts a new
-one), in a process forked from the one that started it, inside the
-worker itself, and where there is no fork.  ``run`` is the same
-module-level function on the same values wherever it runs, so its
-result is the same bit for bit.
+``run`` is the same module-level function on the same values wherever
+it runs, so its result is the same bit for bit.
 
 The worker is forked at the first call that ships, never at import.
 Where the caller may run on two CPUs or more, the worker keeps to one
@@ -52,10 +44,9 @@ _busy = _thread.allocate_lock()     # held by the call that uses the worker
 def side_by_side(here, run, args, work, d):
     """``[(result, exception), (result, exception)]`` of ``here(peer)``
     here and of ``run(peer, *args)`` on the worker, run at once, each
-    with its end of one pipe as ``peer``; or None when ``run`` does not
-    ship (see ``_ship``), or the worker died, could not take the run or
-    replied what does not unpickle, and the caller is to do the whole
-    job here instead.
+    with its end of one pipe as ``peer``; or None when ``run`` stays
+    here (``_ship``) or the worker was lost (``_Worker.reply``), and the
+    caller is to do the whole job here instead.
 
     ``run`` is a module-level function and ``work`` its cost in base
     operations over the descriptor ``d``.  A run that talks to the other
@@ -99,11 +90,20 @@ def _attempt(run, args):
 
 def _ship(run, args, work, d):
     """The worker, running ``run(its end of the pipe, *args)`` for this
-    call; or None when the run stays in this process: when the work is
-    small, this system has no fork, ``d`` is None or not a catalog
-    instance, the worker serves another call, the calling thread may use
-    only one CPU, or the worker belongs to the process this one was
-    forked from."""
+    call; or None when the run stays in this process, the one list of
+    those cases:
+
+    - ``work`` is below ``SHIP_MIN_WORK``;
+    - this system has no fork;
+    - ``d`` is None or not a catalog instance (only those pickle);
+    - another call holds the worker: another thread's, or a lifted call
+      whose own products would otherwise wait on it; so does every run
+      inside the worker itself, whose copy of ``_busy`` stays held;
+    - the calling thread may use only one CPU (the worker would only
+      take turns with it);
+    - the worker died (the next call that ships starts a new one);
+    - the worker belongs to the process this one was forked from.
+    """
     global _worker
     if (work < SHIP_MIN_WORK
             or not hasattr(os, "fork")

@@ -5,15 +5,23 @@ and ``mul`` with their neutral elements ``zero`` and ``one``, the
 (possibly partial) closure ``star``, the canonical partial order
 ``leq``, an equality predicate ``eq`` with the tolerance appropriate
 for the carrier, and ``coerce``, which validates and normalizes a
-value into the carrier.  ``fma(acc, x, y)`` computes
-``add(acc, mul(x, y))`` in one call.  ``fma`` assumes its inputs were
-already validated (matrices coerce every entry at construction); the
-plain ``add``/``mul`` entry points validate every argument and reject
-illegal values, results too: one past the float range raises
-``IllegalElement`` as the row kernels below do, and on maxplus and
-minplus a product that overflows to the zero's infinity is that tag,
-as there.  They are the reference that the scalar API, the law
+value into the carrier.  ``add`` and ``mul`` validate every argument
+and reject illegal values, results too: one past the float range
+raises ``IllegalElement`` as the row kernels below do, and on maxplus
+and minplus a product that overflows to the zero's infinity is that
+tag, as there.  They are the reference that the scalar API, the law
 checker, the lifted operations and the fold kernels below run on.
+
+``fma(acc, x, y)`` is ``add(acc, mul(x, y))``, built by :func:`fma_of`,
+wherever its fold is no kernel that runs: on maxplus, minplus, maxmin
+and real_field, which have kernels of their own, so that their fold
+runs only on copies, and on lifts.  Three bodies are fused by hand,
+because their fold is a kernel that runs: maxplus_complete's and
+rplus_complete's (the fold is their only kernel; rplus shares
+rplus_complete's body) and boolean's (LDM runs boolean on the fold).
+A fused ``fma`` assumes its inputs were already validated (matrices
+coerce every entry at construction) and returns an IEEE infinity where
+a result overflows, which the fold's decode then rejects.
 
 The matrix kernels (the product and the entrywise sum, which runs on
 ``add_rows``), the closures and the LDM factorizations and
@@ -21,16 +29,18 @@ substitutions run on whole rows through :func:`row_kernels`.
 Every descriptor gets the left fold of its own ``fma`` over k; six
 catalog instances (maxplus, minplus, maxmin, boolean, rplus and
 real_field) get kernels on IEEE floats and bools instead, mostly loops
-that run in C, equal to that fold bit for bit.  Boolean packs each row
-into one int, a bit per entry; LDM, which writes single entries, runs
-boolean on the fold (:func:`list_kernels`).  Inside such a kernel
-the infinity tags are IEEE infinities; they become tags again on the
-way out, so a finite sum that overflows to the zero's infinity also
-comes out as the tag, and any other value past the float range raises
-``IllegalElement`` there.  ``maxplus_complete`` and ``rplus_complete``
-keep the fold: IEEE gives NaN for -inf + inf and 0 * inf, where they
-have a value.  The fold's decode rejects a float past the range too,
-so an overflow raises ``IllegalElement`` on every descriptor.
+that run in C, equal to that fold bit for bit wherever the fold
+returns.  Boolean packs each row into one int, a bit per entry; LDM,
+which writes single entries, runs boolean on the fold
+(:func:`list_kernels`).  Inside such a kernel the infinity tags are
+IEEE infinities; they become tags again on the way out, so a finite
+sum that overflows to the zero's infinity also comes out as the tag,
+and any other value past the float range raises ``IllegalElement``
+there.  ``maxplus_complete`` and ``rplus_complete`` keep the fold:
+IEEE gives NaN for -inf + inf and 0 * inf, where they have a value.
+An overflow raises ``IllegalElement`` on every descriptor: in ``add``
+or ``mul`` where ``fma`` is ``fma_of``'s, and in the decode of the
+kernels or of the fold elsewhere.
 
 Shipped semirings, by name:
 
@@ -168,6 +178,12 @@ def _eq_close(x, y):
     return math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def fma_of(add, mul):
+    """``fma(acc, x, y)`` as ``add(acc, mul(x, y))`` over the given
+    operations, which validate their arguments and results."""
+    return lambda acc, x, y: add(acc, mul(x, y))
+
+
 def _make_maxplus(complete: bool) -> SemiringDescriptor:
     name = "maxplus_complete" if complete else "maxplus"
 
@@ -215,7 +231,8 @@ def _make_maxplus(complete: bool) -> SemiringDescriptor:
         return 0.0
 
     if complete:
-        # the top tag exists here, so IEEE mapping would hit inf - inf
+        # its fold is its only kernel, so it is fused; the top tag exists
+        # here, so IEEE mapping would hit inf - inf
         def fma(acc, x, y):
             if x is NEG_INF or y is NEG_INF:
                 return acc
@@ -225,20 +242,7 @@ def _make_maxplus(complete: bool) -> SemiringDescriptor:
             except TypeError:
                 return add(acc, mul(x, y))
     else:
-        # a factor equal to the bottom tag annihilates the product, and the
-        # bottom tag is the only non-float here, so after the identity test
-        # only acc can still be a tag; it maps to IEEE -inf for comparison
-        def fma(acc, x, y, _ninf=float("-inf")):
-            if x is NEG_INF or y is NEG_INF:
-                return acc
-            try:
-                s = x + y
-                return acc if acc >= s else s
-            except TypeError:
-                s = x + y if type(x) is float and type(y) is float else _ninf
-                if (acc if type(acc) is float else _ninf) >= s:
-                    return acc
-                return s
+        fma = fma_of(add, mul)
 
     return SemiringDescriptor(
         name=name, zero=NEG_INF, one=0.0,
@@ -287,25 +291,10 @@ def _make_minplus() -> SemiringDescriptor:
         # canonical order: zero = +inf sits at the bottom
         return usual_leq(y, x)
 
-    def fma(acc, x, y, _pinf=float("inf")):
-        # a factor equal to the bottom tag annihilates the product, and the
-        # bottom tag is the only non-float here, so after the identity test
-        # only acc can still be a tag; it maps to IEEE +inf for comparison
-        if x is POS_INF or y is POS_INF:
-            return acc
-        try:
-            s = x + y
-            return acc if acc <= s else s
-        except TypeError:
-            s = x + y if type(x) is float and type(y) is float else _pinf
-            if (acc if type(acc) is float else _pinf) <= s:
-                return acc
-            return s
-
     return SemiringDescriptor(
         name=name, zero=POS_INF, one=0.0,
         add=add, mul=mul, star=star, leq=leq, eq=_eq_exact,
-        coerce=coerce, fma=fma,
+        coerce=coerce, fma=fma_of(add, mul),
         flags=SemiringFlags(idempotent=True, complete=False,
                             commutative_mul=True, positive=True))
 
@@ -339,19 +328,10 @@ def _make_maxmin(lo, hi) -> SemiringDescriptor:
         coerce(x)
         return fhi
 
-    def fma(acc, x, y):
-        try:
-            s = x if x <= y else y
-            return acc if s <= acc else s
-        except TypeError:
-            # an infinity tag took part; keep acc on ties, as above
-            m = x if usual_leq(x, y) else y
-            return acc if usual_leq(m, acc) else m
-
     return SemiringDescriptor(
         name=name, zero=flo, one=fhi,
         add=add, mul=mul, star=star, leq=usual_leq, eq=_eq_exact,
-        coerce=coerce, fma=fma, params=(flo, fhi),
+        coerce=coerce, fma=fma_of(add, mul), params=(flo, fhi),
         flags=SemiringFlags(idempotent=True, complete=True,
                             commutative_mul=True, positive=True))
 
@@ -375,6 +355,7 @@ def _make_boolean() -> SemiringDescriptor:
     def leq(x, y):
         return y or not x
 
+    # fused: LDM runs boolean on the fold of fma (see list_kernels)
     def fma(acc, x, y):
         return acc or (x and y)
 
@@ -425,6 +406,7 @@ def _make_rplus(complete: bool) -> SemiringDescriptor:
             return POS_INF
         raise StarUndefined(f"star needs x < 1 in {name}, got {x!r}", element=x)
 
+    # fused: the fold is rplus_complete's only kernel
     def fma(acc, x, y):
         try:
             return acc + x * y
@@ -457,13 +439,10 @@ def _make_real_field() -> SemiringDescriptor:
             raise StarUndefined(f"star of 1 does not exist in {name}", element=x)
         return 1.0 / (1.0 - x)
 
-    def fma(acc, x, y):
-        return acc + x * y
-
     return SemiringDescriptor(
         name=name, zero=0.0, one=1.0,
         add=add, mul=mul, star=star, leq=usual_leq, eq=_eq_close,
-        coerce=coerce, fma=fma,
+        coerce=coerce, fma=fma_of(add, mul),
         flags=SemiringFlags(idempotent=False, complete=False,
                             commutative_mul=True, positive=False))
 
@@ -590,8 +569,10 @@ def _list_kernels(encode, decode, encode_one, decode_one, mul, dot, fold,
 def _fold_decode(d):
     """decode of the fold kernels: a copy of the row, which rejects a
     float past the range, as the IEEE kernels' decode does.  No carrier
-    holds an IEEE infinity or NaN, so such a float can only come from an
-    operation that overflowed."""
+    holds an IEEE infinity or NaN, and ``add`` and ``mul`` reject one,
+    so such a float can only come from a hand-fused ``fma`` that
+    overflowed (maxplus_complete, rplus, rplus_complete) or from a copy
+    whose ``fma`` was replaced."""
     name = d.label
     # the endpoints of a lift's values are floats of its base carrier
     entries = chain.from_iterable if d.base is not None else iter

@@ -468,6 +468,64 @@ def test_star_failure_names_first_failing_pivot(diagonal, pivot, tail):
     assert str(info.value).endswith(tail)
 
 
+def _raised(call, *args):
+    with pytest.raises(StarUndefined) as info:
+        call(*args)
+    return str(info.value), info.value.location, info.value.element
+
+
+# diagonals of 3x3 maxplus interval matrices whose other cells are
+# [-5, -4], and the endpoint whose star fails first: only the hi star
+# fails; lo and hi fail at different pivots; both at the same pivot
+COUNTED_FAILURES = [
+    ([(-1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)], 1),
+    ([(-1.0, -1.0), (-1.0, 1.0), (1.0, 2.0)], 1),
+    ([(-1.0, -1.0), (1.0, 2.0), (-1.0, -1.0)], 0),
+]
+
+
+@pytest.mark.parametrize("diagonal,end", COUNTED_FAILURES)
+def test_a_counted_lifted_call_fails_as_the_uncounted_one(diagonal, end):
+    lifted = lift_semiring(MX)
+    av = Matrix(lifted, [[diagonal[i] if i == j else (-5.0, -4.0)
+                          for j in range(3)] for i in range(3)])
+    failing = Matrix(MX, [[v[end] for v in row] for row in av.to_lists()])
+    for factorize in (ldm_factorize, symmetric_factorize):
+        c, c_base = OpCounter(), OpCounter()
+        want = _raised(factorize, av)
+        assert _raised(factorize, av, c) == want
+        # the tally stops where the run on the failing endpoint stops
+        assert _raised(factorize, failing, c_base) == want
+        assert c.as_dict() == c_base.as_dict()
+
+
+def test_counted_lifted_calls_match_uncounted_ones(monkeypatch, rng):
+    n = 6
+    av = random_interval_matrix("maxplus", n, rng)
+    sym = interval_hull(MX, random_symmetric_stable_matrix("maxplus", n, rng),
+                        random_symmetric_stable_matrix("maxplus", n, rng))
+    b = random_interval_matrix("maxplus", n, rng).to_lists()[0]
+    t = ldm_factorize(av)
+    calls = [(ldm_factorize, (av,)), (symmetric_factorize, (sym,)),
+             (solve_ldm, (t, b)), (forward_substitution, (t.L, b)),
+             (back_substitution, (t.M, b)),
+             (diagonal_solve, (t.D, b, av.descriptor))]
+    half = (n * n - n) // 2
+    counts = [((2 * n**3 - 3 * n**2 + n) // 6, (2 * n**3 + 3 * n**2 - 5 * n) // 6,
+               n * (n + 1) // 2),
+              ((n**3 - n) // 6, (n**3 - n) // 6 + half, half),
+              (n * n - n, n * n, n), (half, half, 0), (half, half, 0),
+              (0, n, n)]
+    want = [repr(call(*args)) for call, args in calls]
+    shipped = []
+    monkeypatch.setattr(offload, "_ship", lambda *a: shipped.append(a))
+    for (call, args), result, count in zip(calls, want, counts):
+        c = OpCounter()
+        assert repr(call(*args, counter=c)) == result
+        assert (c.adds, c.muls, c.stars) == count, call.__name__
+    assert shipped == []
+
+
 def test_lifted_kernels_check_their_input_first():
     lifted = lift_semiring(MX)
     wide = Matrix(lifted, [[(0.0, 1.0), (0.0, 1.0)]])
@@ -663,8 +721,8 @@ def test_worker_overflow_reads_as_here(monkeypatch, ship):
 
 
 def test_worker_keeps_the_closed_form_counts(ship, rng):
-    # a counted call keeps its hi run here: a lost worker, after which
-    # both runs are run here again, would count the lo run twice
+    # a counted lifted call runs on its counted copy, the fold over the
+    # intervals themselves, so no run of it reaches the worker
     for n in (2, 5, 8):
         av = random_interval_matrix("maxplus", n, rng)
         c = OpCounter()
@@ -675,7 +733,7 @@ def test_worker_keeps_the_closed_form_counts(ship, rng):
         c.reset()
         solve_ldm(t, [(0.0, 0.0)] * n, c)
         assert c.as_dict() == {"adds": n * n - n, "muls": n * n, "stars": n}
-    assert ship and not any(ship)
+    assert not any(ship)
 
 
 _PYTEST_PID = os.getpid()
