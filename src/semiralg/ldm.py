@@ -33,8 +33,12 @@ runs on :func:`counted`, a copy of the descriptor whose ``add``,
 kernels, so each folded term is one add and one mul.  A counted call
 over an interval lift runs on its counted copy too, as one run on the
 intervals themselves in this process, not as two endpoint runs; so it
-counts one operation per interval operation and fails as the
-uncounted call does.  The counts are exact functions of n:
+counts one operation per interval operation.  That run, the lifted
+fold, stops at the first operation that fails.  The two endpoint runs
+of an uncounted call cannot tell which of their failures came first,
+so when one fails the call runs the lifted fold on a plain copy of
+the lift and raises what it raises: a counted and an uncounted call
+fail alike.  The counts are exact functions of n:
 
     forward/back substitution   (n^2 - n)/2 adds, same muls
     diagonal closure            n stars, n muls
@@ -47,7 +51,7 @@ uncounted call does.  The counts are exact functions of n:
 from dataclasses import dataclass, replace
 
 from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
-                     NotSymmetric, ShapeViolation)
+                     NotSymmetric, SemiringError, ShapeViolation)
 from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix
 from .semirings import fma_of, kernel_star, list_kernels, same_descriptor
@@ -213,11 +217,15 @@ def _substitute(d, L, D, M, b, counter=None):
     """The stages of L, D and M (None skips one) on the coerced vector
     ``b`` over ``d`` counted into ``counter``, on a solver built for this
     call; on an uncounted lift, its two endpoint runs joined back into
-    intervals.  The factors are checked already."""
+    intervals, or the lifted fold when one fails.  The factors are
+    checked already."""
     dc = counted(d, counter)
     if is_lift(dc):
-        return join_endpoints(d, *endpoint_runs(_substitute, d.base,
-                                                L, D, M, b))
+        try:
+            return join_endpoints(d, *endpoint_runs(_substitute, d.base,
+                                                    L, D, M, b))
+        except SemiringError:
+            dc = replace(d)     # the lifted fold's failure
     return _Solver(dc, L, D, M).solve(b)
 
 
@@ -331,7 +339,10 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     d = A.descriptor
     dc = counted(d, counter)
     if is_lift(dc):
-        return _join_triples(d, *endpoint_runs(ldm_factorize, A))
+        try:
+            return _join_triples(d, *endpoint_runs(ldm_factorize, A))
+        except SemiringError:
+            dc = replace(d)     # the lifted fold's failure
     n = A.rows
     kernels = list_kernels(dc)
     fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
@@ -386,7 +397,10 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
     dc = counted(d, counter)
     if is_lift(dc):
-        return _join_triples(d, *endpoint_runs(symmetric_factorize, A))
+        try:
+            return _join_triples(d, *endpoint_runs(symmetric_factorize, A))
+        except SemiringError:
+            dc = replace(d)     # the lifted fold's failure
     kernels = list_kernels(dc)
     fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     E = list(map(kernels.encode, rows))

@@ -12,16 +12,9 @@ and minplus a product that overflows to the zero's infinity is that
 tag, as there.  They are the reference that the scalar API, the law
 checker, the lifted operations and the fold kernels below run on.
 
-``fma(acc, x, y)`` is ``add(acc, mul(x, y))``, built by :func:`fma_of`,
-wherever its fold is no kernel that runs: on maxplus, minplus, maxmin
-and real_field, which have kernels of their own, so that their fold
-runs only on copies, and on lifts.  Three bodies are fused by hand,
-because their fold is a kernel that runs: maxplus_complete's and
-rplus_complete's (the fold is their only kernel; rplus shares
-rplus_complete's body) and boolean's (LDM runs boolean on the fold).
-A fused ``fma`` assumes its inputs were already validated (matrices
-coerce every entry at construction) and returns an IEEE infinity where
-a result overflows, which the fold's decode then rejects.
+``fma(acc, x, y)`` is ``add(acc, mul(x, y))`` on every shipped
+descriptor and on the lifts, built by :func:`fma_of`, so the fold
+kernels below run on the validating ``add`` and ``mul`` alone.
 
 The matrix kernels (the product and the entrywise sum, which runs on
 ``add_rows``), the closures and the LDM factorizations and
@@ -39,8 +32,7 @@ and any other value past the float range raises ``IllegalElement``
 there.  ``maxplus_complete`` and ``rplus_complete`` keep the fold:
 IEEE gives NaN for -inf + inf and 0 * inf, where they have a value.
 An overflow raises ``IllegalElement`` on every descriptor: in ``add``
-or ``mul`` where ``fma`` is ``fma_of``'s, and in the decode of the
-kernels or of the fold elsewhere.
+or ``mul`` on the fold, in the decode of the IEEE kernels.
 
 Shipped semirings, by name:
 
@@ -230,24 +222,10 @@ def _make_maxplus(complete: bool) -> SemiringDescriptor:
             raise StarUndefined(f"star needs x <= 0 in {name}, got {x!r}", element=x)
         return 0.0
 
-    if complete:
-        # its fold is its only kernel, so it is fused; the top tag exists
-        # here, so IEEE mapping would hit inf - inf
-        def fma(acc, x, y):
-            if x is NEG_INF or y is NEG_INF:
-                return acc
-            try:
-                s = x + y
-                return acc if acc >= s else s
-            except TypeError:
-                return add(acc, mul(x, y))
-    else:
-        fma = fma_of(add, mul)
-
     return SemiringDescriptor(
         name=name, zero=NEG_INF, one=0.0,
         add=add, mul=mul, star=star, leq=usual_leq, eq=_eq_exact,
-        coerce=coerce, fma=fma,
+        coerce=coerce, fma=fma_of(add, mul),
         flags=SemiringFlags(idempotent=True, complete=complete,
                             commutative_mul=True, positive=True))
 
@@ -355,14 +333,10 @@ def _make_boolean() -> SemiringDescriptor:
     def leq(x, y):
         return y or not x
 
-    # fused: LDM runs boolean on the fold of fma (see list_kernels)
-    def fma(acc, x, y):
-        return acc or (x and y)
-
     return SemiringDescriptor(
         name="boolean", zero=False, one=True,
         add=add, mul=mul, star=star, leq=leq, eq=_eq_exact,
-        coerce=coerce, fma=fma,
+        coerce=coerce, fma=fma_of(add, mul),
         flags=SemiringFlags(idempotent=True, complete=True,
                             commutative_mul=True, positive=True))
 
@@ -406,17 +380,10 @@ def _make_rplus(complete: bool) -> SemiringDescriptor:
             return POS_INF
         raise StarUndefined(f"star needs x < 1 in {name}, got {x!r}", element=x)
 
-    # fused: the fold is rplus_complete's only kernel
-    def fma(acc, x, y):
-        try:
-            return acc + x * y
-        except TypeError:
-            return add(acc, mul(x, y))
-
     return SemiringDescriptor(
         name=name, zero=0.0, one=1.0,
         add=add, mul=mul, star=star, leq=usual_leq, eq=_eq_close,
-        coerce=coerce, fma=fma,
+        coerce=coerce, fma=fma_of(add, mul),
         flags=SemiringFlags(idempotent=False, complete=complete,
                             commutative_mul=True, positive=True))
 
@@ -570,9 +537,8 @@ def _fold_decode(d):
     """decode of the fold kernels: a copy of the row, which rejects a
     float past the range, as the IEEE kernels' decode does.  No carrier
     holds an IEEE infinity or NaN, and ``add`` and ``mul`` reject one,
-    so such a float can only come from a hand-fused ``fma`` that
-    overflowed (maxplus_complete, rplus, rplus_complete) or from a copy
-    whose ``fma`` was replaced."""
+    so such a float can only come from an ``fma`` other than
+    ``fma_of``'s: a copy's that was replaced, or a descriptor's own."""
     name = d.label
     # the endpoints of a lift's values are floats of its base carrier
     entries = chain.from_iterable if d.base is not None else iter

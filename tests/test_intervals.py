@@ -474,21 +474,25 @@ def _raised(call, *args):
     return str(info.value), info.value.location, info.value.element
 
 
-# diagonals of 3x3 maxplus interval matrices whose other cells are
-# [-5, -4], and the endpoint whose star fails first: only the hi star
-# fails; lo and hi fail at different pivots; both at the same pivot
+# maxplus interval matrices by their diagonal and their other cells, and
+# the endpoint whose star fails first: only the hi star fails; lo and hi
+# fail at different pivots; both at the same pivot; the hi star fails
+# and the lo run overflows after it
 COUNTED_FAILURES = [
-    ([(-1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)], 1),
-    ([(-1.0, -1.0), (-1.0, 1.0), (1.0, 2.0)], 1),
-    ([(-1.0, -1.0), (1.0, 2.0), (-1.0, -1.0)], 0),
+    ([(-1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)], (-5.0, -4.0), 1),
+    ([(-1.0, -1.0), (-1.0, 1.0), (1.0, 2.0)], (-5.0, -4.0), 1),
+    ([(-1.0, -1.0), (1.0, 2.0), (-1.0, -1.0)], (-5.0, -4.0), 0),
+    ([(-1.0, 1.0), (-1.0, -1.0)], (1e308, 1e308), 1),
 ]
 
 
-@pytest.mark.parametrize("diagonal,end", COUNTED_FAILURES)
-def test_a_counted_lifted_call_fails_as_the_uncounted_one(diagonal, end):
+@pytest.mark.parametrize("diagonal,other,end", COUNTED_FAILURES)
+def test_a_counted_lifted_call_fails_as_the_uncounted_one(diagonal, other,
+                                                          end):
     lifted = lift_semiring(MX)
-    av = Matrix(lifted, [[diagonal[i] if i == j else (-5.0, -4.0)
-                          for j in range(3)] for i in range(3)])
+    n = len(diagonal)
+    av = Matrix(lifted, [[diagonal[i] if i == j else other
+                          for j in range(n)] for i in range(n)])
     failing = Matrix(MX, [[v[end] for v in row] for row in av.to_lists()])
     for factorize in (ldm_factorize, symmetric_factorize):
         c, c_base = OpCounter(), OpCounter()

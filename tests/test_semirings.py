@@ -588,18 +588,19 @@ def test_scalar_product_overflowing_to_the_zero_is_the_zero(name, big):
     assert d.add(big, big) == big
 
 
-# fma is add(acc, mul(x, y)) on the carriers with kernels of their own:
-# a result past the float range raises, and maxmin checks its bounds
-@pytest.mark.parametrize("name, x", [("maxplus", 1e308), ("minplus", -1e308),
-                                     ("real_field", 1e308), ("maxmin", 11.0)])
+# fma is add(acc, mul(x, y)) on every carrier: a result past the float
+# range raises, and maxmin checks its bounds, boolean its type
+@pytest.mark.parametrize("name, x", [
+    ("maxplus", 1e308), ("maxplus_complete", 1e308), ("minplus", -1e308),
+    ("real_field", 1e308), ("rplus", 1e308), ("rplus_complete", 1e308),
+    ("maxmin", 11.0), ("boolean", 1)])
 def test_fma_raises_where_add_of_mul_does(name, x):
     d = descriptor(name)
     with pytest.raises(IllegalElement) as want:
-        d.add(0.0, d.mul(x, x))
+        d.add(d.zero, d.mul(x, x))
     with pytest.raises(IllegalElement) as got:
-        d.fma(0.0, x, x)
+        d.fma(d.zero, x, x)
     assert str(got.value) == str(want.value)
-
 
 
 # ---------------------------------------------------------------- tag algebra
