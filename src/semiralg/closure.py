@@ -33,14 +33,27 @@ so the stripe that holds row k sends it to the other before its own
 step, and each then takes the step on its own rows (Kumar, Grama,
 Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed.,
 ch. 10, Floyd's algorithm, pipelined 1-D mapping).  The serial
-elimination is the one stripe that holds every row.  A shipped product
-or stripe is the same kernel on the same rows, so the result is the
-same bit for bit.
+elimination is the one stripe that holds every row.  The partial sums
+split by rows too, as row i of A^(k+1) is row i of A^k times A: the
+worker takes the bottom half of the rows of the series (``_series``),
+and at each step the two stripes tell each other whether their sums
+changed, so that both stop where the serial loop stops; the serial
+series is the one stripe that holds every row.  A shipped product or
+stripe is the same kernel on the same rows, so the result is the same
+bit for bit.
+
+Over an interval lift the block recursion and the elimination run as
+two endpoint runs (``intervals.endpoint_runs``), and as the lifted fold
+on a plain copy of the lift when one of them fails (``_lifted``), so
+that the failure raised is the one the fold meets first.  The series
+runs on the intervals, its products split into endpoint runs by
+``Matrix.mul``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import DimensionMismatch, InvalidOptions, NoStabilization
+from .errors import (DimensionMismatch, InvalidOptions, NoStabilization,
+                     SemiringError)
 from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix, identity
 from . import offload
@@ -82,6 +95,20 @@ class IterativeClosure:
 def _require_square(A):
     if A.rows != A.cols:
         raise DimensionMismatch(f"closure needs a square matrix, got {A.rows}x{A.cols}")
+
+
+def _lifted(kernel, A, *args):
+    """``kernel(A, *args)`` over the lift of A: its two endpoint runs,
+    joined back into intervals.  The runs cannot tell which of their
+    failures came first, so when one fails, ``kernel`` runs once more on
+    a plain copy of the lift, the lifted fold, and raises what the fold
+    meets first, as the counted and the plain copies of the lift do."""
+    d = A.descriptor
+    try:
+        return join_endpoints(d, *endpoint_runs(kernel, A, *args))
+    except SemiringError:
+        plain = kernel(Matrix._wrap(replace(d), A._data), *args)
+    return Matrix._wrap(d, plain._data)
 
 
 def _close_rec(d, kernels, M, offset, opts):
@@ -152,7 +179,7 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
         raise InvalidOptions(f"split {opts.split} out of range 1..{n - 1}")
     d = A.descriptor
     if is_lift(d):
-        return join_endpoints(d, *endpoint_runs(closure_block, A, opts))
+        return _lifted(closure_block, A, opts)
     kernels = row_kernels(d)
     data = _close_rec(d, kernels, list(map(kernels.encode, A._data)), 0, opts)
     return Matrix._wrap(d, list(map(kernels.decode, data)))
@@ -180,7 +207,7 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     _require_square(A)
     d = A.descriptor
     if is_lift(d):
-        return join_endpoints(d, *endpoint_runs(closure_gauss_jordan, A))
+        return _lifted(closure_gauss_jordan, A)
     kernels = row_kernels(d)
     C = list(map(kernels.encode, A._data))
     n = A.rows
@@ -249,25 +276,89 @@ def closure_iterative(A: Matrix,
     NoStabilization.  Other carriers run exactly ``max_iterations``
     steps and flag the result as truncated, stopping early only if the
     partial sums reach an exact fixpoint.
+
+    Rows n//2.. of the series go to the worker process, the two
+    stripes stepping at the same time (``_series``), when the work of
+    the bottom one, its rows times n times the width of a kernel row
+    times the iteration cap, reaches ``offload.SHIP_MIN_WORK``.  When
+    they do not ship, and again from the start when the worker was lost
+    mid-way, one stripe here holds every row.
     """
     _require_square(A)
     opts = options or ClosureOptions()
     d = A.descriptor
-    limit = A.rows if d.flags.idempotent else opts.max_iterations
-    S = identity(d, A.rows)
-    P = A
-    for k in range(1, limit + 1):
-        S_next = S.add(P)
-        if S_next == S:
-            return IterativeClosure(S_next, k, False)
-        S = S_next
-        if k < limit:
-            P = P.mul(A)
+    n = A.rows
+    limit = n if d.flags.idempotent else opts.max_iterations
+    S = identity(d, n)._data
+    h = n // 2
+    width = n if row_kernels(d).fold is not None else 1     # packed: 1
+    outcomes = n > 1 and offload.side_by_side(
+        lambda peer: _series(peer, d, S[:h], A._data[:h], A, limit), _series,
+        (d, S[h:], A._data[h:], A, limit), (n - h) * n * width * limit, d)
+    if outcomes:
+        (top, k), (bottom, _) = offload.results(outcomes)
+        S = top + bottom
+    else:
+        S, k = _series(None, d, S, A._data, A, limit)
+    if k is not None:
+        return IterativeClosure(Matrix._wrap(d, S), k, False)
     if d.flags.idempotent:
         raise NoStabilization(
             f"partial sums still changing after {limit} steps; "
             "some cycle weight exceeds the multiplicative unit")
-    return IterativeClosure(S, limit, True)
+    return IterativeClosure(Matrix._wrap(d, S), limit, True)
+
+
+def _series(peer, d, S, P, A, limit):
+    """(rows, k): the rows S of the partial sum E + A + ... + A^k, which
+    start as rows of E, and k, the step at which the sums stopped
+    changing, or None when they still changed at step ``limit``.  P
+    holds the same rows of A; the stripe runs at the same time as the
+    process that holds the other rows, at the other end of the pipe
+    ``peer``, or, with ``peer`` None, here on every row.  Private: a
+    public name may be rebound by a wrapper that does not pickle.
+
+    Row i of the next power is row i of this one times A, so a stripe
+    needs no rows of the other.  At each step a stripe sends whether its
+    sums changed (True or False, 1 or 0) before its product for the next
+    step, and takes the other's after it, so the wait hides behind the
+    product; both stop at the first step at which neither changed and
+    drop that product, which the serial loop never computes.  A failure
+    takes the place of the message: the sum of step k sends 2k, the
+    product of step k sends 2k + 1 at step k + 1, the order in which the
+    serial loop meets them.  Both stop at a step that carries a failure;
+    the stripe whose failure is the earlier raises it, and the other
+    returns None.  On a tie both raise, and ``offload.results`` raises
+    the top stripe's, whose rows the serial loop meets first.  So
+    neither waits on the other, nor leaves a message unread.
+    """
+    S, P = Matrix._wrap(d, S), Matrix._wrap(d, P)
+    failure = None
+    for k in range(1, limit + 1):
+        if failure is None:
+            try:
+                S_next = S.add(P)
+                said = S_next != S
+            except Exception as exc:    # noqa: BLE001 - the peer must hear
+                failure = 2 * k, exc
+        if failure is not None:
+            said = failure[0]
+        if peer is not None:
+            peer.send(said)
+        if k < limit and said < 2 and (said or peer is not None):
+            try:
+                P = P.mul(A)
+            except Exception as exc:    # noqa: BLE001 - sent at the next step
+                failure = 2 * k + 1, exc
+        heard = 0 if peer is None else peer.recv()
+        if said > 1 or heard > 1:
+            if said > 1 and (heard < 2 or said <= heard):
+                raise failure[1]
+            return None
+        if not said and not heard:
+            return S_next._data, k
+        S = S_next
+    return S._data, None
 
 
 def closure(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:

@@ -21,8 +21,9 @@ kernels on the intervals themselves.
 
 The two endpoint runs are independent.  ``endpoint_runs`` sends the hi
 run to the package's one worker process (``offload.side_by_side``,
-which also serves the block closure's products and the Gauss-Jordan
-stripes) and runs the lo run meanwhile.  The cases in which the hi run
+which also serves the block closure's products and the row stripes of
+the Gauss-Jordan closure, the partial-sum closure and the LDM
+factorization) and runs the lo run meanwhile.  The cases in which the hi run
 stays in this process are those of ``offload._ship``; then, and when
 the worker was lost, both runs run here, lo first.  The lifted call
 holds the worker while its runs last, so the block products and the

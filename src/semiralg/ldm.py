@@ -15,6 +15,20 @@ the order over k of the scalar definition.  Inputs are encoded at entry and
 results decoded at exit; each pivot goes to ``star`` as a carrier
 value, so a failure names the same location and reads the same.
 
+The factorization runs its column loop in two row stripes when that
+pays, the bottom rows on the worker process of ``offload`` (see
+``_ldm_rows``): the forward pass of a column at row i reads only rows
+up to i, so the top stripe sends the bottom one each column pushed
+through its own rows and never waits for it, a one-way pipeline
+(Kumar, Grama, Gupta and Karypis, *Introduction to Parallel
+Computing*, 2nd ed., ch. 8, pipelined 1-D row mappings).  Each entry is
+the same fold on the same values wherever it runs, so the factors are
+the same bit for bit.  ``symmetric_factorize`` and the substitutions
+stay in this process: the column loop of the former is a forward pass
+alone, in which a bottom stripe would wait for the top one at every
+column, and a substitution is a single pass of n^2 / 2 terms, less work
+than shipping its factors to the worker.
+
 Factor once, solve many: the stages run on factors prepared in kernel
 form (``_Solver``): the strict rows of L, the strict rows of M
 reversed, so that the back substitution is the forward one over the
@@ -54,6 +68,7 @@ from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
                      NotSymmetric, SemiringError, ShapeViolation)
 from .intervals import endpoint_runs, is_lift, join_endpoints
 from .matrices import Matrix
+from . import offload
 from .semirings import fma_of, kernel_star, list_kernels, same_descriptor
 
 __all__ = ["OpCounter", "LdmTriple", "forward_substitution",
@@ -333,6 +348,12 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     Column j is first pushed through the already-built lower factor
     (the updates read partially factored entries, not the original
     ones), then split into its upper, diagonal and lower parts.
+
+    Rows 3n/5.. go to the worker process (``_ldm_rows``) when their
+    number times n^2 reaches ``offload.SHIP_MIN_WORK``, from n = 35;
+    a counted call stays here, where its counter is.  When the rows do
+    not ship, and again from the start when the worker was lost mid-way,
+    one stripe here holds every row.
     """
     if A.rows != A.cols:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
@@ -345,26 +366,19 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
             dc = replace(d)     # the lifted fold's failure
     n = A.rows
     kernels = list_kernels(dc)
-    fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     C = list(map(kernels.encode, A._data))
-    for j in range(n):
-        # column j through the lower factor so far: v[i] folds C[i][k] v[k]
-        # over k < i, for the upper part with the v[k] just completed
-        v = [row[j] for row in C[:j + 1]]
-        for i in range(1, j + 1):
-            v[i] = fold(v[i], C[i][:i], v)
-        for i in range(j):
-            C[i][j] = mul(encode_one(kernel_star(dc, kernels, C[i][i],
-                                                 (j + 1, i + 1))),
-                          v[i])   # 1-based (column, pivot)
-        C[j][j] = v[j]
-        vj = v[:j]
-        lower = C[j + 1:]
-        for row in lower:
-            row[j] = fold(row[j], row, vj)
-        s = encode_one(kernel_star(dc, kernels, v[j], (j + 1, j + 1)))
-        for row in lower:
-            row[j] = mul(row[j], s)
+    h = 3 * n // 5
+    # a counter tallies in this process, so a counted call stays here
+    outcomes = counter is None and n > 1 and offload.side_by_side(
+        # a copy: the rows change in place, and after a lost worker the
+        # loop below needs them as they were
+        lambda peer: _ldm_rows(peer, dc, [row[:] for row in C[:h]], 0, n),
+        _ldm_rows, (dc, C[h:], h, n), (n - h) * n * n, dc)
+    if not outcomes:
+        C = _ldm_rows(None, dc, C, 0, n)
+    else:
+        top, bottom = offload.results(outcomes)
+        C = top + bottom
 
     C = list(map(kernels.decode, C))
     zero = d.zero
@@ -373,6 +387,82 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
                          for i, row in enumerate(C)])
     D = tuple(row[i] for i, row in enumerate(C))
     return LdmTriple(L, D, M)
+
+
+def _ldm_rows(peer, dc, C, lo, n):
+    """The kernel rows C, rows lo.. of the n x n working copy of
+    ``ldm_factorize`` over ``dc``, after its column loop, taken at the
+    same time as the process that holds the rows above them, at the
+    other end of the pipe ``peer``; or, with ``peer`` None, taken here
+    on every row, C holding them all.  Private: a public name may be
+    rebound by a wrapper that does not pickle.
+
+    Column j runs through the lower factor so far, v[i] folding row i
+    of it against v[:i] over the rows up to j (the forward pass); then
+    the upper entry of each row i < j becomes star(C[i][i]) v[i], and
+    each row below j folds its lower part against v[:j] and is
+    multiplied by the star of the pivot v[j].  The pass at row i reads
+    rows up to i alone, so the top stripe never waits for the bottom
+    one: it runs the pass over its own rows and sends v over them, and
+    the bottom stripe runs the rest.  Both compute the star of a pivot
+    in the top rows, so a failing pivot fails in both alike.
+
+    On a catalog carrier, the only kind that ships, the top stripe fails
+    only at such a pivot or where every failure reads alike (a result
+    past the float range on a complete carrier, whose fold raises it):
+    so ``offload.results`` raises what the serial loop raises.  A top
+    stripe that fails sends None in place of its next v, unless it sent
+    the last; a bottom stripe that takes None returns None, and one that
+    fails takes the top's messages up to None or the last.  So the top
+    never waits, and no message is left unread.
+    """
+    kernels = list_kernels(dc)
+    fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
+    hi = lo + len(C)
+    first = max(lo, 1)  # the first row whose forward pass folds a term
+    sends = peer is not None and hi < n
+    passed = 0          # the columns whose v went from the top stripe
+    try:
+        for j in range(n):
+            k = j + 1 - lo      # rows lo..j of the pass are C[:k]
+            own = C[:k] if k > 0 else []
+            if lo:
+                v = peer.recv()
+                if v is None:
+                    return None
+                passed = j + 1
+                v += [row[j] for row in own]
+            else:
+                v = [row[j] for row in own]
+            for i, row in enumerate(own[first - lo:], first):
+                v[i] = fold(v[i], row[:i], v)
+            if sends:
+                peer.send(v)
+                passed = j + 1
+            for i, row in enumerate(C[:k - 1] if k > 1 else (), lo):
+                row[j] = mul(encode_one(kernel_star(dc, kernels, row[i],
+                                                    (j + 1, i + 1))),
+                             v[i])   # 1-based (column, pivot)
+            if j < hi:
+                if k > 0:
+                    C[k - 1][j] = v[j]
+                lower = C[k:] if k > 0 else C
+                vj = v[:j]
+                for row in lower:
+                    row[j] = fold(row[j], row, vj)
+                s = encode_one(kernel_star(dc, kernels, v[j], (j + 1, j + 1)))
+                for row in lower:
+                    row[j] = mul(row[j], s)
+    except Exception:
+        if sends:
+            if passed < n:
+                peer.send(None)
+        elif lo:
+            for _ in range(passed, n):
+                if peer.recv() is None:
+                    break
+        raise
+    return C
 
 
 def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:

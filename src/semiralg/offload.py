@@ -6,11 +6,14 @@ with its end of one pipe as ``peer``, and returns both outcomes.  A run
 that does not talk to the other ignores ``peer``.  It returns None when
 the run stays here, in the cases that ``_ship`` lists, and when the
 worker was lost (``_Worker.reply``).  On None the caller does the whole
-job here.  Three callers use it:
+job here.  Five callers use it:
 ``intervals.endpoint_runs``, whose hi endpoint run it ships; the block
-closure, which ships one product of each independent pair; and the
+closure, which ships one product of each independent pair; the
 Gauss-Jordan closure, whose two row stripes pass each other the pivot
-rows through the pipe.
+rows through the pipe; the partial-sum closure, whose two row stripes
+tell each other at each step whether their sums changed; and
+``ldm.ldm_factorize``, whose top stripe sends the bottom one each
+column pushed through its rows.
 
 ``run`` is the same module-level function on the same values wherever
 it runs, so its result is the same bit for bit.

@@ -281,8 +281,13 @@ def _make_maxmin(lo, hi) -> SemiringDescriptor:
     name = "maxmin"
     flo = lo if isinstance(lo, Infinity) else float(lo)
     fhi = hi if isinstance(hi, Infinity) else float(hi)
+    floats = type(flo) is float and type(fhi) is float
 
     def coerce(v):
+        # the common case first, in one chained comparison: a NaN or an
+        # IEEE infinity fails it, and finite bounds admit no tag
+        if floats and type(v) is float and flo <= v <= fhi:
+            return v
         if isinstance(v, Infinity):
             if v is flo or v is fhi:
                 return v

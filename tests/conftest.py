@@ -6,12 +6,16 @@ integer-valued floats: max/min/+ are exact on those, which lets the
 cross-algorithm tests assert bitwise equality instead of tolerances.
 """
 
+import math
+import os
 import random
 
 import pytest
 
 import semiralg as sa
 from semiralg import NEG_INF, POS_INF, Matrix, WeightedDigraph, make_semiring
+from semiralg import offload, semirings
+from semiralg.errors import SemiringError
 
 SEED = 20260819
 
@@ -251,6 +255,64 @@ def assert_bit_identical(got, want):
     """Equal matrices whose float entries also print alike (-0.0 vs 0.0)."""
     assert got == want
     assert repr(got.to_lists()) == repr(want.to_lists())
+
+
+# ------------------------------------------------- runs on the worker process
+
+PYTEST_PID = os.getpid()
+
+
+def ship_placements(monkeypatch, kind):
+    """Every run of ``kind``, a module-level function handed to
+    ``offload.side_by_side``, may go to the worker, also where the
+    calling thread may use only one CPU; the list returned records each
+    placement of one, True for a run that went."""
+    placements = []
+    place = offload._ship
+
+    def spy(run, args, work, d):
+        worker = place(run, args, work, d)
+        if run is kind:
+            placements.append(worker is not None)
+        return worker
+
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(offload, "_one_cpu", lambda: False)
+    monkeypatch.setattr(offload, "_ship", spy)
+    return placements
+
+
+def shipped_and_here(monkeypatch, placements, call):
+    """The outcomes of ``call`` with every run that ``placements``
+    records shipped and with every one in this process: (result, None)
+    or (None, (type, message, location))."""
+    outcomes = []
+    for threshold in (0, math.inf):
+        monkeypatch.setattr(offload, "SHIP_MIN_WORK", threshold)
+        placements.clear()
+        try:
+            outcomes.append((call(), None))
+        except SemiringError as exc:
+            outcomes.append((None, (type(exc), str(exc),
+                                    getattr(exc, "location", None))))
+        if threshold == 0:
+            assert placements and all(placements)
+        else:       # below the threshold a run stays here unasked
+            assert not any(placements)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    return outcomes
+
+
+def fork_anew(monkeypatch, name="maxplus", **replaced):
+    """The next worker forks with the kernels of the catalog carrier
+    ``name`` ``replaced``, such as ``eliminate``, the step; the kernels
+    to put back."""
+    if offload._worker is not None:
+        offload._worker.stop()
+    d = make_semiring(name)
+    kernels = semirings.row_kernels(d)
+    monkeypatch.setitem(semirings._kernels, d, kernels._replace(**replaced))
+    return kernels
 
 
 # ------------------------------------------------------------ acceptance hook

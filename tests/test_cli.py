@@ -220,6 +220,20 @@ def test_interval_closure_equals_endpoint_runs(tmp_path, capsys, rng):
                 hi_out["result"]["data"][i][j]]
 
 
+@pytest.mark.parametrize("argv", [("closure",),
+                                  ("closure", "--algorithm", "gauss_jordan"),
+                                  ("factor",)])
+def test_an_interval_run_fails_as_the_lifted_fold(tmp_path, capsys, argv):
+    # the lo run overflows and the hi star fails at pivot 1; the fold on
+    # the intervals meets the star first
+    path = _write(tmp_path / "a.json", {"rows": 2, "cols": 2, "data": [
+        [[-1.0, 1.0], [1e308, 1e308]], [[1e308, 1e308], [-1.0, -1.0]]]})
+    code, out, err = _run(capsys, *argv, "--semiring", "maxplus",
+                          "--interval", path)
+    assert (code, out) == (4, "")
+    assert "star needs x <= 0 in maxplus, got 1.0" in err
+
+
 @pytest.mark.parametrize("command,semiring,horizon", [
     ("paths", "minplus", ()), ("paths", "maxmin,0,10", ()),
     ("profit", "maxplus", ("--horizon", "inf")),

@@ -15,17 +15,17 @@ from pathlib import Path
 import pytest
 
 from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
-                      assert_bit_identical, descriptor, kernel_descriptor,
-                      kernel_rows, random_interval_matrix,
-                      random_oracle_matrix, random_stable_matrix)
+                      PYTEST_PID, assert_bit_identical, descriptor,
+                      fork_anew, kernel_descriptor, kernel_rows,
+                      random_interval_matrix, random_oracle_matrix,
+                      random_stable_matrix, ship_placements, shipped_and_here)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
                       identity, lift_semiring, solve_bellman, zeros)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _product, _stripe
+from semiralg.closure import _product, _series, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
-                             InvalidOptions, NoStabilization, SemiringError,
-                             StarUndefined)
+                             InvalidOptions, NoStabilization, StarUndefined)
 
 MX = descriptor("maxplus")
 BOOL = descriptor("boolean")
@@ -334,50 +334,19 @@ def products(monkeypatch):
     """Every block product of a pair may go to the worker, also where
     the calling thread may use only one CPU; the list returned records
     each placement of one, True for a product that went."""
-    return _placements(monkeypatch, _product)
+    return ship_placements(monkeypatch, _product)
 
 
 @pytest.fixture
 def stripes(monkeypatch):
     """As ``products``, for the bottom stripe of a Gauss-Jordan closure."""
-    return _placements(monkeypatch, _stripe)
+    return ship_placements(monkeypatch, _stripe)
 
 
-def _placements(monkeypatch, kind):
-    placements = []
-    place = offload._ship
-
-    def spy(run, args, work, d):
-        worker = place(run, args, work, d)
-        if run is kind:
-            placements.append(worker is not None)
-        return worker
-
-    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
-    monkeypatch.setattr(offload, "_one_cpu", lambda: False)
-    monkeypatch.setattr(offload, "_ship", spy)
-    return placements
-
-
-def _shipped_and_here(monkeypatch, placements, call):
-    """The outcomes of ``call`` with every block product shipped and with
-    every one in this process: (result, None) or (None, (type, message,
-    location))."""
-    outcomes = []
-    for threshold in (0, math.inf):
-        monkeypatch.setattr(offload, "SHIP_MIN_WORK", threshold)
-        placements.clear()
-        try:
-            outcomes.append((call(), None))
-        except SemiringError as exc:
-            outcomes.append((None, (type(exc), str(exc),
-                                    getattr(exc, "location", None))))
-        if threshold == 0:
-            assert placements and all(placements)
-        else:       # below the threshold a product stays here unasked
-            assert not any(placements)
-    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
-    return outcomes
+@pytest.fixture
+def series(monkeypatch):
+    """As ``products``, for the bottom stripe of a partial-sum closure."""
+    return ship_placements(monkeypatch, _series)
 
 
 def _catalog_matrix(name, rows, cols, rand):
@@ -403,7 +372,7 @@ def test_shipped_products_are_bit_identical(monkeypatch, products, rng, name):
         a = _catalog_matrix(name, n, n, rng)
         b = _catalog_matrix(name, n, 3, rng)
         for call in (lambda: closure_block(a), lambda: solve_bellman(a, b)):
-            (got, _), (want, _) = _shipped_and_here(monkeypatch, products, call)
+            (got, _), (want, _) = shipped_and_here(monkeypatch, products, call)
             assert_bit_identical(got, want)
 
 
@@ -414,18 +383,15 @@ def test_a_star_failure_in_the_second_recursion_reads_as_here(monkeypatch,
     data = kernel_rows("maxplus", 8, 8, rng)
     data[6][6] = 1.0
     a = Matrix(MX, data)
-    shipped, here = _shipped_and_here(monkeypatch, products,
-                                      lambda: closure_block(a))
+    shipped, here = shipped_and_here(monkeypatch, products,
+                                     lambda: closure_block(a))
     assert shipped == here
     assert here[1][0] is StarUndefined and here[1][2] == 7
     assert not offload._busy.locked()
     good = _catalog_matrix("maxplus", 8, 8, rng)
-    (got, _), (want, _) = _shipped_and_here(monkeypatch, products,
-                                            lambda: closure_block(good))
+    (got, _), (want, _) = shipped_and_here(monkeypatch, products,
+                                           lambda: closure_block(good))
     assert_bit_identical(got, want)
-
-
-_PYTEST_PID = os.getpid()
 
 
 def test_an_interrupt_while_a_product_is_in_flight_stops_the_worker(
@@ -437,7 +403,7 @@ def test_an_interrupt_while_a_product_is_in_flight_stops_the_worker(
 
     def interrupted(X, Y):
         # the user interrupts this process while its worker holds a product
-        if os.getpid() == _PYTEST_PID and offload._busy.locked():
+        if os.getpid() == PYTEST_PID and offload._busy.locked():
             raise KeyboardInterrupt
         return kernels.product(X, Y)
 
@@ -480,7 +446,7 @@ def test_a_worker_lost_while_q_is_out_leaves_the_pair_here(
     def q_lost(X, Y):
         # the worker's first product of 8 rows is Q = A21 S11 at the top
         # level; it dies with it, or replies what does not unpickle, once
-        if (os.getpid() != _PYTEST_PID and len(X) == 8
+        if (os.getpid() != PYTEST_PID and len(X) == 8
                 and not marker.exists()):
             marker.touch()
             if lost == "killed":
@@ -488,7 +454,7 @@ def test_a_worker_lost_while_q_is_out_leaves_the_pair_here(
             return _Unloadable()
         return kernels.product(X, Y)
 
-    kernels = _fork_anew(monkeypatch, product=q_lost)
+    kernels = fork_anew(monkeypatch, product=q_lost)
     closure_block(_catalog_matrix("maxplus", 4, 4, rng))   # starts the worker
     worker = offload._worker
     products.clear()
@@ -579,7 +545,7 @@ def _share_the_worker(kernel, placements, rng):
 def test_striped_elimination_is_bit_identical(monkeypatch, stripes, rng, name):
     for n in (2, 9, 16, 17):
         a = _catalog_matrix(name, n, n, rng)
-        (got, _), (want, _) = _shipped_and_here(
+        (got, _), (want, _) = shipped_and_here(
             monkeypatch, stripes, lambda: closure_gauss_jordan(a))
         assert_bit_identical(got, want)
 
@@ -590,13 +556,13 @@ def test_a_failing_pivot_reads_as_here_in_either_stripe(monkeypatch, stripes,
     data = kernel_rows("maxplus", 16, 16, rng)
     data[pivot][pivot] = 1.0
     a = Matrix(MX, data)
-    shipped, here = _shipped_and_here(monkeypatch, stripes,
-                                      lambda: closure_gauss_jordan(a))
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: closure_gauss_jordan(a))
     assert shipped == here
     assert here[1][0] is StarUndefined and here[1][2] == pivot + 1
     assert not offload._busy.locked()
     good = _catalog_matrix("maxplus", 16, 16, rng)
-    (got, _), (want, _) = _shipped_and_here(
+    (got, _), (want, _) = shipped_and_here(
         monkeypatch, stripes, lambda: closure_gauss_jordan(good))
     assert_bit_identical(got, want)
 
@@ -609,25 +575,15 @@ def test_a_failure_in_one_stripe_alone_reads_as_here(monkeypatch, stripes,
     data = [[-1.0, 1e308, -1.0, -1.0]] + [[-1.0] * 4 for _ in range(3)]
     data[row] = [1e308, POS_INF, -1.0, -1.0]
     a = Matrix(descriptor("maxplus_complete"), data)
-    shipped, here = _shipped_and_here(monkeypatch, stripes,
-                                      lambda: closure_gauss_jordan(a))
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: closure_gauss_jordan(a))
     assert shipped == here
     assert here[1][0] is IllegalElement and "float range" in here[1][1]
     assert not offload._busy.locked()
     good = _catalog_matrix("maxplus_complete", 4, 4, rng)
-    (got, _), (want, _) = _shipped_and_here(
+    (got, _), (want, _) = shipped_and_here(
         monkeypatch, stripes, lambda: closure_gauss_jordan(good))
     assert_bit_identical(got, want)
-
-
-def _fork_anew(monkeypatch, **replaced):
-    """The next worker forks with the maxplus kernels ``replaced``, such
-    as ``eliminate``, the step; the kernels to put back."""
-    if offload._worker is not None:
-        offload._worker.stop()
-    kernels = semirings.row_kernels(MX)
-    monkeypatch.setitem(semirings._kernels, MX, kernels._replace(**replaced))
-    return kernels
 
 
 def test_an_interrupt_while_waiting_for_a_pivot_row_stops_the_worker(
@@ -638,15 +594,15 @@ def test_an_interrupt_while_waiting_for_a_pivot_row_stops_the_worker(
     def slow(C, k, s, krow):
         # the worker, at the caller's last pivot, keeps the caller
         # waiting for its first pivot row, and the user interrupts that
-        if os.getpid() != _PYTEST_PID and k == 7:
+        if os.getpid() != PYTEST_PID and k == 7:
             time.sleep(0.2)
-            os.kill(_PYTEST_PID, signal.SIGUSR1)
+            os.kill(PYTEST_PID, signal.SIGUSR1)
         return kernels.eliminate(C, k, s, krow)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    kernels = _fork_anew(monkeypatch, eliminate=slow)
+    kernels = fork_anew(monkeypatch, eliminate=slow)
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
     cpus = affinity(0)
     handler = signal.signal(signal.SIGUSR1, interrupt)
@@ -670,11 +626,11 @@ def test_a_worker_killed_mid_elimination_leaves_it_here(monkeypatch, stripes,
     want = closure_gauss_jordan(a)
 
     def dying(C, k, s, krow):
-        if os.getpid() != _PYTEST_PID and k == pivot:
+        if os.getpid() != PYTEST_PID and k == pivot:
             os.kill(os.getpid(), signal.SIGKILL)
         return kernels.eliminate(C, k, s, krow)
 
-    kernels = _fork_anew(monkeypatch, eliminate=dying)
+    kernels = fork_anew(monkeypatch, eliminate=dying)
     got = closure_gauss_jordan(a)
     assert stripes[-1] is True
     assert_bit_identical(got, want)
@@ -706,6 +662,180 @@ def test_threads_share_the_worker_for_stripes(stripes, rng):
     _share_the_worker(closure_gauss_jordan, stripes, rng)
 
 
+# ------------------------------------------- the series in two row stripes
+
+
+def _series_outcome(a, opts=None):
+    res = closure_iterative(a, opts)
+    return repr(res.matrix.to_lists()), res.iterations, res.truncated
+
+
+@pytest.mark.parametrize("name", CATALOG_LABELS)
+def test_striped_series_is_bit_identical(monkeypatch, series, rng, name):
+    for n in (2, 9, 16, 17):
+        a = _catalog_matrix(name, n, n, rng)
+        shipped, here = shipped_and_here(monkeypatch, series,
+                                         lambda: _series_outcome(a))
+        assert shipped == here and here[1] is None
+
+
+# strictly upper triangular: row i of A^k is zero from k = 4 - i on, so
+# the bottom stripe's sums stop changing first and A^4 = 0 ends the
+# series at step 4; its transpose has the top stripe stop first
+NILPOTENT = [[0.0, 0.5, 0.25, 0.5], [0.0, 0.0, 0.5, 0.25],
+             [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("data,cap,iterations,truncated", [
+    (NILPOTENT, 50, 4, False),
+    ([list(col) for col in zip(*NILPOTENT)], 50, 4, False),
+    (NILPOTENT, 4, 4, False),       # the fixpoint at the last step
+    (NILPOTENT, 3, 3, True),        # cut before it
+    ([[0.5, 0.0, 0.0, 0.0], [0.0, 0.25, 0.0, 0.0],
+      [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 0.5]], 10, 10, True),
+])
+def test_a_striped_series_ends_where_the_serial_one_does(
+        monkeypatch, series, data, cap, iterations, truncated):
+    a = Matrix(REAL, data)
+    shipped, here = shipped_and_here(
+        monkeypatch, series,
+        lambda: _series_outcome(a, ClosureOptions(max_iterations=cap)))
+    assert shipped == here
+    assert here[0][1:] == (iterations, truncated)
+
+
+@pytest.mark.parametrize("row", [0, 3])     # the caller's rows are 0, 1
+def test_a_striped_series_that_never_settles_raises_as_here(monkeypatch,
+                                                            series, row):
+    data = [[-1.0 if j == i + 1 else NEG_INF for j in range(4)]
+            for i in range(4)]
+    data[row][row] = 1.0
+    shipped, here = shipped_and_here(monkeypatch, series,
+                                     lambda: _series_outcome(Matrix(MX, data)))
+    assert shipped == here and here[1][0] is NoStabilization
+
+
+# 2 x 2 real_field blocks on the diagonal of a 4 x 4 matrix, one for
+# each stripe: a series that runs on; one whose product of step 1 leaves
+# the float range as inf - inf, a NaN, or as inf; one whose sum of step 2
+# does, as inf
+RUNS_ON = [[0.5, 0.0], [0.0, 0.5]]
+PRODUCT_NAN = [[1e308, -1e308], [1e308, 0.0]]
+PRODUCT_INF = [[0.0, 1e308], [0.0, 2.0]]
+SUM_INF = [[0.0, 1e308], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("top,bottom,value", [
+    (PRODUCT_NAN, RUNS_ON, "nan"),          # the top stripe alone
+    (RUNS_ON, PRODUCT_NAN, "nan"),          # the bottom stripe alone
+    (SUM_INF, RUNS_ON, "inf"),
+    (RUNS_ON, SUM_INF, "inf"),
+    (PRODUCT_NAN, PRODUCT_INF, "nan"),      # both at once: the top's
+    (PRODUCT_INF, PRODUCT_NAN, "inf"),
+    # a product of step 1 fails before a sum of step 2, in either stripe
+    (SUM_INF, PRODUCT_NAN, "nan"),
+    (PRODUCT_NAN, SUM_INF, "nan"),
+])
+def test_a_series_failure_reads_as_here_in_either_stripe(
+        monkeypatch, series, rng, top, bottom, value):
+    zero = [0.0, 0.0]
+    a = Matrix(REAL, [row + zero for row in top] + [zero + row for row in bottom])
+    shipped, here = shipped_and_here(monkeypatch, series,
+                                     lambda: _series_outcome(a))
+    assert shipped == here
+    assert here[1][0] is IllegalElement and f"({value})" in here[1][1]
+    assert not offload._busy.locked()
+    good = _catalog_matrix("real_field", 4, 4, rng)
+    shipped, here = shipped_and_here(monkeypatch, series,
+                                     lambda: _series_outcome(good))
+    assert shipped == here and here[1] is None
+
+
+def _chain(n):
+    # maxplus arcs i -> i + 1: the sums change until step n - 1, and the
+    # series ends at step n, the last one
+    return Matrix(MX, [[-1.0 if j == i + 1 else NEG_INF for j in range(n)]
+                       for i in range(n)])
+
+
+def test_a_worker_killed_mid_series_leaves_it_here(monkeypatch, series):
+    a = _chain(16)
+    want = _series_outcome(a)
+    assert want[1:] == (16, False)
+    calls = []
+
+    def dying(X, Y):
+        if os.getpid() != PYTEST_PID:
+            calls.append(len(X))
+            if len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return kernels.product(X, Y)
+
+    kernels = fork_anew(monkeypatch, product=dying)
+    assert _series_outcome(a) == want
+    assert series[-1] is True
+    assert offload._worker is None and not offload._busy.locked()
+    monkeypatch.setitem(semirings._kernels, MX, kernels)
+    assert _series_outcome(a) == want
+    assert series[-1] is True and offload._worker.process.is_alive()
+
+
+def test_an_interrupt_while_waiting_for_a_flag_stops_the_worker(monkeypatch,
+                                                                series):
+    a = _chain(16)
+    want = _series_outcome(a)
+    calls = []
+
+    def slow(X, Y):
+        # the worker, in its product of step 3, keeps the caller waiting
+        # for its flag of step 4, and the user interrupts that
+        if os.getpid() != PYTEST_PID:
+            calls.append(len(X))
+            if len(calls) == 3:
+                time.sleep(0.2)
+                os.kill(PYTEST_PID, signal.SIGUSR1)
+        return kernels.product(X, Y)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    kernels = fork_anew(monkeypatch, product=slow)
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    cpus = affinity(0)
+    handler = signal.signal(signal.SIGUSR1, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            closure_iterative(a)
+    finally:
+        signal.signal(signal.SIGUSR1, handler)
+    assert series[-1] is True
+    assert offload._worker is None and not offload._busy.locked()
+    assert affinity(0) == cpus
+    monkeypatch.setitem(semirings._kernels, MX, kernels)
+    assert _series_outcome(a) == want
+    assert series[-1] is True and offload._worker.process.is_alive()
+
+
+def test_a_lifted_series_keeps_its_stripes_here(monkeypatch, series, rng):
+    av = random_interval_matrix("maxplus", 16, rng)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
+    want = _series_outcome(av)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    got = []
+    # one stripe here holds every row; its products are the lift's, whose
+    # hi endpoint runs go to the worker
+    thread = threading.Thread(target=lambda: got.append(_series_outcome(av)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert got == [want]
+    assert series and not any(series)
+
+
+def test_threads_share_the_worker_for_series(series, rng):
+    _share_the_worker(lambda a: closure_iterative(a).matrix, series, rng)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs CPU affinity")
 def test_a_thread_on_one_cpu_ships_nothing(rng):
@@ -718,16 +848,19 @@ def test_a_thread_on_one_cpu_ships_nothing(rng):
 import os, sys
 sys.path.insert(0, {src!r})
 os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
-from semiralg import Matrix, closure_block, closure_gauss_jordan, make_semiring
+from semiralg import (Matrix, closure_block, closure_gauss_jordan,
+                      closure_iterative, make_semiring)
 from semiralg import offload
 offload.SHIP_MIN_WORK = 0
 a = Matrix(make_semiring("maxplus"), {a.to_lists()!r})
 print(repr(closure_block(a).to_lists()))
 print(repr(closure_gauss_jordan(a).to_lists()))
+print(repr(closure_iterative(a).matrix.to_lists()))
 print(offload._worker)
 """
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True, timeout=60)
-    assert done.stdout.splitlines() == [repr(closure_block(a).to_lists()),
-                                        repr(closure_gauss_jordan(a).to_lists()),
-                                        "None"]
+    assert done.stdout.splitlines() == [
+        repr(closure_block(a).to_lists()),
+        repr(closure_gauss_jordan(a).to_lists()),
+        repr(closure_iterative(a).matrix.to_lists()), "None"]

@@ -530,6 +530,21 @@ def test_counted_lifted_calls_match_uncounted_ones(monkeypatch, rng):
     assert shipped == []
 
 
+@pytest.mark.parametrize("diagonal,other,end", COUNTED_FAILURES)
+def test_a_lifted_closure_fails_as_the_lifted_fold(diagonal, other, end):
+    # the endpoint runs cannot tell which of their failures came first;
+    # on the last case the lo run overflows and the hi star fails, and
+    # the fold on the intervals meets the star first
+    lifted = lift_semiring(MX)
+    n = len(diagonal)
+    rows = [[diagonal[i] if i == j else other for j in range(n)]
+            for i in range(n)]
+    av = Matrix(lifted, rows)
+    fold = Matrix(dataclasses.replace(lifted), rows)
+    for closure_kernel in (closure_block, closure_gauss_jordan):
+        assert _raised(closure_kernel, av) == _raised(closure_kernel, fold)
+
+
 def test_lifted_kernels_check_their_input_first():
     lifted = lift_semiring(MX)
     wide = Matrix(lifted, [[(0.0, 1.0), (0.0, 1.0)]])

@@ -1,18 +1,22 @@
 """Triangular solvers, LDM factorization, and exact operation counts."""
 
 import dataclasses
+import os
 import pickle
 import random
 import re
+import signal
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (KERNEL_CARRIERS, assert_bit_identical, descriptor,
-                      kernel_descriptor, kernel_rows, random_contraction,
-                      random_stable_matrix, random_symmetric_stable_matrix)
+from conftest import (KERNEL_CARRIERS, PYTEST_PID, assert_bit_identical,
+                      descriptor, fork_anew, kernel_descriptor, kernel_rows,
+                      random_contraction, random_stable_matrix,
+                      random_symmetric_stable_matrix, ship_placements,
+                      shipped_and_here)
 from semiralg import (Matrix, NEG_INF, OpCounter, POS_INF, back_substitution,
                       closure, closure_gauss_jordan, diagonal_solve, identity,
                       ldm_factorize, solve_bellman, solve_ldm, solve_via_ldm,
@@ -22,7 +26,8 @@ from semiralg.errors import (DescriptorMismatch, DimensionMismatch,
                              ShapeViolation, StarUndefined)
 from semiralg import forward_substitution
 from semiralg.intervals import lift_semiring
-from semiralg.ldm import LdmTriple
+from semiralg import offload, semirings
+from semiralg.ldm import LdmTriple, _ldm_rows
 from semiralg.semirings import SemiringDescriptor, SemiringFlags
 from semiralg.serialize import loads, dumps, triple_from_json, triple_to_json
 
@@ -736,3 +741,140 @@ def test_lifted_solves_keep_no_state(rng):
     lo = solve_ldm(ldm_factorize(a), [0.0] * 4)
     hi = solve_ldm(ldm_factorize(a), [1.0] * 4)
     assert [(v.lo, v.hi) for v in first] == list(zip(lo, hi))
+
+
+# --------------------------------- the factorization in two row stripes
+
+
+@pytest.fixture
+def stripes(monkeypatch):
+    """Every bottom stripe of a factorization may go to the worker, also
+    where the calling thread may use only one CPU; the list records each
+    placement of one, True for a stripe that went."""
+    return ship_placements(monkeypatch, _ldm_rows)
+
+
+def _factors(a, counter=None):
+    t = ldm_factorize(a, counter)
+    return repr((t.L.to_lists(), t.D, t.M.to_lists()))
+
+
+def _nothing_unread():
+    # a message left in the pipe would reach the worker as a run, and its
+    # reply this process as the next call's
+    return not offload._worker.conn.poll(0.05)
+
+
+@pytest.mark.parametrize("name", KERNEL_CARRIERS + ["maxplus_complete",
+                                                    "rplus_complete"])
+def test_striped_factorization_is_bit_identical(monkeypatch, stripes, rng,
+                                                name):
+    # the top stripe holds rows 0..3n/5-1; the carriers of real-factor-solve
+    # and the tropical ones at the sizes where the stripes pay too
+    rows = {"maxplus_complete": "maxplus", "rplus_complete": "rplus"}
+    large = name in ("real_field", "rplus", "maxplus", "minplus", "maxmin")
+    for n in (2, 3, 9, 17) + ((48, 71, 96) if large else ()):
+        a = Matrix(kernel_descriptor(name),
+                   kernel_rows(rows.get(name, name), n, n, rng))
+        shipped, here = shipped_and_here(monkeypatch, stripes,
+                                         lambda: _factors(a))
+        assert shipped == here and here[1] is None
+    assert _nothing_unread()
+
+
+@pytest.mark.parametrize("pivot", [3, 6, 9])    # the caller's rows are 0..5
+def test_a_failing_pivot_reads_as_here_in_either_stripe(monkeypatch, stripes,
+                                                        rng, pivot):
+    # below 6 both stripes compute its star; from 6 on the bottom stripe
+    # alone fails, and takes the top's messages to the last
+    data = kernel_rows("maxplus", 10, 10, rng)
+    data[pivot][pivot] = 1.0
+    a = Matrix(MX, data)
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: _factors(a))
+    assert shipped == here
+    assert here[1][0] is StarUndefined
+    assert here[1][2] == (pivot + 1, pivot + 1)
+    worker = offload._worker
+    assert not offload._busy.locked() and _nothing_unread()
+    good = Matrix(MX, kernel_rows("maxplus", 10, 10, rng))
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: _factors(good))
+    assert shipped == here and here[1] is None
+    assert offload._worker is worker and _nothing_unread()
+
+
+@pytest.mark.parametrize("stripe", ["top", "bottom", "both"])
+def test_an_overflow_in_either_stripe_reads_as_here(monkeypatch, stripes, rng,
+                                                    stripe):
+    # on maxplus_complete the fold raises a result past the float range:
+    # the forward pass of column 1, in the top stripe, or of column 7, in
+    # the bottom one, adds 1e308 to 1e308
+    data = [[-1.0] * 10 for _ in range(10)]
+    cells = {"top": [(0, 1)], "bottom": [(6, 7)], "both": [(0, 1), (6, 7)]}
+    for i, j in cells[stripe]:
+        data[i][j] = data[j][i] = 1e308
+    a = Matrix(descriptor("maxplus_complete"), data)
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: _factors(a))
+    assert shipped == here
+    assert here[1][0] is IllegalElement and "float range" in here[1][1]
+    assert not offload._busy.locked() and _nothing_unread()
+    good = Matrix(descriptor("maxplus_complete"),
+                  kernel_rows("maxplus", 10, 10, rng))
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: _factors(good))
+    assert shipped == here and here[1] is None and _nothing_unread()
+
+
+def test_a_top_stripe_failing_after_its_last_message_sends_no_more(
+        monkeypatch, stripes, rng):
+    # on rplus_complete the upper entry of row 2 in the last column, the
+    # star of its pivot 1 - 2^-50 times 1e300, leaves the float range in
+    # the top stripe, after it sent its v of that column
+    data = [[0.0] * 10 for _ in range(10)]
+    data[2][2] = 1.0 - 2.0 ** -50
+    data[2][9] = 1e300
+    a = Matrix(descriptor("rplus_complete"), data)
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: _factors(a))
+    assert shipped == here
+    assert here[1][0] is IllegalElement and "float range" in here[1][1]
+    assert not offload._busy.locked() and _nothing_unread()
+
+
+def test_a_worker_killed_mid_factorization_leaves_it_here(monkeypatch,
+                                                         stripes, rng):
+    # real_field: its loop run again on rows it changed gives other rows
+    a = Matrix(REAL, kernel_rows("real_field", 16, 16, rng))
+    want = _factors(a)
+    calls = []
+
+    def dying(acc, xrow, ycol):
+        if os.getpid() != PYTEST_PID:
+            calls.append(len(xrow))
+            if len(calls) == 40:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return kernels.fold(acc, xrow, ycol)
+
+    kernels = fork_anew(monkeypatch, "real_field", fold=dying)
+    assert _factors(a) == want
+    assert stripes[-1] is True
+    assert offload._worker is None and not offload._busy.locked()
+    monkeypatch.setitem(semirings._kernels, REAL, kernels)
+    assert _factors(a) == want
+    assert stripes[-1] is True and offload._worker.process.is_alive()
+
+
+def test_a_counted_factorization_stays_here(stripes, rng):
+    # its counter tallies in this process; criterion 1 counts on it
+    n = 10
+    a = Matrix(MX, kernel_rows("maxplus", n, n, rng))
+    want = _factors(a)
+    assert stripes == [True]
+    stripes.clear()
+    c = OpCounter()
+    assert _factors(a, c) == want
+    assert stripes == []
+    assert c.as_dict() == dict(zip(("adds", "muls", "stars"),
+                                   _factor_counts(n)))

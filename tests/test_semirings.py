@@ -244,6 +244,36 @@ def test_maxmin_with_infinite_bounds_rejects_ieee_infinities():
                 op(x, y)
 
 
+@pytest.mark.parametrize("bounds,value,message", [
+    ((0, 10), math.nan, "IEEE nan is not a maxmin element; use the infinity tags"),
+    ((0, 10), math.inf, "IEEE inf is not a maxmin element; use the infinity tags"),
+    ((0, 10), -math.inf, "IEEE -inf is not a maxmin element; use the infinity tags"),
+    ((0, 10), NEG_INF, "-inf is outside [0.0,10.0]"),
+    ((0, 10), POS_INF, "inf is outside [0.0,10.0]"),
+    ((0, 10), 11.0, "11.0 is outside [0.0,10.0]"),
+    ((0, 10), -0.5, "-0.5 is outside [0.0,10.0]"),
+    ((0, 10), True, "True is not a maxmin element"),
+    ((NEG_INF, 10), 11.0, "11.0 is outside [-inf,10.0]"),
+    ((NEG_INF, 10), POS_INF, "inf is outside [-inf,10.0]"),
+])
+def test_maxmin_coerce_rejects_what_its_range_check_misses(bounds, value,
+                                                           message):
+    # between float bounds a float in range passes one chained
+    # comparison; everything else meets the checks behind it
+    with pytest.raises(IllegalElement) as info:
+        make_semiring("maxmin", bounds).coerce(value)
+    assert str(info.value) == message
+
+
+def test_maxmin_coerce_keeps_what_is_in_range():
+    d = make_semiring("maxmin", (0, 10))
+    for v in (0.0, -0.0, 2.5, 10.0):
+        assert d.coerce(v) is v
+    assert repr(d.coerce(3)) == "3.0"
+    tagged = make_semiring("maxmin", (NEG_INF, 10))
+    assert tagged.coerce(NEG_INF) is NEG_INF and tagged.coerce(-1e300) == -1e300
+
+
 def test_row_kernels_specialise_only_catalog_instances():
     # specialised kernels bring their own scalar product; the fold of
     # fma uses the descriptor's
