@@ -769,8 +769,9 @@ def _nothing_unread():
                                                     "rplus_complete"])
 def test_striped_factorization_is_bit_identical(monkeypatch, stripes, rng,
                                                 name):
-    # the top stripe holds rows 0..3n/5-1; the carriers of real-factor-solve
-    # and the tropical ones at the sizes where the stripes pay too
+    # the top stripe holds rows 0..3n/5 - 1.  Up to n = 96, where the
+    # stripes pay, on real_field, rplus and the tropical carriers; the
+    # others at small n only
     rows = {"maxplus_complete": "maxplus", "rplus_complete": "rplus"}
     large = name in ("real_field", "rplus", "maxplus", "minplus", "maxmin")
     for n in (2, 3, 9, 17) + ((48, 71, 96) if large else ()):
@@ -809,7 +810,7 @@ def test_an_overflow_in_either_stripe_reads_as_here(monkeypatch, stripes, rng,
                                                     stripe):
     # on maxplus_complete the fold raises a result past the float range:
     # the forward pass of column 1, in the top stripe, or of column 7, in
-    # the bottom one, adds 1e308 to 1e308
+    # the bottom one, adds 1e308 to 1e308; with both, the top's comes first
     data = [[-1.0] * 10 for _ in range(10)]
     cells = {"top": [(0, 1)], "bottom": [(6, 7)], "both": [(0, 1), (6, 7)]}
     for i, j in cells[stripe]:
