@@ -18,8 +18,8 @@ packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
 
 Both use the worker process of ``offload`` when the work is large
-enough to pay for the trip (``offload.side_by_side``); when it is not,
-or the worker was lost, they do the whole job here.  The block
+enough to pay for the trip (``offload.side_by_side``, whose rule says
+when the whole job runs here instead).  The block
 recursion has two independent products at each level, P = S11 A12
 with Q = A21 S11 and TR = P SD with BL = SD Q: Q and BL go to the
 worker while this process computes P and TR.  Its two other products,
@@ -42,19 +42,15 @@ series is the one stripe that holds every row.  A shipped product or
 stripe is the same kernel on the same rows, so the result is the same
 bit for bit.
 
-Over an interval lift the block recursion and the elimination run as
-two endpoint runs (``intervals.endpoint_runs``), and as the lifted fold
-on a plain copy of the lift when one of them fails (``_lifted``), so
-that the failure raised is the one the fold meets first.  The series
-runs on the intervals, its products split into endpoint runs by
-``Matrix.mul``.
+Over an interval lift the block recursion and the elimination are
+lifted calls (``intervals.lifted``).  The series runs on the intervals,
+its products lifted calls of ``Matrix.mul``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, InvalidOptions, NoStabilization,
-                     SemiringError)
-from .intervals import endpoint_runs, is_lift, join_endpoints
+from .errors import DimensionMismatch, InvalidOptions, NoStabilization
+from .intervals import is_lift, lifted
 from .matrices import Matrix, identity
 from . import offload
 from .semirings import kernel_star, row_kernels
@@ -97,20 +93,6 @@ def _require_square(A):
         raise DimensionMismatch(f"closure needs a square matrix, got {A.rows}x{A.cols}")
 
 
-def _lifted(kernel, A, *args):
-    """``kernel(A, *args)`` over the lift of A: its two endpoint runs,
-    joined back into intervals.  The runs cannot tell which of their
-    failures came first, so when one fails, ``kernel`` runs once more on
-    a plain copy of the lift, the lifted fold, and raises what the fold
-    meets first, as the counted and the plain copies of the lift do."""
-    d = A.descriptor
-    try:
-        return join_endpoints(d, *endpoint_runs(kernel, A, *args))
-    except SemiringError:
-        plain = kernel(Matrix._wrap(replace(d), A._data), *args)
-    return Matrix._wrap(d, plain._data)
-
-
 def _close_rec(d, kernels, M, offset, opts):
     n = len(M)
     if n == 1:
@@ -146,23 +128,20 @@ def _split_product(d, product, X, Y):
 
 def _products(d, product, X1, Y1, X2, Y2):
     """``product(X1, Y1)`` here and ``X2 Y2`` meanwhile on the worker
-    process when that pays; a failure is raised as ``offload.results``
-    orders it.  Both are multiplied here, one after the other, when the
-    second does not ship or the worker was lost.  The work of a product
-    is its rows times its inner dimension times the width of a kernel
-    row, which is 1 for a boolean row packed into an int: such products
-    are too cheap to ship.
+    process when that pays; both here, one after the other, when
+    ``side_by_side`` says so.  The work of a product is its rows times
+    its inner dimension times the width of a kernel row, which is 1 for
+    a boolean row packed into an int: such products are too cheap to
+    ship.
 
     A product below ``offload.SHIP_MIN_WORK`` never ships, so a pair of
     them is multiplied here without asking: most pairs of a recursion
     are small, and ``side_by_side`` adds about 1.5 us to each, some 4 %
     of a boolean closure at n = 128 or a tropical one at n = 24."""
     work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
-    outcomes = work >= offload.SHIP_MIN_WORK and offload.side_by_side(
+    pair = work >= offload.SHIP_MIN_WORK and offload.side_by_side(
         lambda peer: product(X1, Y1), _product, (d, X2, Y2), work, d)
-    if not outcomes:
-        return product(X1, Y1), product(X2, Y2)
-    return offload.results(outcomes)
+    return pair or (product(X1, Y1), product(X2, Y2))
 
 
 def _product(peer, d, X, Y):
@@ -179,7 +158,7 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
         raise InvalidOptions(f"split {opts.split} out of range 1..{n - 1}")
     d = A.descriptor
     if is_lift(d):
-        return _lifted(closure_block, A, opts)
+        return lifted(closure_block, A, opts)
     kernels = row_kernels(d)
     data = _close_rec(d, kernels, list(map(kernels.encode, A._data)), 0, opts)
     return Matrix._wrap(d, list(map(kernels.decode, data)))
@@ -201,23 +180,22 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     (``_stripe``), when the work of the bottom one, its rows times n
     times the width of a kernel row, reaches ``offload.SHIP_MIN_WORK``;
     a packed boolean row counts 1, so boolean ships from n = 181 only.
-    When the stripe does not ship, and again from the start when the
-    worker was lost mid-way, one stripe here holds every row.
+    When ``side_by_side`` says so, one stripe here holds every row.
     """
     _require_square(A)
     d = A.descriptor
     if is_lift(d):
-        return _lifted(closure_gauss_jordan, A)
+        return lifted(closure_gauss_jordan, A)
     kernels = row_kernels(d)
     C = list(map(kernels.encode, A._data))
     n = A.rows
     h = n // 2
-    outcomes = n > 1 and offload.side_by_side(
+    stripes = n > 1 and offload.side_by_side(
         lambda peer: _stripe(peer, d, C[:h], 0, n), _stripe, (d, C[h:], h, n),
         (n - h) * n * (n if type(C[0]) is list else 1), d)
-    if not outcomes:
+    if not stripes:
         return _finish(d, kernels, _stripe(None, d, C, 0, n))
-    top, bottom = offload.results(outcomes)
+    top, bottom = stripes
     return _finish(d, kernels, top + bottom)
 
 
@@ -231,39 +209,21 @@ def _stripe(peer, d, C, lo, n):
 
     The stripe that holds pivot row k sends it before its step, and the
     other takes it, so each step reads the row as it was before the
-    step.  Both compute the star of the pivot, so a failing pivot fails
-    in both stripes at once, in the same way.  A stripe that fails
-    takes the other's rows until the other needs one of its own, and
-    sends None for that one; a stripe that takes None stops and returns
-    None.  So neither waits on the other, nor leaves a row unread.
+    step.
     """
     kernels = row_kernels(d)
     entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
                                     kernels.encode_one)
     hi = lo + len(C)
-    passed = 0          # the pivots whose row went one way or the other
-    try:
-        for k in range(n):
-            if lo <= k < hi:
-                krow = C[k - lo]
-                if peer is not None:
-                    peer.send(krow)
-            else:
-                krow = peer.recv()
-                if krow is None:
-                    return None
-            passed = k + 1
-            s = encode_one(kernel_star(d, kernels, entry(krow, k), k + 1))
-            C = eliminate(C, k, s, krow)
-    except Exception:
-        for k in range(passed, n):
-            if lo <= k < hi:
-                if peer is not None:
-                    peer.send(None)
-                break
-            if peer.recv() is None:
-                break
-        raise
+    for k in range(n):
+        if lo <= k < hi:
+            krow = C[k - lo]
+            if peer is not None:
+                peer.send(krow)
+        else:
+            krow = peer.recv()
+        s = encode_one(kernel_star(d, kernels, entry(krow, k), k + 1))
+        C = eliminate(C, k, s, krow)
     return C
 
 
@@ -281,8 +241,7 @@ def closure_iterative(A: Matrix,
     stripes stepping at the same time (``_series``), when the work of
     the bottom one, its rows times n times the width of a kernel row
     times the iteration cap, reaches ``offload.SHIP_MIN_WORK``.  When
-    they do not ship, and again from the start when the worker was lost
-    mid-way, one stripe here holds every row.
+    ``side_by_side`` says so, one stripe here holds every row.
     """
     _require_square(A)
     opts = options or ClosureOptions()
@@ -292,11 +251,11 @@ def closure_iterative(A: Matrix,
     S = identity(d, n)._data
     h = n // 2
     width = n if row_kernels(d).fold is not None else 1     # packed: 1
-    outcomes = n > 1 and offload.side_by_side(
+    stripes = n > 1 and offload.side_by_side(
         lambda peer: _series(peer, d, S[:h], A._data[:h], A, limit), _series,
         (d, S[h:], A._data[h:], A, limit), (n - h) * n * width * limit, d)
-    if outcomes:
-        (top, k), (bottom, _) = offload.results(outcomes)
+    if stripes:
+        (top, k), (bottom, _) = stripes
         S = top + bottom
     else:
         S, k = _series(None, d, S, A._data, A, limit)
@@ -320,41 +279,20 @@ def _series(peer, d, S, P, A, limit):
 
     Row i of the next power is row i of this one times A, so a stripe
     needs no rows of the other.  At each step a stripe sends whether its
-    sums changed (True or False, 1 or 0) before its product for the next
-    step, and takes the other's after it, so the wait hides behind the
-    product; both stop at the first step at which neither changed and
-    drop that product, which the serial loop never computes.  A failure
-    takes the place of the message: the sum of step k sends 2k, the
-    product of step k sends 2k + 1 at step k + 1, the order in which the
-    serial loop meets them.  Both stop at a step that carries a failure;
-    the stripe whose failure is the earlier raises it, and the other
-    returns None.  On a tie both raise, and ``offload.results`` raises
-    the top stripe's, whose rows the serial loop meets first.  So
-    neither waits on the other, nor leaves a message unread.
+    sums changed before its product for the next step, and takes the
+    other's after it, so the wait hides behind the product; both stop at
+    the first step at which neither changed and drop that product, which
+    the serial loop never computes.
     """
     S, P = Matrix._wrap(d, S), Matrix._wrap(d, P)
-    failure = None
     for k in range(1, limit + 1):
-        if failure is None:
-            try:
-                S_next = S.add(P)
-                said = S_next != S
-            except Exception as exc:    # noqa: BLE001 - the peer must hear
-                failure = 2 * k, exc
-        if failure is not None:
-            said = failure[0]
+        S_next = S.add(P)
+        said = S_next != S
         if peer is not None:
             peer.send(said)
-        if k < limit and said < 2 and (said or peer is not None):
-            try:
-                P = P.mul(A)
-            except Exception as exc:    # noqa: BLE001 - sent at the next step
-                failure = 2 * k + 1, exc
-        heard = 0 if peer is None else peer.recv()
-        if said > 1 or heard > 1:
-            if said > 1 and (heard < 2 or said <= heard):
-                raise failure[1]
-            return None
+        if k < limit and (said or peer is not None):
+            P = P.mul(A)
+        heard = peer is not None and peer.recv()
         if not said and not heard:
             return S_next._data, k
         S = S_next

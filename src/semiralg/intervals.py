@@ -5,38 +5,38 @@ set of closed intervals [lo, hi] of the base carrier, lo below hi in
 the base's canonical order, with every operation applied endpoint by
 endpoint.  Positivity of the base makes the endpoint-wise operations
 coincide with the set-image operations on intervals, so the lift is
-again a semiring and every matrix algorithm runs on it unchanged.
+again a semiring and every matrix algorithm runs on it unchanged.  The
+lifted ``fma`` is ``add(acc, mul(x, y))`` (``semirings.fma_of``), so
+every kernel that runs on the intervals themselves runs the fold of the
+lifted operations, the lifted fold: the iterative closure, the
+substitutions and every counted call (``ldm.counted``).
 
 Because every lifted operation acts on each endpoint separately, a
 matrix algorithm that never branches on values computes, on an
 interval matrix, exactly the pair of its base runs on the lo and on
-the hi matrix.  The closures, factorizations and substitutions use
-that, and so does the matrix product: ``endpoint_runs`` runs a kernel
-once per endpoint and ``join_endpoints`` zips the two results back
-into intervals.  The lifted ``fma`` is ``add(acc, mul(x, y))``
-(``semirings.fma_of``), for the scalar API, the law checker and copies
-of a lift, such as the counted copies of ``ldm.counted``, whose
-operations may have been replaced and which therefore run the fold
-kernels on the intervals themselves.
+the hi matrix.  ``lifted(run, A, *args)`` is the one way to run such a
+call: the two endpoint runs of ``run`` (``endpoint_runs``), joined
+back into intervals (``join_endpoints``).  Both closures, both
+factorizations and the matrix product run so over a lift.  The runs
+cannot tell which of their failures came first, so when one fails,
+``run`` runs once more on a plain copy of the lift, the lifted fold,
+and the call raises what the fold meets first.
 
-The two endpoint runs are independent.  ``endpoint_runs`` sends the hi
-run to the package's one worker process (``offload.side_by_side``,
-which also serves the block closure's products and the row stripes of
-the Gauss-Jordan closure, the partial-sum closure and the LDM
-factorization) and runs the lo run meanwhile.  The cases in which the hi run
-stays in this process are those of ``offload._ship``; then, and when
-the worker was lost, both runs run here, lo first.  The lifted call
-holds the worker while its runs last, so the block products and the
-stripes of its runs stay in their process.  Both runs call the same
-module-level function on the same values, so results are the same bit
-for bit wherever the hi run goes.
+The two endpoint runs are independent: the hi run goes to the worker
+process of ``offload.side_by_side`` while the lo run runs here, and
+when it stays here, both run here, lo first.  The lifted call holds the
+worker while its runs last, so the block products and the stripes of
+its runs stay in their process.  Both runs call the same module-level
+function on the same values, so results are the same bit for bit
+wherever the hi run goes.
 """
 
+from dataclasses import fields, is_dataclass, replace
 from typing import NamedTuple
 
-from .errors import EmptyInterval, IllegalElement, NotPositive
-from .matrices import Matrix, _matrix_product, _split_products
-from .offload import _attempt, results, side_by_side
+from .errors import EmptyInterval, IllegalElement, NotPositive, SemiringError
+from .matrices import Matrix, _split_products
+from .offload import side_by_side
 from .semirings import SemiringDescriptor, SemiringFlags, fma_of
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
@@ -76,12 +76,12 @@ def lift_semiring(base: SemiringDescriptor) -> SemiringDescriptor:
     if not base.flags.positive:
         raise NotPositive(
             f"interval lift needs a positive base semiring, got {base.label}")
-    lifted = _lift_cache.get(base)
-    if lifted is None:
-        lifted = _build_lift(base)
-        _lift_cache[base] = lifted
-        _split_products[lifted] = _split_product
-    return lifted
+    lift = _lift_cache.get(base)
+    if lift is None:
+        lift = _build_lift(base)
+        _lift_cache[base] = lift
+        _split_products[lift] = lifted
+    return lift
 
 
 def is_lift(d: SemiringDescriptor) -> bool:
@@ -93,40 +93,43 @@ def is_lift(d: SemiringDescriptor) -> bool:
     return d.base is not None and _lift_cache.get(d.base) is d
 
 
-def endpoint_runs(run, *args):
-    """``[run(*lo_args), run(*hi_args)]``.
+def lifted(run, A: Matrix, *args):
+    """``run(A, *args)`` for a matrix A over a lift: the two endpoint
+    runs joined back into intervals.  When one raises a
+    ``SemiringError``, ``run`` runs on a plain copy of the lift, the
+    lifted fold, and raises what the fold meets first.  The fold meets
+    every value that the endpoint runs meet, so it fails too; were it to
+    get through, the endpoint run's failure is raised."""
+    d = A.descriptor
+    try:
+        return join_endpoints(d, *endpoint_runs(run, A, *args))
+    except SemiringError:
+        run(Matrix._wrap(replace(d), A._data), *args)
+        raise
 
-    ``run`` is a module-level function.  Each argument that is a Matrix
-    over a lift stands for its endpoint, a Matrix over the base; a list
-    or tuple of intervals for the list of its endpoint values; any other
-    argument goes to both runs as it is.  ``run`` must not branch on
-    values.  A lifted run stops at the first pivot where either
-    endpoint star fails, the lo endpoint first; so when both runs fail
-    at a pivot, the failure with the earlier location is raised, the lo
-    run's on a tie.  Any other failure is raised before those, the lo
-    run's first.
 
-    The two runs are independent, so the hi run goes to the worker
-    process of ``offload.side_by_side`` while the lo run runs here.  Its
-    work is the entries of the first operand, a matrix, times the
-    columns of the last one (one for a vector): n^3 for a closure or a
-    factorization, n k m for a product, n^2 for a substitution, and
-    none for a diagonal solve, whose operands are vectors.
+def endpoint_runs(run, A: Matrix, *args):
+    """``[run(*lo_args), run(*hi_args)]`` for a matrix A over a lift.
+
+    ``run`` is a module-level function that must not branch on values.
+    A and each argument that is a Matrix stand for their endpoint, a
+    Matrix over the base; any other argument goes to both runs as it
+    is.  The hi run goes to the worker process of
+    ``offload.side_by_side`` while the lo run runs here; when it stays
+    here, the two run here, lo first.  Its work is the entries of A
+    times the columns of the last matrix: n^3 for a closure or a
+    factorization, n k m for a product.
     """
-    split = [a for a in args if isinstance(a, (Matrix, list, tuple))]
-    first, last = split[0], split[-1]
-    work, base = 0, None        # a diagonal solve stays here
-    if isinstance(first, Matrix):
-        work = first.rows * first.cols * (last.cols
-                                          if isinstance(last, Matrix) else 1)
-        base = first.descriptor.base
+    ends = (A, *args)
+    last = [a for a in ends if isinstance(a, Matrix)][-1]
 
     def lo_run(peer):
-        return run(*[_endpoint(a, 0) for a in args])
+        return run(*[_endpoint(a, 0) for a in ends])
 
-    hi = [_endpoint(a, 1) for a in args]
-    return results(side_by_side(lo_run, _peerless, (run, *hi), work, base)
-                   or [_attempt(lo_run, (None,)), _attempt(run, hi)])
+    hi = [_endpoint(a, 1) for a in ends]
+    return (side_by_side(lo_run, _peerless, (run, *hi),
+                         A.rows * A.cols * last.cols, A.descriptor.base)
+            or [lo_run(None), run(*hi)])
 
 
 def _peerless(peer, run, *args):
@@ -138,29 +141,32 @@ def _endpoint(a, end):
     if isinstance(a, Matrix):
         return Matrix._wrap(a.descriptor.base,
                             [[v[end] for v in row] for row in a._data])
-    if isinstance(a, (list, tuple)):
-        return [v[end] for v in a]
     return a
 
 
 def join_endpoints(d: SemiringDescriptor, lo, hi):
     """Zip lo and hi base results into values of the lift ``d``.
 
-    Two matrices give a Matrix over ``d``, two sequences a list.  An
-    all-zero pair becomes the lift's one zero object, as the lifted
-    operations return it.
+    Two matrices give a Matrix over ``d``, two ``LdmTriple``s the triple
+    of their joined fields, and two sequences a tuple.  An all-zero pair
+    becomes the lift's one zero object, as the lifted operations return
+    it.
     """
     if isinstance(lo, Matrix):
-        return Matrix._wrap(d, [join_endpoints(d, a, b)
+        return Matrix._wrap(d, [_joined(d, a, b)
                                 for a, b in zip(lo._data, hi._data)])
+    if is_dataclass(lo):
+        return type(lo)(*[join_endpoints(d, getattr(lo, f.name),
+                                         getattr(hi, f.name))
+                          for f in fields(lo)])
+    return tuple(_joined(d, lo, hi))
+
+
+def _joined(d, lo, hi):
     # == is base.is_zero without its call: a tag equals only itself
     zero, bzero, new = d.zero, d.base.zero, tuple.__new__
     return [zero if b == bzero and a == bzero else new(Interval, (a, b))
             for a, b in zip(lo, hi)]
-
-
-def _split_product(A: Matrix, B: Matrix) -> Matrix:
-    return join_endpoints(A.descriptor, *endpoint_runs(_matrix_product, A, B))
 
 
 def _build_lift(base: SemiringDescriptor) -> SemiringDescriptor:

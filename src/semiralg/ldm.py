@@ -17,42 +17,43 @@ value, so a failure names the same location and reads the same.
 
 The factorization runs its column loop in two row stripes when that
 pays, the bottom rows on the worker process of ``offload`` (see
-``_ldm_rows``): the forward pass of a column at row i reads only rows
-up to i, so the top stripe sends the bottom one each column pushed
-through its own rows and never waits for it, a one-way pipeline
-(Kumar, Grama, Gupta and Karypis, *Introduction to Parallel
-Computing*, 2nd ed., ch. 8, pipelined 1-D row mappings).  Each entry is
-the same fold on the same values wherever it runs, so the factors are
-the same bit for bit.  ``symmetric_factorize`` and the substitutions
-stay in this process: the column loop of the former is a forward pass
-alone, in which a bottom stripe would wait for the top one at every
-column, and a substitution is a single pass of n^2 / 2 terms, less work
-than shipping its factors to the worker.
+``_ldm_rows``; ``offload.side_by_side`` says when the whole loop runs
+here instead): the forward pass of a column at row i reads only rows up
+to i, so the top stripe sends the bottom one each column pushed through
+its own rows and never waits for it, a one-way pipeline (Kumar, Grama,
+Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed.,
+ch. 8, pipelined 1-D row mappings).  Each entry is the same fold on the
+same values wherever it runs, so the factors are the same bit for bit.
+``symmetric_factorize`` and the substitutions stay in this process: the
+column loop of the former is a forward pass alone, in which a bottom
+stripe would wait for the top one at every column, and a substitution
+is a single pass of n^2 / 2 terms, less work than shipping its factors
+to the worker.
 
 Factor once, solve many: the stages run on factors prepared in kernel
 form (``_Solver``): the strict rows of L, the strict rows of M
 reversed, so that the back substitution is the forward one over the
 reversed vector, and D with its stars once computed.  The first
-uncounted ``solve_ldm`` on a triple over a base carrier checks the
-factors, prepares them and keeps them on the triple; later solves
-(and every column of ``solve_via_ldm``) check only the vector and
-cost the three passes alone.  A solve that fails keeps nothing, so
-it fails again the same way.  Every other call (a single
-substitution stage, a counted solve, the endpoint runs of a lift)
-prepares its factors for that one call, on the same stage code.
+uncounted ``solve_ldm`` on a triple checks the factors, prepares them
+and keeps them on the triple; later solves (and every column of
+``solve_via_ldm``) check only the vector and cost the three passes
+alone.  A solve that fails keeps nothing, so it fails again the same
+way.  Every other call (a single substitution stage, a counted solve)
+prepares its factors for that one call, on the same stage code.  Over
+an interval lift the stages run the lifted fold on the intervals
+themselves, one code path for every lifted solve: on dense maxplus
+intervals at n = 48 a repeat solve took 20 ms where two endpoint runs
+took 1.8 ms, and ``solve_via_ldm`` with 8 columns 170 against 22 ms
+(two Xeon CPUs).  No benchmark workload solves over a lift.
 
 Every function here takes an optional :class:`OpCounter`.  Counting
 runs on :func:`counted`, a copy of the descriptor whose ``add``,
 ``mul`` and ``star`` tally into the counter; the copy gets the fold
 kernels, so each folded term is one add and one mul.  A counted call
-over an interval lift runs on its counted copy too, as one run on the
-intervals themselves in this process, not as two endpoint runs; so it
-counts one operation per interval operation.  That run, the lifted
-fold, stops at the first operation that fails.  The two endpoint runs
-of an uncounted call cannot tell which of their failures came first,
-so when one fails the call runs the lifted fold on a plain copy of
-the lift and raises what it raises: a counted and an uncounted call
-fail alike.  The counts are exact functions of n:
+over an interval lift runs on its counted copy too, the lifted fold,
+in this process, not as a lifted call (``intervals.lifted``); so it
+counts one operation per interval operation, and fails as an uncounted
+call does.  The counts are exact functions of n:
 
     forward/back substitution   (n^2 - n)/2 adds, same muls
     diagonal closure            n stars, n muls
@@ -65,8 +66,8 @@ fail alike.  The counts are exact functions of n:
 from dataclasses import dataclass, replace
 
 from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
-                     NotSymmetric, SemiringError, ShapeViolation)
-from .intervals import endpoint_runs, is_lift, join_endpoints
+                     NotSymmetric, ShapeViolation)
+from .intervals import is_lift, lifted
 from .matrices import Matrix
 from . import offload
 from .semirings import fma_of, kernel_star, list_kernels, same_descriptor
@@ -139,12 +140,6 @@ def counted(d, counter: "OpCounter | None"):
         return base_star(x)
 
     return replace(d, add=add, mul=mul, star=star, fma=fma_of(add, mul))
-
-
-def _join_triples(d, lo, hi):
-    return LdmTriple(join_endpoints(d, lo.L, hi.L),
-                     tuple(join_endpoints(d, lo.D, hi.D)),
-                     join_endpoints(d, lo.M, hi.M))
 
 
 def _coerce_vector(d, b, n):
@@ -231,17 +226,8 @@ def _substitute_rows(fold, rows, x):
 def _substitute(d, L, D, M, b, counter=None):
     """The stages of L, D and M (None skips one) on the coerced vector
     ``b`` over ``d`` counted into ``counter``, on a solver built for this
-    call; on an uncounted lift, its two endpoint runs joined back into
-    intervals, or the lifted fold when one fails.  The factors are
-    checked already."""
-    dc = counted(d, counter)
-    if is_lift(dc):
-        try:
-            return join_endpoints(d, *endpoint_runs(_substitute, d.base,
-                                                    L, D, M, b))
-        except SemiringError:
-            dc = replace(d)     # the lifted fold's failure
-    return _Solver(dc, L, D, M).solve(b)
+    call.  The factors are checked already."""
+    return _Solver(counted(d, counter), L, D, M).solve(b)
 
 
 def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
@@ -288,12 +274,12 @@ def diagonal_solve(diag, b, descriptor=None, counter: "OpCounter | None" = None)
 def _solve_triple(triple, b, counter):
     """X for the coerced vector ``b`` through the checked ``triple``.
 
-    An uncounted solve over a base carrier runs on the triple's solver,
-    which the first such solve builds and keeps once it got through;
-    a failed solve keeps nothing.
+    An uncounted solve runs on the triple's solver, which the first
+    such solve builds and keeps once it got through; a failed solve
+    keeps nothing.
     """
     d = triple.descriptor
-    if counter is not None or is_lift(d):
+    if counter is not None:
         return _substitute(d, triple.L, triple.D, triple.M, b, counter)
     solver = triple._solver
     if solver is not None:
@@ -351,33 +337,29 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
 
     Rows 3n/5.. go to the worker process (``_ldm_rows``) when their
     number times n^2 reaches ``offload.SHIP_MIN_WORK``, from n = 35;
-    a counted call stays here, where its counter is.  When the rows do
-    not ship, and again from the start when the worker was lost mid-way,
-    one stripe here holds every row.
+    a counted call stays here, where its counter is.  When
+    ``side_by_side`` says so, one stripe here holds every row.
     """
     if A.rows != A.cols:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
     d = A.descriptor
+    if counter is None and is_lift(d):
+        return lifted(ldm_factorize, A)
     dc = counted(d, counter)
-    if is_lift(dc):
-        try:
-            return _join_triples(d, *endpoint_runs(ldm_factorize, A))
-        except SemiringError:
-            dc = replace(d)     # the lifted fold's failure
     n = A.rows
     kernels = list_kernels(dc)
     C = list(map(kernels.encode, A._data))
     h = 3 * n // 5
     # a counter tallies in this process, so a counted call stays here
-    outcomes = counter is None and n > 1 and offload.side_by_side(
-        # a copy: the rows change in place, and after a lost worker the
-        # loop below needs them as they were
+    stripes = counter is None and n > 1 and offload.side_by_side(
+        # a copy: the rows change in place, and when the whole loop runs
+        # here after all it needs them as they were
         lambda peer: _ldm_rows(peer, dc, [row[:] for row in C[:h]], 0, n),
         _ldm_rows, (dc, C[h:], h, n), (n - h) * n * n, dc)
-    if not outcomes:
+    if not stripes:
         C = _ldm_rows(None, dc, C, 0, n)
     else:
-        top, bottom = offload.results(outcomes)
+        top, bottom = stripes
         C = top + bottom
 
     C = list(map(kernels.decode, C))
@@ -404,64 +386,39 @@ def _ldm_rows(peer, dc, C, lo, n):
     multiplied by the star of the pivot v[j].  The pass at row i reads
     rows up to i alone, so the top stripe never waits for the bottom
     one: it runs the pass over its own rows and sends v over them, and
-    the bottom stripe runs the rest.  Both compute the star of a pivot
-    in the top rows, so a failing pivot fails in both alike.
-
-    On a catalog carrier, the only kind that ships, the top stripe fails
-    only at such a pivot or where every failure reads alike (a result
-    past the float range on a complete carrier, whose fold raises it):
-    so ``offload.results`` raises what the serial loop raises.  A top
-    stripe that fails sends None in place of its next v, unless it sent
-    the last; a bottom stripe that takes None returns None, and one that
-    fails takes the top's messages up to None or the last.  So the top
-    never waits, and no message is left unread.
+    the bottom stripe runs the rest.
     """
     kernels = list_kernels(dc)
     fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     hi = lo + len(C)
     first = max(lo, 1)  # the first row whose forward pass folds a term
     sends = peer is not None and hi < n
-    passed = 0          # the columns whose v went from the top stripe
-    try:
-        for j in range(n):
-            k = j + 1 - lo      # rows lo..j of the pass are C[:k]
-            own = C[:k] if k > 0 else []
-            if lo:
-                v = peer.recv()
-                if v is None:
-                    return None
-                passed = j + 1
-                v += [row[j] for row in own]
-            else:
-                v = [row[j] for row in own]
-            for i, row in enumerate(own[first - lo:], first):
-                v[i] = fold(v[i], row[:i], v)
-            if sends:
-                peer.send(v)
-                passed = j + 1
-            for i, row in enumerate(C[:k - 1] if k > 1 else (), lo):
-                row[j] = mul(encode_one(kernel_star(dc, kernels, row[i],
-                                                    (j + 1, i + 1))),
-                             v[i])   # 1-based (column, pivot)
-            if j < hi:
-                if k > 0:
-                    C[k - 1][j] = v[j]
-                lower = C[k:] if k > 0 else C
-                vj = v[:j]
-                for row in lower:
-                    row[j] = fold(row[j], row, vj)
-                s = encode_one(kernel_star(dc, kernels, v[j], (j + 1, j + 1)))
-                for row in lower:
-                    row[j] = mul(row[j], s)
-    except Exception:
+    for j in range(n):
+        k = j + 1 - lo      # rows lo..j of the pass are C[:k]
+        own = C[:k] if k > 0 else []
+        if lo:
+            v = peer.recv()
+            v += [row[j] for row in own]
+        else:
+            v = [row[j] for row in own]
+        for i, row in enumerate(own[first - lo:], first):
+            v[i] = fold(v[i], row[:i], v)
         if sends:
-            if passed < n:
-                peer.send(None)
-        elif lo:
-            for _ in range(passed, n):
-                if peer.recv() is None:
-                    break
-        raise
+            peer.send(v)
+        for i, row in enumerate(C[:k - 1] if k > 1 else (), lo):
+            row[j] = mul(encode_one(kernel_star(dc, kernels, row[i],
+                                                (j + 1, i + 1))),
+                         v[i])   # 1-based (column, pivot)
+        if j < hi:
+            if k > 0:
+                C[k - 1][j] = v[j]
+            lower = C[k:] if k > 0 else C
+            vj = v[:j]
+            for row in lower:
+                row[j] = fold(row[j], row, vj)
+            s = encode_one(kernel_star(dc, kernels, v[j], (j + 1, j + 1)))
+            for row in lower:
+                row[j] = mul(row[j], s)
     return C
 
 
@@ -485,12 +442,9 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
         for j in range(i):
             if not d.eq(rows[i][j], rows[j][i]):
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+    if counter is None and is_lift(d):
+        return lifted(symmetric_factorize, A)
     dc = counted(d, counter)
-    if is_lift(dc):
-        try:
-            return _join_triples(d, *endpoint_runs(symmetric_factorize, A))
-        except SemiringError:
-            dc = replace(d)     # the lifted fold's failure
     kernels = list_kernels(dc)
     fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
     E = list(map(kernels.encode, rows))

@@ -10,13 +10,10 @@ reproducible across runs and across algorithms that share this kernel;
 on boolean it ORs whole packed rows.  The entrywise sum runs on the row
 kernels' ``add_rows``, as the block closure's sums do, so a sum that
 leaves the float range raises ``IllegalElement`` as a product does.
-Over an interval lift the product is the pair of its base products on
-the lo and the hi endpoints (``intervals.endpoint_runs``), as the
-closures are; the hi product runs in the worker process of
-``offload.side_by_side`` once it is large enough (from n = 46 for an
-n x n by n x 8 product), with the same result bit for bit.  A matrix
-over a catalog descriptor pickles, as its descriptor does, so that it
-can travel to that process.
+Over an interval lift the product is a lifted call
+(``intervals.lifted``), as the closures are.  A matrix over a catalog
+descriptor pickles, as its descriptor does, so that it can travel to
+the worker process of ``offload``.
 """
 
 from .errors import DescriptorMismatch, DimensionMismatch
@@ -34,7 +31,7 @@ def _matrix_product(A, B):
     return Matrix._wrap(d, list(map(kernels.decode, out)))
 
 
-# lift -> its product as two endpoint runs, entered by
+# lift -> intervals.lifted, which runs its products, entered by
 # intervals.lift_semiring, since this module cannot import intervals (it
 # imports Matrix); a copy of a lift with some operation replaced is no key
 _split_products: dict = {}
@@ -121,7 +118,7 @@ class Matrix:
         self._check_same(other, "chain")
         split = _split_products.get(self.descriptor)
         if split is not None:
-            return split(self, other)
+            return split(_matrix_product, self, other)
         return _matrix_product(self, other)
 
     __add__ = add

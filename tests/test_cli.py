@@ -232,6 +232,20 @@ def test_an_interval_run_fails_as_the_lifted_fold(tmp_path, capsys, argv):
                           "--interval", path)
     assert (code, out) == (4, "")
     assert "star needs x <= 0 in maxplus, got 1.0" in err
+    # a point interval may fail unlike its base matrix: the base kernels
+    # of Gauss-Jordan carry the overflow 1e200 * 1e200 on to the next
+    # pivot as inf, where the lifted fold raises it at once
+    point = [[0.0, 0.0, 1e200], [0.0, 1.0, 0.0], [1e200, 0.0, 0.0]]
+    base = _run(capsys, *argv, "--semiring", "rplus",
+                _write(tmp_path / "p.json", {"data": point}))
+    lift = _run(capsys, *argv, "--semiring", "rplus", "--interval",
+                _write(tmp_path / "pi.json",
+                       {"data": [[[v, v] for v in row] for row in point]}))
+    assert base[:2] == (4, "") and "got 1.0 (at " in base[2]
+    if "gauss_jordan" in argv:
+        assert lift[:2] == (1, "") and "float range (inf)" in lift[2]
+    else:
+        assert lift == base
 
 
 @pytest.mark.parametrize("command,semiring,horizon", [

@@ -689,19 +689,24 @@ def test_worker_runs_are_bit_identical(monkeypatch, ship, rng, name, kernel):
 def test_worker_star_failure_reads_as_here(monkeypatch, ship, diagonal, pivot,
                                            tail):
     # the hi run alone fails, both fail with hi's pivot first, and both
-    # fail at one pivot, where lo's failure is raised
+    # fail at one pivot
     av = _diagonal_interval_matrix(diagonal)
-    zero = zeros(av.descriptor, av.rows, av.rows)
-    triple = LdmTriple(zero, tuple(av[i, i] for i in range(av.rows)), zero)
     for call, location in ((lambda: closure_gauss_jordan(av), pivot),
                            (lambda: closure_block(av), pivot),
-                           (lambda: ldm_factorize(av), (pivot, pivot)),
-                           (lambda: solve_ldm(triple, [(0.0, 0.0)] * 3), pivot)):
+                           (lambda: ldm_factorize(av), (pivot, pivot))):
         shipped, here = _shipped_and_here(monkeypatch, ship, call)
         assert shipped == here
         exc_type, message, at = shipped[1]
         assert exc_type is StarUndefined and message.endswith(tail)
         assert at == location
+    # a lifted substitution runs the fold in this process
+    zero = zeros(av.descriptor, av.rows, av.rows)
+    triple = LdmTriple(zero, tuple(av[i, i] for i in range(av.rows)), zero)
+    ship.clear()
+    exc_type, message, at = _outcome(
+        lambda: solve_ldm(triple, [(0.0, 0.0)] * 3))[1]
+    assert exc_type is StarUndefined and message.endswith(tail)
+    assert at == pivot and not ship
 
 
 # the failure a run raises, named by the first entry of its matrix
@@ -716,12 +721,15 @@ def _fail_as_told(m):
 
 
 @pytest.mark.parametrize("lo,hi,raised", [
-    (-5.0, -2.0, "first kind"),     # two other failures: lo's
-    (-4.0, -2.0, "second kind"),    # another failure before a pivot's
+    (-5.0, -2.0, "first kind"),
+    (-4.0, -2.0, "pivot 2"),
     (-5.0, -3.0, "first kind"),
-    (-4.0, -3.0, "pivot 1"),        # two pivots: the earlier one
+    (-4.0, -3.0, "pivot 2"),
 ])
 def test_which_failure_is_raised(monkeypatch, ship, lo, hi, raised):
+    # the lo run's, as in a serial loop over the two endpoints, wherever
+    # the hi run went; a lifted call raises what the fold raises instead
+    # (test_a_lifted_closure_fails_as_the_lifted_fold)
     av = Matrix(lift_semiring(MX), [[(lo, hi)]])
     shipped, here = _shipped_and_here(
         monkeypatch, ship, lambda: intervals.endpoint_runs(_fail_as_told, av))

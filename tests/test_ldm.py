@@ -730,17 +730,25 @@ def test_threads_solving_one_fresh_triple_agree(rng):
     assert got == [want[k % 8] for k in range(64)]
 
 
-def test_lifted_solves_keep_no_state(rng):
+def test_a_lifted_triple_keeps_its_solver_after_a_good_solve(rng):
+    # the stages run the lifted fold on the triple's solver, which a
+    # good solve keeps and a failed one does not
     lifted = lift_semiring(MX)
     a = random_stable_matrix("maxplus", 4, rng)
     iv = Matrix(lifted, [[(v, v) for v in row] for row in a.to_lists()])
     t = ldm_factorize(iv)
     b = [(0.0, 1.0)] * 4
     first = solve_ldm(t, b)
-    assert solve_ldm(t, b) == first and t._solver is None
+    assert t._solver is not None and solve_ldm(t, b) == first
     lo = solve_ldm(ldm_factorize(a), [0.0] * 4)
     hi = solve_ldm(ldm_factorize(a), [1.0] * 4)
     assert [(v.lo, v.hi) for v in first] == list(zip(lo, hi))
+    zero = zeros(lifted, 2, 2)
+    failing = LdmTriple(zero, ((-1.0, -1.0), (-1.0, 1.0)), zero)
+    for _ in range(2):
+        with pytest.raises(StarUndefined) as info:
+            solve_ldm(failing, [(0.0, 0.0)] * 2)
+        assert info.value.location == 2 and failing._solver is None
 
 
 # --------------------------------- the factorization in two row stripes
@@ -783,11 +791,17 @@ def test_striped_factorization_is_bit_identical(monkeypatch, stripes, rng,
     assert _nothing_unread()
 
 
+def _ended():
+    # a failing shipped run ends the worker; the next call that ships
+    # forks another
+    return offload._worker is None and not offload._busy.locked()
+
+
 @pytest.mark.parametrize("pivot", [3, 6, 9])    # the caller's rows are 0..5
 def test_a_failing_pivot_reads_as_here_in_either_stripe(monkeypatch, stripes,
                                                         rng, pivot):
     # below 6 both stripes compute its star; from 6 on the bottom stripe
-    # alone fails, and takes the top's messages to the last
+    # alone fails
     data = kernel_rows("maxplus", 10, 10, rng)
     data[pivot][pivot] = 1.0
     a = Matrix(MX, data)
@@ -796,13 +810,12 @@ def test_a_failing_pivot_reads_as_here_in_either_stripe(monkeypatch, stripes,
     assert shipped == here
     assert here[1][0] is StarUndefined
     assert here[1][2] == (pivot + 1, pivot + 1)
-    worker = offload._worker
-    assert not offload._busy.locked() and _nothing_unread()
+    assert _ended()
     good = Matrix(MX, kernel_rows("maxplus", 10, 10, rng))
     shipped, here = shipped_and_here(monkeypatch, stripes,
                                      lambda: _factors(good))
     assert shipped == here and here[1] is None
-    assert offload._worker is worker and _nothing_unread()
+    assert offload._worker.process.is_alive() and _nothing_unread()
 
 
 @pytest.mark.parametrize("stripe", ["top", "bottom", "both"])
@@ -820,19 +833,21 @@ def test_an_overflow_in_either_stripe_reads_as_here(monkeypatch, stripes, rng,
                                      lambda: _factors(a))
     assert shipped == here
     assert here[1][0] is IllegalElement and "float range" in here[1][1]
-    assert not offload._busy.locked() and _nothing_unread()
+    assert _ended()
     good = Matrix(descriptor("maxplus_complete"),
                   kernel_rows("maxplus", 10, 10, rng))
     shipped, here = shipped_and_here(monkeypatch, stripes,
                                      lambda: _factors(good))
-    assert shipped == here and here[1] is None and _nothing_unread()
+    assert shipped == here and here[1] is None
+    assert offload._worker.process.is_alive() and _nothing_unread()
 
 
 def test_a_top_stripe_failing_after_its_last_message_sends_no_more(
         monkeypatch, stripes, rng):
     # on rplus_complete the upper entry of row 2 in the last column, the
     # star of its pivot 1 - 2^-50 times 1e300, leaves the float range in
-    # the top stripe, after it sent its v of that column
+    # the top stripe, after it sent its v of that column; the bottom
+    # stripe gets through
     data = [[0.0] * 10 for _ in range(10)]
     data[2][2] = 1.0 - 2.0 ** -50
     data[2][9] = 1e300
@@ -841,9 +856,12 @@ def test_a_top_stripe_failing_after_its_last_message_sends_no_more(
                                      lambda: _factors(a))
     assert shipped == here
     assert here[1][0] is IllegalElement and "float range" in here[1][1]
-    assert not offload._busy.locked() and _nothing_unread()
-
-
+    assert _ended()
+    good = Matrix(a.descriptor, kernel_rows("rplus", 10, 10, rng))
+    shipped, here = shipped_and_here(monkeypatch, stripes,
+                                     lambda: _factors(good))
+    assert shipped == here and here[1] is None
+    assert offload._worker.process.is_alive() and _nothing_unread()
 def test_a_worker_killed_mid_factorization_leaves_it_here(monkeypatch,
                                                          stripes, rng):
     # real_field: its loop run again on rows it changed gives other rows
