@@ -1,11 +1,25 @@
-"""Matrix closure A* = E + A + A^2 + ... three ways.
+"""Matrix closure A* = E + A + A^2 + ... three ways, and least solutions.
 
 ``closure_block`` recurses on a 2x2 block partition (the escalator
 scheme), ``closure_gauss_jordan`` eliminates pivot by pivot in the
 Floyd-Warshall shape, and ``closure_iterative`` accumulates partial
 sums of powers.  All three agree exactly on idempotent carriers.
 
-The block recursion and the elimination run on the descriptor's row
+``solve_bellman`` finds the least solution A*B of X = AX + B without
+forming A*.  The equation is linear over the semiring, so one Gaussian
+elimination solves it on every carrier (Carre, "An algebra for network
+routing problems", 1971; Backhouse and Carre, 1975): the Gauss-Jordan
+step at each pivot k, on the rows of [A | B] below k only, then a back
+substitution on the B columns, about n^3/2 + n^2 m operations against
+n^3 + n^2 m for A* and then A*B.  Its pivots are those of the
+Gauss-Jordan closure, so a star fails at the same pivot.  The forward
+pass runs in two row stripes, the odd rows on the worker process: as
+in the Gauss-Jordan stripes, the stripe that holds row k sends it to
+the other before that one needs it (``_forward``), and a cyclic hold
+keeps the two balanced while each step works on fewer rows.  The
+serial forward pass is the one stripe that holds every row.
+
+The block recursion and the eliminations run on the descriptor's row
 kernels (``semirings.row_kernels``): they encode the matrix once at
 entry, decode it once at exit, and hand each pivot to ``star`` as a
 carrier value, so a failing pivot reads as it does in the matrix.
@@ -17,12 +31,12 @@ kernel of ``Matrix.mul`` too) and take a Gauss-Jordan step
 packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
 
-Both use the worker process of ``offload`` when the work is large
-enough to pay for the trip (``offload.side_by_side``, whose rule says
-when the whole job runs here instead).  The block
-recursion has two independent products at each level, P = S11 A12
-with Q = A21 S11 and TR = P SD with BL = SD Q: Q and BL go to the
-worker while this process computes P and TR.  Its two other products,
+Both closures use the worker process of ``offload`` when the work is
+large enough to pay for the trip (``offload.side_by_side``, whose rule
+says when the whole job runs here instead).  The block recursion has
+two independent products at each level, P = S11 A12 with Q = A21 S11
+and TR = P SD with BL = SD Q: Q and BL go to the worker while this
+process computes P and TR.  Its two other products,
 A21 P for D and TR Q for TL, are split by rows, the bottom half going
 to the worker.  Each comes back before the recursion goes on, so the
 products of the next level may use the worker too.  The elimination
@@ -42,12 +56,13 @@ series is the one stripe that holds every row.  A shipped product or
 stripe is the same kernel on the same rows, so the result is the same
 bit for bit.
 
-Over an interval lift the block recursion and the elimination are
+Over an interval lift the block recursion and the eliminations are
 lifted calls (``intervals.lifted``).  The series runs on the intervals,
 its products lifted calls of ``Matrix.mul``.
 """
 
 from dataclasses import dataclass
+from operator import add as _concat
 
 from .errors import DimensionMismatch, InvalidOptions, NoStabilization
 from .intervals import is_lift, lifted
@@ -312,8 +327,103 @@ def closure(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
 
 def solve_bellman(A: Matrix, B: Matrix,
                   options: "ClosureOptions | None" = None) -> Matrix:
-    """Least solution X = A*B of X = AX + B.  With ``iterative`` on a
-    non-idempotent carrier, A* is the cut series and nothing says so."""
+    """Least solution X = A*B of X = AX + B.
+
+    ``block`` and ``gauss_jordan`` both name one elimination on the rows
+    of [A | B] (``_solve``), which never forms A*; ``split`` has no
+    effect on it.  ``iterative`` multiplies the cut series by B; on a
+    non-idempotent carrier nothing says that it was cut.
+    """
     _require_square(A)
     A._check_same(B, "chain")
-    return closure(A, options).mul(B)
+    opts = options or ClosureOptions()
+    if opts.algorithm == "iterative":
+        return closure_iterative(A, opts).matrix.mul(B)
+    return _solve(A, B)
+
+
+def _solve(A, B):
+    """A*B by elimination on the encoded rows of [A | B].
+
+    The forward pass takes the Gauss-Jordan step at each pivot k on the
+    rows below k only (``_forward``), so the pivots, and the failure of
+    a star, are those of ``closure_gauss_jordan``.  Row k then reads
+    x_k = s_k (b_k + the sum over j > k of a_kj x_j), s_k the star of
+    its pivot, and the back substitution solves these on the B columns
+    from the last row up: one product with the rows of X found so far,
+    one sum and one 1 x 1 product for the scaling by s_k.
+
+    The rows go to two stripes held cyclically, the odd rows on the
+    worker process, when the work of that stripe, the steps on its rows
+    times the width of a kernel row, reaches ``offload.SHIP_MIN_WORK``
+    (from n = 38 with 8 columns in B).  A packed boolean row counts 0,
+    so boolean stays here: a step on it costs less than the message that
+    carries the pivot row, and two stripes took 9.5 and 27.3 ms at n =
+    256 and 512, against 7.4 and 26.5 ms here (two Xeon CPUs).  When
+    ``side_by_side`` says so, one stripe here holds every row.  Private:
+    a lifted call ships it by name, and a public name may be rebound by
+    a wrapper that does not pickle.
+    """
+    d = A.descriptor
+    if is_lift(d):
+        return lifted(_solve, A, B)
+    kernels = row_kernels(d)
+    n = A.rows
+    C = list(map(kernels.encode, map(_concat, A._data, B._data)))
+    width = n + B.cols if type(C[0]) is list else 0     # packed: 0
+    stripes = n > 1 and offload.side_by_side(
+        lambda peer: _forward(peer, d, C[0::2], 0, n), _forward,
+        (d, C[1::2], 1, n), (n // 2) ** 2 * width, d)
+    if stripes:
+        C[0::2], C[1::2] = stripes
+    else:
+        C = _forward(None, d, C, 0, n)
+    split, product, add_rows, entry, encode = (
+        kernels.split, kernels.product, kernels.add_rows, kernels.entry,
+        kernels.encode)
+    # row k of X: the B columns of row k, until row k is solved
+    coefficients, X = split(C, n)
+    for k in reversed(range(n)):
+        x = X[k]
+        if k + 1 < n:
+            tail = split(coefficients[k:k + 1], k + 1)[1]
+            x = add_rows(x, product(tail, X[k + 1:])[0])
+        s = kernel_star(d, kernels, entry(coefficients[k], k), k + 1)
+        X[k] = product([encode([s])], [x])[0]
+    return Matrix._wrap(d, list(map(kernels.decode, X)))
+
+
+def _forward(peer, d, C, first, n):
+    """The encoded rows C of [A | B], A n x n, after the forward steps at
+    pivots 0..n-1, each on the rows below its pivot: with ``peer`` None,
+    every row, ``first`` 0; else rows first, first + 2, ..., taken at
+    the same time as the process that holds the other rows, at the other
+    end of the pipe ``peer``.  Private: a public name may be rebound by
+    a wrapper that does not pickle.
+
+    The step at pivot k updates a row below k from itself and row k, and
+    leaves row k as it is, so row k is final once the step at k - 1 is
+    taken.  The stripe that holds it then takes that step on it first
+    and sends it, before its other rows; so the stripe that takes the
+    step at k finds row k waiting when it needs it.  Rows held
+    cyclically keep the stripes balanced, as each step works on fewer
+    rows than the one before (Kumar, Grama, Gupta and Karypis,
+    *Introduction to Parallel Computing*, 2nd ed., ch. 8, cyclic 1-D
+    mapping).
+    """
+    kernels = row_kernels(d)
+    entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
+                                    kernels.encode_one)
+    step = 1 if peer is None else 2
+    if peer is not None and first == 0:
+        peer.send(C[0])
+    for k in range(n):
+        i, theirs = divmod(k - first, step)     # C[i + 1:] lie below row k
+        krow = peer.recv() if theirs else C[i]
+        s = encode_one(kernel_star(d, kernels, entry(krow, k), k + 1))
+        if theirs and i + 1 < len(C):           # row k + 1, ours
+            C[i + 1] = eliminate(C[i + 1:i + 2], k, s, krow)[0]
+            peer.send(C[i + 1])
+            i += 1
+        C[i + 1:] = eliminate(C[i + 1:], k, s, krow)
+    return C

@@ -3,11 +3,11 @@
 ``side_by_side(here, run, args, work, d)`` runs ``here(peer)`` in this
 process and ``run(peer, *args)`` meanwhile in a worker process, each
 with its end of one pipe as ``peer``, and returns both results.  A run
-that does not talk to the other ignores ``peer``.  Five kinds of job
+that does not talk to the other ignores ``peer``.  Six kinds of job
 split so: the hi endpoint run of a lifted call (``intervals.lifted``),
 the block closure's independent products, and the row stripes of the
-Gauss-Jordan closure, of the partial-sum closure and of the LDM
-factorization.
+Gauss-Jordan closure, of the partial-sum closure, of the elimination
+that finds a least solution and of the LDM factorization.
 
 One rule covers every way a split job can go wrong: ``side_by_side``
 returns None when the run stays here (the cases of ``_ship``), when the

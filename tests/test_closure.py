@@ -23,7 +23,7 @@ from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
                       identity, lift_semiring, solve_bellman, zeros)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _product, _series, _stripe
+from semiralg.closure import _forward, _product, _series, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
                              InvalidOptions, NoStabilization, StarUndefined)
 
@@ -268,7 +268,9 @@ def test_star_failure_reads_as_in_the_fma_fold(name):
     d = descriptor(name)
     fold = dataclasses.replace(d)
     runs = [closure_gauss_jordan, closure_block,
-            lambda a: closure_block(a, ClosureOptions(split=1))]
+            lambda a: closure_block(a, ClosureOptions(split=1)),
+            lambda a: solve_bellman(a, Matrix(a.descriptor, rhs))]
+    rhs = [[d.one, d.zero], [d.zero, d.one], [d.one, d.one]]
     for run in runs:
         failures = []
         for desc in (d, fold):
@@ -344,6 +346,12 @@ def stripes(monkeypatch):
 
 
 @pytest.fixture
+def solves(monkeypatch):
+    """As ``products``, for the odd rows of the elimination that solves."""
+    return ship_placements(monkeypatch, _forward)
+
+
+@pytest.fixture
 def series(monkeypatch):
     """As ``products``, for the bottom stripe of a partial-sum closure."""
     return ship_placements(monkeypatch, _series)
@@ -370,10 +378,9 @@ def test_shipped_products_are_bit_identical(monkeypatch, products, rng, name):
     # products split by rows, D = A22 + A21 P and TL = S11 + TR Q
     for n in (2, 9, 16, 17):
         a = _catalog_matrix(name, n, n, rng)
-        b = _catalog_matrix(name, n, 3, rng)
-        for call in (lambda: closure_block(a), lambda: solve_bellman(a, b)):
-            (got, _), (want, _) = shipped_and_here(monkeypatch, products, call)
-            assert_bit_identical(got, want)
+        (got, _), (want, _) = shipped_and_here(monkeypatch, products,
+                                               lambda: closure_block(a))
+        assert_bit_identical(got, want)
 
 
 def test_a_star_failure_in_the_second_recursion_reads_as_here(monkeypatch,
@@ -660,6 +667,71 @@ def test_a_lifted_gauss_jordan_keeps_its_stripes_here(monkeypatch, stripes,
 
 def test_threads_share_the_worker_for_stripes(stripes, rng):
     _share_the_worker(closure_gauss_jordan, stripes, rng)
+
+
+# ------------------------------------ the least solution in two row stripes
+
+
+@pytest.mark.parametrize("name", CATALOG_LABELS)
+def test_striped_solve_is_bit_identical(monkeypatch, solves, rng, name):
+    for n in (2, 9, 16, 17):
+        a = _catalog_matrix(name, n, n, rng)
+        b = _catalog_matrix(name, n, 3, rng)
+        (got, _), (want, _) = shipped_and_here(
+            monkeypatch, solves, lambda: solve_bellman(a, b))
+        assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("pivot", [3, 12])     # the worker's rows are odd
+def test_a_failing_solve_pivot_reads_as_here_in_either_stripe(
+        monkeypatch, solves, rng, pivot):
+    data = kernel_rows("maxplus", 16, 16, rng)
+    data[pivot][pivot] = 1.0
+    a = Matrix(MX, data)
+    b = _catalog_matrix("maxplus", 16, 3, rng)
+    shipped, here = shipped_and_here(monkeypatch, solves,
+                                     lambda: solve_bellman(a, b))
+    assert shipped == here
+    assert here[1][0] is StarUndefined and here[1][2] == pivot + 1
+    assert not offload._busy.locked()
+    good = _catalog_matrix("maxplus", 16, 16, rng)
+    (got, _), (want, _) = shipped_and_here(monkeypatch, solves,
+                                           lambda: solve_bellman(good, b))
+    assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("algorithm", ["block", "gauss_jordan"])
+def test_a_solve_fails_at_the_gauss_jordan_pivot(monkeypatch, solves, rng,
+                                                algorithm):
+    # pivot 7 of 9 fails; the elimination meets the pivots of Gauss-Jordan
+    data = kernel_rows("maxplus", 9, 9, rng)
+    data[6][6] = 1.0
+    a = Matrix(MX, data)
+    b = _catalog_matrix("maxplus", 9, 2, rng)
+    with pytest.raises(StarUndefined) as info:
+        closure_gauss_jordan(a)
+    opts = ClosureOptions(algorithm=algorithm)
+    shipped, here = shipped_and_here(monkeypatch, solves,
+                                     lambda: solve_bellman(a, b, opts))
+    assert shipped == here == (None, (StarUndefined, str(info.value), 7))
+
+
+def test_a_lifted_solve_keeps_its_stripes_here(monkeypatch, solves, rng):
+    av = random_interval_matrix("maxplus", 16, rng)
+    bv = random_interval_matrix("maxplus", 16, rng)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
+    want = solve_bellman(av, bv)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    got = []
+    # the hi run holds the worker, so the stripes of both endpoint runs
+    # stay in their process; a stripe that waited on it would hang
+    thread = threading.Thread(
+        target=lambda: got.append(solve_bellman(av, bv)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert_bit_identical(got[0], want)
+    assert solves and not any(solves)
 
 
 # ------------------------------------------- the series in two row stripes

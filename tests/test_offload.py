@@ -9,9 +9,9 @@ import pytest
 from conftest import (PYTEST_PID, fork_anew, random_interval_matrix,
                       random_stable_matrix, ship_placements, shipped_and_here)
 from semiralg import (closure_block, closure_gauss_jordan, closure_iterative,
-                      ldm_factorize, make_semiring)
+                      ldm_factorize, make_semiring, solve_bellman)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _product, _series, _stripe
+from semiralg.closure import _forward, _product, _series, _stripe
 from semiralg.errors import IllegalElement
 from semiralg.ldm import _ldm_rows
 
@@ -24,6 +24,7 @@ SPLITS = {
     "series stripe": (_series, "product",
                       lambda a: closure_iterative(a).matrix),
     "ldm stripe": (_ldm_rows, "fold", lambda a: ldm_factorize(a).M),
+    "solve stripe": (_forward, "eliminate", lambda a: solve_bellman(a, a)),
     "lifted hi run": (intervals._peerless, "eliminate", closure_gauss_jordan),
 }
 

@@ -2,12 +2,13 @@
 against independent libraries.
 
 The brute-force checks of the other test files stop at n <= 8.  Here
-the closures run at n = 64 and 128 (boolean also at 256) on the
-benchmark's seeded inputs
+the closures and the least solutions run at n = 64 and 128 (boolean
+also at 256) on the benchmark's seeded inputs
 (``bench/workloads.py``) and are compared with the benchmark's oracles
 (``bench/oracles.py``): scipy's Floyd-Warshall for minplus and maxplus,
 networkx transitive closure for boolean, threshold reachability for
-maxmin, and ``numpy.linalg.inv`` for the real field and rplus.  An LDM
+maxmin, and ``numpy.linalg.inv`` for the real field and rplus; a least
+solution is the oracle's A* times B, by a numpy product.  An LDM
 triple is checked by ``M* D* L* = A*``, a solve through the factors by
 ``numpy.linalg.solve``.  The tropical comparisons are exact; the real
 ones are within ``oracles.REAL_TOL`` relative.  Skipped where numpy,
@@ -31,7 +32,7 @@ from harness import plain  # noqa: E402
 
 from semiralg import (ClosureOptions, closure_block,  # noqa: E402
                       closure_gauss_jordan, closure_iterative, ldm_factorize,
-                      solve_ldm)
+                      solve_bellman, solve_ldm)
 from semiralg.serialize import matrix_to_json  # noqa: E402
 
 ALGORITHMS = {"block": closure_block, "gauss_jordan": closure_gauss_jordan}
@@ -61,6 +62,32 @@ def test_tropical_closure_equals_oracle(carrier, n, algorithm):
     data = workloads.tropical_matrix(_rng(carrier, n), carrier, n, n, density)
     result = ALGORITHMS[algorithm](workloads.to_matrix(carrier, data))
     assert _matches_oracle(carrier, data, matrix_to_json(result)["data"])
+
+
+@pytest.mark.parametrize("carrier,n", TROPICAL_CASES)
+def test_least_solution_equals_oracle(carrier, n):
+    # the oracle's A* times B, as numpy products.  The elimination runs
+    # in two row stripes on two processes, boolean at n = 256 only
+    rng = _rng("solve", carrier, n)
+    density = 1.0 if n == 64 else 0.3
+    data = workloads.tropical_matrix(rng, carrier, n, n, density)
+    b_data = workloads.tropical_matrix(rng, carrier, n, 8, 0.5)
+    result = solve_bellman(workloads.to_matrix(carrier, data),
+                           workloads.to_matrix(carrier, b_data))
+    assert oracles.Oracle().bellman_ok(carrier, data, b_data,
+                                       matrix_to_json(result)["data"], False)
+
+
+@pytest.mark.parametrize("carrier", ["real_field", "rplus"])
+def test_real_least_solution_equals_inverse_times_b(carrier):
+    rng = _rng("solve", carrier, 64)
+    data = workloads.contraction(rng, carrier, 64)
+    b_data = workloads.contraction(rng, carrier, 64)[:8]
+    b_data = [list(col) for col in zip(*b_data)]       # 64 x 8
+    result = solve_bellman(workloads.to_matrix(carrier, data),
+                           workloads.to_matrix(carrier, b_data))
+    assert oracles.Oracle().bellman_ok(carrier, data, b_data,
+                                       matrix_to_json(result)["data"], False)
 
 
 def test_real_field_gauss_jordan_equals_inverse():

@@ -2,8 +2,8 @@
 
 Runs boolean Gauss-Jordan closure, block closure and matrix product at
 n = 64, 128 and 256 on dense and sparse inputs; then the shapes the
-benchmark's workloads run on boolean: ``solve_bellman`` (block closure,
-then the n x 8 product) at n = 64, 96 and 128 as in tropical-closure,
+benchmark's workloads run on boolean: ``solve_bellman`` with an n x 8
+right-hand side at n = 64, 96 and 128 as in tropical-closure,
 and block closure at n = 8, 16 and 24 as in the cli-jobs ``closure``
 jobs; and, as the control that a change to the row kernels costs the
 other carriers nothing, maxplus, minplus and maxmin Gauss-Jordan and
