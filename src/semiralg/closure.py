@@ -9,15 +9,16 @@ sums of powers.  All three agree exactly on idempotent carriers.
 forming A*.  The equation is linear over the semiring, so one Gaussian
 elimination solves it on every carrier (Carre, "An algebra for network
 routing problems", 1971; Backhouse and Carre, 1975): the Gauss-Jordan
-step at each pivot k, on the rows of [A | B] below k only, then a back
-substitution on the B columns, about n^3/2 + n^2 m operations against
-n^3 + n^2 m for A* and then A*B.  Its pivots are those of the
-Gauss-Jordan closure, so a star fails at the same pivot.  The forward
-pass runs in two row stripes, the odd rows on the worker process: as
-in the Gauss-Jordan stripes, the stripe that holds row k sends it to
-the other before that one needs it (``_forward``), and a cyclic hold
-keeps the two balanced while each step works on fewer rows.  The
-serial forward pass is the one stripe that holds every row.
+step at each pivot k, on the rows of [A | B] below k only and on their
+columns k.. only, then a back substitution on the B columns, (n^3 -
+n)/3 + m (n - 1)^2 accumulates against about n^3 + n^2 m for A* and
+then A*B.  Its pivots are those of the Gauss-Jordan closure, so a star
+fails at the same pivot.  The forward pass runs in two row stripes,
+the odd rows on the worker process: as in the Gauss-Jordan stripes,
+the stripe that holds row k sends it to the other before that one
+needs it (``_forward``), and a cyclic hold keeps the two balanced while
+each step works on fewer rows.  The serial forward pass is the one
+stripe that holds every row.
 
 The block recursion and the eliminations run on the descriptor's row
 kernels (``semirings.row_kernels``): they encode the matrix once at
@@ -381,14 +382,15 @@ def _solve(A, B):
     split, product, add_rows, entry, encode = (
         kernels.split, kernels.product, kernels.add_rows, kernels.entry,
         kernels.encode)
-    # row k of X: the B columns of row k, until row k is solved
-    coefficients, X = split(C, n)
+    X = [None] * n
     for k in reversed(range(n)):
-        x = X[k]
+        # row k holds columns k.. of [A | B]: the pivot, a_kj for j > k
+        # and the B columns
+        (coefficients,), (x,) = split(C[k:k + 1], n - k)
         if k + 1 < n:
-            tail = split(coefficients[k:k + 1], k + 1)[1]
+            tail = split([coefficients], 1)[1]
             x = add_rows(x, product(tail, X[k + 1:])[0])
-        s = kernel_star(d, kernels, entry(coefficients[k], k), k + 1)
+        s = kernel_star(d, kernels, entry(coefficients, 0), k + 1)
         X[k] = product([encode([s])], [x])[0]
     return Matrix._wrap(d, list(map(kernels.decode, X)))
 
@@ -398,8 +400,11 @@ def _forward(peer, d, C, first, n):
     pivots 0..n-1, each on the rows below its pivot: with ``peer`` None,
     every row, ``first`` 0; else rows first, first + 2, ..., taken at
     the same time as the process that holds the other rows, at the other
-    end of the pipe ``peer``.  Private: a public name may be rebound by
-    a wrapper that does not pickle.
+    end of the pipe ``peer``.  Row k comes back as its columns k.. only,
+    the pivot, the coefficients after it and the B columns: a step takes
+    a row below its pivot k from column k on and drops column k, which
+    nothing reads again.  Private: a public name may be rebound by a
+    wrapper that does not pickle.
 
     The step at pivot k updates a row below k from itself and row k, and
     leaves row k as it is, so row k is final once the step at k - 1 is
@@ -412,18 +417,18 @@ def _forward(peer, d, C, first, n):
     mapping).
     """
     kernels = row_kernels(d)
-    entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
-                                    kernels.encode_one)
+    entry, eliminate, split, encode_one = (kernels.entry, kernels.eliminate,
+                                           kernels.split, kernels.encode_one)
     step = 1 if peer is None else 2
     if peer is not None and first == 0:
         peer.send(C[0])
     for k in range(n):
         i, theirs = divmod(k - first, step)     # C[i + 1:] lie below row k
         krow = peer.recv() if theirs else C[i]
-        s = encode_one(kernel_star(d, kernels, entry(krow, k), k + 1))
+        s = encode_one(kernel_star(d, kernels, entry(krow, 0), k + 1))
         if theirs and i + 1 < len(C):           # row k + 1, ours
-            C[i + 1] = eliminate(C[i + 1:i + 2], k, s, krow)[0]
+            C[i + 1:i + 2] = split(eliminate(C[i + 1:i + 2], 0, s, krow), 1)[1]
             peer.send(C[i + 1])
             i += 1
-        C[i + 1:] = eliminate(C[i + 1:], k, s, krow)
+        C[i + 1:] = split(eliminate(C[i + 1:], 0, s, krow), 1)[1]
     return C

@@ -20,6 +20,7 @@ from .errors import (DimensionMismatch, IndexOutOfRange, InvalidGraph,
                      InvalidPath, OracleScaleExceeded, StarUndefined,
                      WrongDescriptor)
 from .matrices import Matrix, identity
+from . import offload
 from .semirings import SemiringDescriptor, list_kernels
 
 __all__ = ["WeightedDigraph", "Path", "graph_to_matrix", "matrix_to_graph",
@@ -215,40 +216,89 @@ def real_matrix_star(A: Matrix) -> Matrix:
     """Closure over the real field: the inverse of (E - A).
 
     Gauss-Jordan elimination with partial pivoting (Golub & Van Loan,
-    *Matrix Computations*, 3.4) on E - A, in place.  Step k places the
-    remaining row with the largest entry p in column k, scales it by
-    1/p and subtracts its multiples from the other rows; the steps
-    invert P(E - A) for a row permutation P, and A* = (P(E - A))^-1 P.
-    When p is 0, E - A is singular to working precision and
+    *Matrix Computations*, 3.4) on E - A, in place (``_pivoted_rows``).
+    Step k places the remaining row with the largest entry p in column
+    k, scales it by 1/p and subtracts its multiples from the other rows;
+    the steps invert P(E - A) for a row permutation P, and A* = (P(E -
+    A))^-1 P.  When p is 0, E - A is singular to working precision and
     ``StarUndefined`` names column k + 1.
+
+    The top half of the rows stays here and the bottom half goes to the
+    worker process, the two stripes stepping at the same time, when the
+    work of the bottom one, its rows times n^2, reaches
+    ``offload.SHIP_MIN_WORK`` (from n = 32).  When ``side_by_side`` says
+    so, one stripe here holds every row.
     """
     if A.descriptor.name != "real_field":
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
     _require_square(A)
     d, n = A.descriptor, A.rows
+    h = n // 2
+    stripes = n > 1 and offload.side_by_side(
+        lambda peer: _pivoted_rows(peer, d, A._data[:h], 0, n),
+        _pivoted_rows, (d, A._data[h:], h, n), (n - h) * n * n, d)
+    if stripes:
+        (top, placed), (bottom, _) = stripes
+        C = top + bottom
+    else:
+        C, placed = _pivoted_rows(None, d, A._data, 0, n)
+    columns = sorted(range(n), key=placed.__getitem__)
+    return Matrix._wrap(d, [list(map(row.__getitem__, columns))
+                            for row in map(list_kernels(d).decode,
+                                           map(C.__getitem__, placed))])
+
+
+def _pivoted_rows(peer, d, A, lo, n):
+    """(C, placed): the rows C of E - A, for the rows A, rows lo.. of an
+    n x n matrix, after the Gauss-Jordan steps with partial pivoting at
+    0..n-1, and ``placed``, the row of the matrix at each position.  The
+    steps are taken at the same time as the process that holds the
+    other rows, at the other end of the pipe ``peer``, or, with ``peer``
+    None, here on every row, A holding them all.  Private: a public name
+    may be rebound by a wrapper that does not pickle.
+
+    Rows stay in the stripe they start in, and both stripes keep the
+    same ``placed`` in place of swapping rows.  At step k each stripe
+    sends the column k entries of its rows, and both pick the pivot by
+    the same ``max`` over positions k..n-1 on the same values, so ties
+    go to the lowest position in both, as in one stripe.  The stripe
+    that holds the pivot row scales it and sends it, and each then
+    subtracts its multiples from its other rows.
+    """
     kernels = list_kernels(d)
-    C = [list(map(sub, repeat(0.0), row)) for row in A._data]   # E - A
-    for i, row in enumerate(C):
+    mul, axpy = kernels.mul, kernels.axpy
+    C = [list(map(sub, repeat(0.0), row)) for row in A]     # E - A
+    for i, row in enumerate(C, lo):
         row[i] += 1.0
-    placed = list(range(n))     # the row of A at each position
+    hi = lo + len(C)
+    placed = list(range(n))
     for k in range(n):
-        r = max(range(k, n), key=lambda r: abs(C[r][k]))
-        C[k], C[r] = C[r], C[k]
+        column = [row[k] for row in C]
+        if peer is not None:
+            peer.send(column)
+            theirs = peer.recv()
+            column = column + theirs if lo == 0 else theirs + column
+        r = max(range(k, n), key=lambda r: abs(column[placed[r]]))
         placed[k], placed[r] = placed[r], placed[k]
-        rowk, p = C[k], C[k][k]
+        i = placed[k]
+        p = column[i]
         if p == 0.0:
             raise StarUndefined(
                 "E - A is singular to working precision: no remaining row "
                 f"has a nonzero entry in column {k + 1}",
                 element=1.0, location=k + 1)
-        # column k turns into column k of the inverse: 1/p in the pivot
-        # row, -a/p in a row whose entry there was a
-        rowk[k] = 1.0
-        rowk = C[k] = list(map(kernels.mul, repeat(1.0 / p), rowk))
-        for i, row in enumerate(C):
-            if i != k:
+        if lo <= i < hi:
+            # column k turns into column k of the inverse: 1/p in the
+            # pivot row, -a/p in a row whose entry there was a
+            rowk = C[i - lo]
+            rowk[k] = 1.0
+            rowk = C[i - lo] = list(map(mul, repeat(1.0 / p), rowk))
+            if peer is not None:
+                peer.send(rowk)
+        else:
+            rowk = peer.recv()
+        for j, row in enumerate(C):
+            if row is not rowk:
                 a, row[k] = row[k], 0.0
-                C[i] = kernels.axpy(row, -a, rowk)
-    columns = sorted(range(n), key=placed.__getitem__)
-    return Matrix._wrap(d, [list(map(row.__getitem__, columns))
-                            for row in map(kernels.decode, C)])
+                C[j] = axpy(row, -a, rowk)
+    return C, placed

@@ -328,6 +328,39 @@ def test_gauss_jordan_performs_n_cubed_accumulates(name, rng):
         assert tally[0] == n ** 3
 
 
+@pytest.mark.parametrize("name", ALL_NAMES + ["interval"])
+def test_solve_bellman_performs_its_closed_form_accumulates(name, rng):
+    # the step at pivot k takes n - k + m on each of the n - 1 - k rows
+    # below k, and the back substitution n - k - 2 per column of B at
+    # row k < n - 1: (n^3 - n)/3 + m (n - 1)^2 in all
+    for n in range(1, 9):
+        for m in (1, 3):
+            if name == "interval":
+                a, b = (random_interval_matrix("maxplus", k, rng)
+                        for k in (n, n + m))
+                d = lift_semiring(descriptor("maxplus"))
+            else:
+                a, b = (random_oracle_matrix(name, k, rng) for k in (n, n + m))
+                d = descriptor(name)
+            tally = [0]
+            counted = _counting_copy(d, tally)
+            b = [row[:m] for row in b.to_lists()[:n]]       # n x m
+            solve_bellman(Matrix(counted, a.to_lists()), Matrix(counted, b))
+            assert tally[0] == (n ** 3 - n) // 3 + m * (n - 1) ** 2
+
+
+def test_an_overflow_in_an_eliminated_column_is_not_computed():
+    # the step at pivot 1 would put 1e308 + 1e308 in column 0 of row 2,
+    # which nothing reads: the forward pass steps a row below pivot k
+    # from column k on, so the catalog kernels and the fold of a copy
+    # both return the least solution
+    a = [[NEG_INF] * 3, [1e308, NEG_INF, NEG_INF], [NEG_INF, 1e308, NEG_INF]]
+    b = [[NEG_INF], [0.0], [0.0]]
+    for d in (MX, dataclasses.replace(MX)):
+        got = solve_bellman(Matrix(d, a), Matrix(d, b)).to_lists()
+        assert repr(got) == repr([[NEG_INF], [0.0], [1e308]])
+
+
 # ------------------------------------------- the block products on the worker
 
 

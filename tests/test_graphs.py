@@ -3,21 +3,24 @@
 import pytest
 
 from conftest import (descriptor, pivoted_rows, random_contraction,
-                      random_graph)
+                      random_graph, ship_placements, shipped_and_here)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, Path,
                       WeightedDigraph, brute_force_star, closure,
                       closure_gauss_jordan, graph_to_matrix, identity,
                       lift_semiring, matrix_to_graph, max_profit, path_weight,
                       real_matrix_star, shortest_paths, widest_paths, zeros)
+from semiralg import offload
 from semiralg.errors import (DimensionMismatch, IndexOutOfRange,
                              InvalidGraph, InvalidPath, OracleScaleExceeded,
                              StarUndefined, WrongDescriptor)
+from semiralg.graphs import _pivoted_rows
 
 MX = descriptor("maxplus")
 MN = descriptor("minplus")
 MM = descriptor("maxmin")
 BOOL = descriptor("boolean")
 REAL = descriptor("real_field")
+SHIP_MIN_WORK = offload.SHIP_MIN_WORK
 
 
 # ------------------------------------------------------------------ the bridge
@@ -387,6 +390,117 @@ def test_real_matrix_star_names_the_singular_column(rows, column):
                                "remaining row has a nonzero entry in column "
                                f"{column}")
     assert info.value.location == column
+
+
+# ------------------------------------------- the inverse in two row stripes
+
+
+@pytest.fixture
+def inverts(monkeypatch):
+    """The bottom stripe of every inverse may go to the worker, also
+    where the calling thread may use only one CPU; the list returned
+    records each placement of one, True for a stripe that went."""
+    return ship_placements(monkeypatch, _pivoted_rows)
+
+
+def _serial_inverse(rows, last=False):
+    """(E - A)^-1 by the serial loop that the stripes replaced: the
+    pivot row swapped into place at each step.  A tie in |entry| goes to
+    the lowest position, or with ``last`` to the highest."""
+    n = len(rows)
+    C = [[0.0 - v for v in row] for row in rows]
+    for i, row in enumerate(C):
+        row[i] += 1.0
+    placed = list(range(n))
+    for k in range(n):
+        order = range(n - 1, k - 1, -1) if last else range(k, n)
+        r = max(order, key=lambda r: abs(C[r][k]))
+        C[k], C[r] = C[r], C[k]
+        placed[k], placed[r] = placed[r], placed[k]
+        p = C[k][k]
+        C[k][k] = 1.0
+        C[k] = [1.0 / p * v for v in C[k]]
+        for i, row in enumerate(C):
+            if i != k:
+                a, row[k] = row[k], 0.0
+                C[i] = [v + -a * w for v, w in zip(row, C[k])]
+    columns = sorted(range(n), key=placed.__getitem__)
+    return [[row[j] for j in columns] for row in C]
+
+
+def _both_ways(monkeypatch, inverts, rows):
+    """The inverse of E - A shipped and here, as ``repr`` of its rows,
+    which must agree; or the failure, (type, message, location)."""
+    shipped, here = shipped_and_here(
+        monkeypatch, inverts, lambda: real_matrix_star(Matrix(REAL, rows)))
+    assert repr(shipped) == repr(here)
+    return repr(here[0].to_lists()) if here[1] is None else here[1]
+
+
+@pytest.mark.parametrize("n", [32, 64, 97, 128])
+def test_striped_inverse_is_bit_identical(monkeypatch, inverts, rng, n):
+    # no contraction: rows change places across the two stripes
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+    assert _both_ways(monkeypatch, inverts, rows) == repr(_serial_inverse(rows))
+
+
+def _e_minus(m):
+    """The rows A of E - A = m: exact off the diagonal."""
+    return [[(1.0 - v if i == j else -v) for j, v in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+@pytest.mark.parametrize("case", ["in the caller", "in the worker"])
+def test_a_tie_across_the_stripes_goes_to_the_lower_position(
+        monkeypatch, inverts, rng, case):
+    # n = 32: rows 0..15 stay here, 16..31 go to the worker.  Entries of
+    # equal magnitude and opposite sign tie for the pivot, one in each
+    # stripe, and the lower position wins.
+    n = 32
+    m = [[rng.uniform(-0.1, 0.1) for _ in range(n)] for _ in range(n)]
+    if case == "in the caller":
+        # step 0: rows 2 and 20
+        m[2][0], m[20][0] = -0.9, 0.9
+    else:
+        # step 0 takes the worker's row 31, which moves row 0 to position
+        # 31 and leaves column 1 as it is; step 1 then ties row 16, at
+        # position 16, with row 0, at position 31
+        m[31][0], m[31][1] = 5.0, 0.0
+        m[16][1], m[0][1] = 0.9, -0.9
+    rows = _e_minus(m)
+    got = _both_ways(monkeypatch, inverts, rows)
+    assert got == repr(_serial_inverse(rows))
+    assert got != repr(_serial_inverse(rows, last=True))
+
+
+@pytest.mark.parametrize("column", [4, 30])     # rows 3 and 29
+def test_a_singular_inverse_fails_as_here_in_either_stripe(
+        monkeypatch, inverts, rng, column):
+    # E - A = 2E plus small entries, so no row moves, and column 4 or 30
+    # is zero: at that step every candidate is zero, the one at the
+    # first position held here or by the worker
+    n = 32
+    m = [[2.0 if i == j else rng.uniform(-0.01, 0.01) for j in range(n)]
+         for i in range(n)]
+    for row in m:
+        row[column - 1] = 0.0
+    assert _both_ways(monkeypatch, inverts, _e_minus(m)) == (
+        StarUndefined, "E - A is singular to working precision: no "
+        f"remaining row has a nonzero entry in column {column}", column)
+    assert offload._worker is None and not offload._busy.locked()
+    # the next call ships, on a worker forked anew
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+    got = real_matrix_star(Matrix(REAL, rows))
+    assert inverts[-1] is True and offload._worker.process.is_alive()
+    assert repr(got.to_lists()) == repr(_serial_inverse(rows))
+
+
+def test_an_inverse_ships_from_n_32(monkeypatch, inverts, rng):
+    # the bottom stripe's rows times n^2 against offload.SHIP_MIN_WORK
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", SHIP_MIN_WORK)
+    for n in (24, 32):
+        real_matrix_star(random_contraction(n, rng))
+    assert inverts == [False, True]
 
 
 def test_wrong_descriptor_guards(rng):

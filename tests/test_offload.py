@@ -6,18 +6,20 @@ import os
 
 import pytest
 
-from conftest import (PYTEST_PID, fork_anew, random_interval_matrix,
-                      random_stable_matrix, ship_placements, shipped_and_here)
+from conftest import (PYTEST_PID, fork_anew, random_contraction,
+                      random_interval_matrix, random_stable_matrix,
+                      ship_placements, shipped_and_here)
 from semiralg import (closure_block, closure_gauss_jordan, closure_iterative,
-                      ldm_factorize, make_semiring, solve_bellman)
+                      ldm_factorize, make_semiring, real_matrix_star,
+                      solve_bellman)
 from semiralg import intervals, offload, semirings
 from semiralg.closure import _forward, _product, _series, _stripe
 from semiralg.errors import IllegalElement
+from semiralg.graphs import _pivoted_rows
 from semiralg.ldm import _ldm_rows
 
-MX = make_semiring("maxplus")
-
-# the run that ships, the maxplus kernel it calls, and the call
+# the run that ships, the kernel it calls, of maxplus unless the call
+# inverts over real_field, and the call
 SPLITS = {
     "block product pair": (_product, "product", closure_block),
     "gauss_jordan stripe": (_stripe, "eliminate", closure_gauss_jordan),
@@ -25,17 +27,25 @@ SPLITS = {
                       lambda a: closure_iterative(a).matrix),
     "ldm stripe": (_ldm_rows, "fold", lambda a: ldm_factorize(a).M),
     "solve stripe": (_forward, "eliminate", lambda a: solve_bellman(a, a)),
+    "invert stripe": (_pivoted_rows, "axpy", real_matrix_star),
     "lifted hi run": (intervals._peerless, "eliminate", closure_gauss_jordan),
 }
+
+
+def _matrix(kind, rng):
+    if kind == "lifted hi run":
+        return random_interval_matrix("maxplus", 8, rng)
+    if kind == "invert stripe":
+        return random_contraction(8, rng)
+    return random_stable_matrix("maxplus", 8, rng)
 
 
 @pytest.mark.parametrize("side", ["caller", "worker"])
 @pytest.mark.parametrize("kind", sorted(SPLITS))
 def test_a_split_job_that_fails_is_redone_whole(monkeypatch, rng, kind, side):
     run, name, call = SPLITS[kind]
-    make = random_interval_matrix if kind == "lifted hi run" else \
-        random_stable_matrix
-    a = make("maxplus", 8, rng)
+    carrier = "real_field" if kind == "invert stripe" else "maxplus"
+    a = _matrix(kind, rng)
     placements = ship_placements(monkeypatch, run)
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
     cpus = affinity(0)
@@ -49,7 +59,7 @@ def test_a_split_job_that_fails_is_redone_whole(monkeypatch, rng, kind, side):
             raise IllegalElement(f"the {name} kernel fails")
         return getattr(kernels, name)(*args)
 
-    kernels = fork_anew(monkeypatch, "maxplus", **{name: failing})
+    kernels = fork_anew(monkeypatch, carrier, **{name: failing})
     shipped, here = shipped_and_here(monkeypatch, placements,
                                      lambda: call(a))
     assert shipped == here
@@ -59,7 +69,7 @@ def test_a_split_job_that_fails_is_redone_whole(monkeypatch, rng, kind, side):
     assert served and not served[0].process.is_alive()
     assert offload._worker is None and not offload._busy.locked()
     assert affinity(0) == cpus
-    monkeypatch.setitem(semirings._kernels, MX, kernels)
+    monkeypatch.setitem(semirings._kernels, make_semiring(carrier), kernels)
     # the next call ships, on a worker forked anew
     got, want = shipped_and_here(monkeypatch, placements, lambda: call(a))
     assert got == want and want[1] is None

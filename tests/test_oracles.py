@@ -7,7 +7,8 @@ also at 256) on the benchmark's seeded inputs
 (``bench/workloads.py``) and are compared with the benchmark's oracles
 (``bench/oracles.py``): scipy's Floyd-Warshall for minplus and maxplus,
 networkx transitive closure for boolean, threshold reachability for
-maxmin, and ``numpy.linalg.inv`` for the real field and rplus; a least
+maxmin, and ``numpy.linalg.inv`` for the real field and rplus, also for
+the pivoted inverse of E - A at n = 96 and 128; a least
 solution is the oracle's A* times B, by a numpy product.  An LDM
 triple is checked by ``M* D* L* = A*``, a solve through the factors by
 ``numpy.linalg.solve``.  The tropical comparisons are exact; the real
@@ -32,7 +33,7 @@ from harness import plain  # noqa: E402
 
 from semiralg import (ClosureOptions, closure_block,  # noqa: E402
                       closure_gauss_jordan, closure_iterative, ldm_factorize,
-                      solve_bellman, solve_ldm)
+                      real_matrix_star, solve_bellman, solve_ldm)
 from semiralg.serialize import matrix_to_json  # noqa: E402
 
 ALGORITHMS = {"block": closure_block, "gauss_jordan": closure_gauss_jordan}
@@ -93,6 +94,24 @@ def test_real_least_solution_equals_inverse_times_b(carrier):
 def test_real_field_gauss_jordan_equals_inverse():
     data = workloads.contraction(_rng("real_field", 64), "real_field", 64)
     result = closure_gauss_jordan(workloads.to_matrix("real_field", data))
+    assert _matches_oracle("real_field", data, matrix_to_json(result)["data"])
+
+
+@pytest.mark.parametrize("n", [96, 128])
+@pytest.mark.parametrize("kind", ["contraction", "non-contraction"])
+def test_real_matrix_star_equals_inverse(kind, n):
+    # the pivoted elimination in two row stripes against numpy.linalg.inv
+    # of E - A.  The non-contraction has a diagonal of 2 to 2.5 and rows
+    # of E - A whose other entries sum below 0.9 in magnitude, so E - A
+    # is diagonally dominant
+    rng = _rng("invert", kind, n)
+    if kind == "contraction":
+        data = workloads.contraction(rng, "real_field", n)
+    else:
+        data = [[rng.uniform(2.0, 2.5) if i == j
+                 else rng.uniform(-0.9, 0.9) / n for j in range(n)]
+                for i in range(n)]
+    result = real_matrix_star(workloads.to_matrix("real_field", data))
     assert _matches_oracle("real_field", data, matrix_to_json(result)["data"])
 
 
