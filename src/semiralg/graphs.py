@@ -13,12 +13,11 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
-from operator import sub
 
 from .closure import ClosureOptions, _require_square, closure, solve_bellman
-from .errors import (DimensionMismatch, IndexOutOfRange, InvalidGraph,
-                     InvalidPath, OracleScaleExceeded, StarUndefined,
-                     WrongDescriptor)
+from .errors import (DimensionMismatch, IllegalElement, IndexOutOfRange,
+                     InvalidGraph, InvalidPath, OracleScaleExceeded,
+                     StarUndefined, WrongDescriptor)
 from .matrices import Matrix, identity
 from . import offload
 from .semirings import SemiringDescriptor, list_kernels
@@ -215,13 +214,13 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
 def real_matrix_star(A: Matrix) -> Matrix:
     """Closure over the real field: the inverse of (E - A).
 
-    Gauss-Jordan elimination with partial pivoting (Golub & Van Loan,
-    *Matrix Computations*, 3.4) on E - A, in place (``_pivoted_rows``).
-    Step k places the remaining row with the largest entry p in column
-    k, scales it by 1/p and subtracts its multiples from the other rows;
-    the steps invert P(E - A) for a row permutation P, and A* = (P(E -
-    A))^-1 P.  When p is 0, E - A is singular to working precision and
-    ``StarUndefined`` names column k + 1.
+    Gauss-Jordan elimination on E - A, in place (``_pivoted_rows``),
+    with partial pivoting by columns (Golub & Van Loan, *Matrix
+    Computations*, 3.4, on the transpose): step k pivots row k on the
+    lowest unused column c with its largest entry p, and row k turns
+    into row c of A*, read at the pivot columns.  When p is 0, E - A is
+    singular to working precision and ``StarUndefined`` names row k + 1;
+    when 1/p is no finite float, ``IllegalElement`` names row and pivot.
 
     The top half of the rows stays here and the bottom half goes to the
     worker process, the two stripes stepping at the same time, when the
@@ -242,63 +241,61 @@ def real_matrix_star(A: Matrix) -> Matrix:
         C = top + bottom
     else:
         C, placed = _pivoted_rows(None, d, A._data, 0, n)
-    columns = sorted(range(n), key=placed.__getitem__)
-    return Matrix._wrap(d, [list(map(row.__getitem__, columns))
-                            for row in map(list_kernels(d).decode,
-                                           map(C.__getitem__, placed))])
+    decode = list_kernels(d).decode
+    return Matrix._wrap(d, [list(map(decode(C[k]).__getitem__, placed))
+                            for k in sorted(range(n), key=placed.__getitem__)])
 
 
 def _pivoted_rows(peer, d, A, lo, n):
     """(C, placed): the rows C of E - A, for the rows A, rows lo.. of an
-    n x n matrix, after the Gauss-Jordan steps with partial pivoting at
-    0..n-1, and ``placed``, the row of the matrix at each position.  The
-    steps are taken at the same time as the process that holds the
-    other rows, at the other end of the pipe ``peer``, or, with ``peer``
-    None, here on every row, A holding them all.  Private: a public name
-    may be rebound by a wrapper that does not pickle.
+    n x n matrix, after the Gauss-Jordan steps with partial pivoting by
+    columns in rows 0..n-1, and ``placed``, the pivot column of each
+    row.  The steps are taken at the same time as the process that
+    holds the other rows, at the other end of the pipe ``peer``, or,
+    with ``peer`` None, here on every row, A holding them all.
+    Private: a public name may be rebound by a wrapper that does not
+    pickle.
 
-    Rows stay in the stripe they start in, and both stripes keep the
-    same ``placed`` in place of swapping rows.  At step k each stripe
-    sends the column k entries of its rows, and both pick the pivot by
-    the same ``max`` over positions k..n-1 on the same values, so ties
-    go to the lowest position in both, as in one stripe.  The stripe
-    that holds the pivot row scales it and sends it, and each then
-    subtracts its multiples from its other rows.
+    The stripe that holds row k sends it before step k, and the other
+    takes it, so both pick the same pivot column from the same values.
+    Each scales its own copy of the row and subtracts its multiples
+    from its other rows.
     """
     kernels = list_kernels(d)
     mul, axpy = kernels.mul, kernels.axpy
-    C = [list(map(sub, repeat(0.0), row)) for row in A]     # E - A
-    for i, row in enumerate(C, lo):
-        row[i] += 1.0
+    C = [axpy([0.0] * i + [1.0] + [0.0] * (n - 1 - i), -1.0, row)
+         for i, row in enumerate(A, lo)]                     # e_i - a_i
     hi = lo + len(C)
-    placed = list(range(n))
+    free = list(range(n))               # the columns not pivoted yet
+    placed = []
     for k in range(n):
-        column = [row[k] for row in C]
-        if peer is not None:
-            peer.send(column)
-            theirs = peer.recv()
-            column = column + theirs if lo == 0 else theirs + column
-        r = max(range(k, n), key=lambda r: abs(column[placed[r]]))
-        placed[k], placed[r] = placed[r], placed[k]
-        i = placed[k]
-        p = column[i]
-        if p == 0.0:
-            raise StarUndefined(
-                "E - A is singular to working precision: no remaining row "
-                f"has a nonzero entry in column {k + 1}",
-                element=1.0, location=k + 1)
-        if lo <= i < hi:
-            # column k turns into column k of the inverse: 1/p in the
-            # pivot row, -a/p in a row whose entry there was a
-            rowk = C[i - lo]
-            rowk[k] = 1.0
-            rowk = C[i - lo] = list(map(mul, repeat(1.0 / p), rowk))
+        if lo <= k < hi:
+            rowk = C[k - lo]
             if peer is not None:
                 peer.send(rowk)
         else:
             rowk = peer.recv()
+        c = max(free, key=list(map(abs, rowk)).__getitem__)
+        p = rowk[c]
+        if p == 0.0:
+            raise StarUndefined(
+                "E - A is singular to working precision: row "
+                f"{k + 1} has no nonzero entry left",
+                element=1.0, location=k + 1)
+        s = 1.0 / p
+        if not (s and math.isfinite(s)):
+            raise IllegalElement(f"the pivot {p!r} of row {k + 1} has no "
+                                 "reciprocal in the float range")
+        free.remove(c)
+        placed.append(c)
+        # column c turns into a column of the inverse: 1/p in the pivot
+        # row, -a/p in a row whose entry there was a
+        rowk[c] = 1.0
+        rowk = list(map(mul, repeat(s), rowk))
+        if lo <= k < hi:
+            C[k - lo] = rowk
         for j, row in enumerate(C):
             if row is not rowk:
-                a, row[k] = row[k], 0.0
+                a, row[c] = row[c], 0.0
                 C[j] = axpy(row, -a, rowk)
     return C, placed

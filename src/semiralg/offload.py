@@ -8,7 +8,9 @@ split so: the hi endpoint run of a lifted call (``intervals.lifted``),
 the block closure's independent products, and the row stripes of the
 Gauss-Jordan closure, of the partial-sum closure, of the elimination
 that finds a least solution, of the LDM factorization and of the
-pivoted inverse of E - A over the real field (``graphs.real_matrix_star``).
+inverse of E - A over the real field with partial pivoting by columns
+(``graphs.real_matrix_star``), whose stripes send each other one row per
+step, as those of Gauss-Jordan do.
 
 One rule covers every way a split job can go wrong: ``side_by_side``
 returns None when the run stays here (the cases of ``_ship``), when the

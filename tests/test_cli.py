@@ -587,12 +587,21 @@ def test_exit_4_star_undefined_with_location(tmp_path, capsys):
 
 
 def test_invert_exits_4_at_the_singular_column(tmp_path, capsys):
-    # E - A = [[1, 2], [2, 4]]: the step on column 1 zeroes column 2
+    # E - A = [[1, 2], [2, 4]]: the step on row 1 zeroes row 2
     pa = _write(tmp_path / "a.json", {"data": [[0.0, -2.0], [-2.0, -3.0]]})
     code, out, err = _run(capsys, "invert", "--semiring", "real_field", pa)
     assert (code, out) == (4, "")
-    assert err == ("error: E - A is singular to working precision: no "
-                   "remaining row has a nonzero entry in column 2 (at 2)\n")
+    assert err == ("error: E - A is singular to working precision: row 2 "
+                   "has no nonzero entry left (at 2)\n")
+
+
+def test_invert_exits_1_at_a_pivot_without_a_reciprocal(tmp_path, capsys):
+    # E - A = [[0, -1e-320], [-1e-320, 0]]: 1/p overflows
+    pa = _write(tmp_path / "a.json", {"data": [[1.0, 1e-320], [1e-320, 1.0]]})
+    code, out, err = _run(capsys, "invert", "--semiring", "real_field", pa)
+    assert (code, out) == (1, "")
+    assert err == ("error: the pivot -1e-320 of row 1 has no reciprocal in "
+                   "the float range\n")
 
 
 def test_exit_5_semiring_selection(tmp_path, capsys):

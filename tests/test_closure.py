@@ -21,7 +21,8 @@ from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
                       random_stable_matrix, ship_placements, shipped_and_here)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
-                      identity, lift_semiring, solve_bellman, zeros)
+                      identity, lift_semiring, real_matrix_star, solve_bellman,
+                      zeros)
 from semiralg import intervals, offload, semirings
 from semiralg.closure import _forward, _product, _series, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
@@ -325,6 +326,16 @@ def test_gauss_jordan_performs_n_cubed_accumulates(name, rng):
             d = descriptor(name)
         tally = [0]
         closure_gauss_jordan(Matrix(_counting_copy(d, tally), a.to_lists()))
+        assert tally[0] == n ** 3
+
+
+def test_real_matrix_star_performs_n_cubed_accumulates(rng):
+    # n for row i of E - A, as e_i - a_i, and n on each of the n - 1
+    # other rows at each of the n steps: n^3 in all, as Gauss-Jordan
+    for n in (1, 2, 5, 9, 64):
+        a = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        tally = [0]
+        real_matrix_star(Matrix(_counting_copy(REAL, tally), a))
         assert tally[0] == n ** 3
 
 

@@ -10,9 +10,10 @@ from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, Path,
                       lift_semiring, matrix_to_graph, max_profit, path_weight,
                       real_matrix_star, shortest_paths, widest_paths, zeros)
 from semiralg import offload
-from semiralg.errors import (DimensionMismatch, IndexOutOfRange,
-                             InvalidGraph, InvalidPath, OracleScaleExceeded,
-                             StarUndefined, WrongDescriptor)
+from semiralg.errors import (DimensionMismatch, IllegalElement,
+                             IndexOutOfRange, InvalidGraph, InvalidPath,
+                             OracleScaleExceeded, StarUndefined,
+                             WrongDescriptor)
 from semiralg.graphs import _pivoted_rows
 
 MX = descriptor("maxplus")
@@ -379,17 +380,17 @@ def test_real_matrix_star_matches_numpy_on_contractions(rng):
         _assert_close(real_matrix_star(a), _inverse_of_e_minus(a.to_lists()))
 
 
-@pytest.mark.parametrize("rows,column", [
+@pytest.mark.parametrize("rows,row", [
     ([[1.0, 0.0], [0.0, 1.0]], 1),
     ([[0.0, -2.0], [-2.0, -3.0]], 2),       # E - A = [[1, 2], [2, 4]]
     ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]], 2)])
-def test_real_matrix_star_names_the_singular_column(rows, column):
+def test_real_matrix_star_names_the_singular_column(rows, row):
+    # the message names the row of E - A left with no nonzero entry
     with pytest.raises(StarUndefined) as info:
         real_matrix_star(Matrix(REAL, rows))
-    assert str(info.value) == ("E - A is singular to working precision: no "
-                               "remaining row has a nonzero entry in column "
-                               f"{column}")
-    assert info.value.location == column
+    assert str(info.value) == ("E - A is singular to working precision: "
+                               f"row {row} has no nonzero entry left")
+    assert info.value.location == row
 
 
 # ------------------------------------------- the inverse in two row stripes
@@ -403,31 +404,6 @@ def inverts(monkeypatch):
     return ship_placements(monkeypatch, _pivoted_rows)
 
 
-def _serial_inverse(rows, last=False):
-    """(E - A)^-1 by the serial loop that the stripes replaced: the
-    pivot row swapped into place at each step.  A tie in |entry| goes to
-    the lowest position, or with ``last`` to the highest."""
-    n = len(rows)
-    C = [[0.0 - v for v in row] for row in rows]
-    for i, row in enumerate(C):
-        row[i] += 1.0
-    placed = list(range(n))
-    for k in range(n):
-        order = range(n - 1, k - 1, -1) if last else range(k, n)
-        r = max(order, key=lambda r: abs(C[r][k]))
-        C[k], C[r] = C[r], C[k]
-        placed[k], placed[r] = placed[r], placed[k]
-        p = C[k][k]
-        C[k][k] = 1.0
-        C[k] = [1.0 / p * v for v in C[k]]
-        for i, row in enumerate(C):
-            if i != k:
-                a, row[k] = row[k], 0.0
-                C[i] = [v + -a * w for v, w in zip(row, C[k])]
-    columns = sorted(range(n), key=placed.__getitem__)
-    return [[row[j] for j in columns] for row in C]
-
-
 def _both_ways(monkeypatch, inverts, rows):
     """The inverse of E - A shipped and here, as ``repr`` of its rows,
     which must agree; or the failure, (type, message, location)."""
@@ -439,9 +415,35 @@ def _both_ways(monkeypatch, inverts, rows):
 
 @pytest.mark.parametrize("n", [32, 64, 97, 128])
 def test_striped_inverse_is_bit_identical(monkeypatch, inverts, rng, n):
-    # no contraction: rows change places across the two stripes
+    # no contraction: the pivots leave the diagonal
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-    assert _both_ways(monkeypatch, inverts, rows) == repr(_serial_inverse(rows))
+    _both_ways(monkeypatch, inverts, rows)
+    assert _pivoted_rows(None, REAL, rows, 0, n)[1] != list(range(n))
+
+
+def test_a_striped_step_sends_one_row(monkeypatch, inverts, rng):
+    # the stripe that holds row k sends it, and the other takes it
+    n = 33
+    seen = []
+
+    class Counted:
+        def __init__(self, peer):
+            self.peer = peer
+
+        def send(self, row):
+            seen.append("sent")
+            self.peer.send(row)
+
+        def recv(self):
+            seen.append("received")
+            return self.peer.recv()
+
+    side_by_side = offload.side_by_side
+    monkeypatch.setattr(offload, "side_by_side", lambda here, *rest:
+                        side_by_side(lambda peer: here(Counted(peer)), *rest))
+    real_matrix_star(random_contraction(n, rng))
+    assert inverts == [True]
+    assert seen == ["sent"] * (n // 2) + ["received"] * (n - n // 2)
 
 
 def _e_minus(m):
@@ -450,49 +452,38 @@ def _e_minus(m):
             for i, row in enumerate(m)]
 
 
-@pytest.mark.parametrize("case", ["in the caller", "in the worker"])
-def test_a_tie_across_the_stripes_goes_to_the_lower_position(
-        monkeypatch, inverts, rng, case):
-    # n = 32: rows 0..15 stay here, 16..31 go to the worker.  Entries of
-    # equal magnitude and opposite sign tie for the pivot, one in each
-    # stripe, and the lower position wins.
-    n = 32
-    m = [[rng.uniform(-0.1, 0.1) for _ in range(n)] for _ in range(n)]
-    if case == "in the caller":
-        # step 0: rows 2 and 20
-        m[2][0], m[20][0] = -0.9, 0.9
-    else:
-        # step 0 takes the worker's row 31, which moves row 0 to position
-        # 31 and leaves column 1 as it is; step 1 then ties row 16, at
-        # position 16, with row 0, at position 31
-        m[31][0], m[31][1] = 5.0, 0.0
-        m[16][1], m[0][1] = 0.9, -0.9
-    rows = _e_minus(m)
-    got = _both_ways(monkeypatch, inverts, rows)
-    assert got == repr(_serial_inverse(rows))
-    assert got != repr(_serial_inverse(rows, last=True))
-
-
-@pytest.mark.parametrize("column", [4, 30])     # rows 3 and 29
-def test_a_singular_inverse_fails_as_here_in_either_stripe(
-        monkeypatch, inverts, rng, column):
-    # E - A = 2E plus small entries, so no row moves, and column 4 or 30
-    # is zero: at that step every candidate is zero, the one at the
-    # first position held here or by the worker
-    n = 32
+def _dominant(rng, n, row, pivot):
+    """The rows A of E - A = 2E plus small entries, whose pivots stay on
+    the diagonal, but for row ``row`` (1-based): zero but for ``pivot``
+    right of the diagonal, which no step before its own changes."""
     m = [[2.0 if i == j else rng.uniform(-0.01, 0.01) for j in range(n)]
          for i in range(n)]
-    for row in m:
-        row[column - 1] = 0.0
-    assert _both_ways(monkeypatch, inverts, _e_minus(m)) == (
-        StarUndefined, "E - A is singular to working precision: no "
-        f"remaining row has a nonzero entry in column {column}", column)
+    m[row - 1] = [pivot * (j == row) for j in range(n)]
+    return _e_minus(m)
+
+
+@pytest.mark.parametrize("row", [4, 30])     # held here, by the worker
+def test_a_singular_inverse_fails_as_here_in_either_stripe(
+        monkeypatch, inverts, rng, row):
+    # row 4 or 30 of E - A is zero, and no step changes it
+    n = 32
+    assert _both_ways(monkeypatch, inverts, _dominant(rng, n, row, 0.0)) == (
+        StarUndefined, "E - A is singular to working precision: row "
+        f"{row} has no nonzero entry left", row)
     assert offload._worker is None and not offload._busy.locked()
     # the next call ships, on a worker forked anew
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-    got = real_matrix_star(Matrix(REAL, rows))
-    assert inverts[-1] is True and offload._worker.process.is_alive()
-    assert repr(got.to_lists()) == repr(_serial_inverse(rows))
+    _both_ways(monkeypatch, inverts, rows)
+    assert offload._worker.process.is_alive()
+
+
+@pytest.mark.parametrize("row", [4, 30])
+def test_a_pivot_without_a_reciprocal_fails_as_here_in_either_stripe(
+        monkeypatch, inverts, rng, row):
+    rows = _dominant(rng, 32, row, 1e-320)
+    assert _both_ways(monkeypatch, inverts, rows) == (
+        IllegalElement, f"the pivot 1e-320 of row {row} has no reciprocal "
+        "in the float range", None)
 
 
 def test_an_inverse_ships_from_n_32(monkeypatch, inverts, rng):

@@ -98,19 +98,22 @@ def test_real_field_gauss_jordan_equals_inverse():
 
 
 @pytest.mark.parametrize("n", [96, 128])
-@pytest.mark.parametrize("kind", ["contraction", "non-contraction"])
+@pytest.mark.parametrize("kind", ["contraction", "non-contraction", "dense"])
 def test_real_matrix_star_equals_inverse(kind, n):
     # the pivoted elimination in two row stripes against numpy.linalg.inv
     # of E - A.  The non-contraction has a diagonal of 2 to 2.5 and rows
     # of E - A whose other entries sum below 0.9 in magnitude, so E - A
-    # is diagonally dominant
+    # is diagonally dominant; on both, the pivots stay on the diagonal.
+    # Dense entries in [-1, 1] move them off it
     rng = _rng("invert", kind, n)
     if kind == "contraction":
         data = workloads.contraction(rng, "real_field", n)
-    else:
+    elif kind == "non-contraction":
         data = [[rng.uniform(2.0, 2.5) if i == j
                  else rng.uniform(-0.9, 0.9) / n for j in range(n)]
                 for i in range(n)]
+    else:
+        data = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
     result = real_matrix_star(workloads.to_matrix("real_field", data))
     assert _matches_oracle("real_field", data, matrix_to_json(result)["data"])
 
