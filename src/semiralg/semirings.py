@@ -21,9 +21,11 @@ The matrix kernels (the product and the entrywise sum, which runs on
 substitutions run on whole rows through :func:`row_kernels`.
 Every descriptor gets the left fold of its own ``fma`` over k; six
 catalog instances (maxplus, minplus, maxmin, boolean, rplus and
-real_field) get kernels on IEEE floats and bools instead, mostly loops
-that run in C, equal to that fold bit for bit wherever the fold
-returns.  Boolean packs each row into one int, a bit per entry; LDM,
+real_field) get kernels on IEEE floats and bools instead, which make
+no descriptor call per entry, equal to that fold bit for bit wherever
+the fold returns: ``max`` or ``min`` over ``map`` for the tropical
+folds, plain loops and comprehensions on the float operators for the
+others.  Boolean packs each row into one int, a bit per entry; LDM,
 which writes single entries, runs boolean on the fold
 (:func:`list_kernels`).  Inside such a kernel the infinity tags are
 IEEE infinities; they become tags again on the way out, so a finite
@@ -53,7 +55,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import (add as _add, and_ as _and, getitem as _getitem,
                       mul as _mul, or_ as _or)
 from typing import Callable, NamedTuple
@@ -483,8 +485,9 @@ def row_kernels(d: SemiringDescriptor) -> RowKernels:
     """The row kernels of ``d``.
 
     The six catalog instances whose values map onto IEEE floats or bools
-    get kernels of their own, mostly loops that run in C, and boolean
-    packs its rows into ints; every other descriptor (the complete
+    get kernels of their own, which compute on the floats and bools
+    with no descriptor call per entry, and boolean packs its rows into
+    ints; every other descriptor (the complete
     carriers, lifts, and any copy of a catalog instance, whose
     operations may have been replaced) gets the fold of its own ``fma``,
     built once per descriptor.
@@ -749,14 +752,31 @@ def _boolean_kernels(d):
 def _field_kernels(d):
     # no shortcut for a zero factor: 0 * k is -0.0 for negative k, and
     # -0.0 + 0.0 is 0.0, so even a zero row update can change a sign.
-    # reduce, not sum: sum compensates its rounding since Python 3.12
-    return _list_kernels(*_codec(d.name, valid=math.isfinite), _mul,
-                         lambda xrow, ycol: reduce(_add, map(_mul, xrow, ycol)),
-                         lambda acc, xrow, ycol:
-                             reduce(_add, map(_mul, xrow, ycol), acc),
-                         lambda row, a, krow:
-                             list(map(_add, row, map(_mul, repeat(a), krow))),
-                         lambda xrow, yrow: list(map(_add, xrow, yrow)))
+    # The folds and axpy are plain loops, which run the interpreter's
+    # float opcodes where map over operator.add and operator.mul makes
+    # two calls per entry; the folds go left to right over k and never
+    # through sum, which compensates its rounding since Python 3.12.
+    # add_rows makes one call per entry, and there map beats a loop on
+    # Python 3.10 and 3.11
+    def fold(acc, xrow, ycol):
+        for x, y in zip(xrow, ycol):
+            acc = acc + x * y
+        return acc
+
+    def dot(xrow, ycol):
+        # fold's loop, started from the first product
+        pairs = zip(xrow, ycol)
+        x, y = next(pairs)
+        acc = x * y
+        for x, y in pairs:
+            acc = acc + x * y
+        return acc
+
+    def axpy(row, a, krow):
+        return [r + a * k for r, k in zip(row, krow)]
+
+    return _list_kernels(*_codec(d.name, valid=math.isfinite), _mul, dot, fold,
+                         axpy, lambda xrow, yrow: list(map(_add, xrow, yrow)))
 
 
 _SPECIALISED = {"maxplus": _maxplus_kernels, "minplus": _minplus_kernels,

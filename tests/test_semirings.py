@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import itertools
 import math
 import pickle
 import weakref
@@ -337,6 +338,75 @@ def test_fold_matches_the_fma_fold(label, rng):
             want = d.fma(want, x, y)
         got = kernels.fold(encode([acc])[0], encode(xrow), encode(ycol))
         _same_value(decode([got])[0], want)
+
+
+def _same_row_or_rejected(decode, got, want_row):
+    """The kernel row ``got`` decodes to ``want_row()``, a row of the
+    descriptor's own operations, value by value, sign and type included;
+    or both reject a result past the float range."""
+    try:
+        want = want_row()
+    except IllegalElement as exc:
+        assert "float range" in str(exc)
+        with pytest.raises(IllegalElement, match="float range"):
+            decode(got)
+        return
+    got = decode(got)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_value(g, w)
+
+
+@pytest.mark.parametrize("name", ["rplus", "real_field"])
+def test_field_row_kernels_match_fma_and_add(name, rng):
+    # the field kernels are float loops of their own; each entry equals
+    # the descriptor's fma (axpy, eliminate, a product entry, which folds
+    # from the first mul) or add (add_rows) bit for bit
+    d = descriptor(name)
+    kernels = row_kernels(d)
+    encode, decode = kernels.encode, kernels.decode
+    neg = -1.0 if name == "real_field" else -0.0
+    # no shortcut for a zero factor: 0.0 * -1.0 is -0.0 and -0.0 + 0.0 is
+    # 0.0, so a row update by zero can still change the sign of an entry
+    assert repr(decode(kernels.axpy(encode([-0.0, 0.0]), 0.0,
+                                    encode([0.0, neg])))) == "[0.0, 0.0]"
+    assert repr(decode(kernels.axpy(encode([-0.0]), 0.0,
+                                    encode([neg])))) == "[-0.0]"
+    values = (-0.0, 0.0, neg, 0.5)
+    squares = [[list(v[:2]), list(v[2:])]
+               for v in itertools.product(values, repeat=4)]
+    squares += [kernel_rows(name, n, n, rng) for n in (3, 5, 17) for _ in range(4)]
+    # every result past the float range: 1e308 * 4.0, 1e308 + 1e308
+    squares.append([[1e308, 4.0], [1e308, 1e308]])
+    for X in squares:
+        Y = squares[rng.randrange(len(squares))]
+        if len(Y) != len(X):
+            Y = X
+        got = kernels.product([encode(r) for r in X], [encode(r) for r in Y])
+        for xrow, grow in zip(X, got):
+            def product_row(xrow=xrow):
+                row = []
+                for ycol in zip(*Y):
+                    acc = d.mul(xrow[0], ycol[0])
+                    for x, y in zip(xrow[1:], ycol[1:]):
+                        acc = d.fma(acc, x, y)
+                    row.append(acc)
+                return row
+            _same_row_or_rejected(decode, grow, product_row)
+        for row, krow in itertools.product(X, repeat=2):
+            _same_row_or_rejected(
+                decode, kernels.add_rows(encode(row), encode(krow)),
+                lambda: [d.add(x, y) for x, y in zip(row, krow)])
+            for a in values + (row[-1],):
+                _same_row_or_rejected(
+                    decode, kernels.axpy(encode(row), a, encode(krow)),
+                    lambda: [d.fma(r, a, k) for r, k in zip(row, krow)])
+        for k, s in itertools.product(range(len(X)), values):
+            got = kernels.eliminate([encode(r) for r in X], k, s, encode(X[k]))
+            for row, grow in zip(X, got):
+                _same_row_or_rejected(
+                    decode, grow, lambda: [d.fma(r, d.mul(row[k], s), v)
+                                           for r, v in zip(row, X[k])])
 
 
 OVERFLOWING = {
