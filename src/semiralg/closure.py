@@ -2,8 +2,8 @@
 
 ``closure_block`` recurses on a 2x2 block partition (the escalator
 scheme), ``closure_gauss_jordan`` eliminates pivot by pivot in the
-Floyd-Warshall shape, and ``closure_iterative`` accumulates partial
-sums of powers.  All three agree exactly on idempotent carriers.
+Floyd-Warshall shape, and ``closure_iterative`` sums the powers of A
+by doubling.  All three agree exactly on idempotent carriers.
 
 ``solve_bellman`` finds the least solution A*B of X = AX + B without
 forming A*.  The equation is linear over the semiring, so one Gaussian
@@ -32,7 +32,7 @@ kernel of ``Matrix.mul`` too) and take a Gauss-Jordan step
 packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
 
-Both closures use the worker process of ``offload`` when the work is
+The closures use the worker process of ``offload`` when the work is
 large enough to pay for the trip (``offload.side_by_side``, whose rule
 says when the whole job runs here instead).  The block recursion has
 two independent products at each level, P = S11 A12 with Q = A21 S11
@@ -48,14 +48,10 @@ so the stripe that holds row k sends it to the other before its own
 step, and each then takes the step on its own rows (Kumar, Grama,
 Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed.,
 ch. 10, Floyd's algorithm, pipelined 1-D mapping).  The serial
-elimination is the one stripe that holds every row.  The partial sums
-split by rows too, as row i of A^(k+1) is row i of A^k times A: the
-worker takes the bottom half of the rows of the series (``_series``),
-and at each step the two stripes tell each other whether their sums
-changed, so that both stop where the serial loop stops; the serial
-series is the one stripe that holds every row.  A shipped product or
-stripe is the same kernel on the same rows, so the result is the same
-bit for bit.
+elimination is the one stripe that holds every row.  Each step of the
+series has two independent products too, and one of them goes to the
+worker as the block products do.  A shipped product or stripe is the
+same kernel on the same rows, so the result is the same bit for bit.
 
 Over an interval lift the block recursion and the eliminations are
 lifted calls (``intervals.lifted``).  The series runs on the intervals,
@@ -245,74 +241,70 @@ def _stripe(peer, d, C, lo, n):
 
 def closure_iterative(A: Matrix,
                       options: "ClosureOptions | None" = None) -> IterativeClosure:
-    """Accumulate E + A + A^2 + ... until a fixpoint or the iteration cap.
+    """Sum E + A + A^2 + ... by doubling, until a fixpoint or the cap.
 
-    Idempotent carriers must stabilize within n steps when every cycle
-    weight is below the multiplicative unit; failing that raises
-    NoStabilization.  Other carriers run exactly ``max_iterations``
-    steps and flag the result as truncated, stopping early only if the
-    partial sums reach an exact fixpoint.
+    S holds the first t terms, E through A^(t-1), and P is A^t.  A step
+    doubles the terms, S + P S with P P, or adds one, E + A S with A P:
+    two independent products (``_mul_both``).  Every term is a power of
+    A, so this needs only distributivity (repeated squaring: Aho,
+    Hopcroft and Ullman, *The Design and Analysis of Computer
+    Algorithms*, 1974, ch. 5; Lehmann, "Algebraic structures for
+    transitive closure", *TCS* 4, 1977).  The products and sums are
+    matrix operations, which decode what they make, so a value past the
+    float range raises at the step that makes it.  A step that leaves S
+    unchanged ends the series, and ``iterations`` is the highest power
+    of A in S.
 
-    Rows n//2.. of the series go to the worker process, the two
-    stripes stepping at the same time (``_series``), when the work of
-    the bottom one, its rows times n times the width of a kernel row
-    times the iteration cap, reaches ``offload.SHIP_MIN_WORK``.  When
-    ``side_by_side`` says so, one stripe here holds every row.
+    A carrier that is not idempotent runs to exactly ``max_iterations``
+    + 1 terms, a doubling for each binary digit of that count after the
+    first and one term more for each digit 1, about 2 log2 N + 2
+    popcount(N) products for N terms, and flags the result as truncated
+    unless a step left S unchanged.  Idempotent carriers ignore the cap
+    and only double.  When every cycle weight is below the
+    multiplicative unit, E through A^(n-1) is the closure, so a step
+    that still changes a sum holding those powers raises
+    NoStabilization.
     """
     _require_square(A)
     opts = options or ClosureOptions()
     d = A.descriptor
     n = A.rows
-    limit = n if d.flags.idempotent else opts.max_iterations
-    S = identity(d, n)._data
-    h = n // 2
-    width = n if row_kernels(d).fold is not None else 1     # packed: 1
-    stripes = n > 1 and offload.side_by_side(
-        lambda peer: _series(peer, d, S[:h], A._data[:h], A, limit), _series,
-        (d, S[h:], A._data[h:], A, limit), (n - h) * n * width * limit, d)
-    if stripes:
-        (top, k), (bottom, _) = stripes
-        S = top + bottom
-    else:
-        S, k = _series(None, d, S, A._data, A, limit)
-    if k is not None:
-        return IterativeClosure(Matrix._wrap(d, S), k, False)
-    if d.flags.idempotent:
-        raise NoStabilization(
-            f"partial sums still changing after {limit} steps; "
-            "some cycle weight exceeds the multiplicative unit")
-    return IterativeClosure(Matrix._wrap(d, S), limit, True)
+    E = identity(d, n)
+    terms = None if d.flags.idempotent else opts.max_iterations + 1
+    S, P, t = E, A, 1
+    while terms is None or t < terms:
+        # one term more where the binary digits of the count say so: t
+        # runs through the leading digits of ``terms``
+        grow = (terms is not None
+                and terms >> (terms.bit_length() - t.bit_length()) > t)
+        X, B, t_next = (A, E, t + 1) if grow else (P, S, 2 * t)
+        # the last step needs no next power
+        Q, P = _mul_both(X, S, P if terms is None or t_next < terms else None)
+        S_next = B.add(Q)
+        if S_next == S:
+            return IterativeClosure(S_next, t_next - 1, False)
+        if terms is None and t >= n:
+            raise NoStabilization(
+                f"partial sums through A^{t_next - 1} still changing; "
+                "some cycle weight exceeds the multiplicative unit")
+        S, t = S_next, t_next
+    return IterativeClosure(S, t - 1, True)
 
 
-def _series(peer, d, S, P, A, limit):
-    """(rows, k): the rows S of the partial sum E + A + ... + A^k, which
-    start as rows of E, and k, the step at which the sums stopped
-    changing, or None when they still changed at step ``limit``.  P
-    holds the same rows of A; the stripe runs at the same time as the
-    process that holds the other rows, at the other end of the pipe
-    ``peer``, or, with ``peer`` None, here on every row.  Private: a
-    public name may be rebound by a wrapper that does not pickle.
-
-    Row i of the next power is row i of this one times A, so a stripe
-    needs no rows of the other.  At each step a stripe sends whether its
-    sums changed before its product for the next step, and takes the
-    other's after it, so the wait hides behind the product; both stop at
-    the first step at which neither changed and drop that product, which
-    the serial loop never computes.
-    """
-    S, P = Matrix._wrap(d, S), Matrix._wrap(d, P)
-    for k in range(1, limit + 1):
-        S_next = S.add(P)
-        said = S_next != S
-        if peer is not None:
-            peer.send(said)
-        if k < limit and (said or peer is not None):
-            P = P.mul(A)
-        heard = peer is not None and peer.recv()
-        if not said and not heard:
-            return S_next._data, k
-        S = S_next
-    return S._data, None
+def _mul_both(X, Y, Z):
+    """(X Y, X Z), or (X Y, None) for Z None.  Over a lift each is a
+    lifted call of ``Matrix.mul``, whose hi endpoint run goes to the
+    worker process; else X Y is taken here and X Z meanwhile on the
+    worker when that pays (``_products``)."""
+    d = X.descriptor
+    if Z is None:
+        return X.mul(Y), None
+    if is_lift(d):
+        return X.mul(Y), X.mul(Z)
+    kernels = row_kernels(d)
+    Xk, Yk, Zk = [list(map(kernels.encode, M._data)) for M in (X, Y, Z)]
+    return [Matrix._wrap(d, list(map(kernels.decode, R)))
+            for R in _products(d, kernels.product, Xk, Yk, Xk, Zk)]
 
 
 def closure(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:

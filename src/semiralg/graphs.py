@@ -189,8 +189,9 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
 
     Arc weights are per-step profits over maxplus (or intervals over
     it), ``terminal`` is the reward collected at the node a walk ends
-    in.  With ``horizon`` k the walk takes exactly k steps;
-    ``horizon=None`` searches over all lengths, which requires the
+    in.  With ``horizon`` k the walk takes exactly k steps: A^k b, taken
+    as k products with the vector, k n^2 operations, without forming
+    A^k.  ``horizon=None`` searches over all lengths, which requires the
     closure (and so either no profitable cycles or the completed
     carrier).
     """
@@ -207,7 +208,9 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
     else:
         if horizon < 0:
             raise InvalidPath("horizon must be >= 0")
-        values = A.pow(horizon).mul(b)
+        values = b
+        for _ in range(horizon):
+            values = A.mul(values)
     return [values[i, 0] for i in range(g.n)]
 
 

@@ -8,8 +8,8 @@ coincide with the set-image operations on intervals, so the lift is
 again a semiring and every matrix algorithm runs on it unchanged.  The
 lifted ``fma`` is ``add(acc, mul(x, y))`` (``semirings.fma_of``), so
 every kernel that runs on the intervals themselves runs the fold of the
-lifted operations, the lifted fold: the iterative closure, the
-substitutions and every counted call (``ldm.counted``).
+lifted operations, the lifted fold: the sums of the iterative closure,
+the substitutions and every counted call (``ldm.counted``).
 
 Because every lifted operation acts on each endpoint separately, a
 matrix algorithm that never branches on values computes, on an

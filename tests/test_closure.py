@@ -24,7 +24,7 @@ from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       identity, lift_semiring, real_matrix_star, solve_bellman,
                       zeros)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _forward, _product, _series, _stripe
+from semiralg.closure import _forward, _product, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
                              InvalidOptions, NoStabilization, StarUndefined)
 
@@ -89,10 +89,12 @@ def test_closure_needs_square():
 
 
 def test_iterative_stabilizes_at_two_on_example():
+    # A^2 adds nothing to E + A; the doubling sees that when E through A^3
+    # equals E through A^1
     a = Matrix(MX, [[NEG_INF, -1.0], [-2.0, NEG_INF]])
     res = closure_iterative(a)
     assert res.matrix.to_lists() == [[0.0, -1.0], [-2.0, 0.0]]
-    assert res.iterations == 2
+    assert res.iterations == 3
     assert res.truncated is False
 
 
@@ -397,8 +399,9 @@ def solves(monkeypatch):
 
 @pytest.fixture
 def series(monkeypatch):
-    """As ``products``, for the bottom stripe of a partial-sum closure."""
-    return ship_placements(monkeypatch, _series)
+    """As ``products``: the series ships one product of each step's pair
+    as the block closure does."""
+    return ship_placements(monkeypatch, _product)
 
 
 def _catalog_matrix(name, rows, cols, rand):
@@ -778,7 +781,7 @@ def test_a_lifted_solve_keeps_its_stripes_here(monkeypatch, solves, rng):
     assert solves and not any(solves)
 
 
-# ------------------------------------------- the series in two row stripes
+# ---------------------------------------------- the series' product pairs
 
 
 def _series_outcome(a, opts=None):
@@ -788,6 +791,7 @@ def _series_outcome(a, opts=None):
 
 @pytest.mark.parametrize("name", CATALOG_LABELS)
 def test_striped_series_is_bit_identical(monkeypatch, series, rng, name):
+    # one product of every step's pair on the worker, against both here
     for n in (2, 9, 16, 17):
         a = _catalog_matrix(name, n, n, rng)
         shipped, here = shipped_and_here(monkeypatch, series,
@@ -795,32 +799,32 @@ def test_striped_series_is_bit_identical(monkeypatch, series, rng, name):
         assert shipped == here and here[1] is None
 
 
-# strictly upper triangular: row i of A^k is zero from k = 4 - i on, so
-# the bottom stripe's sums stop changing first and A^4 = 0 ends the
-# series at step 4; its transpose has the top stripe stop first
+# strictly upper triangular, so A^4 = 0 and E through A^3 is the closure;
+# its entries are dyadic, so every sum is exact
 NILPOTENT = [[0.0, 0.5, 0.25, 0.5], [0.0, 0.0, 0.5, 0.25],
              [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0]]
 
 
-@pytest.mark.parametrize("data,cap,iterations,truncated", [
-    (NILPOTENT, 50, 4, False),
-    ([list(col) for col in zip(*NILPOTENT)], 50, 4, False),
-    (NILPOTENT, 4, 4, False),       # the fixpoint at the last step
-    (NILPOTENT, 3, 3, True),        # cut before it
-    ([[0.5, 0.0, 0.0, 0.0], [0.0, 0.25, 0.0, 0.0],
-      [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 0.5]], 10, 10, True),
+@pytest.mark.parametrize("cap,iterations,truncated", [
+    # 51 terms, 110011 in binary: E through A^1, A^2, A^5, then A^11
+    # equals E through A^5
+    (50, 11, False),
+    # 5 terms, 101: A^1, A^3, then A^4, the last step, adds nothing
+    (4, 4, False),
+    (3, 3, True),           # 4 terms, 100: A^1, A^3, and the cut
 ])
-def test_a_striped_series_ends_where_the_serial_one_does(
-        monkeypatch, series, data, cap, iterations, truncated):
-    a = Matrix(REAL, data)
-    shipped, here = shipped_and_here(
-        monkeypatch, series,
-        lambda: _series_outcome(a, ClosureOptions(max_iterations=cap)))
+def test_a_nilpotent_series_ends_at_its_fixpoint(monkeypatch, series, cap,
+                                                 iterations, truncated):
+    a = Matrix(REAL, NILPOTENT)
+    opts = ClosureOptions(max_iterations=cap)
+    shipped, here = shipped_and_here(monkeypatch, series,
+                                     lambda: _series_outcome(a, opts))
     assert shipped == here
     assert here[0][1:] == (iterations, truncated)
+    assert closure_iterative(a, opts).matrix == closure_gauss_jordan(a)
 
 
-@pytest.mark.parametrize("row", [0, 3])     # the caller's rows are 0, 1
+@pytest.mark.parametrize("row", [0, 3])     # the loop first or last on a chain
 def test_a_striped_series_that_never_settles_raises_as_here(monkeypatch,
                                                             series, row):
     data = [[-1.0 if j == i + 1 else NEG_INF for j in range(4)]
@@ -829,12 +833,15 @@ def test_a_striped_series_that_never_settles_raises_as_here(monkeypatch,
     shipped, here = shipped_and_here(monkeypatch, series,
                                      lambda: _series_outcome(Matrix(MX, data)))
     assert shipped == here and here[1][0] is NoStabilization
+    # E through A^3 holds every path; the doubling from E through A^3 to
+    # E through A^7 still changes it
+    assert "through A^7 still changing" in here[1][1]
 
 
 # 2 x 2 real_field blocks on the diagonal of a 4 x 4 matrix, one for
-# each stripe: a series that runs on; one whose product of step 1 leaves
-# the float range as inf - inf, a NaN, or as inf; one whose sum of step 2
-# does, as inf
+# each half of the rows: a series that runs on; one whose product of
+# step 1 leaves the float range as inf - inf, a NaN, or as inf; one that
+# does so, as inf, in the first product of step 2
 RUNS_ON = [[0.5, 0.0], [0.0, 0.5]]
 PRODUCT_NAN = [[1e308, -1e308], [1e308, 0.0]]
 PRODUCT_INF = [[0.0, 1e308], [0.0, 2.0]]
@@ -842,13 +849,13 @@ SUM_INF = [[0.0, 1e308], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("top,bottom,value", [
-    (PRODUCT_NAN, RUNS_ON, "nan"),          # the top stripe alone
-    (RUNS_ON, PRODUCT_NAN, "nan"),          # the bottom stripe alone
+    (PRODUCT_NAN, RUNS_ON, "nan"),          # the top rows alone
+    (RUNS_ON, PRODUCT_NAN, "nan"),          # the bottom rows alone
     (SUM_INF, RUNS_ON, "inf"),
     (RUNS_ON, SUM_INF, "inf"),
     (PRODUCT_NAN, PRODUCT_INF, "nan"),      # both at once: the top's
     (PRODUCT_INF, PRODUCT_NAN, "inf"),
-    # a product of step 1 fails before a sum of step 2, in either stripe
+    # a failure of step 1 comes before one of step 2, in either half
     (SUM_INF, PRODUCT_NAN, "nan"),
     (PRODUCT_NAN, SUM_INF, "nan"),
 ])
@@ -868,84 +875,58 @@ def test_a_series_failure_reads_as_here_in_either_stripe(
 
 
 def _chain(n):
-    # maxplus arcs i -> i + 1: the sums change until step n - 1, and the
-    # series ends at step n, the last one
+    # maxplus arcs i -> i + 1: E through A^(n-1) is the closure, which
+    # the doubling finds in the step from t = n to 2n when n is a power
+    # of two
     return Matrix(MX, [[-1.0 if j == i + 1 else NEG_INF for j in range(n)]
                        for i in range(n)])
 
 
-def test_a_worker_killed_mid_series_leaves_it_here(monkeypatch, series):
+def test_a_worker_killed_mid_series_leaves_it_here(monkeypatch, series,
+                                                   tmp_path):
     a = _chain(16)
     want = _series_outcome(a)
-    assert want[1:] == (16, False)
+    assert want[1:] == (31, False)
+    marker = tmp_path / "killed"
     calls = []
 
     def dying(X, Y):
-        if os.getpid() != PYTEST_PID:
+        # the worker dies in its second product of the series, once
+        if os.getpid() != PYTEST_PID and len(X) == 16:
             calls.append(len(X))
-            if len(calls) == 3:
+            if len(calls) == 2 and not marker.exists():
+                marker.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
         return kernels.product(X, Y)
 
     kernels = fork_anew(monkeypatch, product=dying)
+    closure_iterative(_chain(4))            # starts the worker
+    worker = offload._worker
+    series.clear()
     assert _series_outcome(a) == want
-    assert series[-1] is True
-    assert offload._worker is None and not offload._busy.locked()
+    assert marker.exists() and series and all(series)
+    assert not worker.process.is_alive() and not offload._busy.locked()
+    # the pairs after the lost one ship to a worker forked anew
+    assert offload._worker not in (None, worker)
+    assert offload._worker.process.is_alive()
     monkeypatch.setitem(semirings._kernels, MX, kernels)
     assert _series_outcome(a) == want
-    assert series[-1] is True and offload._worker.process.is_alive()
-
-
-def test_an_interrupt_while_waiting_for_a_flag_stops_the_worker(monkeypatch,
-                                                                series):
-    a = _chain(16)
-    want = _series_outcome(a)
-    calls = []
-
-    def slow(X, Y):
-        # the worker, in its product of step 3, keeps the caller waiting
-        # for its flag of step 4, and the user interrupts that
-        if os.getpid() != PYTEST_PID:
-            calls.append(len(X))
-            if len(calls) == 3:
-                time.sleep(0.2)
-                os.kill(PYTEST_PID, signal.SIGUSR1)
-        return kernels.product(X, Y)
-
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
-    kernels = fork_anew(monkeypatch, product=slow)
-    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
-    cpus = affinity(0)
-    handler = signal.signal(signal.SIGUSR1, interrupt)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            closure_iterative(a)
-    finally:
-        signal.signal(signal.SIGUSR1, handler)
-    assert series[-1] is True
-    assert offload._worker is None and not offload._busy.locked()
-    assert affinity(0) == cpus
-    monkeypatch.setitem(semirings._kernels, MX, kernels)
-    assert _series_outcome(a) == want
-    assert series[-1] is True and offload._worker.process.is_alive()
 
 
 def test_a_lifted_series_keeps_its_stripes_here(monkeypatch, series, rng):
     av = random_interval_matrix("maxplus", 16, rng)
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
     want = _series_outcome(av)
-    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    hi_runs = ship_placements(monkeypatch, intervals._peerless)
     got = []
-    # one stripe here holds every row; its products are the lift's, whose
-    # hi endpoint runs go to the worker
+    # its products are lifted calls of Matrix.mul, each of whose hi
+    # endpoint runs goes to the worker; no pair of products ships
     thread = threading.Thread(target=lambda: got.append(_series_outcome(av)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert got == [want]
-    assert series and not any(series)
+    assert hi_runs and all(hi_runs) and not series
 
 
 def test_threads_share_the_worker_for_series(series, rng):

@@ -13,7 +13,7 @@ from semiralg import (closure_block, closure_gauss_jordan, closure_iterative,
                       ldm_factorize, make_semiring, real_matrix_star,
                       solve_bellman)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _forward, _product, _series, _stripe
+from semiralg.closure import _forward, _product, _stripe
 from semiralg.errors import IllegalElement
 from semiralg.graphs import _pivoted_rows
 from semiralg.ldm import _ldm_rows
@@ -23,7 +23,9 @@ from semiralg.ldm import _ldm_rows
 SPLITS = {
     "block product pair": (_product, "product", closure_block),
     "gauss_jordan stripe": (_stripe, "eliminate", closure_gauss_jordan),
-    "series stripe": (_series, "product",
+    # the series ships one product of each step's pair, as the block
+    # closure does
+    "series stripe": (_product, "product",
                       lambda a: closure_iterative(a).matrix),
     "ldm stripe": (_ldm_rows, "fold", lambda a: ldm_factorize(a).M),
     "solve stripe": (_forward, "eliminate", lambda a: solve_bellman(a, a)),

@@ -11,9 +11,13 @@ maxmin, and ``numpy.linalg.inv`` for the real field and rplus, also for
 the pivoted inverse of E - A at n = 96 and 128; a least
 solution is the oracle's A* times B, by a numpy product.  An LDM
 triple is checked by ``M* D* L* = A*``, a solve through the factors by
-``numpy.linalg.solve``.  The tropical comparisons are exact; the real
-ones are within ``oracles.REAL_TOL`` relative.  Skipped where numpy,
-scipy or networkx is not installed.
+``numpy.linalg.solve``, also through the symmetric factors.  The cut
+series is compared with numpy's partial sums at every cut up to 70,
+widest paths under other bounds with threshold reachability by scipy,
+and a profit over a horizon with the max-plus recurrence in numpy.  The
+tropical comparisons are exact; the real ones are within
+``oracles.REAL_TOL`` relative, the cut series within 1e-12.  Skipped
+where numpy, scipy or networkx is not installed.
 """
 
 import random
@@ -27,13 +31,17 @@ for _module in ("numpy", "scipy", "networkx"):
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import numpy as np  # noqa: E402
 import oracles    # noqa: E402
 import workloads  # noqa: E402
 from harness import plain  # noqa: E402
+from scipy.sparse.csgraph import csgraph_from_dense, shortest_path  # noqa: E402
 
-from semiralg import (ClosureOptions, closure_block,  # noqa: E402
-                      closure_gauss_jordan, closure_iterative, ldm_factorize,
-                      real_matrix_star, solve_bellman, solve_ldm)
+from semiralg import (ClosureOptions, WeightedDigraph,  # noqa: E402
+                      closure_block, closure_gauss_jordan, closure_iterative,
+                      ldm_factorize, make_semiring, max_profit,
+                      real_matrix_star, solve_bellman, solve_ldm,
+                      symmetric_factorize, widest_paths)
 from semiralg.serialize import matrix_to_json  # noqa: E402
 
 ALGORITHMS = {"block": closure_block, "gauss_jordan": closure_gauss_jordan}
@@ -153,3 +161,95 @@ def test_series_equals_inverse(carrier):
                                ClosureOptions(algorithm="iterative",
                                               max_iterations=60))
     assert oracles.Oracle().closure_ok(carrier, data, plain(series.matrix), False)
+
+
+def _doubling_path(terms):
+    """The term counts a series cut at ``terms`` passes through: each
+    leading run of the binary digits of ``terms``, and twice the one
+    before it."""
+    heads = [terms >> k for k in range(terms.bit_length())]
+    return set(heads) | {2 * h for h in heads[1:]}
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("carrier", ["real_field", "rplus"])
+def test_the_series_is_cut_after_max_iterations(carrier, n):
+    # numpy's E + A + ... + A^N at every cut N = 1..70, 2^j - 1, 2^j and
+    # 2^j + 1 among them.  Unless a step left the sum unchanged, the
+    # series is flagged as cut at N; if one did, it stopped at a term
+    # count its doubling passes through
+    data = workloads.contraction(_rng("cut", carrier, n), carrier, n)
+    A = workloads.to_matrix(carrier, data)
+    a = np.array(data)
+    power, partial = np.eye(n), np.eye(n)
+    for cap in range(1, 71):
+        power = power @ a
+        partial = partial + power
+        res = closure_iterative(A, ClosureOptions(max_iterations=cap))
+        got = np.array(plain(res.matrix))
+        assert np.abs(got - partial).max() <= 1e-12 * np.abs(partial).max()
+        if res.truncated:
+            assert res.iterations == cap
+        else:
+            assert res.iterations <= cap
+            assert res.iterations + 1 in _doubling_path(cap + 1)
+        # a term of norm 0.4^10 is far above the rounding of the sum
+        assert res.truncated or cap > 10
+
+
+@pytest.mark.parametrize("n", [64, 96])
+@pytest.mark.parametrize("carrier", ["real_field", "rplus"])
+def test_symmetric_solve_through_the_factors_equals_oracle(carrier, n):
+    rng = _rng("symmetric", carrier, n)
+    data = workloads.symmetric_contraction(rng, n)
+    triple = symmetric_factorize(workloads.to_matrix(carrier, data))
+    for _ in range(2):
+        b = workloads.vector(rng, carrier, n)
+        assert oracles.Oracle().solve_ok(data, b, plain(solve_ldm(triple, b)))
+
+
+@pytest.mark.parametrize("bounds", [(-5.0, 3.0), (2.0, 100.0)])
+def test_widest_paths_equal_threshold_reachability(bounds):
+    # the widest path from i to j is the largest t such that arcs of
+    # width t or more lead from i to j; none leaves the lower bound, and
+    # the diagonal is the upper one.  Sixteen widths, so that paths tie
+    # and the oracle takes sixteen thresholds
+    lo, hi = bounds
+    n = 96
+    rng = _rng("widest", lo, hi)
+    arcs = [(i + 1, j + 1, lo + (hi - lo) * rng.randint(1, 16) / 16)
+            for i in range(n) for j in range(n)
+            if i != j and rng.random() < 0.1]
+    got = oracles.array(plain(widest_paths(
+        WeightedDigraph(n, tuple(arcs), make_semiring("maxmin", bounds)))),
+        "maxmin")
+    W = np.full((n, n), lo)
+    for u, v, w in arcs:
+        W[u - 1, v - 1] = w
+    want = np.full((n, n), lo)
+    for t in np.unique(W[W > lo]):
+        reach = np.isfinite(shortest_path(
+            csgraph_from_dense((W >= t).astype(float)), unweighted=True))
+        want[reach] = t
+    np.fill_diagonal(want, hi)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 40])
+def test_profit_over_a_horizon_equals_the_recurrence(horizon):
+    # v <- max_j (a_ij + v_j), h times from the terminal rewards, each
+    # sum rounded once, as the product with a vector rounds it
+    n = 96
+    rng = _rng("profit", horizon)
+    arcs = [(i + 1, j + 1, rng.uniform(-1.0, 1.0)) for i in range(n)
+            for j in range(n) if rng.random() < 0.3]
+    terminal = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    got = max_profit(WeightedDigraph(n, tuple(arcs), make_semiring("maxplus")),
+                     terminal, horizon)
+    W = np.full((n, n), -np.inf)
+    for u, v, w in arcs:
+        W[u - 1, v - 1] = w
+    want = np.array(terminal)
+    for _ in range(horizon):
+        want = (W + want[None, :]).max(axis=1)
+    assert np.array_equal(oracles.array([plain(got)], "maxplus")[0], want)

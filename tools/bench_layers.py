@@ -10,9 +10,9 @@ Each row is one kernel call on one carrier at one size:
 - rplus and real_field at the shapes of the real-factor-solve workload,
   on contractions of row-sum norm 0.4: the matrix product and
   Gauss-Jordan at n = 64 and 96, the partial-sum series
-  (``closure_iterative``, cut at 60 terms) at n = 32, ``ldm_factorize``
-  and ``symmetric_factorize`` (on a symmetric contraction) at n = 64
-  and 96, a repeat ``solve_ldm`` through factors made before the timing
+  (``closure_iterative``, summed by doubling and cut at A^60) at n = 32,
+  ``ldm_factorize`` and ``symmetric_factorize`` (on a symmetric
+  contraction) at n = 64 and 96, a repeat ``solve_ldm`` through factors made before the timing
   at n = 64 and 96, and, on real_field, ``real_matrix_star`` at
   n = 96, as in the cli-jobs ``invert`` jobs;
 - as the control that a change to one carrier's row kernels costs the
@@ -22,12 +22,13 @@ Each row is one kernel call on one carrier at one size:
 Each call runs on the working tree's ``src/semiralg`` and on the same
 package at a baseline git revision, loaded side by side in one process.
 The field kernels that can split a call with the worker process of
-``semiralg.offload`` (Gauss-Jordan, the series, ``ldm_factorize`` and
-``real_matrix_star``) run twice on each side: as shipped, and with the
-worker off, that copy's ``offload.SHIP_MIN_WORK`` rebound to infinity
-for the call, so that one stripe here does the whole job.  Their
-``ship_speedup`` is the worker-off time over the shipped time of the
-working tree: below 1, shipping costs more than it saves.
+``semiralg.offload`` (the row stripes of Gauss-Jordan, ``ldm_factorize``
+and ``real_matrix_star``, and the product pairs of the series) run twice
+on each side: as shipped, and with the worker off, that copy's
+``offload.SHIP_MIN_WORK`` rebound to infinity for the call, so that the
+whole job runs here.  Their ``ship_speedup`` is the worker-off time over
+the shipped time of the working tree: below 1, shipping costs more than
+it saves.
 
 Timing is interleaved best-of-N: every repetition times each row on
 every side, alternating which side runs first, with the collector
