@@ -253,7 +253,9 @@ def closure_iterative(A: Matrix,
     matrix operations, which decode what they make, so a value past the
     float range raises at the step that makes it.  A step that leaves S
     unchanged ends the series, and ``iterations`` is the highest power
-    of A in S.
+    of A in S.  Where terms can cancel (a carrier not ``positive``, such
+    as real_field), an unchanged doubling only says A^t S = 0, so there
+    only a step of one term, E + A S = S, ends the series.
 
     A carrier that is not idempotent runs to exactly ``max_iterations``
     + 1 terms, a doubling for each binary digit of that count after the
@@ -281,7 +283,7 @@ def closure_iterative(A: Matrix,
         # the last step needs no next power
         Q, P = _mul_both(X, S, P if terms is None or t_next < terms else None)
         S_next = B.add(Q)
-        if S_next == S:
+        if S_next == S and (grow or d.flags.positive):
             return IterativeClosure(S_next, t_next - 1, False)
         if terms is None and t >= n:
             raise NoStabilization(

@@ -782,6 +782,10 @@ def test_a_lifted_solve_keeps_its_stripes_here(monkeypatch, solves, rng):
 
 
 # ---------------------------------------------- the series' product pairs
+#
+# Tests named for "stripes" here keep the names of the row stripes that
+# the series once ran in, so that their ids stay; each now ships one
+# product of every step's pair through ``_products``.
 
 
 def _series_outcome(a, opts=None):
@@ -805,23 +809,53 @@ NILPOTENT = [[0.0, 0.5, 0.25, 0.5], [0.0, 0.0, 0.5, 0.25],
              [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0]]
 
 
-@pytest.mark.parametrize("cap,iterations,truncated", [
+@pytest.mark.parametrize("name,cap,iterations,truncated", [
     # 51 terms, 110011 in binary: E through A^1, A^2, A^5, then A^11
     # equals E through A^5
-    (50, 11, False),
+    ("rplus", 50, 11, False),
+    # where terms can cancel, only a step of one term ends the series:
+    # E through A^11 and A^23 are unchanged doublings, and A^24 adds
+    # nothing
+    ("real_field", 50, 24, False),
     # 5 terms, 101: A^1, A^3, then A^4, the last step, adds nothing
-    (4, 4, False),
-    (3, 3, True),           # 4 terms, 100: A^1, A^3, and the cut
+    ("rplus", 4, 4, False),
+    ("real_field", 4, 4, False),
+    # 4 terms, 100: A^1, A^3, and the cut
+    ("rplus", 3, 3, True),
+    ("real_field", 3, 3, True),
 ])
-def test_a_nilpotent_series_ends_at_its_fixpoint(monkeypatch, series, cap,
-                                                 iterations, truncated):
-    a = Matrix(REAL, NILPOTENT)
+def test_a_nilpotent_series_ends_at_its_fixpoint(monkeypatch, series, name,
+                                                 cap, iterations, truncated):
+    a = Matrix(descriptor(name), NILPOTENT)
     opts = ClosureOptions(max_iterations=cap)
     shipped, here = shipped_and_here(monkeypatch, series,
                                      lambda: _series_outcome(a, opts))
     assert shipped == here
     assert here[0][1:] == (iterations, truncated)
     assert closure_iterative(a, opts).matrix == closure_gauss_jordan(a)
+
+
+# A = -P for a projection P (P P = P): the terms run E, -P, P, -P, ...,
+# so each doubling after the first leaves the sum unchanged while a step
+# of one term still changes it.  Through an odd power the sum is E - P,
+# through an even one E; the series never settles
+CANCELLING = [
+    ([[-1.0]], [[0.0]], [[1.0]]),
+    ([[-0.5, -0.5], [-0.5, -0.5]], [[0.5, -0.5], [-0.5, 0.5]],
+     [[1.0, 0.0], [0.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("cap", [3, 7, 10, 11])
+@pytest.mark.parametrize("data,odd,even", CANCELLING)
+def test_a_series_whose_doublings_cancel_runs_to_its_cut(
+        monkeypatch, series, data, odd, even, cap):
+    a = Matrix(REAL, data)
+    opts = ClosureOptions(max_iterations=cap)
+    shipped, here = shipped_and_here(monkeypatch, series,
+                                     lambda: _series_outcome(a, opts))
+    assert shipped == here
+    assert here[0] == (repr(odd if cap % 2 else even), cap, True)
 
 
 @pytest.mark.parametrize("row", [0, 3])     # the loop first or last on a chain

@@ -24,7 +24,8 @@ SPLITS = {
     "block product pair": (_product, "product", closure_block),
     "gauss_jordan stripe": (_stripe, "eliminate", closure_gauss_jordan),
     # the series ships one product of each step's pair, as the block
-    # closure does
+    # closure does; the key keeps the name of the row stripes it once
+    # shipped, so that the test ids stay
     "series stripe": (_product, "product",
                       lambda a: closure_iterative(a).matrix),
     "ldm stripe": (_ldm_rows, "fold", lambda a: ldm_factorize(a).M),
