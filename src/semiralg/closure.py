@@ -48,10 +48,13 @@ so the stripe that holds row k sends it to the other before its own
 step, and each then takes the step on its own rows (Kumar, Grama,
 Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed.,
 ch. 10, Floyd's algorithm, pipelined 1-D mapping).  The serial
-elimination is the one stripe that holds every row.  Each step of the
-series has two independent products too, and one of them goes to the
-worker as the block products do.  A shipped product or stripe is the
-same kernel on the same rows, so the result is the same bit for bit.
+elimination is the one stripe that holds every row.  The products of
+the recursion run through the helpers of ``Matrix.mul``
+(``matrices._products``, ``matrices._split_product``), and the series
+is written on ``Matrix.mul`` and ``Matrix.add`` alone, so its products
+ship their bottom rows as every product does.  A shipped product or
+stripe is the same kernel on the same rows, so the result is the same
+bit for bit.
 
 Over an interval lift the block recursion and the eliminations are
 lifted calls (``intervals.lifted``).  The series runs on the intervals,
@@ -63,7 +66,7 @@ from operator import add as _concat
 
 from .errors import DimensionMismatch, InvalidOptions, NoStabilization
 from .intervals import is_lift, lifted
-from .matrices import Matrix, identity
+from .matrices import Matrix, _products, _split_product, identity
 from . import offload
 from .semirings import kernel_star, row_kernels
 
@@ -125,40 +128,6 @@ def _close_rec(d, kernels, M, offset, opts):
     TR, BL = _products(d, product, P, SD, SD, Q)
     TL = list(map(add_rows, S11, _split_product(d, product, TR, Q)))
     return kernels.join(TL, TR) + kernels.join(BL, SD)
-
-
-def _split_product(d, product, X, Y):
-    """``product(X, Y)``, its top rows here and its bottom rows on the
-    worker process when that pays (see ``_products``)."""
-    m = len(X) // 2
-    if ((len(X) - m) * len(Y) * (len(Y[0]) if type(Y[0]) is list else 1)
-            < offload.SHIP_MIN_WORK):
-        return product(X, Y)
-    top, bottom = _products(d, product, X[:m], Y, X[m:], Y)
-    return top + bottom
-
-
-def _products(d, product, X1, Y1, X2, Y2):
-    """``product(X1, Y1)`` here and ``X2 Y2`` meanwhile on the worker
-    process when that pays; both here, one after the other, when
-    ``side_by_side`` says so.  The work of a product is its rows times
-    its inner dimension times the width of a kernel row, which is 1 for
-    a boolean row packed into an int: such products are too cheap to
-    ship.
-
-    A product below ``offload.SHIP_MIN_WORK`` never ships, so a pair of
-    them is multiplied here without asking: most pairs of a recursion
-    are small, and ``side_by_side`` adds about 1.5 us to each, some 4 %
-    of a boolean closure at n = 128 or a tropical one at n = 24."""
-    work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
-    pair = work >= offload.SHIP_MIN_WORK and offload.side_by_side(
-        lambda peer: product(X1, Y1), _product, (d, X2, Y2), work, d)
-    return pair or (product(X1, Y1), product(X2, Y2))
-
-
-def _product(peer, d, X, Y):
-    # private: a public name may be rebound by a wrapper that does not pickle
-    return row_kernels(d).product(X, Y)
 
 
 def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
@@ -244,8 +213,10 @@ def closure_iterative(A: Matrix,
     """Sum E + A + A^2 + ... by doubling, until a fixpoint or the cap.
 
     S holds the first t terms, E through A^(t-1), and P is A^t.  A step
-    doubles the terms, S + P S with P P, or adds one, E + A S with A P:
-    two independent products (``_mul_both``).  Every term is a power of
+    doubles the terms, S + P S with P P, or adds one, E + A S with A P.
+    The first step doubles from S = E, so its P S is A itself and takes
+    no product; on maxplus and minplus that keeps the signed zeros of A,
+    which a product by E would turn to 0.0.  Every term is a power of
     A, so this needs only distributivity (repeated squaring: Aho,
     Hopcroft and Ullman, *The Design and Analysis of Computer
     Algorithms*, 1974, ch. 5; Lehmann, "Algebraic structures for
@@ -260,10 +231,10 @@ def closure_iterative(A: Matrix,
     A carrier that is not idempotent runs to exactly ``max_iterations``
     + 1 terms, a doubling for each binary digit of that count after the
     first and one term more for each digit 1, about 2 log2 N + 2
-    popcount(N) products for N terms, and flags the result as truncated
-    unless a step left S unchanged.  Idempotent carriers ignore the cap
-    and only double.  When every cycle weight is below the
-    multiplicative unit, E through A^(n-1) is the closure, so a step
+    popcount(N) - 1 products for N terms, and flags the result as
+    truncated unless a step left S unchanged.  Idempotent carriers
+    ignore the cap and only double.  When every cycle weight is below
+    the multiplicative unit, E through A^(n-1) is the closure, so a step
     that still changes a sum holding those powers raises
     NoStabilization.
     """
@@ -280,8 +251,9 @@ def closure_iterative(A: Matrix,
         grow = (terms is not None
                 and terms >> (terms.bit_length() - t.bit_length()) > t)
         X, B, t_next = (A, E, t + 1) if grow else (P, S, 2 * t)
-        # the last step needs no next power
-        Q, P = _mul_both(X, S, P if terms is None or t_next < terms else None)
+        Q = X if t == 1 else X.mul(S)
+        if terms is None or t_next < terms:     # the last needs no next power
+            P = X.mul(P)
         S_next = B.add(Q)
         if S_next == S and (grow or d.flags.positive):
             return IterativeClosure(S_next, t_next - 1, False)
@@ -291,22 +263,6 @@ def closure_iterative(A: Matrix,
                 "some cycle weight exceeds the multiplicative unit")
         S, t = S_next, t_next
     return IterativeClosure(S, t - 1, True)
-
-
-def _mul_both(X, Y, Z):
-    """(X Y, X Z), or (X Y, None) for Z None.  Over a lift each is a
-    lifted call of ``Matrix.mul``, whose hi endpoint run goes to the
-    worker process; else X Y is taken here and X Z meanwhile on the
-    worker when that pays (``_products``)."""
-    d = X.descriptor
-    if Z is None:
-        return X.mul(Y), None
-    if is_lift(d):
-        return X.mul(Y), X.mul(Z)
-    kernels = row_kernels(d)
-    Xk, Yk, Zk = [list(map(kernels.encode, M._data)) for M in (X, Y, Z)]
-    return [Matrix._wrap(d, list(map(kernels.decode, R)))
-            for R in _products(d, kernels.product, Xk, Yk, Xk, Zk)]
 
 
 def closure(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:

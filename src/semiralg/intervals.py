@@ -35,7 +35,7 @@ from dataclasses import fields, is_dataclass, replace
 from typing import NamedTuple
 
 from .errors import EmptyInterval, IllegalElement, NotPositive, SemiringError
-from .matrices import Matrix, _split_products
+from .matrices import Matrix, _lifted_calls
 from .offload import side_by_side
 from .semirings import SemiringDescriptor, SemiringFlags, fma_of
 
@@ -80,7 +80,7 @@ def lift_semiring(base: SemiringDescriptor) -> SemiringDescriptor:
     if lift is None:
         lift = _build_lift(base)
         _lift_cache[base] = lift
-        _split_products[lift] = lifted
+        _lifted_calls[lift] = lifted
     return lift
 
 

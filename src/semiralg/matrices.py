@@ -4,19 +4,25 @@ Matrices are immutable: every public constructor validates and
 normalizes entries through the descriptor's ``coerce``, and no method
 mutates ``self``.  The product is an operation of the descriptor's
 row kernels (``semirings.row_kernels``), ``product``, which the block
-closure multiplies with too.  Each of its entries equals a fixed
-left-to-right fold of ``fma`` over k, so float results are
-reproducible across runs and across algorithms that share this kernel;
-on boolean it ORs whole packed rows.  The entrywise sum runs on the row
-kernels' ``add_rows``, as the block closure's sums do, so a sum that
-leaves the float range raises ``IllegalElement`` as a product does.
-Over an interval lift the product is a lifted call
-(``intervals.lifted``), as the closures are.  A matrix over a catalog
-descriptor pickles, as its descriptor does, so that it can travel to
-the worker process of ``offload``.
+closure multiplies with too, through the helpers here.  Each of its
+entries equals a fixed left-to-right fold of ``fma`` over k, so float
+results are reproducible across runs and across algorithms that share
+this kernel; on boolean it ORs whole packed rows.  The entrywise sum
+runs on the row kernels' ``add_rows``, as the block closure's sums do,
+so a sum that leaves the float range raises ``IllegalElement`` as a
+product does.
+
+A product ships the bottom half of its rows to the worker process of
+``offload`` when that half pays (``_split_product``): the same kernel on
+the same rows, so the result is the same bit for bit.  Over an interval
+lift the product is a lifted call (``intervals.lifted``), as the
+closures are; its endpoint runs hold the worker, so nothing in them
+ships.  A matrix over a catalog descriptor pickles, as its descriptor
+does, so that it can travel to the worker.
 """
 
 from .errors import DescriptorMismatch, DimensionMismatch
+from . import offload
 from .semirings import SemiringDescriptor, row_kernels, same_descriptor
 
 __all__ = ["Matrix", "identity", "zeros"]
@@ -26,15 +32,49 @@ def _matrix_product(A, B):
     d = A.descriptor
     kernels = row_kernels(d)
     encode = kernels.encode
-    out = kernels.product(list(map(encode, A._data)),
-                          list(map(encode, B._data)))
+    out = _split_product(d, kernels.product, list(map(encode, A._data)),
+                         list(map(encode, B._data)))
     return Matrix._wrap(d, list(map(kernels.decode, out)))
+
+
+def _split_product(d, product, X, Y):
+    """``product(X, Y)``, its top rows here and its bottom rows on the
+    worker process when that pays (see ``_products``)."""
+    m = len(X) // 2
+    if ((len(X) - m) * len(Y) * (len(Y[0]) if type(Y[0]) is list else 1)
+            < offload.SHIP_MIN_WORK):
+        return product(X, Y)
+    top, bottom = _products(d, product, X[:m], Y, X[m:], Y)
+    return top + bottom
+
+
+def _products(d, product, X1, Y1, X2, Y2):
+    """``product(X1, Y1)`` here and ``X2 Y2`` meanwhile on the worker
+    process when that pays; both here, one after the other, when
+    ``side_by_side`` says so.  The work of a product is its rows times
+    its inner dimension times the width of a kernel row, which is 1 for
+    a boolean row packed into an int: such products are too cheap to
+    ship.
+
+    A product below ``offload.SHIP_MIN_WORK`` never ships, so a pair of
+    them is multiplied here without asking: most pairs of a recursion
+    are small, and ``side_by_side`` adds about 1.5 us to each, some 4 %
+    of a boolean closure at n = 128 or a tropical one at n = 24."""
+    work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
+    pair = work >= offload.SHIP_MIN_WORK and offload.side_by_side(
+        lambda peer: product(X1, Y1), _product, (d, X2, Y2), work, d)
+    return pair or (product(X1, Y1), product(X2, Y2))
+
+
+def _product(peer, d, X, Y):
+    # private: a public name may be rebound by a wrapper that does not pickle
+    return row_kernels(d).product(X, Y)
 
 
 # lift -> intervals.lifted, which runs its products, entered by
 # intervals.lift_semiring, since this module cannot import intervals (it
 # imports Matrix); a copy of a lift with some operation replaced is no key
-_split_products: dict = {}
+_lifted_calls: dict = {}
 
 
 class Matrix:
@@ -116,9 +156,9 @@ class Matrix:
 
     def mul(self, other) -> "Matrix":
         self._check_same(other, "chain")
-        split = _split_products.get(self.descriptor)
-        if split is not None:
-            return split(_matrix_product, self, other)
+        lifted = _lifted_calls.get(self.descriptor)
+        if lifted is not None:
+            return lifted(_matrix_product, self, other)
         return _matrix_product(self, other)
 
     __add__ = add

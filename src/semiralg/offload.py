@@ -5,12 +5,12 @@ process and ``run(peer, *args)`` meanwhile in a worker process, each
 with its end of one pipe as ``peer``, and returns both results.  A run
 that does not talk to the other ignores ``peer``.  Six kinds of job
 split so: the hi endpoint run of a lifted call (``intervals.lifted``),
-the independent products of the block closure and of the partial-sum
-series, and the row stripes of the Gauss-Jordan closure, of the
-elimination that finds a least solution, of the LDM factorization and
-of the inverse of E - A over the real field with partial pivoting by
-columns (``graphs.real_matrix_star``), whose stripes send each other one
-row per step, as those of Gauss-Jordan do.
+the products of ``matrices`` (the bottom rows of a matrix product, and
+the independent pairs of the block closure), and the row stripes of the
+Gauss-Jordan closure, of the elimination that finds a least solution, of
+the LDM factorization and of the inverse of E - A over the real field
+with partial pivoting by columns (``graphs.real_matrix_star``), whose
+stripes send each other one row per step, as those of Gauss-Jordan do.
 
 One rule covers every way a split job can go wrong: ``side_by_side``
 returns None when the run stays here (the cases of ``_ship``), when the

@@ -586,7 +586,7 @@ def test_exit_4_star_undefined_with_location(tmp_path, capsys):
     assert "(at " in err
 
 
-def test_invert_exits_4_at_the_singular_column(tmp_path, capsys):
+def test_invert_exits_4_at_the_singular_row(tmp_path, capsys):
     # E - A = [[1, 2], [2, 4]]: the step on row 1 zeroes row 2
     pa = _write(tmp_path / "a.json", {"data": [[0.0, -2.0], [-2.0, -3.0]]})
     code, out, err = _run(capsys, "invert", "--semiring", "real_field", pa)

@@ -24,9 +24,10 @@ from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       identity, lift_semiring, real_matrix_star, solve_bellman,
                       zeros)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _forward, _product, _stripe
+from semiralg.closure import _forward, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
                              InvalidOptions, NoStabilization, StarUndefined)
+from semiralg.matrices import _product
 
 MX = descriptor("maxplus")
 BOOL = descriptor("boolean")
@@ -399,8 +400,8 @@ def solves(monkeypatch):
 
 @pytest.fixture
 def series(monkeypatch):
-    """As ``products``: the series ships one product of each step's pair
-    as the block closure does."""
+    """As ``products``: the series ships the bottom rows of its products,
+    as every ``Matrix.mul`` does."""
     return ship_placements(monkeypatch, _product)
 
 
@@ -781,11 +782,11 @@ def test_a_lifted_solve_keeps_its_stripes_here(monkeypatch, solves, rng):
     assert solves and not any(solves)
 
 
-# ---------------------------------------------- the series' product pairs
+# ------------------------------------------------- the series on the worker
 #
 # Tests named for "stripes" here keep the names of the row stripes that
-# the series once ran in, so that their ids stay; each now ships one
-# product of every step's pair through ``_products``.
+# the series once ran in, so that their ids stay; each now ships the
+# bottom half of the rows of every product, as ``Matrix.mul`` does.
 
 
 def _series_outcome(a, opts=None):
@@ -795,7 +796,7 @@ def _series_outcome(a, opts=None):
 
 @pytest.mark.parametrize("name", CATALOG_LABELS)
 def test_striped_series_is_bit_identical(monkeypatch, series, rng, name):
-    # one product of every step's pair on the worker, against both here
+    # the bottom rows of every product on the worker, against all here
     for n in (2, 9, 16, 17):
         a = _catalog_matrix(name, n, n, rng)
         shipped, here = shipped_and_here(monkeypatch, series,
@@ -925,8 +926,9 @@ def test_a_worker_killed_mid_series_leaves_it_here(monkeypatch, series,
     calls = []
 
     def dying(X, Y):
-        # the worker dies in its second product of the series, once
-        if os.getpid() != PYTEST_PID and len(X) == 16:
+        # the worker dies in its second product of the series, once: the
+        # bottom 8 rows of a product split by rows
+        if os.getpid() != PYTEST_PID and len(X) == 8:
             calls.append(len(X))
             if len(calls) == 2 and not marker.exists():
                 marker.touch()
@@ -947,20 +949,21 @@ def test_a_worker_killed_mid_series_leaves_it_here(monkeypatch, series,
     assert _series_outcome(a) == want
 
 
-def test_a_lifted_series_keeps_its_stripes_here(monkeypatch, series, rng):
+def test_a_lifted_series_ships_only_its_hi_runs(monkeypatch, series, rng):
     av = random_interval_matrix("maxplus", 16, rng)
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
     want = _series_outcome(av)
     hi_runs = ship_placements(monkeypatch, intervals._peerless)
     got = []
     # its products are lifted calls of Matrix.mul, each of whose hi
-    # endpoint runs goes to the worker; no pair of products ships
+    # endpoint runs goes to the worker; the runs hold it, so no half of
+    # their products ships
     thread = threading.Thread(target=lambda: got.append(_series_outcome(av)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert got == [want]
-    assert hi_runs and all(hi_runs) and not series
+    assert hi_runs and all(hi_runs) and not any(series)
 
 
 def test_threads_share_the_worker_for_series(series, rng):

@@ -384,7 +384,7 @@ def test_real_matrix_star_matches_numpy_on_contractions(rng):
     ([[1.0, 0.0], [0.0, 1.0]], 1),
     ([[0.0, -2.0], [-2.0, -3.0]], 2),       # E - A = [[1, 2], [2, 4]]
     ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]], 2)])
-def test_real_matrix_star_names_the_singular_column(rows, row):
+def test_real_matrix_star_names_the_singular_row(rows, row):
     # the message names the row of E - A left with no nonzero entry
     with pytest.raises(StarUndefined) as info:
         real_matrix_star(Matrix(REAL, rows))

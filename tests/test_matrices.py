@@ -1,19 +1,27 @@
-"""Matrix construction, arithmetic, order, powers, and Mat_nn(S) laws."""
+"""Matrix construction, arithmetic, order, powers, Mat_nn(S) laws, and
+the product that ships its bottom rows to the worker process."""
 
 import dataclasses
+import math
+import threading
 
 import pytest
 
 from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
                       assert_bit_identical, descriptor, interval_hull,
                       kernel_descriptor, kernel_rows, pair_endpoints,
-                      random_oracle_matrix, random_stable_matrix)
+                      random_interval_matrix, random_oracle_matrix,
+                      random_stable_matrix, ship_placements, shipped_and_here)
 from semiralg import (NEG_INF, POS_INF, Matrix, Path, WeightedDigraph,
                       identity, lift_semiring, matrix_to_graph, path_weight,
                       zeros)
+from semiralg import intervals, offload
 from semiralg.errors import (DescriptorMismatch, DimensionMismatch,
                              IllegalElement)
 from semiralg.intervals import _endpoint as endpoint
+from semiralg.matrices import _product
+
+SHIP_MIN_WORK = offload.SHIP_MIN_WORK
 
 MX = descriptor("maxplus")
 MN = descriptor("minplus")
@@ -166,6 +174,71 @@ def test_mul_matches_the_fma_fold_bit_for_bit(label, rng):
         y = kernel_rows(label, inner, cols, rng)
         assert_bit_identical(Matrix(d, x).mul(Matrix(d, y)),
                              Matrix(fold, x).mul(Matrix(fold, y)))
+
+
+# ------------------------------------------------- the product on the worker
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Every bottom half of a product may go to the worker, also where
+    the calling thread may use only one CPU; the list returned records
+    each placement of one, True for a half that went."""
+    return ship_placements(monkeypatch, _product)
+
+
+def _factors(label, rows, inner, cols, rng):
+    d = kernel_descriptor(label)
+    return (Matrix(d, kernel_rows(label, rows, inner, rng)),
+            Matrix(d, kernel_rows(label, inner, cols, rng)))
+
+
+@pytest.mark.parametrize("label", KERNEL_CARRIERS)
+def test_a_shipped_product_is_bit_identical(monkeypatch, products, rng, label):
+    # the bottom half of the rows on the worker, all of one row of a
+    # 1 x 5, against every row here; 96 x 96 by 96 x 8 is the product of
+    # an iterative solve
+    for shape in ((2, 2, 2), (1, 5, 5), (9, 9, 9), (17, 17, 17),
+                  (96, 96, 8)):
+        x, y = _factors(label, *shape, rng)
+        (got, _), (want, _) = shipped_and_here(monkeypatch, products,
+                                               lambda: x.mul(y))
+        assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("label,shape,ships", [
+    # the bottom rows' work, rows times inner dimension times the width
+    # of a kernel row, 1 for a packed boolean row, against SHIP_MIN_WORK
+    *((label, (96, 96, 8), True) for label in KERNEL_CARRIERS
+      if label != "boolean"),
+    ("maxplus", (64, 64, 4), False),
+    ("boolean", (192, 192, 192), True),
+    ("boolean", (128, 128, 128), False)])
+def test_a_product_ships_its_bottom_rows_from_ship_min_work(
+        monkeypatch, products, rng, label, shape, ships):
+    x, y = _factors(label, *shape, rng)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
+    want = x.mul(y)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", SHIP_MIN_WORK)
+    products.clear()
+    assert_bit_identical(x.mul(y), want)
+    assert products == ([True] if ships else [])
+
+
+def test_a_lifted_product_ships_only_its_hi_run(monkeypatch, products, rng):
+    av = random_interval_matrix("maxplus", 32, rng)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
+    want = av.mul(av)
+    hi_runs = ship_placements(monkeypatch, intervals._peerless)
+    got = []
+    # the hi run holds the worker, so the products of both endpoint runs
+    # stay in their process; a half that waited on it would hang
+    thread = threading.Thread(target=lambda: got.append(av.mul(av)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert_bit_identical(got[0], want)
+    assert hi_runs == [True] and products and not any(products)
 
 
 def test_rectangular_chain_shapes():

@@ -13,18 +13,20 @@ from semiralg import (closure_block, closure_gauss_jordan, closure_iterative,
                       ldm_factorize, make_semiring, real_matrix_star,
                       solve_bellman)
 from semiralg import intervals, offload, semirings
-from semiralg.closure import _forward, _product, _stripe
+from semiralg.closure import _forward, _stripe
 from semiralg.errors import IllegalElement
 from semiralg.graphs import _pivoted_rows
 from semiralg.ldm import _ldm_rows
+from semiralg.matrices import _product
 
 # the run that ships, the kernel it calls, of maxplus unless the call
 # inverts over real_field, and the call
 SPLITS = {
     "block product pair": (_product, "product", closure_block),
+    "matrix product": (_product, "product", lambda a: a.mul(a)),
     "gauss_jordan stripe": (_stripe, "eliminate", closure_gauss_jordan),
-    # the series ships one product of each step's pair, as the block
-    # closure does; the key keeps the name of the row stripes it once
+    # the series ships the bottom rows of its products, as every
+    # Matrix.mul does; the key keeps the name of the row stripes it once
     # shipped, so that the test ids stay
     "series stripe": (_product, "product",
                       lambda a: closure_iterative(a).matrix),

@@ -13,13 +13,18 @@ solution is the oracle's A* times B, by a numpy product.  An LDM
 triple is checked by ``M* D* L* = A*``, a solve through the factors by
 ``numpy.linalg.solve``, also through the symmetric factors.  The cut
 series is compared with numpy's partial sums at every cut up to 70,
-widest paths under other bounds with threshold reachability by scipy,
-and a profit over a horizon with the max-plus recurrence in numpy.  The
+widest paths and the maxmin Gauss-Jordan closure under other bounds
+with threshold reachability by scipy, shortest paths and the CLI
+``paths`` at n = 96 with scipy's, a tropical product at n = 128 with
+numpy's, the lifted least solutions, by elimination and through the
+factors, with each endpoint's oracle, and a profit over a horizon with
+the max-plus recurrence in numpy.  The
 tropical comparisons are exact; the real ones are within
 ``oracles.REAL_TOL`` relative, the cut series within 1e-12.  Skipped
 where numpy, scipy or networkx is not installed.
 """
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -37,10 +42,11 @@ import workloads  # noqa: E402
 from harness import plain  # noqa: E402
 from scipy.sparse.csgraph import csgraph_from_dense, shortest_path  # noqa: E402
 
-from semiralg import (ClosureOptions, WeightedDigraph,  # noqa: E402
-                      closure_block, closure_gauss_jordan, closure_iterative,
-                      ldm_factorize, make_semiring, max_profit,
-                      real_matrix_star, solve_bellman, solve_ldm,
+from semiralg import (ClosureOptions, Matrix,  # noqa: E402
+                      WeightedDigraph, closure_block, closure_gauss_jordan,
+                      closure_iterative, ldm_factorize, make_semiring,
+                      max_profit, real_matrix_star, shortest_paths,
+                      solve_bellman, solve_ldm, solve_via_ldm,
                       symmetric_factorize, widest_paths)
 from semiralg.serialize import matrix_to_json  # noqa: E402
 
@@ -71,6 +77,22 @@ def test_tropical_closure_equals_oracle(carrier, n, algorithm):
     data = workloads.tropical_matrix(_rng(carrier, n), carrier, n, n, density)
     result = ALGORITHMS[algorithm](workloads.to_matrix(carrier, data))
     assert _matches_oracle(carrier, data, matrix_to_json(result)["data"])
+
+
+@pytest.mark.parametrize("carrier", ["maxplus", "minplus"])
+def test_tropical_product_equals_oracle(carrier):
+    # the bottom 64 rows go to the worker; numpy's max or min over k of
+    # A[i, k] + B[k, j], each sum rounded once as the kernel rounds it
+    rng = _rng("product", carrier)
+    data = workloads.tropical_matrix(rng, carrier, 128, 128, 0.3)
+    b_data = [[v + rng.random() if isinstance(v, float) else v for v in row]
+              for row in workloads.tropical_matrix(rng, carrier, 128, 128,
+                                                   0.5)]
+    got = workloads.to_matrix(carrier, data).mul(
+        workloads.to_matrix(carrier, b_data))
+    want = oracles.product(carrier, oracles.array(data, carrier),
+                           oracles.array(b_data, carrier))
+    assert np.array_equal(oracles.array(plain(got), carrier), want)
 
 
 @pytest.mark.parametrize("carrier,n", TROPICAL_CASES)
@@ -134,6 +156,28 @@ def test_lifted_closure_equals_endpoint_oracles():
     for k in (0, 1):
         assert _matches_oracle("maxplus", oracles.endpoint(data, k),
                                oracles.endpoint(got, k))
+
+
+@pytest.mark.parametrize("carrier", ["maxplus", "minplus"])
+def test_lifted_solves_equal_endpoint_oracles(carrier):
+    # each endpoint's A* by scipy's shortest paths, times its B by a
+    # numpy product: solve_bellman runs two endpoint runs, the
+    # substitutions the lifted fold
+    rng = _rng("lifted solve", carrier)
+    data = workloads.interval_matrix(rng, carrier, 48, 0.3)
+    b_data = workloads.interval_matrix(rng, carrier, 48, 0.5)
+    b_data = [row[:4] for row in b_data]
+    A = workloads.to_matrix(carrier, data, interval=True)
+    B = workloads.to_matrix(carrier, b_data, interval=True)
+    oracle = oracles.Oracle()
+    assert oracle.bellman_ok(carrier, data, b_data,
+                             plain(solve_bellman(A, B)), True)
+    assert oracle.bellman_ok(carrier, data, b_data,
+                             plain(solve_via_ldm(A, B)), True)
+    b = [row[0] for row in b_data]
+    x = solve_ldm(ldm_factorize(A), [workloads.decode(v) for v in b])
+    assert oracle.bellman_ok(carrier, data, [[v] for v in b],
+                             [[v] for v in plain(x)], True)
 
 
 @pytest.mark.parametrize("carrier", ["maxplus", "minplus"])
@@ -208,31 +252,73 @@ def test_symmetric_solve_through_the_factors_equals_oracle(carrier, n):
         assert oracles.Oracle().solve_ok(data, b, plain(solve_ldm(triple, b)))
 
 
-@pytest.mark.parametrize("bounds", [(-5.0, 3.0), (2.0, 100.0)])
-def test_widest_paths_equal_threshold_reachability(bounds):
-    # the widest path from i to j is the largest t such that arcs of
-    # width t or more lead from i to j; none leaves the lower bound, and
-    # the diagonal is the upper one.  Sixteen widths, so that paths tie
-    # and the oracle takes sixteen thresholds
-    lo, hi = bounds
-    n = 96
-    rng = _rng("widest", lo, hi)
+def _widths(n, lo, hi, rng):
+    """Arcs of sixteen widths between the bounds ``lo`` and ``hi``, so
+    that paths tie and the oracle takes sixteen thresholds, and their
+    n x n matrix, ``lo`` where no arc is."""
     arcs = [(i + 1, j + 1, lo + (hi - lo) * rng.randint(1, 16) / 16)
             for i in range(n) for j in range(n)
             if i != j and rng.random() < 0.1]
-    got = oracles.array(plain(widest_paths(
-        WeightedDigraph(n, tuple(arcs), make_semiring("maxmin", bounds)))),
-        "maxmin")
     W = np.full((n, n), lo)
     for u, v, w in arcs:
         W[u - 1, v - 1] = w
-    want = np.full((n, n), lo)
+    return arcs, W
+
+
+def _threshold_reachability(W, lo, hi):
+    """The widest path from i to j: the largest t such that arcs of
+    width t or more lead from i to j; none leaves the lower bound, and
+    the diagonal is the upper one."""
+    want = np.full(W.shape, lo)
     for t in np.unique(W[W > lo]):
         reach = np.isfinite(shortest_path(
             csgraph_from_dense((W >= t).astype(float)), unweighted=True))
         want[reach] = t
     np.fill_diagonal(want, hi)
-    assert np.array_equal(got, want)
+    return want
+
+
+@pytest.mark.parametrize("bounds", [(-5.0, 3.0), (2.0, 100.0)])
+def test_widest_paths_equal_threshold_reachability(bounds):
+    lo, hi = bounds
+    arcs, W = _widths(96, lo, hi, _rng("widest", lo, hi))
+    got = oracles.array(plain(widest_paths(
+        WeightedDigraph(96, tuple(arcs), make_semiring("maxmin", bounds)))),
+        "maxmin")
+    assert np.array_equal(got, _threshold_reachability(W, lo, hi))
+
+
+@pytest.mark.parametrize("bounds", [(-5.0, 3.0), (2.0, 100.0)])
+def test_maxmin_gauss_jordan_equals_threshold_reachability(bounds):
+    # the two stripes on two processes, under bounds other than [0, 10]
+    lo, hi = bounds
+    _, W = _widths(96, lo, hi, _rng("maxmin gauss_jordan", lo, hi))
+    got = closure_gauss_jordan(Matrix(make_semiring("maxmin", bounds),
+                                      W.tolist()))
+    assert np.array_equal(oracles.array(plain(got), "maxmin"),
+                          _threshold_reachability(W, lo, hi))
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_shortest_paths_equal_oracle(algorithm):
+    data = workloads.tropical_matrix(_rng("paths", algorithm), "minplus", 96,
+                                     96, 0.3)
+    g = workloads.graph_of(data, "minplus")
+    got = shortest_paths(WeightedDigraph(96, tuple(map(tuple, g["arcs"])),
+                                         make_semiring("minplus")),
+                         ClosureOptions(algorithm=algorithm))
+    assert _matches_oracle("minplus", data, plain(got))
+
+
+def test_cli_paths_equal_oracle(tmp_path):
+    # as the cli-jobs workload runs it: a graph file, the default closure
+    data = workloads.tropical_matrix(_rng("cli paths"), "minplus", 96, 96, 0.3)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(workloads.graph_of(data, "minplus")))
+    code, out = workloads.run_main(["paths", "--semiring", "minplus",
+                                    str(path)])
+    assert code == 0
+    assert _matches_oracle("minplus", data, json.loads(out)["result"]["data"])
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 7, 40])

@@ -454,10 +454,10 @@ CLI_GOLDEN = {('bad graph weight', 'json'): (2,
                                          '[0.0,0.0]\n',
                                          ''),
  ('closure maxplus iterative', 'json'): (0,
-                                         '{"iterations":7,"result":{"cols":3,"data":[[0.0,0.0,3.5],[-0.5,0.0,3.5],[-4.0,-4.0,0.0]],"rows":3},"truncated":false}\n',
+                                         '{"iterations":7,"result":{"cols":3,"data":[[0.0,-0.0,3.5],[-0.5,0.0,3.5],[-4.0,-4.0,0.0]],"rows":3},"truncated":false}\n',
                                          ''),
  ('closure maxplus iterative', 'table'): (0,
-                                          ' 0.0  0.0 3.5\n'
+                                          ' 0.0 -0.0 3.5\n'
                                           '-0.5  0.0 3.5\n'
                                           '-4.0 -4.0 0.0\n'
                                           'iterations: 7\n'

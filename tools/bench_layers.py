@@ -22,9 +22,10 @@ Each row is one kernel call on one carrier at one size:
 Each call runs on the working tree's ``src/semiralg`` and on the same
 package at a baseline git revision, loaded side by side in one process.
 The field kernels that can split a call with the worker process of
-``semiralg.offload`` (the row stripes of Gauss-Jordan, ``ldm_factorize``
-and ``real_matrix_star``, and the product pairs of the series) run twice
-on each side: as shipped, and with the worker off, that copy's
+``semiralg.offload`` (the matrix product, which ships its bottom half of
+rows, the series, written on that product, and the row stripes of
+Gauss-Jordan, ``ldm_factorize`` and ``real_matrix_star``) run twice on
+each side: as shipped, and with the worker off, that copy's
 ``offload.SHIP_MIN_WORK`` rebound to infinity for the call, so that the
 whole job runs here.  Their ``ship_speedup`` is the worker-off time over
 the shipped time of the working tree: below 1, shipping costs more than
@@ -160,7 +161,8 @@ OPERATIONS = {
     "real_matrix_star": lambda lib, A: lib.real_matrix_star(A),
 }
 # the field kernels that may split a call with the worker process
-SHIPS = ("gauss_jordan", "iterative", "ldm_factorize", "real_matrix_star")
+SHIPS = ("product", "gauss_jordan", "iterative", "ldm_factorize",
+         "real_matrix_star")
 
 
 def prepare(lib, carrier, op, data):
