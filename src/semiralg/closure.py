@@ -33,28 +33,28 @@ packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
 
 The closures use the worker process of ``offload`` when the work is
-large enough to pay for the trip (``offload.side_by_side``, whose rule
-says when the whole job runs here instead).  The block recursion has
-two independent products at each level, P = S11 A12 with Q = A21 S11
-and TR = P SD with BL = SD Q: Q and BL go to the worker while this
-process computes P and TR.  Its two other products,
-A21 P for D and TR Q for TL, are split by rows, the bottom half going
-to the worker.  Each comes back before the recursion goes on, so the
-products of the next level may use the worker too.  The elimination
-hands the bottom half of the rows to the worker, and the two stripes
-take the steps at the same time (``_stripe``): the step at pivot k
-updates a row from itself and the pivot row k before the step alone,
-so the stripe that holds row k sends it to the other before its own
-step, and each then takes the step on its own rows (Kumar, Grama,
-Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed.,
-ch. 10, Floyd's algorithm, pipelined 1-D mapping).  The serial
-elimination is the one stripe that holds every row.  The products of
-the recursion run through the helpers of ``Matrix.mul``
-(``matrices._products``, ``matrices._split_product``), and the series
-is written on ``Matrix.mul`` and ``Matrix.add`` alone, so its products
-ship their bottom rows as every product does.  A shipped product or
-stripe is the same kernel on the same rows, so the result is the same
-bit for bit.
+large enough to pay for the trip (``offload.side_by_side``, and
+``offload.by_rows`` for a job split by rows, whose rules say when the
+whole job runs here instead).  The block recursion has two independent
+products at each level, P = S11 A12 with Q = A21 S11 and TR = P SD
+with BL = SD Q: Q and BL go to the worker while this process computes
+P and TR.  Its two other products, A21 P for D and TR Q for TL, are
+split by rows, the bottom half going to the worker (``by_rows``).
+Each comes back before the recursion goes on, so the products of the
+next level may use the worker too.  The elimination hands the bottom
+half of the rows to the worker (``by_rows``), and the two stripes take
+the steps at the same time (``_stripe``): the step at pivot k updates
+a row from itself and the pivot row k before the step alone, so the
+stripe that holds row k sends it to the other before its own step, and
+each then takes the step on its own rows (Kumar, Grama, Gupta and
+Karypis, *Introduction to Parallel Computing*, 2nd ed., ch. 10,
+Floyd's algorithm, pipelined 1-D mapping).  The serial elimination is
+the one stripe that holds every row.  The products of the recursion
+run through the helpers of ``Matrix.mul`` (``matrices._products``,
+``matrices._split_product``), and the series is written on
+``Matrix.mul`` and ``Matrix.add`` alone, so its products ship their
+bottom rows as every product does.  A shipped product or stripe is the
+same kernel on the same rows, so the result is the same bit for bit.
 
 Over an interval lift the block recursion and the eliminations are
 lifted calls (``intervals.lifted``).  The series runs on the intervals,
@@ -123,10 +123,10 @@ def _close_rec(d, kernels, M, offset, opts):
 
     S11 = _close_rec(d, kernels, A11, offset, opts)
     P, Q = _products(d, product, S11, A12, A21, S11)
-    D = list(map(add_rows, A22, _split_product(d, product, A21, P)))
+    D = list(map(add_rows, A22, _split_product(d, A21, P)))
     SD = _close_rec(d, kernels, D, offset + k, opts)
     TR, BL = _products(d, product, P, SD, SD, Q)
-    TL = list(map(add_rows, S11, _split_product(d, product, TR, Q)))
+    TL = list(map(add_rows, S11, _split_product(d, TR, Q)))
     return kernels.join(TL, TR) + kernels.join(BL, SD)
 
 
@@ -158,10 +158,10 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
 
     The top half of the rows stays here and the bottom half goes to the
     worker process, the two stripes stepping at the same time
-    (``_stripe``), when the work of the bottom one, its rows times n
-    times the width of a kernel row, reaches ``offload.SHIP_MIN_WORK``;
-    a packed boolean row counts 1, so boolean ships from n = 181 only.
-    When ``side_by_side`` says so, one stripe here holds every row.
+    (``_stripe``, ``offload.by_rows``), when the work of the bottom one,
+    its rows times n times the width of a kernel row, reaches
+    ``offload.SHIP_MIN_WORK``; a packed boolean row counts 1, so boolean
+    ships from n = 181 only.
     """
     _require_square(A)
     d = A.descriptor
@@ -171,13 +171,8 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     C = list(map(kernels.encode, A._data))
     n = A.rows
     h = n // 2
-    stripes = n > 1 and offload.side_by_side(
-        lambda peer: _stripe(peer, d, C[:h], 0, n), _stripe, (d, C[h:], h, n),
-        (n - h) * n * (n if type(C[0]) is list else 1), d)
-    if not stripes:
-        return _finish(d, kernels, _stripe(None, d, C, 0, n))
-    top, bottom = stripes
-    return _finish(d, kernels, top + bottom)
+    return _finish(d, kernels, offload.by_rows(
+        _stripe, d, C, h, (n - h) * n * (n if type(C[0]) is list else 1), n))
 
 
 def _stripe(peer, d, C, lo, n):

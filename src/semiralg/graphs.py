@@ -226,38 +226,28 @@ def real_matrix_star(A: Matrix) -> Matrix:
     when 1/p is no finite float, ``IllegalElement`` names row and pivot.
 
     The top half of the rows stays here and the bottom half goes to the
-    worker process, the two stripes stepping at the same time, when the
-    work of the bottom one, its rows times n^2, reaches
-    ``offload.SHIP_MIN_WORK`` (from n = 32).  When ``side_by_side`` says
-    so, one stripe here holds every row.
+    worker process, the two stripes stepping at the same time
+    (``offload.by_rows``), when the work of the bottom one, its rows
+    times n^2, reaches ``offload.SHIP_MIN_WORK`` (from n = 32).
     """
     if A.descriptor.name != "real_field":
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
     _require_square(A)
     d, n = A.descriptor, A.rows
     h = n // 2
-    stripes = n > 1 and offload.side_by_side(
-        lambda peer: _pivoted_rows(peer, d, A._data[:h], 0, n),
-        _pivoted_rows, (d, A._data[h:], h, n), (n - h) * n * n, d)
-    if stripes:
-        (top, placed), (bottom, _) = stripes
-        C = top + bottom
-    else:
-        C, placed = _pivoted_rows(None, d, A._data, 0, n)
-    decode = list_kernels(d).decode
-    return Matrix._wrap(d, [list(map(decode(C[k]).__getitem__, placed))
-                            for k in sorted(range(n), key=placed.__getitem__)])
+    rows = offload.by_rows(_pivoted_rows, d, A._data, h, (n - h) * n * n, n)
+    return Matrix._wrap(d, [row for _, row in sorted(rows)])
 
 
 def _pivoted_rows(peer, d, A, lo, n):
-    """(C, placed): the rows C of E - A, for the rows A, rows lo.. of an
-    n x n matrix, after the Gauss-Jordan steps with partial pivoting by
-    columns in rows 0..n-1, and ``placed``, the pivot column of each
-    row.  The steps are taken at the same time as the process that
-    holds the other rows, at the other end of the pipe ``peer``, or,
-    with ``peer`` None, here on every row, A holding them all.
-    Private: a public name may be rebound by a wrapper that does not
-    pickle.
+    """For each of the rows A, rows lo.. of an n x n matrix, (c, the
+    row of A* it turns into, read at the pivot columns), c its pivot
+    column: row k of E - A after the Gauss-Jordan steps with partial
+    pivoting by columns in rows 0..n-1 is row c of A*.  The steps are
+    taken at the same time as the process that holds the other rows, at
+    the other end of the pipe ``peer``, or, with ``peer`` None, here on
+    every row, A holding them all.  Private: a public name may be
+    rebound by a wrapper that does not pickle.
 
     The stripe that holds row k sends it before step k, and the other
     takes it, so both pick the same pivot column from the same values.
@@ -301,4 +291,6 @@ def _pivoted_rows(peer, d, A, lo, n):
             if row is not rowk:
                 a, row[c] = row[c], 0.0
                 C[j] = axpy(row, -a, rowk)
-    return C, placed
+    decode = kernels.decode
+    return [(placed[k], list(map(decode(row).__getitem__, placed)))
+            for k, row in enumerate(C, lo)]

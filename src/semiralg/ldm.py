@@ -16,14 +16,14 @@ results decoded at exit; each pivot goes to ``star`` as a carrier
 value, so a failure names the same location and reads the same.
 
 The factorization runs its column loop in two row stripes when that
-pays, the bottom rows on the worker process of ``offload`` (see
-``_ldm_rows``; ``offload.side_by_side`` says when the whole loop runs
-here instead): the forward pass of a column at row i reads only rows up
-to i, so the top stripe sends the bottom one each column pushed through
-its own rows and never waits for it, a one-way pipeline (Kumar, Grama,
-Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed.,
-ch. 8, pipelined 1-D row mappings).  Each entry is the same fold on the
-same values wherever it runs, so the factors are the same bit for bit.
+pays, the bottom rows on the worker process (``_ldm_rows``;
+``offload.by_rows`` says when the whole loop runs here instead): the
+forward pass of a column at row i reads only rows up to i, so the top
+stripe sends the bottom one each column pushed through its own rows and
+never waits for it, a one-way pipeline (Kumar, Grama, Gupta and
+Karypis, *Introduction to Parallel Computing*, 2nd ed., ch. 8,
+pipelined 1-D row mappings).  Each entry is the same fold on the same
+values wherever it runs, so the factors are the same bit for bit.
 ``symmetric_factorize`` and the substitutions stay in this process: the
 column loop of the former is a forward pass alone, in which a bottom
 stripe would wait for the top one at every column, and a substitution
@@ -335,10 +335,10 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     (the updates read partially factored entries, not the original
     ones), then split into its upper, diagonal and lower parts.
 
-    Rows 3n/5.. go to the worker process (``_ldm_rows``) when their
-    number times n^2 reaches ``offload.SHIP_MIN_WORK``, from n = 35;
-    a counted call stays here, where its counter is.  When
-    ``side_by_side`` says so, one stripe here holds every row.
+    Rows 3n/5.. go to the worker process (``_ldm_rows``,
+    ``offload.by_rows``) when their number times n^2 reaches
+    ``offload.SHIP_MIN_WORK``, from n = 35; a counted call stays here,
+    where its counter is.
     """
     if A.rows != A.cols:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
@@ -348,20 +348,10 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     dc = counted(d, counter)
     n = A.rows
     kernels = list_kernels(dc)
-    C = list(map(kernels.encode, A._data))
-    h = 3 * n // 5
     # a counter tallies in this process, so a counted call stays here
-    stripes = counter is None and n > 1 and offload.side_by_side(
-        # a copy: the rows change in place, and when the whole loop runs
-        # here after all it needs them as they were
-        lambda peer: _ldm_rows(peer, dc, [row[:] for row in C[:h]], 0, n),
-        _ldm_rows, (dc, C[h:], h, n), (n - h) * n * n, dc)
-    if not stripes:
-        C = _ldm_rows(None, dc, C, 0, n)
-    else:
-        top, bottom = stripes
-        C = top + bottom
-
+    h = 3 * n // 5 if counter is None else 0
+    C = offload.by_rows(_ldm_rows, dc, list(map(kernels.encode, A._data)),
+                        h, (n - h) * n * n, n)
     C = list(map(kernels.decode, C))
     zero = d.zero
     L = Matrix._wrap(d, [row[:i] + [zero] * (n - i) for i, row in enumerate(C)])
@@ -390,6 +380,7 @@ def _ldm_rows(peer, dc, C, lo, n):
     """
     kernels = list_kernels(dc)
     fold, mul, encode_one = kernels.fold, kernels.mul, kernels.encode_one
+    C = [row[:] for row in C]   # the loop writes its rows in place
     hi = lo + len(C)
     first = max(lo, 1)  # the first row whose forward pass folds a term
     sends = peer is not None and hi < n

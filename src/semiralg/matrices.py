@@ -32,20 +32,20 @@ def _matrix_product(A, B):
     d = A.descriptor
     kernels = row_kernels(d)
     encode = kernels.encode
-    out = _split_product(d, kernels.product, list(map(encode, A._data)),
+    out = _split_product(d, list(map(encode, A._data)),
                          list(map(encode, B._data)))
     return Matrix._wrap(d, list(map(kernels.decode, out)))
 
 
-def _split_product(d, product, X, Y):
-    """``product(X, Y)``, its top rows here and its bottom rows on the
-    worker process when that pays (see ``_products``)."""
-    m = len(X) // 2
-    if ((len(X) - m) * len(Y) * (len(Y[0]) if type(Y[0]) is list else 1)
-            < offload.SHIP_MIN_WORK):
-        return product(X, Y)
-    top, bottom = _products(d, product, X[:m], Y, X[m:], Y)
-    return top + bottom
+def _split_product(d, X, Y):
+    """The product X Y of kernel rows, its top rows here and its bottom
+    rows on the worker process when that pays (``offload.by_rows``; the
+    work as in ``_products``).  A product by a column of list rows stays
+    here: the rows it would ship are as large as their work."""
+    width = len(Y[0]) if type(Y[0]) is list else 1     # packed: 1
+    cut = 0 if width == 1 and type(Y[0]) is list else len(X) // 2
+    return offload.by_rows(_product, d, X, cut,
+                           (len(X) - cut) * len(Y) * width, Y)
 
 
 def _products(d, product, X1, Y1, X2, Y2):
@@ -62,12 +62,13 @@ def _products(d, product, X1, Y1, X2, Y2):
     of a boolean closure at n = 128 or a tropical one at n = 24."""
     work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
     pair = work >= offload.SHIP_MIN_WORK and offload.side_by_side(
-        lambda peer: product(X1, Y1), _product, (d, X2, Y2), work, d)
+        lambda peer: product(X1, Y1), _product, (d, X2, 0, Y2), work, d)
     return pair or (product(X1, Y1), product(X2, Y2))
 
 
-def _product(peer, d, X, Y):
-    # private: a public name may be rebound by a wrapper that does not pickle
+def _product(peer, d, X, lo, Y):
+    # X Y, X from row lo of a left factor.  Private: a public name may
+    # be rebound by a wrapper that does not pickle
     return row_kernels(d).product(X, Y)
 
 

@@ -3,14 +3,14 @@
 ``side_by_side(here, run, args, work, d)`` runs ``here(peer)`` in this
 process and ``run(peer, *args)`` meanwhile in a worker process, each
 with its end of one pipe as ``peer``, and returns both results.  A run
-that does not talk to the other ignores ``peer``.  Six kinds of job
-split so: the hi endpoint run of a lifted call (``intervals.lifted``),
-the products of ``matrices`` (the bottom rows of a matrix product, and
-the independent pairs of the block closure), and the row stripes of the
-Gauss-Jordan closure, of the elimination that finds a least solution, of
-the LDM factorization and of the inverse of E - A over the real field
-with partial pivoting by columns (``graphs.real_matrix_star``), whose
-stripes send each other one row per step, as those of Gauss-Jordan do.
+that does not talk to the other ignores ``peer``.  ``by_rows`` splits
+a job by rows on it: a matrix product (its bottom rows), and the row
+stripes of the Gauss-Jordan closure, of the LDM factorization and of
+the inverse of E - A over the real field with partial pivoting by
+columns (``graphs.real_matrix_star``).  The product pairs of the block
+closure, the stripes of the elimination that finds a least solution
+and the endpoint runs of a lifted call (``intervals.endpoint_runs``)
+call ``side_by_side`` themselves.
 
 One rule covers every way a split job can go wrong: ``side_by_side``
 returns None when the run stays here (the cases of ``_ship``), when the
@@ -44,7 +44,7 @@ import os
 
 from .semirings import in_catalog
 
-__all__ = ["side_by_side", "SHIP_MIN_WORK"]
+__all__ = ["by_rows", "side_by_side", "SHIP_MIN_WORK"]
 
 
 # A run goes to the worker when its work is at least this many base
@@ -54,6 +54,26 @@ SHIP_MIN_WORK = 16384
 
 _worker = None                      # this process's worker, once started
 _busy = _thread.allocate_lock()     # held by the call that uses the worker
+
+
+def by_rows(run, d, rows, cut, work, *args):
+    """``run(None, d, rows, 0, *args)``, the job on every row here; or,
+    when ``0 < cut < len(rows)`` and ``work`` reaches ``SHIP_MIN_WORK``,
+    ``run(peer, d, rows[:cut], 0, *args)`` here and ``run(peer, d,
+    rows[cut:], cut, *args)`` on the worker at once, joined with ``+``,
+    unless ``side_by_side`` returns None.  So a run does not write the
+    rows it is given: the job may be redone from them.  A job whose runs
+    are no halves of its rows calls ``side_by_side`` itself: the two
+    products of a pair (``matrices._products``), the cyclic stripes of
+    ``closure._solve``, which halves would unbalance, and the two
+    endpoint runs of ``intervals.endpoint_runs``.
+    """
+    if work >= SHIP_MIN_WORK and 0 < cut < len(rows):
+        halves = side_by_side(lambda peer: run(peer, d, rows[:cut], 0, *args),
+                              run, (d, rows[cut:], cut, *args), work, d)
+        if halves is not None:
+            return halves[0] + halves[1]
+    return run(None, d, rows, 0, *args)
 
 
 def side_by_side(here, run, args, work, d):

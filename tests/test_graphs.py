@@ -15,6 +15,7 @@ from semiralg.errors import (DimensionMismatch, IllegalElement,
                              OracleScaleExceeded, StarUndefined,
                              WrongDescriptor)
 from semiralg.graphs import _pivoted_rows
+from semiralg.matrices import _product
 
 MX = descriptor("maxplus")
 MN = descriptor("minplus")
@@ -418,7 +419,8 @@ def test_striped_inverse_is_bit_identical(monkeypatch, inverts, rng, n):
     # no contraction: the pivots leave the diagonal
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
     _both_ways(monkeypatch, inverts, rows)
-    assert _pivoted_rows(None, REAL, rows, 0, n)[1] != list(range(n))
+    pivots = [c for c, _ in _pivoted_rows(None, REAL, rows, 0, n)]
+    assert sorted(pivots) == list(range(n)) and pivots != list(range(n))
 
 
 def test_a_striped_step_sends_one_row(monkeypatch, inverts, rng):
@@ -489,9 +491,24 @@ def test_a_pivot_without_a_reciprocal_fails_as_here_in_either_stripe(
 def test_an_inverse_ships_from_n_32(monkeypatch, inverts, rng):
     # the bottom stripe's rows times n^2 against offload.SHIP_MIN_WORK
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", SHIP_MIN_WORK)
-    for n in (24, 32):
-        real_matrix_star(random_contraction(n, rng))
-    assert inverts == [False, True]
+    real_matrix_star(random_contraction(24, rng))
+    assert inverts == []        # below the threshold: not even offered
+    real_matrix_star(random_contraction(32, rng))
+    assert inverts == [True]
+
+
+def test_a_profit_horizon_keeps_its_products_by_a_column_here(monkeypatch,
+                                                              rng):
+    # each step multiplies by a column, whose shipped rows would be as
+    # large as their work: at the threshold none is offered
+    products = ship_placements(monkeypatch, _product)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", SHIP_MIN_WORK)
+    g = random_graph("maxplus", 192, rng, density=0.1)
+    terminal = [rng.uniform(-5.0, 5.0) for _ in range(192)]
+    got = max_profit(g, terminal, 4)
+    assert products == []
+    monkeypatch.setattr(offload, "_one_cpu", lambda: True)
+    assert repr(max_profit(g, terminal, 4)) == repr(got)
 
 
 def test_wrong_descriptor_guards(rng):

@@ -195,15 +195,18 @@ def _factors(label, rows, inner, cols, rng):
 
 @pytest.mark.parametrize("label", KERNEL_CARRIERS)
 def test_a_shipped_product_is_bit_identical(monkeypatch, products, rng, label):
-    # the bottom half of the rows on the worker, all of one row of a
-    # 1 x 5, against every row here; 96 x 96 by 96 x 8 is the product of
-    # an iterative solve
-    for shape in ((2, 2, 2), (1, 5, 5), (9, 9, 9), (17, 17, 17),
-                  (96, 96, 8)):
+    # the bottom half of the rows on the worker against every row here;
+    # 96 x 96 by 96 x 8 is the product of an iterative solve
+    for shape in ((2, 2, 2), (9, 9, 9), (17, 17, 17), (96, 96, 8)):
         x, y = _factors(label, *shape, rng)
         (got, _), (want, _) = shipped_and_here(monkeypatch, products,
                                                lambda: x.mul(y))
         assert_bit_identical(got, want)
+    # one row has no halves: a 1 x 5 by 5 x 5 stays here unasked
+    x, y = _factors(label, 1, 5, 5, rng)
+    products.clear()
+    x.mul(y)
+    assert products == []
 
 
 @pytest.mark.parametrize("label,shape,ships", [
@@ -213,7 +216,10 @@ def test_a_shipped_product_is_bit_identical(monkeypatch, products, rng, label):
       if label != "boolean"),
     ("maxplus", (64, 64, 4), False),
     ("boolean", (192, 192, 192), True),
-    ("boolean", (128, 128, 128), False)])
+    ("boolean", (128, 128, 128), False),
+    # one row, and a product by a column: nothing to gain by shipping
+    ("maxplus", (1, 128, 128), False),
+    ("maxplus", (192, 192, 1), False)])
 def test_a_product_ships_its_bottom_rows_from_ship_min_work(
         monkeypatch, products, rng, label, shape, ships):
     x, y = _factors(label, *shape, rng)

@@ -26,9 +26,8 @@ SPLITS = {
     "matrix product": (_product, "product", lambda a: a.mul(a)),
     "gauss_jordan stripe": (_stripe, "eliminate", closure_gauss_jordan),
     # the series ships the bottom rows of its products, as every
-    # Matrix.mul does; the key keeps the name of the row stripes it once
-    # shipped, so that the test ids stay
-    "series stripe": (_product, "product",
+    # Matrix.mul does
+    "series product": (_product, "product",
                       lambda a: closure_iterative(a).matrix),
     "ldm stripe": (_ldm_rows, "fold", lambda a: ldm_factorize(a).M),
     "solve stripe": (_forward, "eliminate", lambda a: solve_bellman(a, a)),

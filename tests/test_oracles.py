@@ -17,8 +17,10 @@ widest paths and the maxmin Gauss-Jordan closure under other bounds
 with threshold reachability by scipy, shortest paths and the CLI
 ``paths`` at n = 96 with scipy's, a tropical product at n = 128 with
 numpy's, the lifted least solutions, by elimination and through the
-factors, with each endpoint's oracle, and a profit over a horizon with
-the max-plus recurrence in numpy.  The
+factors, with each endpoint's oracle, a profit over a horizon with
+the max-plus recurrence in numpy, the CLI ``profit`` at n = 96 with
+that recurrence or with scipy's A* times b, and a tropical solve
+through the symmetric factors at n = 64 with scipy's A* times b.  The
 tropical comparisons are exact; the real ones are within
 ``oracles.REAL_TOL`` relative, the cut series within 1e-12.  Skipped
 where numpy, scipy or networkx is not installed.
@@ -196,6 +198,21 @@ def test_real_field_solve_through_the_factors_equals_oracle():
         assert oracles.Oracle().solve_ok(data, b, plain(solve_ldm(triple, b)))
 
 
+@pytest.mark.parametrize("carrier", ["maxplus", "minplus"])
+def test_tropical_symmetric_solve_equals_oracle(carrier):
+    # a symmetric star-safe matrix: arcs both ways, of equal weight
+    rng = _rng("symmetric", carrier)
+    data = workloads.tropical_matrix(rng, carrier, 64, 64, 0.5)
+    for i in range(64):
+        for j in range(i):
+            data[i][j] = data[j][i]
+    triple = symmetric_factorize(workloads.to_matrix(carrier, data))
+    b = [row[0] for row in workloads.tropical_matrix(rng, carrier, 64, 1, 0.5)]
+    x = solve_ldm(triple, [workloads.decode(v) for v in b])
+    assert oracles.Oracle().bellman_ok(carrier, data, [[v] for v in b],
+                                       [[v] for v in plain(x)], False)
+
+
 @pytest.mark.parametrize("carrier", ["real_field", "rplus"])
 def test_series_equals_inverse(carrier):
     # at most 60 partial sums of a contraction of norm 0.4, as the
@@ -339,3 +356,31 @@ def test_profit_over_a_horizon_equals_the_recurrence(horizon):
     for _ in range(horizon):
         want = (W + want[None, :]).max(axis=1)
     assert np.array_equal(oracles.array([plain(got)], "maxplus")[0], want)
+
+
+@pytest.mark.parametrize("horizon", [None, 5])
+def test_cli_profit_equals_oracle(tmp_path, horizon):
+    # as the cli-jobs workload runs it: a graph file and integer terminal
+    # rewards; over all walk lengths the values are A* b, with A* by
+    # scipy's shortest paths on the negated weights, else the recurrence
+    rng = _rng("cli profit", horizon)
+    data = workloads.tropical_matrix(rng, "maxplus", 96, 96, 0.3)
+    b = [float(rng.randint(-5, 5)) for _ in range(96)]
+    graph, terminal = tmp_path / "g.json", tmp_path / "b.json"
+    graph.write_text(json.dumps(workloads.graph_of(data, "maxplus")))
+    terminal.write_text(json.dumps(b))
+    argv = ["profit", "--semiring", "maxplus", str(graph), str(terminal)]
+    if horizon is not None:
+        argv[1:1] = ["--horizon", str(horizon)]
+    code, out = workloads.run_main(argv)
+    assert code == 0
+    got = oracles.array([json.loads(out)["result"]], "maxplus")[0]
+    W = oracles.array(data, "maxplus")
+    if horizon is None:
+        want = oracles.product("maxplus", oracles.star("maxplus", W),
+                               np.array(b)[:, None])[:, 0]
+    else:
+        want = np.array(b)
+        for _ in range(horizon):
+            want = (W + want[None, :]).max(axis=1)
+    assert np.array_equal(got, want)

@@ -17,17 +17,17 @@ Each row is one kernel call on one carrier at one size:
   n = 96, as in the cli-jobs ``invert`` jobs;
 - as the control that a change to one carrier's row kernels costs the
   others nothing, maxplus, minplus and maxmin Gauss-Jordan and block
-  closure at n = 128.
+  closure at n = 128, also with the worker off.
 
 Each call runs on the working tree's ``src/semiralg`` and on the same
 package at a baseline git revision, loaded side by side in one process.
 The field kernels that can split a call with the worker process of
 ``semiralg.offload`` (the matrix product, which ships its bottom half of
 rows, the series, written on that product, and the row stripes of
-Gauss-Jordan, ``ldm_factorize`` and ``real_matrix_star``) run twice on
-each side: as shipped, and with the worker off, that copy's
-``offload.SHIP_MIN_WORK`` rebound to infinity for the call, so that the
-whole job runs here.  Their ``ship_speedup`` is the worker-off time over
+Gauss-Jordan, ``ldm_factorize`` and ``real_matrix_star``), and the
+tropical control rows, run twice on each side: as shipped, and with the
+worker off, that copy's ``offload.SHIP_MIN_WORK`` rebound to infinity
+for the call, so that the whole job runs here.  Their ``ship_speedup`` is the worker-off time over
 the shipped time of the working tree: below 1, shipping costs more than
 it saves.
 
@@ -184,10 +184,11 @@ def cases(only=None):
     """(carrier, op, n, input, sides): the boolean rows and the workload
     shapes, the field rows, then the controls, which also time a second
     copy of the baseline, so that the spread of two identical programs
-    shows next to the change.  A field row of a kernel that ships also
-    runs with the worker off on both sides.  ``input`` is a density, or
-    the kind of contraction of a field row."""
+    shows next to the change.  A field row of a kernel that ships, and a
+    control row, also runs with the worker off on both sides.  ``input``
+    is a density, or the kind of contraction of a field row."""
     pair = ("baseline", "change")
+    off = ("baseline_off", "change_off")
     rows = []
     for op in ("gauss_jordan", "block", "product"):
         for n in (64, 128, 256):
@@ -212,12 +213,12 @@ def cases(only=None):
         for op, n in shapes:
             kind = ("symmetric contraction" if op == "symmetric_factorize"
                     else "contraction")
-            sides = (pair + ("baseline_off", "change_off") if op in SHIPS
-                     else pair)
+            sides = pair + off if op in SHIPS else pair
             rows.append((carrier, op, n, kind, sides))
     for carrier in ("maxplus", "minplus", "maxmin"):
         for op in ("gauss_jordan", "block"):
-            rows.append((carrier, op, 128, 1.0, pair + ("baseline_copy",)))
+            rows.append((carrier, op, 128, 1.0,
+                         pair + ("baseline_copy",) + off))
     return [row for row in rows if only is None or row[0] in only]
 
 
