@@ -33,22 +33,21 @@ packed into ints, one bit per entry, where a step ORs the pivot row
 into every row that has bit k set: one big-int operation per row.
 
 The closures use the worker process of ``offload`` when the work is
-large enough to pay for the trip (``offload.side_by_side``, and
-``offload.by_rows`` for a job split by rows, whose rules say when the
-whole job runs here instead).  The block recursion has two independent
-products at each level, P = S11 A12 with Q = A21 S11 and TR = P SD
-with BL = SD Q: Q and BL go to the worker while this process computes
-P and TR.  Its two other products, A21 P for D and TR Q for TL, are
-split by rows, the bottom half going to the worker (``by_rows``).
+large enough to pay for the trip (``offload.split_job``, whose rule
+says when the whole job runs here instead).  The block recursion has
+two independent products at each level, P = S11 A12 with Q = A21 S11
+and TR = P SD with BL = SD Q: Q and BL go to the worker while this
+process computes P and TR.  Its two other products, A21 P for D and
+TR Q for TL, are split by rows, the bottom half going to the worker.
 Each comes back before the recursion goes on, so the products of the
 next level may use the worker too.  The elimination hands the bottom
-half of the rows to the worker (``by_rows``), and the two stripes take
-the steps at the same time (``_stripe``): the step at pivot k updates
-a row from itself and the pivot row k before the step alone, so the
-stripe that holds row k sends it to the other before its own step, and
-each then takes the step on its own rows (Kumar, Grama, Gupta and
-Karypis, *Introduction to Parallel Computing*, 2nd ed., ch. 10,
-Floyd's algorithm, pipelined 1-D mapping).  The serial elimination is
+half of the rows to the worker, and the two stripes take the steps at
+the same time (``_stripe``): the step at pivot k updates a row from
+itself and the pivot row k before the step alone, so the stripe that
+holds row k sends it to the other before its own step, and each then
+takes the step on its own rows (Kumar, Grama, Gupta and Karypis,
+*Introduction to Parallel Computing*, 2nd ed., ch. 10, Floyd's
+algorithm, pipelined 1-D mapping).  The serial elimination is
 the one stripe that holds every row.  The products of the recursion
 run through the helpers of ``Matrix.mul`` (``matrices._products``,
 ``matrices._split_product``), and the series is written on
@@ -89,10 +88,14 @@ class ClosureOptions:
     def __post_init__(self):
         if self.algorithm not in _ALGORITHMS:
             raise InvalidOptions(f"algorithm must be one of {_ALGORITHMS}")
-        if self.split is not None and self.split < 1:
-            raise InvalidOptions("split must be at least 1")
-        if self.max_iterations < 1:
-            raise InvalidOptions("max_iterations must be at least 1")
+        for name in ("split", "max_iterations"):
+            value = getattr(self, name)
+            if value is None and name == "split":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidOptions(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise InvalidOptions(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -119,13 +122,13 @@ def _close_rec(d, kernels, M, offset, opts):
         k = min(opts.split, n - 1)
     A11, A12 = kernels.split(M[:k], k)
     A21, A22 = kernels.split(M[k:], k)
-    add_rows, product = kernels.add_rows, kernels.product
+    add_rows = kernels.add_rows
 
     S11 = _close_rec(d, kernels, A11, offset, opts)
-    P, Q = _products(d, product, S11, A12, A21, S11)
+    P, Q = _products(d, S11, A12, A21, S11)
     D = list(map(add_rows, A22, _split_product(d, A21, P)))
     SD = _close_rec(d, kernels, D, offset + k, opts)
-    TR, BL = _products(d, product, P, SD, SD, Q)
+    TR, BL = _products(d, P, SD, SD, Q)
     TL = list(map(add_rows, S11, _split_product(d, TR, Q)))
     return kernels.join(TL, TR) + kernels.join(BL, SD)
 
@@ -158,7 +161,7 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
 
     The top half of the rows stays here and the bottom half goes to the
     worker process, the two stripes stepping at the same time
-    (``_stripe``, ``offload.by_rows``), when the work of the bottom one,
+    (``_stripe``, ``offload.split_job``), when the work of the bottom one,
     its rows times n times the width of a kernel row, reaches
     ``offload.SHIP_MIN_WORK``; a packed boolean row counts 1, so boolean
     ships from n = 181 only.
@@ -171,7 +174,7 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     C = list(map(kernels.encode, A._data))
     n = A.rows
     h = n // 2
-    return _finish(d, kernels, offload.by_rows(
+    return _finish(d, kernels, offload.split_job(
         _stripe, d, C, h, (n - h) * n * (n if type(C[0]) is list else 1), n))
 
 
@@ -306,7 +309,7 @@ def _solve(A, B):
     so boolean stays here: a step on it costs less than the message that
     carries the pivot row, and two stripes took 9.5 and 27.3 ms at n =
     256 and 512, against 7.4 and 26.5 ms here (two Xeon CPUs).  When
-    ``side_by_side`` says so, one stripe here holds every row.  Private:
+    ``offload.split_job`` says so, one stripe here holds every row.  Private:
     a lifted call ships it by name, and a public name may be rebound by
     a wrapper that does not pickle.
     """
@@ -317,13 +320,8 @@ def _solve(A, B):
     n = A.rows
     C = list(map(kernels.encode, map(_concat, A._data, B._data)))
     width = n + B.cols if type(C[0]) is list else 0     # packed: 0
-    stripes = n > 1 and offload.side_by_side(
-        lambda peer: _forward(peer, d, C[0::2], 0, n), _forward,
-        (d, C[1::2], 1, n), (n // 2) ** 2 * width, d)
-    if stripes:
-        C[0::2], C[1::2] = stripes
-    else:
-        C = _forward(None, d, C, 0, n)
+    C[0::2], C[1::2] = offload.split_job(
+        _forward, d, [C[0::2], C[1::2]], 1, (n // 2) ** 2 * width, n)
     split, product, add_rows, entry, encode = (
         kernels.split, kernels.product, kernels.add_rows, kernels.entry,
         kernels.encode)
@@ -340,16 +338,17 @@ def _solve(A, B):
     return Matrix._wrap(d, list(map(kernels.decode, X)))
 
 
-def _forward(peer, d, C, first, n):
-    """The encoded rows C of [A | B], A n x n, after the forward steps at
-    pivots 0..n-1, each on the rows below its pivot: with ``peer`` None,
-    every row, ``first`` 0; else rows first, first + 2, ..., taken at
-    the same time as the process that holds the other rows, at the other
-    end of the pipe ``peer``.  Row k comes back as its columns k.. only,
-    the pivot, the coefficients after it and the B columns: a step takes
-    a row below its pivot k from column k on and drops column k, which
-    nothing reads again.  Private: a public name may be rebound by a
-    wrapper that does not pickle.
+def _forward(peer, d, stripes, first, n):
+    """The cyclic stripes of the encoded rows of [A | B], A n x n, after
+    the forward steps at pivots 0..n-1, each on the rows below its
+    pivot: with ``peer`` None, both stripes, the even rows and the odd,
+    ``first`` 0; else the one stripe of rows first, first + 2, ...,
+    taken at the same time as the process that holds the other, at the
+    other end of the pipe ``peer``.  Row k comes back as its columns k..
+    only, the pivot, the coefficients after it and the B columns: a step
+    takes a row below its pivot k from column k on and drops column k,
+    which nothing reads again.  Private: a public name may be rebound by
+    a wrapper that does not pickle.
 
     The step at pivot k updates a row below k from itself and row k, and
     leaves row k as it is, so row k is final once the step at k - 1 is
@@ -359,14 +358,21 @@ def _forward(peer, d, C, first, n):
     cyclically keep the stripes balanced, as each step works on fewer
     rows than the one before (Kumar, Grama, Gupta and Karypis,
     *Introduction to Parallel Computing*, 2nd ed., ch. 8, cyclic 1-D
-    mapping).
+    mapping).  Without a peer, the two stripes interleave into one that
+    holds every row.
     """
     kernels = row_kernels(d)
     entry, eliminate, split, encode_one = (kernels.entry, kernels.eliminate,
                                            kernels.split, kernels.encode_one)
-    step = 1 if peer is None else 2
-    if peer is not None and first == 0:
-        peer.send(C[0])
+    if peer is None:
+        C = [None] * n
+        C[0::2], C[1::2] = stripes
+        step = 1
+    else:
+        C = stripes[0][:]
+        step = 2
+        if first == 0:
+            peer.send(C[0])
     for k in range(n):
         i, theirs = divmod(k - first, step)     # C[i + 1:] lie below row k
         krow = peer.recv() if theirs else C[i]
@@ -376,4 +382,4 @@ def _forward(peer, d, C, first, n):
             peer.send(C[i + 1])
             i += 1
         C[i + 1:] = split(eliminate(C[i + 1:], 0, s, krow), 1)[1]
-    return C
+    return [C[0::2], C[1::2]] if peer is None else [C]

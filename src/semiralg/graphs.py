@@ -206,6 +206,8 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
     if horizon is None:
         values = solve_bellman(A, b, options)
     else:
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise InvalidPath(f"horizon must be an int or None, got {horizon!r}")
         if horizon < 0:
             raise InvalidPath("horizon must be >= 0")
         values = b
@@ -227,7 +229,7 @@ def real_matrix_star(A: Matrix) -> Matrix:
 
     The top half of the rows stays here and the bottom half goes to the
     worker process, the two stripes stepping at the same time
-    (``offload.by_rows``), when the work of the bottom one, its rows
+    (``offload.split_job``), when the work of the bottom one, its rows
     times n^2, reaches ``offload.SHIP_MIN_WORK`` (from n = 32).
     """
     if A.descriptor.name != "real_field":
@@ -235,7 +237,7 @@ def real_matrix_star(A: Matrix) -> Matrix:
     _require_square(A)
     d, n = A.descriptor, A.rows
     h = n // 2
-    rows = offload.by_rows(_pivoted_rows, d, A._data, h, (n - h) * n * n, n)
+    rows = offload.split_job(_pivoted_rows, d, A._data, h, (n - h) * n * n, n)
     return Matrix._wrap(d, [row for _, row in sorted(rows)])
 
 

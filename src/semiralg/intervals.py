@@ -23,8 +23,8 @@ cannot tell which of their failures came first, so when one fails,
 and the call raises what the fold meets first.
 
 The two endpoint runs are independent: the hi run goes to the worker
-process of ``offload.side_by_side`` while the lo run runs here, and
-when it stays here, both run here, lo first.  The lifted call holds the
+process of ``offload.split_job`` while the lo run runs here, and when
+it stays here, both run here, lo first.  The lifted call holds the
 worker while its runs last, so the block products and the stripes of
 its runs stay in their process.  Both runs call the same module-level
 function on the same values, so results are the same bit for bit
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .errors import EmptyInterval, IllegalElement, NotPositive, SemiringError
 from .matrices import Matrix, _lifted_calls
-from .offload import side_by_side
+from .offload import split_job
 from .semirings import SemiringDescriptor, SemiringFlags, fma_of
 
 __all__ = ["Interval", "make_interval", "contains", "lift_semiring"]
@@ -114,27 +114,25 @@ def endpoint_runs(run, A: Matrix, *args):
     ``run`` is a module-level function that must not branch on values.
     A and each argument that is a Matrix stand for their endpoint, a
     Matrix over the base; any other argument goes to both runs as it
-    is.  The hi run goes to the worker process of
-    ``offload.side_by_side`` while the lo run runs here; when it stays
-    here, the two run here, lo first.  Its work is the entries of A
-    times the columns of the last matrix: n^3 for a closure or a
+    is.  Its work for ``offload.split_job`` is the entries of A times
+    the columns of the last matrix: n^3 for a closure or a
     factorization, n k m for a product.
     """
     ends = (A, *args)
     last = [a for a in ends if isinstance(a, Matrix)][-1]
-
-    def lo_run(peer):
-        return run(*[_endpoint(a, 0) for a in ends])
-
-    hi = [_endpoint(a, 1) for a in ends]
-    return (side_by_side(lo_run, _peerless, (run, *hi),
-                         A.rows * A.cols * last.cols, A.descriptor.base)
-            or [lo_run(None), run(*hi)])
+    return split_job(_runs, A.descriptor.base,
+                     [ends, [_endpoint(a, 1) for a in ends]],
+                     1, A.rows * A.cols * last.cols, run)
 
 
-def _peerless(peer, run, *args):
-    """``run(*args)``, shipped: a hi run does not talk to the lo run."""
-    return run(*args)
+def _runs(peer, d, ends, lo, run):
+    """``run(*args)`` for each argument list of ``ends``, in order.  The
+    lo run's come over the lift: it takes their lo endpoints once the hi
+    run has shipped (split before the ship, they cost a lifted solve at
+    n = 48 some 2 % of its time)."""
+    if lo == 0:
+        ends = [[_endpoint(a, 0) for a in ends[0]], *ends[1:]]
+    return [run(*args) for args in ends]
 
 
 def _endpoint(a, end):

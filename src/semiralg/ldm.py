@@ -17,7 +17,7 @@ value, so a failure names the same location and reads the same.
 
 The factorization runs its column loop in two row stripes when that
 pays, the bottom rows on the worker process (``_ldm_rows``;
-``offload.by_rows`` says when the whole loop runs here instead): the
+``offload.split_job`` says when the whole loop runs here instead): the
 forward pass of a column at row i reads only rows up to i, so the top
 stripe sends the bottom one each column pushed through its own rows and
 never waits for it, a one-way pipeline (Kumar, Grama, Gupta and
@@ -336,7 +336,7 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     ones), then split into its upper, diagonal and lower parts.
 
     Rows 3n/5.. go to the worker process (``_ldm_rows``,
-    ``offload.by_rows``) when their number times n^2 reaches
+    ``offload.split_job``) when their number times n^2 reaches
     ``offload.SHIP_MIN_WORK``, from n = 35; a counted call stays here,
     where its counter is.
     """
@@ -350,8 +350,8 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     kernels = list_kernels(dc)
     # a counter tallies in this process, so a counted call stays here
     h = 3 * n // 5 if counter is None else 0
-    C = offload.by_rows(_ldm_rows, dc, list(map(kernels.encode, A._data)),
-                        h, (n - h) * n * n, n)
+    C = offload.split_job(_ldm_rows, dc, list(map(kernels.encode, A._data)),
+                          h, (n - h) * n * n, n)
     C = list(map(kernels.decode, C))
     zero = d.zero
     L = Matrix._wrap(d, [row[:i] + [zero] * (n - i) for i, row in enumerate(C)])

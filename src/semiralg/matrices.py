@@ -21,6 +21,8 @@ ships.  A matrix over a catalog descriptor pickles, as its descriptor
 does, so that it can travel to the worker.
 """
 
+from itertools import starmap
+
 from .errors import DescriptorMismatch, DimensionMismatch
 from . import offload
 from .semirings import SemiringDescriptor, row_kernels, same_descriptor
@@ -39,37 +41,34 @@ def _matrix_product(A, B):
 
 def _split_product(d, X, Y):
     """The product X Y of kernel rows, its top rows here and its bottom
-    rows on the worker process when that pays (``offload.by_rows``; the
+    rows on the worker process when that pays (``offload.split_job``; the
     work as in ``_products``).  A product by a column of list rows stays
     here: the rows it would ship are as large as their work."""
     width = len(Y[0]) if type(Y[0]) is list else 1     # packed: 1
     cut = 0 if width == 1 and type(Y[0]) is list else len(X) // 2
-    return offload.by_rows(_product, d, X, cut,
-                           (len(X) - cut) * len(Y) * width, Y)
+    return offload.split_job(_product, d, X, cut,
+                             (len(X) - cut) * len(Y) * width, Y)
 
 
-def _products(d, product, X1, Y1, X2, Y2):
-    """``product(X1, Y1)`` here and ``X2 Y2`` meanwhile on the worker
-    process when that pays; both here, one after the other, when
-    ``side_by_side`` says so.  The work of a product is its rows times
-    its inner dimension times the width of a kernel row, which is 1 for
-    a boolean row packed into an int: such products are too cheap to
-    ship.
-
-    A product below ``offload.SHIP_MIN_WORK`` never ships, so a pair of
-    them is multiplied here without asking: most pairs of a recursion
-    are small, and ``side_by_side`` adds about 1.5 us to each, some 4 %
-    of a boolean closure at n = 128 or a tropical one at n = 24."""
+def _products(d, X1, Y1, X2, Y2):
+    """[X1 Y1, X2 Y2], the first here and the second meanwhile on the
+    worker process when that pays (``offload.split_job``).  The work of
+    a product is its rows times its inner dimension times the width of
+    a kernel row, which is 1 for a boolean row packed into an int: such
+    products are too cheap to ship."""
     work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
-    pair = work >= offload.SHIP_MIN_WORK and offload.side_by_side(
-        lambda peer: product(X1, Y1), _product, (d, X2, 0, Y2), work, d)
-    return pair or (product(X1, Y1), product(X2, Y2))
+    return offload.split_job(_pair, d, [(X1, Y1), (X2, Y2)], 1, work)
 
 
 def _product(peer, d, X, lo, Y):
     # X Y, X from row lo of a left factor.  Private: a public name may
     # be rebound by a wrapper that does not pickle
     return row_kernels(d).product(X, Y)
+
+
+def _pair(peer, d, pairs, lo, arg):
+    # the product X Y of each pair (X, Y), in order
+    return list(starmap(row_kernels(d).product, pairs))
 
 
 # lift -> intervals.lifted, which runs its products, entered by

@@ -1,32 +1,34 @@
-"""One worker process for two runs of one call.
+"""One worker process for two runs of one job.
 
-``side_by_side(here, run, args, work, d)`` runs ``here(peer)`` in this
-process and ``run(peer, *args)`` meanwhile in a worker process, each
-with its end of one pipe as ``peer``, and returns both results.  A run
-that does not talk to the other ignores ``peer``.  ``by_rows`` splits
-a job by rows on it: a matrix product (its bottom rows), and the row
-stripes of the Gauss-Jordan closure, of the LDM factorization and of
-the inverse of E - A over the real field with partial pivoting by
-columns (``graphs.real_matrix_star``).  The product pairs of the block
-closure, the stripes of the elimination that finds a least solution
-and the endpoint runs of a lifted call (``intervals.endpoint_runs``)
-call ``side_by_side`` themselves.
+``split_job(run, d, items, cut, work, arg)`` is the one way a job goes
+to the worker.  A job is a list of items that one module-level function
+``run`` handles in order, and the results of two runs on two parts of
+the list join with ``+`` into the result of one run on all of it.  The
+items are rows, the bottom ones shipped: of a matrix product, and the
+row stripes of the Gauss-Jordan closure, of the LDM factorization and
+of the inverse of E - A over the real field with partial pivoting by
+columns (``graphs.real_matrix_star``).  Or they are two parts, the
+second shipped: the product pairs of the block closure
+(``matrices._products``), the two cyclic stripes of the elimination
+that finds a least solution (``closure._solve``) and the two endpoint
+runs of a lifted call (``intervals.endpoint_runs``).
 
-One rule covers every way a split job can go wrong: ``side_by_side``
-returns None when the run stays here (the cases of ``_ship``), when the
-worker was lost, and when either run raised an ``Exception``, and the
-caller then does the whole job here, as the serial loop.  So a job
-that fails raises what the serial loop meets first, and the runs carry
-no failure to each other.  A run that raises ends the worker: the
-caller stops it when ``here`` raised, and the worker exits when its own
-run did, so that the caller's next ``recv``, ``send`` or reply fails.
-Neither side ever waits on the other.  A failing job so costs its
-serial redo, and the worker that it ended a fork at the next call that
-ships: a maxplus Gauss-Jordan at n = 64 whose pivot 41 fails took a
-median 29 ms against 9 ms when the stripes passed their failures to
-each other, and 45 against 21 ms together with the next good call (two
-Xeon CPUs).  That is the price of one code path for every failure; no
-benchmark workload ships a job that fails.
+The rule, stated once: the whole job runs here, as the serial loop,
+unless its work reaches ``SHIP_MIN_WORK``, ``cut`` is strictly inside
+the items and ``_ship`` takes the run; and it is redone here, whole,
+when the worker is lost or either run raised an ``Exception``.  So a
+job that fails raises what the serial loop meets first, and the runs
+carry no failure to each other; and a run never writes the items it is
+given, which the redo reads again.  A run that raises ends the worker: the caller stops it when
+its own run raised, and the worker exits when its run did, so that the
+caller's next ``recv``, ``send`` or reply fails.  Neither side ever
+waits on the other.  A failing job so costs its serial redo, and the
+worker that it ended a fork at the next call that ships: a maxplus
+Gauss-Jordan at n = 64 whose pivot 41 fails took a median 29 ms against
+9 ms when the stripes passed their failures to each other, and 45
+against 21 ms together with the next good call (two Xeon CPUs).  That
+is the price of one code path for every failure; no benchmark workload
+ships a job that fails.
 
 ``run`` is the same module-level function on the same values wherever
 it runs, so its result is the same bit for bit.
@@ -44,7 +46,7 @@ import os
 
 from .semirings import in_catalog
 
-__all__ = ["by_rows", "side_by_side", "SHIP_MIN_WORK"]
+__all__ = ["split_job", "SHIP_MIN_WORK"]
 
 
 # A run goes to the worker when its work is at least this many base
@@ -56,54 +58,38 @@ _worker = None                      # this process's worker, once started
 _busy = _thread.allocate_lock()     # held by the call that uses the worker
 
 
-def by_rows(run, d, rows, cut, work, *args):
-    """``run(None, d, rows, 0, *args)``, the job on every row here; or,
-    when ``0 < cut < len(rows)`` and ``work`` reaches ``SHIP_MIN_WORK``,
-    ``run(peer, d, rows[:cut], 0, *args)`` here and ``run(peer, d,
-    rows[cut:], cut, *args)`` on the worker at once, joined with ``+``,
-    unless ``side_by_side`` returns None.  So a run does not write the
-    rows it is given: the job may be redone from them.  A job whose runs
-    are no halves of its rows calls ``side_by_side`` itself: the two
-    products of a pair (``matrices._products``), the cyclic stripes of
-    ``closure._solve``, which halves would unbalance, and the two
-    endpoint runs of ``intervals.endpoint_runs``.
-    """
-    if work >= SHIP_MIN_WORK and 0 < cut < len(rows):
-        halves = side_by_side(lambda peer: run(peer, d, rows[:cut], 0, *args),
-                              run, (d, rows[cut:], cut, *args), work, d)
-        if halves is not None:
-            return halves[0] + halves[1]
-    return run(None, d, rows, 0, *args)
-
-
-def side_by_side(here, run, args, work, d):
-    """``[here(peer), run(peer, *args)]``, the first run here and the
-    second on the worker, at once, each with its end of one pipe as
-    ``peer``; or None, and the caller is to do the whole job here, when
-    ``run`` stays here (``_ship``), the worker was lost
-    (``_Worker.reply``) or either run raised an ``Exception``.
+def split_job(run, d, items, cut, work, arg=None):
+    """``run(None, d, items, 0, arg)``, the whole job here; or, when
+    ``work`` reaches ``SHIP_MIN_WORK``, ``0 < cut < len(items)`` and
+    ``_ship`` takes the run, ``run(peer, d, items[:cut], 0, arg)`` here
+    and ``run(peer, d, items[cut:], cut, arg)`` on the worker at once,
+    joined with ``+``, unless the worker was lost (``_Worker.reply``)
+    or either run raised an ``Exception``, when the whole job runs here.
 
     ``run`` is a module-level function and ``work`` its cost in base
-    operations over the descriptor ``d``.  A run that talks to the other
-    sends what it needs with ``peer.send`` and takes what it needs with
-    ``peer.recv``, and must leave nothing unread behind it when it
-    returns.  An exception in ``here`` stops the worker, which may wait
-    on it; one that is not an ``Exception``, such as an interrupt, is
-    raised.
+    operations over the descriptor ``d``; ``peer`` is each run's end of
+    one pipe.  A run that talks to the other sends what it needs with
+    ``peer.send`` and takes what it needs with ``peer.recv``, and must
+    leave nothing unread behind it when it returns; one that does not
+    ignores ``peer``.  An exception in the run here stops the worker,
+    which may wait on it; one that is not an ``Exception``, such as an
+    interrupt, is raised.
     """
-    worker = _ship(run, args, work, d)
-    if worker is None:
-        return None
-    try:
-        mine = here(worker.conn)
-    except BaseException as exc:
-        worker.stop()
-        worker.release()
-        if not isinstance(exc, Exception):
-            raise
-        return None
-    theirs = worker.reply()
-    return None if theirs is None else [mine, theirs]
+    if work >= SHIP_MIN_WORK and 0 < cut < len(items):
+        worker = _ship(run, (d, items[cut:], cut, arg), work, d)
+        if worker is not None:
+            try:
+                mine = run(worker.conn, d, items[:cut], 0, arg)
+            except BaseException as exc:
+                worker.stop()
+                worker.release()
+                if not isinstance(exc, Exception):
+                    raise
+            else:
+                theirs = worker.reply()
+                if theirs is not None:
+                    return mine + theirs
+    return run(None, d, items, 0, arg)
 
 
 def _ship(run, args, work, d):

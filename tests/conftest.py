@@ -262,17 +262,17 @@ def assert_bit_identical(got, want):
 PYTEST_PID = os.getpid()
 
 
-def ship_placements(monkeypatch, kind):
-    """Every run of ``kind``, a module-level function handed to
-    ``offload.side_by_side``, may go to the worker, also where the
-    calling thread may use only one CPU; the list returned records each
+def ship_placements(monkeypatch, *kinds):
+    """Every run of ``kinds``, module-level functions handed to
+    ``offload.split_job``, may go to the worker, also where the calling
+    thread may use only one CPU; the list returned records each
     placement of one, True for a run that went."""
     placements = []
     place = offload._ship
 
     def spy(run, args, work, d):
         worker = place(run, args, work, d)
-        if run is kind:
+        if run in kinds:
             placements.append(worker is not None)
         return worker
 

@@ -27,7 +27,7 @@ from semiralg import intervals, offload, semirings
 from semiralg.closure import _forward, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
                              InvalidOptions, NoStabilization, StarUndefined)
-from semiralg.matrices import _product
+from semiralg.matrices import _pair, _product
 
 MX = descriptor("maxplus")
 BOOL = descriptor("boolean")
@@ -179,6 +179,15 @@ def test_split_validation():
     # split=1 on a 1x1 matrix is fine: base case, no partition happens
     assert closure_block(Matrix(MX, [[-1.0]]),
                          ClosureOptions(split=1)).to_lists() == [[0.0]]
+
+
+@pytest.mark.parametrize("field", ["split", "max_iterations"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", True], ids=repr)
+def test_options_that_are_no_int_are_invalid(field, value):
+    # a float split would slice rows with it, and a float cap would fail
+    # on bit_length, each as a raw Python error
+    with pytest.raises(InvalidOptions, match=f"{field} must be an int"):
+        ClosureOptions(**{field: value})
 
 
 # ------------------------------------------------------------------ parallel
@@ -380,10 +389,11 @@ def test_an_overflow_in_an_eliminated_column_is_not_computed():
 
 @pytest.fixture
 def products(monkeypatch):
-    """Every block product of a pair may go to the worker, also where
-    the calling thread may use only one CPU; the list returned records
-    each placement of one, True for a product that went."""
-    return ship_placements(monkeypatch, _product)
+    """Every block product may go to the worker, the second of a pair
+    (``_pair``) and the bottom rows of one split by rows (``_product``),
+    also where the calling thread may use only one CPU; the list
+    returned records each placement of one, True for a run that went."""
+    return ship_placements(monkeypatch, _pair, _product)
 
 
 @pytest.fixture
@@ -954,7 +964,7 @@ def test_a_lifted_series_ships_only_its_hi_runs(monkeypatch, series, rng):
     av = random_interval_matrix("maxplus", 16, rng)
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
     want = _series_outcome(av)
-    hi_runs = ship_placements(monkeypatch, intervals._peerless)
+    hi_runs = ship_placements(monkeypatch, intervals._runs)
     got = []
     # its products are lifted calls of Matrix.mul, each of whose hi
     # endpoint runs goes to the worker; the runs hold it, so no half of

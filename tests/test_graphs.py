@@ -266,6 +266,14 @@ def test_max_profit_validation():
         max_profit(g, [0.0, 0.0], -1)
 
 
+@pytest.mark.parametrize("horizon", [2.5, 2.0, "3", True], ids=repr)
+def test_a_horizon_that_is_no_int_is_invalid(horizon):
+    # a float horizon would fail in range as a raw Python error
+    g = WeightedDigraph(2, ((1, 2, 3.0),), MX)
+    with pytest.raises(InvalidPath, match="horizon must be an int"):
+        max_profit(g, [0.0, 0.0], horizon)
+
+
 def test_real_matrix_star_examples():
     assert real_matrix_star(zeros(REAL, 3, 3)) == identity(REAL, 3)
     a = Matrix(REAL, [[0.0, 0.5], [0.0, 0.0]])
@@ -429,20 +437,32 @@ def test_a_striped_step_sends_one_row(monkeypatch, inverts, rng):
     seen = []
 
     class Counted:
-        def __init__(self, peer):
-            self.peer = peer
+        """The worker, whose pipe end as the caller's run sees it counts
+        what the run sends and takes; the reply comes by the worker's
+        own end, uncounted."""
+
+        def __init__(self, worker):
+            self.worker = worker
+            self.conn = self
 
         def send(self, row):
             seen.append("sent")
-            self.peer.send(row)
+            self.worker.conn.send(row)
 
         def recv(self):
             seen.append("received")
-            return self.peer.recv()
+            return self.worker.conn.recv()
 
-    side_by_side = offload.side_by_side
-    monkeypatch.setattr(offload, "side_by_side", lambda here, *rest:
-                        side_by_side(lambda peer: here(Counted(peer)), *rest))
+        def __getattr__(self, name):
+            return getattr(self.worker, name)
+
+    ship = offload._ship
+
+    def counted(*args):
+        worker = ship(*args)
+        return None if worker is None else Counted(worker)
+
+    monkeypatch.setattr(offload, "_ship", counted)
     real_matrix_star(random_contraction(n, rng))
     assert inverts == [True]
     assert seen == ["sent"] * (n // 2) + ["received"] * (n - n // 2)

@@ -235,7 +235,7 @@ def test_a_lifted_product_ships_only_its_hi_run(monkeypatch, products, rng):
     av = random_interval_matrix("maxplus", 32, rng)
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
     want = av.mul(av)
-    hi_runs = ship_placements(monkeypatch, intervals._peerless)
+    hi_runs = ship_placements(monkeypatch, intervals._runs)
     got = []
     # the hi run holds the worker, so the products of both endpoint runs
     # stay in their process; a half that waited on it would hang

@@ -1,4 +1,4 @@
-"""The split-job rule of ``offload.side_by_side``: when either run of a
+"""The split-job rule of ``offload.split_job``: when either run of a
 split job raises, the worker ends and the caller does the whole job
 here, so the job fails or gets through as it does in this process."""
 
@@ -17,12 +17,12 @@ from semiralg.closure import _forward, _stripe
 from semiralg.errors import IllegalElement
 from semiralg.graphs import _pivoted_rows
 from semiralg.ldm import _ldm_rows
-from semiralg.matrices import _product
+from semiralg.matrices import _pair, _product
 
 # the run that ships, the kernel it calls, of maxplus unless the call
 # inverts over real_field, and the call
 SPLITS = {
-    "block product pair": (_product, "product", closure_block),
+    "block product pair": (_pair, "product", closure_block),
     "matrix product": (_product, "product", lambda a: a.mul(a)),
     "gauss_jordan stripe": (_stripe, "eliminate", closure_gauss_jordan),
     # the series ships the bottom rows of its products, as every
@@ -32,7 +32,7 @@ SPLITS = {
     "ldm stripe": (_ldm_rows, "fold", lambda a: ldm_factorize(a).M),
     "solve stripe": (_forward, "eliminate", lambda a: solve_bellman(a, a)),
     "invert stripe": (_pivoted_rows, "axpy", real_matrix_star),
-    "lifted hi run": (intervals._peerless, "eliminate", closure_gauss_jordan),
+    "lifted hi run": (intervals._runs, "eliminate", closure_gauss_jordan),
 }
 
 

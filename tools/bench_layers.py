@@ -17,15 +17,21 @@ Each row is one kernel call on one carrier at one size:
   n = 96, as in the cli-jobs ``invert`` jobs;
 - as the control that a change to one carrier's row kernels costs the
   others nothing, maxplus, minplus and maxmin Gauss-Jordan and block
-  closure at n = 128, also with the worker off.
+  closure at n = 128, also with the worker off;
+- maxplus and minplus ``solve_bellman`` with an n x 8 right-hand side
+  at n = 96 and 128, whose cyclic stripes ship, and, on the interval
+  lift of maxplus (``maxplus_interval``: each weight w widened to
+  [w - 2, w]), Gauss-Jordan and ``solve_bellman`` at n = 48 and 64,
+  whose hi endpoint runs ship, each also with the worker off.
 
 Each call runs on the working tree's ``src/semiralg`` and on the same
 package at a baseline git revision, loaded side by side in one process.
 The field kernels that can split a call with the worker process of
 ``semiralg.offload`` (the matrix product, which ships its bottom half of
 rows, the series, written on that product, and the row stripes of
-Gauss-Jordan, ``ldm_factorize`` and ``real_matrix_star``), and the
-tropical control rows, run twice on each side: as shipped, and with the
+Gauss-Jordan, ``ldm_factorize`` and ``real_matrix_star``), the
+tropical control rows, the tropical solves and the lifted rows, run
+twice on each side: as shipped, and with the
 worker off, that copy's ``offload.SHIP_MIN_WORK`` rebound to infinity
 for the call, so that the whole job runs here.  Their ``ship_speedup`` is the worker-off time over
 the shipped time of the working tree: below 1, shipping costs more than
@@ -66,6 +72,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAXMIN_BOUNDS = (0.0, 10.0)
 FIELDS = ("rplus", "real_field")
+LIFTED = "maxplus_interval"     # the interval lift of maxplus
 
 
 def load_package(name, path):
@@ -102,6 +109,10 @@ def weight(rng, carrier):
 
 
 def plain_matrix(carrier, n, density, seed, cols=None):
+    if carrier == LIFTED:
+        # each maxplus weight w widened to [w - 2, w]; a zero stays one
+        return [[(v, v) if v == "-inf" else (v - 2.0, v) for v in row]
+                for row in plain_matrix("maxplus", n, density, seed, cols)]
     rng = random.Random(f"{carrier}/{n}/{density}/{seed}")
     zero = {"boolean": False, "maxplus": "-inf", "minplus": "inf",
             "maxmin": 0.0}[carrier]
@@ -131,11 +142,20 @@ def symmetric_contraction(n, seed, norm=0.4):
 
 
 def to_matrix(lib, carrier, data):
-    d = (lib.make_semiring("maxmin", MAXMIN_BOUNDS) if carrier == "maxmin"
-         else lib.make_semiring(carrier))
     tags = {"-inf": lib.NEG_INF, "inf": lib.POS_INF}
-    return lib.Matrix(d, [[tags.get(v, v) if isinstance(v, str) else v
-                           for v in row] for row in data])
+
+    def value(v):
+        if isinstance(v, tuple):
+            return tuple(map(value, v))
+        return tags.get(v, v) if isinstance(v, str) else v
+
+    if carrier == LIFTED:
+        d = lib.lift_semiring(lib.make_semiring("maxplus"))
+    elif carrier == "maxmin":
+        d = lib.make_semiring("maxmin", MAXMIN_BOUNDS)
+    else:
+        d = lib.make_semiring(carrier)
+    return lib.Matrix(d, [list(map(value, row)) for row in data])
 
 
 # ---------------------------------------------------------------- rows
@@ -219,6 +239,12 @@ def cases(only=None):
         for op in ("gauss_jordan", "block"):
             rows.append((carrier, op, 128, 1.0,
                          pair + ("baseline_copy",) + off))
+    for carrier in ("maxplus", "minplus"):
+        for n in (96, 128):
+            rows.append((carrier, "solve_bellman", n, 1.0, pair + off))
+    for op in ("gauss_jordan", "solve_bellman"):
+        for n in (48, 64):
+            rows.append((LIFTED, op, n, 1.0, pair + off))
     return [row for row in rows if only is None or row[0] in only]
 
 
