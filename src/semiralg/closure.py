@@ -55,9 +55,19 @@ run through the helpers of ``Matrix.mul`` (``matrices._products``,
 bottom rows as every product does.  A shipped product or stripe is the
 same kernel on the same rows, so the result is the same bit for bit.
 
+On catalog maxmin the block and Gauss-Jordan closures and the least
+solution run none of this: they run one sweep over the arcs of the
+graph of [A | B], widest first (``RowKernels.sweep``, the kernel's
+``semirings._sweep``), here, with nothing shipped; there the algorithm
+name selects nothing.  The values are those of the eliminations; only a
+signed zero that ties may differ, by the sweep's tie rule.  A copy of
+the instance (``dataclasses.replace``) keeps the eliminations, so it
+checks the sweep.
+
 Over an interval lift the block recursion and the eliminations are
-lifted calls (``intervals.lifted``).  The series runs on the intervals,
-its products lifted calls of ``Matrix.mul``.
+lifted calls (``intervals.lifted``), so a lift of maxmin sweeps in its
+endpoint runs.  The series runs on the intervals, its products lifted
+calls of ``Matrix.mul``.
 """
 
 from dataclasses import dataclass
@@ -65,7 +75,7 @@ from operator import add as _concat
 
 from .errors import DimensionMismatch, InvalidOptions, NoStabilization
 from .intervals import is_lift, lifted
-from .matrices import Matrix, _products, _split_product, identity
+from .matrices import Matrix, _is_int, _products, _split_product, identity
 from . import offload
 from .semirings import kernel_star, row_kernels
 
@@ -92,7 +102,7 @@ class ClosureOptions:
             value = getattr(self, name)
             if value is None and name == "split":
                 continue
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise InvalidOptions(f"{name} must be an int, got {value!r}")
             if value < 1:
                 raise InvalidOptions(f"{name} must be at least 1")
@@ -134,7 +144,12 @@ def _close_rec(d, kernels, M, offset, opts):
 
 
 def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
-    """Closure by recursive 2x2 block partitioning."""
+    """Closure by recursive 2x2 block partitioning.
+
+    On catalog maxmin this is the sweep over the arcs, as for
+    ``closure_gauss_jordan``: the algorithm name selects nothing, and
+    ``split`` is only checked.
+    """
     _require_square(A)
     opts = options or ClosureOptions()
     n = A.rows
@@ -144,7 +159,11 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     if is_lift(d):
         return lifted(closure_block, A, opts)
     kernels = row_kernels(d)
-    data = _close_rec(d, kernels, list(map(kernels.encode, A._data)), 0, opts)
+    data = list(map(kernels.encode, A._data))
+    if kernels.sweep is not None:
+        data = kernels.sweep(data, n)
+    else:
+        data = _close_rec(d, kernels, data, 0, opts)
     return Matrix._wrap(d, list(map(kernels.decode, data)))
 
 
@@ -165,6 +184,10 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     its rows times n times the width of a kernel row, reaches
     ``offload.SHIP_MIN_WORK``; a packed boolean row counts 1, so boolean
     ships from n = 181 only.
+
+    On catalog maxmin it eliminates nothing: the closure is one sweep
+    over the arcs, widest first, here (``semirings._sweep``), as for
+    ``closure_block``, so the algorithm name selects nothing there.
     """
     _require_square(A)
     d = A.descriptor
@@ -173,6 +196,8 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     kernels = row_kernels(d)
     C = list(map(kernels.encode, A._data))
     n = A.rows
+    if kernels.sweep is not None:
+        return Matrix._wrap(d, list(map(kernels.decode, kernels.sweep(C, n))))
     h = n // 2
     return _finish(d, kernels, offload.split_job(
         _stripe, d, C, h, (n - h) * n * (n if type(C[0]) is list else 1), n))
@@ -280,8 +305,10 @@ def solve_bellman(A: Matrix, B: Matrix,
 
     ``block`` and ``gauss_jordan`` both name one elimination on the rows
     of [A | B] (``_solve``), which never forms A*; ``split`` has no
-    effect on it.  ``iterative`` multiplies the cut series by B; on a
-    non-idempotent carrier nothing says that it was cut.
+    effect on it.  On catalog maxmin both name the sweep over the arcs
+    of [A | B] instead, each column of B a sink.  ``iterative``
+    multiplies the cut series by B; on a non-idempotent carrier nothing
+    says that it was cut.
     """
     _require_square(A)
     A._check_same(B, "chain")
@@ -311,7 +338,9 @@ def _solve(A, B):
     256 and 512, against 7.4 and 26.5 ms here (two Xeon CPUs).  When
     ``offload.split_job`` says so, one stripe here holds every row.  Private:
     a lifted call ships it by name, and a public name may be rebound by
-    a wrapper that does not pickle.
+    a wrapper that does not pickle.  On catalog maxmin the sweep over
+    the arcs takes the place of all of this, the columns of B as sinks:
+    a sweep and then a product by B took longer.
     """
     d = A.descriptor
     if is_lift(d):
@@ -319,6 +348,9 @@ def _solve(A, B):
     kernels = row_kernels(d)
     n = A.rows
     C = list(map(kernels.encode, map(_concat, A._data, B._data)))
+    if kernels.sweep is not None:
+        X = kernels.split(kernels.sweep(C, n), n)[1]
+        return Matrix._wrap(d, list(map(kernels.decode, X)))
     width = n + B.cols if type(C[0]) is list else 0     # packed: 0
     C[0::2], C[1::2] = offload.split_job(
         _forward, d, [C[0::2], C[1::2]], 1, (n // 2) ** 2 * width, n)

@@ -18,7 +18,7 @@ from .closure import ClosureOptions, _require_square, closure, solve_bellman
 from .errors import (DimensionMismatch, IllegalElement, IndexOutOfRange,
                      InvalidGraph, InvalidPath, OracleScaleExceeded,
                      StarUndefined, WrongDescriptor)
-from .matrices import Matrix, identity
+from .matrices import Matrix, _is_int, identity
 from . import offload
 from .semirings import SemiringDescriptor, list_kernels
 
@@ -206,7 +206,7 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
     if horizon is None:
         values = solve_bellman(A, b, options)
     else:
-        if not isinstance(horizon, int) or isinstance(horizon, bool):
+        if not _is_int(horizon):
             raise InvalidPath(f"horizon must be an int or None, got {horizon!r}")
         if horizon < 0:
             raise InvalidPath("horizon must be >= 0")

@@ -12,15 +12,17 @@ lifted operations, the lifted fold: the sums of the iterative closure,
 the substitutions and every counted call (``ldm.counted``).
 
 Because every lifted operation acts on each endpoint separately, a
-matrix algorithm that never branches on values computes, on an
-interval matrix, exactly the pair of its base runs on the lo and on
-the hi matrix.  ``lifted(run, A, *args)`` is the one way to run such a
-call: the two endpoint runs of ``run`` (``endpoint_runs``), joined
-back into intervals (``join_endpoints``).  Both closures, both
-factorizations and the matrix product run so over a lift.  The runs
-cannot tell which of their failures came first, so when one fails,
-``run`` runs once more on a plain copy of the lift, the lifted fold,
-and the call raises what the fold meets first.
+matrix algorithm written on the semiring operations alone computes, on
+an interval matrix, exactly the pair of its base runs on the lo and on
+the hi matrix.  A base run may compute that function another way, as
+the maxmin sweep does, which branches on values.  ``lifted(run, A,
+*args)`` is the one way to run such a call: the two endpoint runs of
+``run`` (``endpoint_runs``), joined back into intervals
+(``join_endpoints``).  Both closures, both factorizations and the
+matrix product run so over a lift.  The runs cannot tell which of their
+failures came first, so when one fails, ``run`` runs once more on a
+plain copy of the lift, the lifted fold, and the call raises what the
+fold meets first.
 
 The two endpoint runs are independent: the hi run goes to the worker
 process of ``offload.split_job`` while the lo run runs here, and when
@@ -111,10 +113,13 @@ def lifted(run, A: Matrix, *args):
 def endpoint_runs(run, A: Matrix, *args):
     """``[run(*lo_args), run(*hi_args)]`` for a matrix A over a lift.
 
-    ``run`` is a module-level function that must not branch on values.
-    A and each argument that is a Matrix stand for their endpoint, a
-    Matrix over the base; any other argument goes to both runs as it
-    is.  Its work for ``offload.split_job`` is the entries of A times
+    ``run`` is a module-level function whose result is, value for value,
+    the function of the entries that the lifted fold computes on each
+    endpoint, so a monotone function of them: the lo result lies below
+    the hi one, entry by entry.  It may branch on values to get there,
+    as the maxmin sweep does.  A and each argument that is a Matrix
+    stand for their endpoint, a Matrix over the base; any other argument
+    goes to both runs as it is.  Its work for ``offload.split_job`` is the entries of A times
     the columns of the last matrix: n^3 for a closure or a
     factorization, n k m for a product.
     """

@@ -23,7 +23,7 @@ does, so that it can travel to the worker.
 
 from itertools import starmap
 
-from .errors import DescriptorMismatch, DimensionMismatch
+from .errors import DescriptorMismatch, DimensionMismatch, InvalidOptions
 from . import offload
 from .semirings import SemiringDescriptor, row_kernels, same_descriptor
 
@@ -168,6 +168,8 @@ class Matrix:
         """k-fold product; A ** 0 is the identity."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
+        if not _is_int(k):
+            raise InvalidOptions(f"k must be an int, got {k!r}")
         if k < 0:
             raise ValueError("negative power")
         result = identity(self.descriptor, self.rows)
@@ -210,7 +212,14 @@ class Matrix:
         return self.rows == self.cols
 
 
+def _is_int(v):
+    """True for an int that is not a bool: a count, size or index."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def identity(descriptor: SemiringDescriptor, n: int) -> Matrix:
+    if not _is_int(n):
+        raise DimensionMismatch(f"n must be an int, got {n!r}")
     if n < 1:
         raise DimensionMismatch("identity needs n >= 1")
     zero, one = descriptor.zero, descriptor.one
@@ -219,6 +228,9 @@ def identity(descriptor: SemiringDescriptor, n: int) -> Matrix:
 
 
 def zeros(descriptor: SemiringDescriptor, rows: int, cols: int) -> Matrix:
+    for name, value in (("rows", rows), ("cols", cols)):
+        if not _is_int(value):
+            raise DimensionMismatch(f"{name} must be an int, got {value!r}")
     if rows < 1 or cols < 1:
         raise DimensionMismatch("zeros needs positive dimensions")
     zero = descriptor.zero

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
 from operator import (add as _add, and_ as _and, getitem as _getitem,
-                      mul as _mul, or_ as _or)
+                      itemgetter, mul as _mul, or_ as _or)
 from typing import Callable, NamedTuple
 
 from .errors import IllegalElement, InvalidBounds, StarUndefined, UnknownSemiring
@@ -465,6 +465,12 @@ class RowKernels(NamedTuple):
     the carrier's bools.  Packed rows have no ``fold`` and no ``axpy``
     (both None); code that reads or writes single entries of a row
     (LDM) runs on :func:`list_kernels`.
+
+    ``sweep(C, n)``, on catalog maxmin alone (None elsewhere), takes the
+    encoded rows of [A | B], A n x n, to those of [A* | A*B] in one
+    pass over the arcs of the graph of [A | B] (:func:`_sweep`); the
+    closures and the least solution run on it there instead of
+    eliminating.
     """
     encode: Callable
     decode: Callable
@@ -479,6 +485,7 @@ class RowKernels(NamedTuple):
     entry: Callable
     split: Callable
     join: Callable
+    sweep: "Callable | None" = None
 
 
 def row_kernels(d: SemiringDescriptor) -> RowKernels:
@@ -526,7 +533,7 @@ def _split_lists(rows, k):
 
 
 def _list_kernels(encode, decode, encode_one, decode_one, mul, dot, fold,
-                  axpy, add_rows):
+                  axpy, add_rows, sweep=None):
     """Kernels on list rows from their arithmetic; ``dot(xrow, ycol)``,
     the fold started from the first product, is one entry of a product."""
     def product(X, Y):
@@ -538,7 +545,8 @@ def _list_kernels(encode, decode, encode_one, decode_one, mul, dot, fold,
 
     return RowKernels(encode, decode, encode_one, decode_one, mul, add_rows,
                       product, eliminate, fold, axpy, _getitem, _split_lists,
-                      lambda heads, tails: list(map(_add, heads, tails)))
+                      lambda heads, tails: list(map(_add, heads, tails)),
+                      sweep)
 
 
 def _fold_decode(d):
@@ -668,12 +676,80 @@ def _minplus_kernels(d, _pinf=math.inf):
                                              for x, y in zip(xrow, yrow)])
 
 
+def _sweep(C, n, zero, one):
+    """The rows of [A* | A*B] from the kernel rows C of [A | B] on
+    maxmin, A n x n, B n x m with m >= 0, ``zero`` and ``one`` the
+    encoded bounds.
+
+    Entry (x, y) of A* is the width of the widest path from x to y, and
+    every width is the weight of one arc, so one pass over the arcs w >
+    zero of the graph of A, widest first, finds them all (Pollack, "The
+    maximum capacity through a network", *Oper. Res.* 8, 1960;
+    Vassilevska, Williams and Yuster, "All pairs bottleneck paths and
+    max-min matrix products in truly subcubic time", *ToC* 5, 2009).
+    Each node keeps the nodes it reaches and the nodes that reach it as
+    packed ints, as the boolean kernels do (Italiano, "Amortized
+    efficiency of a path retrieval data structure", *TCS* 48, 1986).
+    The arc (u, v, w) adds nothing when u reaches v already; otherwise
+    every x that reaches u and not v comes to reach each node that v
+    reaches and x does not, at width exactly w, since every arc taken
+    before is at least as wide.  Each pair is set once, so the work
+    beyond the pass is n^2.  Column n + j of B is a sink node with an
+    arc y -> n + j of weight b_yj and none out, so the sink columns are
+    A*B.  A diagonal arc reaches what its node reaches already, and the
+    diagonal of A* is ``one``.
+
+    The tie rule: where an input entry is as wide as the widest path, it
+    stays, as the eliminations keep their accumulator on a tie; arcs of
+    equal weight go in the order of their rows, then columns.  So the
+    values are those of every elimination, and a signed zero may be
+    another's only where 0 lies strictly inside the bounds.  Values are compared,
+    never combined, so the codec's tags order as the floats they encode.
+    """
+    m = len(C[0])
+    arcs = [(w, u, v) for u, row in enumerate(C)
+            for v, w in enumerate(row) if w > zero]
+    arcs.sort(key=itemgetter(0), reverse=True)     # stable: ties in order
+    reach = [1 << x for x in range(m)]
+    into = reach[:]
+    R = [row[:] for row in C]
+    left = n * (m - 1)                  # the pairs x != y not yet reached
+    for w, u, v in arcs:
+        xs = into[u] & ~into[v]
+        if not xs:
+            continue
+        rv = reach[v]
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            x = low.bit_length() - 1
+            new = rv & ~reach[x]
+            reach[x] |= new
+            left -= new.bit_count()
+            row = R[x]
+            while new:
+                bit = new & -new
+                new ^= bit
+                y = bit.bit_length() - 1
+                if row[y] != w:
+                    row[y] = w
+                into[y] |= low
+        if not left:
+            break
+    for x in range(n):
+        R[x][x] = one
+    return R
+
+
 def _maxmin_kernels(d):
     # max and min only pick among their arguments, so every kernel value
-    # is an input value and decode needs no range check
+    # is an input value and decode needs no range check.  The closures
+    # and the least solution run on the sweep, not on these folds: they
+    # remain for the product, the series and LDM
     encode, decode, encode_one, decode_one = _codec(
         d.name, *(t for t in d.params if isinstance(t, Infinity)))
     zero = encode_one(d.zero)
+    one = encode_one(d.one)
 
     def fold(acc, xrow, ycol):
         # the fold takes min(x, y) only when it exceeds acc, that is when
@@ -704,7 +780,8 @@ def _maxmin_kernels(d):
     return _list_kernels(encode, decode, encode_one, decode_one, min, dot, fold,
                          axpy,
                          lambda xrow, yrow: [x if x >= y else y
-                                             for x, y in zip(xrow, yrow)])
+                                             for x, y in zip(xrow, yrow)],
+                         lambda C, n: _sweep(C, n, zero, one))
 
 
 # bools as the bytes 0 and 1, to the digits of a binary literal and back

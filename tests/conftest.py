@@ -257,6 +257,54 @@ def assert_bit_identical(got, want):
     assert repr(got.to_lists()) == repr(want.to_lists())
 
 
+def widest_by_tie_rule(d, rows, rhs=None):
+    """The rows of [A* | A*B] over the maxmin ``d``, A ``rows`` and B
+    ``rhs`` (or none), by brute force under the tie rule of the sweep.
+    The arcs w > zero of [A | B], B's into one sink per column, are
+    taken one at a time, widest first and equal weights in the order of
+    their rows, then columns; a pair that a search finds reached first
+    after the arc of weight w reads w, unless its input entry is as
+    wide, which stays.  The diagonal of A* is the one."""
+    def rank(v):    # the tags as the floats that they stand for
+        return math.copysign(math.inf, v.sign) if v in (NEG_INF, POS_INF) else v
+
+    n = len(rows)
+    out = [list(a) + list(b) for a, b in zip(rows, rhs or [[]] * n)]
+    m = len(out[0])
+    arcs = sorted(((u, v) for u in range(n) for v in range(m)
+                   if rank(out[u][v]) > rank(d.zero)),
+                  key=lambda arc: -rank(out[arc[0]][arc[1]]))
+    succ = {u: set() for u in range(m)}
+    reached = [{x} for x in range(n)]
+    for u, v in arcs:
+        w = rows[u][v] if v < n else rhs[u][v - n]
+        succ[u].add(v)
+        for x in range(n):
+            seen, todo = {x}, [x]
+            while todo:
+                for y in succ[todo.pop()] - seen:
+                    seen.add(y)
+                    todo.append(y)
+            for y in seen - reached[x]:
+                if rank(out[x][y]) != rank(w):
+                    out[x][y] = w
+            reached[x] = seen
+    for x in range(n):
+        out[x][x] = d.one
+    return out
+
+
+def assert_swept(got, want, rows, rhs=None):
+    """``got``, a maxmin closure of ``rows`` (or the least solution with
+    ``rhs``) from the sweep, equals ``want`` by value and prints as the
+    tie rule says (``widest_by_tie_rule``)."""
+    assert got == want
+    ref = widest_by_tie_rule(got.descriptor, rows, rhs)
+    if rhs is not None:
+        ref = [row[len(rows):] for row in ref]
+    assert repr(got.to_lists()) == repr(ref)
+
+
 # ------------------------------------------------- runs on the worker process
 
 PYTEST_PID = os.getpid()
@@ -282,10 +330,12 @@ def ship_placements(monkeypatch, *kinds):
     return placements
 
 
-def shipped_and_here(monkeypatch, placements, call):
+def shipped_and_here(monkeypatch, placements, call, ships=True):
     """The outcomes of ``call`` with every run that ``placements``
     records shipped and with every one in this process: (result, None)
-    or (None, (type, message, location))."""
+    or (None, (type, message, location)).  With ``ships`` false, the
+    call offers no such run to the worker at all, as a maxmin closure or
+    solve, which sweeps here, does not."""
     outcomes = []
     for threshold in (0, math.inf):
         monkeypatch.setattr(offload, "SHIP_MIN_WORK", threshold)
@@ -295,7 +345,9 @@ def shipped_and_here(monkeypatch, placements, call):
         except SemiringError as exc:
             outcomes.append((None, (type(exc), str(exc),
                                     getattr(exc, "location", None))))
-        if threshold == 0:
+        if not ships:
+            assert placements == []
+        elif threshold == 0:
             assert placements and all(placements)
         else:       # below the threshold a run stays here unasked
             assert not any(placements)

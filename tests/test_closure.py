@@ -13,16 +13,17 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
-                      PYTEST_PID, assert_bit_identical, descriptor,
-                      fork_anew, kernel_descriptor, kernel_rows,
+                      PYTEST_PID, assert_bit_identical, assert_swept,
+                      descriptor, fork_anew, kernel_descriptor, kernel_rows,
                       random_interval_matrix, random_oracle_matrix,
                       random_stable_matrix, ship_placements, shipped_and_here)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
-                      identity, lift_semiring, real_matrix_star, solve_bellman,
-                      zeros)
+                      identity, lift_semiring, make_semiring,
+                      real_matrix_star, solve_bellman, zeros)
 from semiralg import intervals, offload, semirings
 from semiralg.closure import _forward, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
@@ -248,22 +249,83 @@ def test_closure_dispatcher_default_is_block(rng):
 
 @pytest.mark.parametrize("label", KERNEL_CARRIERS)
 def test_closures_match_the_fma_fold_bit_for_bit(label, rng):
+    # on maxmin the closures and the solve sweep: the fold matches them
+    # by value, and the tie rule says which signed zero they print
     d = kernel_descriptor(label)
     fold = dataclasses.replace(d)
+    check = assert_swept if d.name == "maxmin" else (
+        lambda got, want, rows, rhs=None: assert_bit_identical(got, want))
     series = ClosureOptions(max_iterations=4)
     for n in (1, 2, 3, 5, 8, 13):
         rows = kernel_rows(label, n, n, rng)
         rhs = kernel_rows(label, n, 3, rng)
         a, a_fold = Matrix(d, rows), Matrix(fold, rows)
-        runs = [lambda a, b: closure_gauss_jordan(a),
-                lambda a, b: closure_block(a),
-                lambda a, b: solve_bellman(a, b),
-                lambda a, b: closure_iterative(a, series).matrix]
-        runs += [lambda a, b, k=k: closure_block(a, ClosureOptions(split=k))
-                 for k in range(1, n)]
-        for run in runs:
-            assert_bit_identical(run(a, Matrix(d, rhs)),
-                                 run(a_fold, Matrix(fold, rhs)))
+        closures = [closure_gauss_jordan, closure_block]
+        closures += [lambda a, k=k: closure_block(a, ClosureOptions(split=k))
+                     for k in range(1, n)]
+        for run in closures:
+            check(run(a), run(a_fold), rows)
+        check(solve_bellman(a, Matrix(d, rhs)),
+              solve_bellman(a_fold, Matrix(fold, rhs)), rows, rhs)
+        assert_bit_identical(closure_iterative(a, series).matrix,
+                             closure_iterative(a_fold, series).matrix)
+
+
+_SWEPT_BOUNDS = {
+    "[0, 10]": ((0.0, 10.0), [0.0, -0.0, 10.0, 2.0, 7.5]),
+    "[-5, 5]": ((-5.0, 5.0), [-5.0, 5.0, 0.0, -0.0, 1.0, -2.0]),
+    "tags": ((NEG_INF, POS_INF), [NEG_INF, POS_INF, 0.0, -0.0, 1.0, -2.0]),
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(_SWEPT_BOUNDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_maxmin_sweep_equals_the_fold(bounds, data):
+    # values drawn from ties, both zeros and the bounds, where the sweep
+    # and the eliminations can part
+    (lo, hi), pool = _SWEPT_BOUNDS[bounds]
+    d = make_semiring("maxmin", (lo, hi))
+    fold = dataclasses.replace(d)
+    n, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 3))
+    value = st.sampled_from(pool) | st.floats(
+        -5.0 if lo is NEG_INF else lo, 5.0 if hi is POS_INF else hi)
+    rows = data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    rhs = data.draw(st.lists(st.lists(value, min_size=m, max_size=m),
+                             min_size=n, max_size=n))
+    for run in (closure_block, closure_gauss_jordan):
+        assert_swept(run(Matrix(d, rows)), run(Matrix(fold, rows)), rows)
+    assert_swept(solve_bellman(Matrix(d, rows), Matrix(d, rhs)),
+                 solve_bellman(Matrix(fold, rows), Matrix(fold, rhs)),
+                 rows, rhs)
+
+
+def test_no_maxmin_closure_or_solve_enters_split_job(monkeypatch, rng):
+    runs = []
+    split_job = offload.split_job
+
+    def spy(run, *args):
+        runs.append(run)
+        return split_job(run, *args)
+
+    monkeypatch.setattr(offload, "split_job", spy)
+    monkeypatch.setattr(intervals, "split_job", spy)
+    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
+    monkeypatch.setattr(offload, "_one_cpu", lambda: False)
+    for label in ("maxmin", "maxmin_inf"):
+        a = _catalog_matrix(label, 64, 64, rng)
+        b = _catalog_matrix(label, 64, 8, rng)
+        for opts in ALGOS[:2]:
+            closure(a, opts)
+            solve_bellman(a, b, opts)
+        closure_gauss_jordan(a)
+    assert runs == []
+    # a lifted call ships its hi endpoint run, and its runs sweep
+    av = random_interval_matrix("maxmin", 16, rng)
+    closure_block(av)
+    closure_gauss_jordan(av)
+    assert runs == [intervals._runs] * 2
 
 
 FAILING_PIVOT = {
@@ -436,8 +498,9 @@ def test_shipped_products_are_bit_identical(monkeypatch, products, rng, name):
     # products split by rows, D = A22 + A21 P and TL = S11 + TR Q
     for n in (2, 9, 16, 17):
         a = _catalog_matrix(name, n, n, rng)
-        (got, _), (want, _) = shipped_and_here(monkeypatch, products,
-                                               lambda: closure_block(a))
+        (got, _), (want, _) = shipped_and_here(
+            monkeypatch, products, lambda: closure_block(a),
+            ships=not name.startswith("maxmin"))    # maxmin sweeps here
         assert_bit_identical(got, want)
 
 
@@ -611,7 +674,8 @@ def test_striped_elimination_is_bit_identical(monkeypatch, stripes, rng, name):
     for n in (2, 9, 16, 17):
         a = _catalog_matrix(name, n, n, rng)
         (got, _), (want, _) = shipped_and_here(
-            monkeypatch, stripes, lambda: closure_gauss_jordan(a))
+            monkeypatch, stripes, lambda: closure_gauss_jordan(a),
+            ships=not name.startswith("maxmin"))    # maxmin sweeps here
         assert_bit_identical(got, want)
 
 
@@ -736,7 +800,8 @@ def test_striped_solve_is_bit_identical(monkeypatch, solves, rng, name):
         a = _catalog_matrix(name, n, n, rng)
         b = _catalog_matrix(name, n, 3, rng)
         (got, _), (want, _) = shipped_and_here(
-            monkeypatch, solves, lambda: solve_bellman(a, b))
+            monkeypatch, solves, lambda: solve_bellman(a, b),
+            ships=not name.startswith("maxmin"))    # maxmin sweeps here
         assert_bit_identical(got, want)
 
 

@@ -17,7 +17,7 @@ from semiralg import (NEG_INF, POS_INF, Matrix, Path, WeightedDigraph,
                       zeros)
 from semiralg import intervals, offload
 from semiralg.errors import (DescriptorMismatch, DimensionMismatch,
-                             IllegalElement)
+                             IllegalElement, InvalidOptions)
 from semiralg.intervals import _endpoint as endpoint
 from semiralg.matrices import _product
 
@@ -71,6 +71,22 @@ def test_identity_and_zeros_known_values():
         identity(MX, 0)
     with pytest.raises(DimensionMismatch):
         zeros(MX, 0, 3)
+
+
+NO_INTS = [2.5, 2.0, "2", True, None]
+
+
+@pytest.mark.parametrize("count", NO_INTS)
+def test_a_count_that_is_no_int_is_rejected(count):
+    a = Matrix(MX, [[1, 2], [3, 4]])
+    with pytest.raises(InvalidOptions, match=r"^k must be an int"):
+        a.pow(count)
+    with pytest.raises(DimensionMismatch, match=r"^n must be an int"):
+        identity(MX, count)
+    with pytest.raises(DimensionMismatch, match=r"^rows must be an int"):
+        zeros(MX, count, 2)
+    with pytest.raises(DimensionMismatch, match=r"^cols must be an int"):
+        zeros(MX, 2, count)
 
 
 # ------------------------------------------------------------------- add/mul

@@ -16,13 +16,18 @@ Each row is one kernel call on one carrier at one size:
   at n = 64 and 96, and, on real_field, ``real_matrix_star`` at
   n = 96, as in the cli-jobs ``invert`` jobs;
 - as the control that a change to one carrier's row kernels costs the
-  others nothing, maxplus, minplus and maxmin Gauss-Jordan and block
-  closure at n = 128, also with the worker off;
+  others nothing, maxplus and minplus Gauss-Jordan and block closure at
+  n = 128, also with the worker off;
+- maxmin Gauss-Jordan, block closure and ``solve_bellman`` with an
+  n x 8 right-hand side at the tropical-closure shapes, n = 64 and 128
+  dense and n = 96 at density 0.3, which sweep over the arcs and ship
+  nothing, also with the worker off;
 - maxplus and minplus ``solve_bellman`` with an n x 8 right-hand side
   at n = 96 and 128, whose cyclic stripes ship, and, on the interval
-  lift of maxplus (``maxplus_interval``: each weight w widened to
-  [w - 2, w]), Gauss-Jordan and ``solve_bellman`` at n = 48 and 64,
-  whose hi endpoint runs ship, each also with the worker off.
+  lifts of maxplus and maxmin (``maxplus_interval`` and
+  ``maxmin_interval``: each weight w widened to [w - 2, w], on maxmin
+  cut at the zero 0), Gauss-Jordan and ``solve_bellman`` at n = 48 and
+  64, whose hi endpoint runs ship, each also with the worker off.
 
 Each call runs on the working tree's ``src/semiralg`` and on the same
 package at a baseline git revision, loaded side by side in one process.
@@ -72,7 +77,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAXMIN_BOUNDS = (0.0, 10.0)
 FIELDS = ("rplus", "real_field")
-LIFTED = "maxplus_interval"     # the interval lift of maxplus
+# the interval lifts, by the carrier that each lifts
+LIFTED = {"maxplus_interval": "maxplus", "maxmin_interval": "maxmin"}
 
 
 def load_package(name, path):
@@ -109,10 +115,14 @@ def weight(rng, carrier):
 
 
 def plain_matrix(carrier, n, density, seed, cols=None):
-    if carrier == LIFTED:
-        # each maxplus weight w widened to [w - 2, w]; a zero stays one
-        return [[(v, v) if v == "-inf" else (v - 2.0, v) for v in row]
-                for row in plain_matrix("maxplus", n, density, seed, cols)]
+    if carrier in LIFTED:
+        # each weight w widened to [w - 2, w], cut at maxmin's zero 0; a
+        # zero stays one
+        base = LIFTED[carrier]
+        return [[(v, v) if v in ("-inf", 0.0) else
+                 (max(v - 2.0, 0.0) if base == "maxmin" else v - 2.0, v)
+                 for v in row]
+                for row in plain_matrix(base, n, density, seed, cols)]
     rng = random.Random(f"{carrier}/{n}/{density}/{seed}")
     zero = {"boolean": False, "maxplus": "-inf", "minplus": "inf",
             "maxmin": 0.0}[carrier]
@@ -149,12 +159,11 @@ def to_matrix(lib, carrier, data):
             return tuple(map(value, v))
         return tags.get(v, v) if isinstance(v, str) else v
 
-    if carrier == LIFTED:
-        d = lib.lift_semiring(lib.make_semiring("maxplus"))
-    elif carrier == "maxmin":
-        d = lib.make_semiring("maxmin", MAXMIN_BOUNDS)
-    else:
-        d = lib.make_semiring(carrier)
+    base = LIFTED.get(carrier, carrier)
+    d = (lib.make_semiring("maxmin", MAXMIN_BOUNDS) if base == "maxmin"
+         else lib.make_semiring(base))
+    if carrier in LIFTED:
+        d = lib.lift_semiring(d)
     return lib.Matrix(d, [list(map(value, row)) for row in data])
 
 
@@ -235,16 +244,20 @@ def cases(only=None):
                     else "contraction")
             sides = pair + off if op in SHIPS else pair
             rows.append((carrier, op, n, kind, sides))
-    for carrier in ("maxplus", "minplus", "maxmin"):
+    for carrier in ("maxplus", "minplus"):
         for op in ("gauss_jordan", "block"):
             rows.append((carrier, op, 128, 1.0,
                          pair + ("baseline_copy",) + off))
+    for op in ("gauss_jordan", "block", "solve_bellman"):
+        for n, density in ((64, 1.0), (96, 0.3), (128, 1.0)):
+            rows.append(("maxmin", op, n, density, pair + off))
     for carrier in ("maxplus", "minplus"):
         for n in (96, 128):
             rows.append((carrier, "solve_bellman", n, 1.0, pair + off))
-    for op in ("gauss_jordan", "solve_bellman"):
-        for n in (48, 64):
-            rows.append((LIFTED, op, n, 1.0, pair + off))
+    for carrier in LIFTED:
+        for op in ("gauss_jordan", "solve_bellman"):
+            for n in (48, 64):
+                rows.append((carrier, op, n, 1.0, pair + off))
     return [row for row in rows if only is None or row[0] in only]
 
 
