@@ -38,13 +38,24 @@ class WeightedDigraph:
     descriptor: SemiringDescriptor
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise InvalidGraph(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise InvalidGraph("graph needs at least one node")
         d = self.descriptor
         seen = set()
         clean = []
         for arc in self.arcs:
-            u, v, w = arc
+            try:
+                u, v, w = arc
+            except (TypeError, ValueError):
+                raise InvalidGraph(
+                    f"an arc is (u, v, w), got {arc!r}") from None
+            # type() first: the plain ints of a decoded graph pass fast
+            if (type(u) is not int or type(v) is not int) and not (
+                    _is_int(u) and _is_int(v)):
+                raise InvalidGraph(
+                    f"arc nodes must be ints, got ({u!r}, {v!r})")
             if not (1 <= u <= self.n) or not (1 <= v <= self.n):
                 raise IndexOutOfRange(f"arc ({u}, {v}) outside 1..{self.n}")
             if (u, v) in seen:
@@ -69,6 +80,9 @@ class Path:
     def __post_init__(self):
         if len(self.nodes) < 1:
             raise InvalidPath("a path visits at least one node")
+        for node in self.nodes:
+            if not _is_int(node):
+                raise InvalidPath(f"path nodes must be ints, got {node!r}")
 
 
 def graph_to_matrix(g: WeightedDigraph) -> Matrix:
@@ -135,6 +149,8 @@ def brute_force_star(g: WeightedDigraph, max_len: int) -> Matrix:
     sorted order), independently of any matrix kernel.  Hard caps keep
     the enumeration honest about its exponential cost.
     """
+    if not _is_int(max_len):
+        raise InvalidPath(f"max_len must be an int, got {max_len!r}")
     if g.n > _ORACLE_MAX_N or max_len > _ORACLE_MAX_LEN:
         raise OracleScaleExceeded(
             f"brute force capped at n <= {_ORACLE_MAX_N}, max_len <= {_ORACLE_MAX_LEN}")

@@ -194,6 +194,8 @@ class Matrix:
 
     def allclose(self, other, tol: float) -> bool:
         """Entrywise |a - b| <= tol for finite float carriers."""
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+            raise TypeError(f"tol must be a float, got {tol!r}")
         self._check_same(other, "same")
         for ra, rb in zip(self._data, other._data):
             for a, b in zip(ra, rb):

@@ -64,6 +64,9 @@ def to_token(v) -> str:
         return "true"
     if v is False:
         return "false"
+    if not isinstance(v, (int, float)):
+        raise TypeError(
+            f"v must be a float, int, bool or infinity tag, got {v!r}")
     return repr(v)
 
 

@@ -9,6 +9,8 @@ cross-algorithm tests assert bitwise equality instead of tolerances.
 import math
 import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -145,6 +147,18 @@ def pivoted_rows(seed):
     return rows
 
 
+def dominant_rows(rand, n, row, pivot):
+    """The rows A of E - A = 2E plus small entries, whose pivots stay on
+    the diagonal, but for row ``row`` (1-based): zero but for ``pivot``
+    right of the diagonal, which no step before its own changes.  Exact
+    off the diagonal."""
+    m = [[2.0 if i == j else rand.uniform(-0.01, 0.01) for j in range(n)]
+         for i in range(n)]
+    m[row - 1] = [pivot * (j == row) for j in range(n)]
+    return [[(1.0 - v if i == j else -v) for j, v in enumerate(r)]
+            for i, r in enumerate(m)]
+
+
 def random_graph(name, n, rand, density=0.5):
     """Random digraph with star-safe arc weights (absent arcs omitted)."""
     d = descriptor(name)
@@ -211,6 +225,35 @@ def random_interval_matrix(base_name, n, rand, density=0.6):
     return interval_hull(descriptor(base_name), a, b)
 
 
+# star-safe endpoints, signed zeros among them, per liftable carrier
+SIGNED_ENDPOINTS = {
+    "maxplus": [NEG_INF, -0.0, 0.0, -1.0, -2.5],
+    "maxplus_complete": [NEG_INF, -0.0, 0.0, -1.0, -2.5],
+    "minplus": [POS_INF, -0.0, 0.0, 1.0, 2.5],
+    "maxmin": [0.0, -0.0, 2.0, 10.0],
+    "boolean": [False, True],
+    "rplus": [0.0, -0.0, 0.0625, 0.03125],
+    "rplus_complete": [0.0, -0.0, 0.0625, 0.03125],
+}
+
+
+def signed_interval_matrix(name, rows, cols, rand, symmetric=False):
+    """Interval matrix over the lift of ``name`` whose endpoints are drawn
+    from ``SIGNED_ENDPOINTS``."""
+    base = descriptor(name)
+    pool = SIGNED_ENDPOINTS[name]
+
+    def cell():
+        a, b = rand.choice(pool), rand.choice(pool)
+        return (a, b) if base.leq(a, b) else (b, a)
+
+    data = [[cell() for _ in range(cols)] for _ in range(rows)]
+    if symmetric:
+        data = [[data[min(i, j)][max(i, j)] for j in range(cols)]
+                for i in range(rows)]
+    return Matrix(sa.lift_semiring(base), data)
+
+
 # ------------------------------------------------------------- row kernels
 
 # The catalog carriers with C-level row kernels; maxmin also runs with
@@ -249,6 +292,23 @@ def kernel_rows(label, rows, cols, rand):
         return 0.0 if r < 0.4 else rand.uniform(-small, small)   # real_field
 
     return [[value() for _ in range(cols)] for _ in range(rows)]
+
+
+# the catalog carriers of the shipping tests: those with row kernels, and
+# the two complete ones, whose rows are those of their incomplete kin
+CATALOG_LABELS = KERNEL_CARRIERS + ["maxplus_complete", "rplus_complete"]
+
+
+def catalog_matrix(name, rows, cols, rand):
+    """Star-safe rows over a catalog carrier, signed zeros among them;
+    square ones carry -0.0 on the diagonal."""
+    label = {"maxplus_complete": "maxplus", "rplus_complete": "rplus"}.get(
+        name, name)
+    data = kernel_rows(label, rows, cols, rand)
+    if rows == cols:
+        for i in range(rows):
+            data[i][i] = -0.0 if label != "boolean" else data[i][i]
+    return Matrix(kernel_descriptor(name), data)
 
 
 def assert_bit_identical(got, want):
@@ -365,6 +425,55 @@ def fork_anew(monkeypatch, name="maxplus", **replaced):
     kernels = semirings.row_kernels(d)
     monkeypatch.setitem(semirings._kernels, d, kernels._replace(**replaced))
     return kernels
+
+
+class _FailingRecv:
+    """A pipe end whose ``recv`` takes what is there and raises ``exc``."""
+
+    def __init__(self, conn, exc):
+        self.conn, self.exc = conn, exc
+
+    def recv(self):
+        self.conn.recv()
+        raise self.exc
+
+
+def failing_reply(monkeypatch, exc):
+    """The next reply of the worker is read and then raises ``exc``, as
+    one that does not unpickle does, or an interrupt while the caller
+    waits on it; the replies after it are read as they are."""
+    reply = offload._Worker.reply
+    pending = [exc]
+
+    def failing(self):
+        if not pending:
+            return reply(self)
+        conn = self.conn
+        self.conn = _FailingRecv(conn, pending.pop())
+        try:
+            return reply(self)
+        finally:
+            self.conn = conn
+
+    monkeypatch.setattr(offload._Worker, "reply", failing)
+
+
+def in_threads(work, count):
+    """``work(k)`` for k in range(count), each in a thread of its own,
+    the interpreter switching between them as often as it can; more
+    threads than cores make a reply that reached the wrong call show."""
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not offload._busy.locked()
 
 
 # ------------------------------------------------------------ acceptance hook

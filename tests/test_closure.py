@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (ALL_NAMES, IDEMPOTENT_NAMES, KERNEL_CARRIERS,
-                      PYTEST_PID, assert_bit_identical, assert_swept,
-                      descriptor, fork_anew, kernel_descriptor, kernel_rows,
+from conftest import (ALL_NAMES, CATALOG_LABELS, IDEMPOTENT_NAMES,
+                      KERNEL_CARRIERS, PYTEST_PID, assert_bit_identical,
+                      assert_swept, catalog_matrix, descriptor, fork_anew,
+                      in_threads, kernel_descriptor, kernel_rows,
                       random_interval_matrix, random_oracle_matrix,
                       random_stable_matrix, ship_placements, shipped_and_here)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, closure,
@@ -314,8 +315,8 @@ def test_no_maxmin_closure_or_solve_enters_split_job(monkeypatch, rng):
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
     monkeypatch.setattr(offload, "_one_cpu", lambda: False)
     for label in ("maxmin", "maxmin_inf"):
-        a = _catalog_matrix(label, 64, 64, rng)
-        b = _catalog_matrix(label, 64, 8, rng)
+        a = catalog_matrix(label, 64, 64, rng)
+        b = catalog_matrix(label, 64, 8, rng)
         for opts in ALGOS[:2]:
             closure(a, opts)
             solve_bellman(a, b, opts)
@@ -477,27 +478,12 @@ def series(monkeypatch):
     return ship_placements(monkeypatch, _product)
 
 
-def _catalog_matrix(name, rows, cols, rand):
-    """Star-safe rows over a catalog carrier, signed zeros among them;
-    square ones carry -0.0 on the diagonal."""
-    label = {"maxplus_complete": "maxplus", "rplus_complete": "rplus"}.get(
-        name, name)
-    data = kernel_rows(label, rows, cols, rand)
-    if rows == cols:
-        for i in range(rows):
-            data[i][i] = -0.0 if label != "boolean" else data[i][i]
-    return Matrix(kernel_descriptor(name), data)
-
-
-CATALOG_LABELS = KERNEL_CARRIERS + ["maxplus_complete", "rplus_complete"]
-
-
 @pytest.mark.parametrize("name", CATALOG_LABELS)
 def test_shipped_products_are_bit_identical(monkeypatch, products, rng, name):
     # every product ships: the independent pairs and both halves of the
     # products split by rows, D = A22 + A21 P and TL = S11 + TR Q
     for n in (2, 9, 16, 17):
-        a = _catalog_matrix(name, n, n, rng)
+        a = catalog_matrix(name, n, n, rng)
         (got, _), (want, _) = shipped_and_here(
             monkeypatch, products, lambda: closure_block(a),
             ships=not name.startswith("maxmin"))    # maxmin sweeps here
@@ -516,7 +502,7 @@ def test_a_star_failure_in_the_second_recursion_reads_as_here(monkeypatch,
     assert shipped == here
     assert here[1][0] is StarUndefined and here[1][2] == 7
     assert not offload._busy.locked()
-    good = _catalog_matrix("maxplus", 8, 8, rng)
+    good = catalog_matrix("maxplus", 8, 8, rng)
     (got, _), (want, _) = shipped_and_here(monkeypatch, products,
                                            lambda: closure_block(good))
     assert_bit_identical(got, want)
@@ -524,7 +510,7 @@ def test_a_star_failure_in_the_second_recursion_reads_as_here(monkeypatch,
 
 def test_an_interrupt_while_a_product_is_in_flight_stops_the_worker(
         monkeypatch, products, rng):
-    a = _catalog_matrix("maxplus", 16, 16, rng)
+    a = catalog_matrix("maxplus", 16, 16, rng)
     want = closure_block(a)             # shipped: the worker is up
     worker = offload._worker
     kernels = semirings.row_kernels(MX)
@@ -565,7 +551,7 @@ def _fail_to_unpickle():
 @pytest.mark.parametrize("lost", ["killed", "unpicklable"])
 def test_a_worker_lost_while_q_is_out_leaves_the_pair_here(
         monkeypatch, products, rng, tmp_path, lost):
-    a = _catalog_matrix("maxplus", 16, 16, rng)
+    a = catalog_matrix("maxplus", 16, 16, rng)
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
     want = closure_block(a)
     monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
@@ -583,7 +569,7 @@ def test_a_worker_lost_while_q_is_out_leaves_the_pair_here(
         return kernels.product(X, Y)
 
     kernels = fork_anew(monkeypatch, product=q_lost)
-    closure_block(_catalog_matrix("maxplus", 4, 4, rng))   # starts the worker
+    closure_block(catalog_matrix("maxplus", 4, 4, rng))   # starts the worker
     worker = offload._worker
     products.clear()
     got = closure_block(a)
@@ -637,7 +623,7 @@ def test_threads_share_the_worker_for_products(products, rng):
 
 def _share_the_worker(kernel, placements, rng):
     # more threads than cores, switching often
-    cases = [_catalog_matrix(name, 12, 12, rng)
+    cases = [catalog_matrix(name, 12, 12, rng)
              for name in ("maxplus", "minplus", "maxmin", "real_field")] * 2
     want = [kernel(a) for a in cases]
     got = [[] for _ in cases]
@@ -646,19 +632,7 @@ def _share_the_worker(kernel, placements, rng):
         for _ in range(10):
             got[k].append(kernel(cases[k]))
 
-    threads = [threading.Thread(target=work, args=(k,))
-               for k in range(len(cases))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not offload._busy.locked()
+    in_threads(work, len(cases))
     assert any(placements) and not all(placements)
     for results, w in zip(got, want):
         assert len(results) == 10
@@ -672,7 +646,7 @@ def _share_the_worker(kernel, placements, rng):
 @pytest.mark.parametrize("name", CATALOG_LABELS)
 def test_striped_elimination_is_bit_identical(monkeypatch, stripes, rng, name):
     for n in (2, 9, 16, 17):
-        a = _catalog_matrix(name, n, n, rng)
+        a = catalog_matrix(name, n, n, rng)
         (got, _), (want, _) = shipped_and_here(
             monkeypatch, stripes, lambda: closure_gauss_jordan(a),
             ships=not name.startswith("maxmin"))    # maxmin sweeps here
@@ -690,7 +664,7 @@ def test_a_failing_pivot_reads_as_here_in_either_stripe(monkeypatch, stripes,
     assert shipped == here
     assert here[1][0] is StarUndefined and here[1][2] == pivot + 1
     assert not offload._busy.locked()
-    good = _catalog_matrix("maxplus", 16, 16, rng)
+    good = catalog_matrix("maxplus", 16, 16, rng)
     (got, _), (want, _) = shipped_and_here(
         monkeypatch, stripes, lambda: closure_gauss_jordan(good))
     assert_bit_identical(got, want)
@@ -709,7 +683,7 @@ def test_a_failure_in_one_stripe_alone_reads_as_here(monkeypatch, stripes,
     assert shipped == here
     assert here[1][0] is IllegalElement and "float range" in here[1][1]
     assert not offload._busy.locked()
-    good = _catalog_matrix("maxplus_complete", 4, 4, rng)
+    good = catalog_matrix("maxplus_complete", 4, 4, rng)
     (got, _), (want, _) = shipped_and_here(
         monkeypatch, stripes, lambda: closure_gauss_jordan(good))
     assert_bit_identical(got, want)
@@ -717,7 +691,7 @@ def test_a_failure_in_one_stripe_alone_reads_as_here(monkeypatch, stripes,
 
 def test_an_interrupt_while_waiting_for_a_pivot_row_stops_the_worker(
         monkeypatch, stripes, rng):
-    a = _catalog_matrix("maxplus", 16, 16, rng)
+    a = catalog_matrix("maxplus", 16, 16, rng)
     want = closure_gauss_jordan(a)
 
     def slow(C, k, s, krow):
@@ -751,7 +725,7 @@ def test_an_interrupt_while_waiting_for_a_pivot_row_stops_the_worker(
 @pytest.mark.parametrize("pivot", [3, 12])
 def test_a_worker_killed_mid_elimination_leaves_it_here(monkeypatch, stripes,
                                                         rng, pivot):
-    a = _catalog_matrix("maxplus", 16, 16, rng)
+    a = catalog_matrix("maxplus", 16, 16, rng)
     want = closure_gauss_jordan(a)
 
     def dying(C, k, s, krow):
@@ -797,8 +771,8 @@ def test_threads_share_the_worker_for_stripes(stripes, rng):
 @pytest.mark.parametrize("name", CATALOG_LABELS)
 def test_striped_solve_is_bit_identical(monkeypatch, solves, rng, name):
     for n in (2, 9, 16, 17):
-        a = _catalog_matrix(name, n, n, rng)
-        b = _catalog_matrix(name, n, 3, rng)
+        a = catalog_matrix(name, n, n, rng)
+        b = catalog_matrix(name, n, 3, rng)
         (got, _), (want, _) = shipped_and_here(
             monkeypatch, solves, lambda: solve_bellman(a, b),
             ships=not name.startswith("maxmin"))    # maxmin sweeps here
@@ -811,13 +785,13 @@ def test_a_failing_solve_pivot_reads_as_here_in_either_stripe(
     data = kernel_rows("maxplus", 16, 16, rng)
     data[pivot][pivot] = 1.0
     a = Matrix(MX, data)
-    b = _catalog_matrix("maxplus", 16, 3, rng)
+    b = catalog_matrix("maxplus", 16, 3, rng)
     shipped, here = shipped_and_here(monkeypatch, solves,
                                      lambda: solve_bellman(a, b))
     assert shipped == here
     assert here[1][0] is StarUndefined and here[1][2] == pivot + 1
     assert not offload._busy.locked()
-    good = _catalog_matrix("maxplus", 16, 16, rng)
+    good = catalog_matrix("maxplus", 16, 16, rng)
     (got, _), (want, _) = shipped_and_here(monkeypatch, solves,
                                            lambda: solve_bellman(good, b))
     assert_bit_identical(got, want)
@@ -830,7 +804,7 @@ def test_a_solve_fails_at_the_gauss_jordan_pivot(monkeypatch, solves, rng,
     data = kernel_rows("maxplus", 9, 9, rng)
     data[6][6] = 1.0
     a = Matrix(MX, data)
-    b = _catalog_matrix("maxplus", 9, 2, rng)
+    b = catalog_matrix("maxplus", 9, 2, rng)
     with pytest.raises(StarUndefined) as info:
         closure_gauss_jordan(a)
     opts = ClosureOptions(algorithm=algorithm)
@@ -869,7 +843,7 @@ def _series_outcome(a, opts=None):
 def test_a_shipped_series_is_bit_identical(monkeypatch, series, rng, name):
     # the bottom rows of every product on the worker, against all here
     for n in (2, 9, 16, 17):
-        a = _catalog_matrix(name, n, n, rng)
+        a = catalog_matrix(name, n, n, rng)
         shipped, here = shipped_and_here(monkeypatch, series,
                                          lambda: _series_outcome(a))
         assert shipped == here and here[1] is None
@@ -979,7 +953,7 @@ def test_a_series_failure_reads_as_here_in_either_half(
     assert shipped == here
     assert here[1][0] is IllegalElement and f"({value})" in here[1][1]
     assert not offload._busy.locked()
-    good = _catalog_matrix("real_field", 4, 4, rng)
+    good = catalog_matrix("real_field", 4, 4, rng)
     shipped, here = shipped_and_here(monkeypatch, series,
                                      lambda: _series_outcome(good))
     assert shipped == here and here[1] is None
@@ -1052,7 +1026,7 @@ def test_a_thread_on_one_cpu_ships_nothing(rng):
     # the worker could only take turns with it.  Floats only, so that
     # the rows print as Python
     a = Matrix(MX, [[-5.0 if v is NEG_INF else v for v in row]
-                    for row in _catalog_matrix("maxplus", 16, 16, rng)._data])
+                    for row in catalog_matrix("maxplus", 16, 16, rng)._data])
     src = str(Path(offload.__file__).resolve().parent.parent)
     code = f"""\
 import os, sys

@@ -2,8 +2,9 @@
 
 import pytest
 
-from conftest import (descriptor, pivoted_rows, random_contraction,
-                      random_graph, ship_placements, shipped_and_here)
+from conftest import (descriptor, dominant_rows, pivoted_rows,
+                      random_contraction, random_graph, ship_placements,
+                      shipped_and_here)
 from semiralg import (ClosureOptions, Matrix, NEG_INF, POS_INF, Path,
                       WeightedDigraph, brute_force_star, closure,
                       closure_gauss_jordan, graph_to_matrix, identity,
@@ -468,28 +469,12 @@ def test_a_striped_step_sends_one_row(monkeypatch, inverts, rng):
     assert seen == ["sent"] * (n // 2) + ["received"] * (n - n // 2)
 
 
-def _e_minus(m):
-    """The rows A of E - A = m: exact off the diagonal."""
-    return [[(1.0 - v if i == j else -v) for j, v in enumerate(row)]
-            for i, row in enumerate(m)]
-
-
-def _dominant(rng, n, row, pivot):
-    """The rows A of E - A = 2E plus small entries, whose pivots stay on
-    the diagonal, but for row ``row`` (1-based): zero but for ``pivot``
-    right of the diagonal, which no step before its own changes."""
-    m = [[2.0 if i == j else rng.uniform(-0.01, 0.01) for j in range(n)]
-         for i in range(n)]
-    m[row - 1] = [pivot * (j == row) for j in range(n)]
-    return _e_minus(m)
-
-
 @pytest.mark.parametrize("row", [4, 30])     # held here, by the worker
 def test_a_singular_inverse_fails_as_here_in_either_stripe(
         monkeypatch, inverts, rng, row):
     # row 4 or 30 of E - A is zero, and no step changes it
     n = 32
-    assert _both_ways(monkeypatch, inverts, _dominant(rng, n, row, 0.0)) == (
+    assert _both_ways(monkeypatch, inverts, dominant_rows(rng, n, row, 0.0)) == (
         StarUndefined, "E - A is singular to working precision: row "
         f"{row} has no nonzero entry left", row)
     assert offload._worker is None and not offload._busy.locked()
@@ -502,7 +487,7 @@ def test_a_singular_inverse_fails_as_here_in_either_stripe(
 @pytest.mark.parametrize("row", [4, 30])
 def test_a_pivot_without_a_reciprocal_fails_as_here_in_either_stripe(
         monkeypatch, inverts, rng, row):
-    rows = _dominant(rng, 32, row, 1e-320)
+    rows = dominant_rows(rng, 32, row, 1e-320)
     assert _both_ways(monkeypatch, inverts, rows) == (
         IllegalElement, f"the pivot 1e-320 of row {row} has no reciprocal "
         "in the float range", None)

@@ -1,23 +1,24 @@
 """Interval lift: construction, algebra, and endpoint decomposition."""
 
 import dataclasses
-import math
 import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import (assert_bit_identical, descriptor, interval_hull, interval_samples,
+from conftest import (PYTEST_PID, assert_bit_identical, descriptor,
+                      failing_reply, in_threads, interval_hull, interval_samples,
                       kernel_rows, pair_endpoints, random_interval_matrix,
                       random_nilpotent_matrix, random_stable_matrix,
-                      random_symmetric_stable_matrix, scalar_samples)
+                      random_symmetric_stable_matrix, scalar_samples,
+                      ship_placements, shipped_and_here,
+                      signed_interval_matrix)
 from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
                       POS_INF, OpCounter, back_substitution, closure,
                       closure_block, closure_gauss_jordan, closure_iterative,
@@ -28,8 +29,7 @@ from semiralg import (ClosureOptions, Interval, LdmTriple, Matrix, NEG_INF,
                       symmetric_factorize, widest_paths, zeros)
 from semiralg import intervals, laws, offload
 from semiralg.errors import (DimensionMismatch, EmptyInterval, IllegalElement,
-                             NotPositive, NotSymmetric, SemiringError,
-                             StarUndefined)
+                             NotPositive, NotSymmetric, StarUndefined)
 
 MX = descriptor("maxplus")
 LIFT_NAMES = ["maxplus", "minplus", "maxmin", "boolean", "rplus",
@@ -586,40 +586,7 @@ def ship(monkeypatch):
     each placement of a hi run, True for a run that went.  Block
     products and Gauss-Jordan stripes are not recorded; those of an
     endpoint run find the worker held by their own lifted call."""
-    placements = []
-    place = offload._ship
-
-    def spy(run, args, work, d):
-        worker = place(run, args, work, d)
-        if run is intervals._runs:
-            placements.append(worker is not None)
-        return worker
-
-    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
-    monkeypatch.setattr(offload, "_one_cpu", lambda: False)
-    monkeypatch.setattr(offload, "_ship", spy)
-    return placements
-
-
-def _outcome(call):
-    try:
-        return call(), None
-    except SemiringError as exc:
-        return None, (type(exc), str(exc), getattr(exc, "location", None))
-
-
-def _shipped_and_here(monkeypatch, placements, call):
-    """The outcomes of ``call`` with every hi run shipped and with every
-    hi run in this process."""
-    placements.clear()
-    shipped = _outcome(call)
-    assert placements and all(placements)
-    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
-    placements.clear()
-    here = _outcome(call)
-    assert placements == []
-    monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
-    return shipped, here
+    return ship_placements(monkeypatch, intervals._runs)
 
 
 def _assert_same(got, want):
@@ -633,33 +600,6 @@ def _assert_same(got, want):
         assert got == want and repr(got) == repr(want)
 
 
-# star-safe endpoints, signed zeros among them, per liftable carrier
-SIGNED_ENDPOINTS = {
-    "maxplus": [NEG_INF, -0.0, 0.0, -1.0, -2.5],
-    "maxplus_complete": [NEG_INF, -0.0, 0.0, -1.0, -2.5],
-    "minplus": [POS_INF, -0.0, 0.0, 1.0, 2.5],
-    "maxmin": [0.0, -0.0, 2.0, 10.0],
-    "boolean": [False, True],
-    "rplus": [0.0, -0.0, 0.0625, 0.03125],
-    "rplus_complete": [0.0, -0.0, 0.0625, 0.03125],
-}
-
-
-def _signed_matrix(name, rows, cols, rand, symmetric=False):
-    base = descriptor(name)
-    pool = SIGNED_ENDPOINTS[name]
-
-    def cell():
-        a, b = rand.choice(pool), rand.choice(pool)
-        return (a, b) if base.leq(a, b) else (b, a)
-
-    data = [[cell() for _ in range(cols)] for _ in range(rows)]
-    if symmetric:
-        data = [[data[min(i, j)][max(i, j)] for j in range(cols)]
-                for i in range(rows)]
-    return Matrix(lift_semiring(base), data)
-
-
 WORKER_KERNELS = ["closure_block", "closure_gauss_jordan", "solve_bellman",
                   "mul", "ldm_factorize", "symmetric_factorize", "solve_ldm"]
 
@@ -667,11 +607,11 @@ WORKER_KERNELS = ["closure_block", "closure_gauss_jordan", "solve_bellman",
 @pytest.mark.parametrize("kernel", WORKER_KERNELS)
 @pytest.mark.parametrize("name", LIFT_NAMES)
 def test_worker_runs_are_bit_identical(monkeypatch, ship, rng, name, kernel):
-    a = _signed_matrix(name, 6, 6, rng)
-    s = _signed_matrix(name, 6, 6, rng, symmetric=True)
-    b = _signed_matrix(name, 6, 3, rng)
-    x = _signed_matrix(name, 5, 6, rng)
-    v = _signed_matrix(name, 1, 6, rng).to_lists()[0]
+    a = signed_interval_matrix(name, 6, 6, rng)
+    s = signed_interval_matrix(name, 6, 6, rng, symmetric=True)
+    b = signed_interval_matrix(name, 6, 3, rng)
+    x = signed_interval_matrix(name, 5, 6, rng)
+    v = signed_interval_matrix(name, 1, 6, rng).to_lists()[0]
     call = {"closure_block": lambda: closure_block(a),
             "closure_gauss_jordan": lambda: closure_gauss_jordan(a),
             "solve_bellman": lambda: solve_bellman(a, b),
@@ -679,7 +619,7 @@ def test_worker_runs_are_bit_identical(monkeypatch, ship, rng, name, kernel):
             "ldm_factorize": lambda: ldm_factorize(a),
             "symmetric_factorize": lambda: symmetric_factorize(s),
             "solve_ldm": lambda: solve_ldm(ldm_factorize(a), v)}[kernel]
-    (got, got_exc), (want, want_exc) = _shipped_and_here(monkeypatch, ship, call)
+    (got, got_exc), (want, want_exc) = shipped_and_here(monkeypatch, ship, call)
     assert got_exc == want_exc
     if want_exc is None:
         _assert_same(got, want)
@@ -694,7 +634,7 @@ def test_worker_star_failure_reads_as_here(monkeypatch, ship, diagonal, pivot,
     for call, location in ((lambda: closure_gauss_jordan(av), pivot),
                            (lambda: closure_block(av), pivot),
                            (lambda: ldm_factorize(av), (pivot, pivot))):
-        shipped, here = _shipped_and_here(monkeypatch, ship, call)
+        shipped, here = shipped_and_here(monkeypatch, ship, call)
         assert shipped == here
         exc_type, message, at = shipped[1]
         assert exc_type is StarUndefined and message.endswith(tail)
@@ -703,10 +643,10 @@ def test_worker_star_failure_reads_as_here(monkeypatch, ship, diagonal, pivot,
     zero = zeros(av.descriptor, av.rows, av.rows)
     triple = LdmTriple(zero, tuple(av[i, i] for i in range(av.rows)), zero)
     ship.clear()
-    exc_type, message, at = _outcome(
-        lambda: solve_ldm(triple, [(0.0, 0.0)] * 3))[1]
-    assert exc_type is StarUndefined and message.endswith(tail)
-    assert at == pivot and not ship
+    with pytest.raises(StarUndefined) as info:
+        solve_ldm(triple, [(0.0, 0.0)] * 3)
+    assert str(info.value).endswith(tail)
+    assert info.value.location == pivot and not ship
 
 
 # the failure a run raises, named by the first entry of its matrix
@@ -731,7 +671,7 @@ def test_which_failure_is_raised(monkeypatch, ship, lo, hi, raised):
     # the hi run went; a lifted call raises what the fold raises instead
     # (test_a_lifted_closure_fails_as_the_lifted_fold)
     av = Matrix(lift_semiring(MX), [[(lo, hi)]])
-    shipped, here = _shipped_and_here(
+    shipped, here = shipped_and_here(
         monkeypatch, ship, lambda: intervals.endpoint_runs(_fail_as_told, av))
     assert shipped == here
     assert shipped[1][1] == raised
@@ -742,7 +682,7 @@ def test_worker_overflow_reads_as_here(monkeypatch, ship):
     lifted = lift_semiring(MX)
     x = Matrix(lifted, [[(1.0, 1e308), (NEG_INF, 1e308)]])
     y = Matrix(lifted, [[(0.0, 1e308)], [(0.0, 0.0)]])
-    shipped, here = _shipped_and_here(monkeypatch, ship, lambda: x.mul(y))
+    shipped, here = shipped_and_here(monkeypatch, ship, lambda: x.mul(y))
     assert shipped == here
     assert shipped[1][0] is IllegalElement and "float range" in shipped[1][1]
 
@@ -763,13 +703,10 @@ def test_worker_keeps_the_closed_form_counts(ship, rng):
     assert not any(ship)
 
 
-_PYTEST_PID = os.getpid()
-
-
 def _held_in_the_worker(M):
     # a run that the worker cannot finish before it is killed, so no
     # reply of it can be waiting in the pipe
-    if os.getpid() != _PYTEST_PID:
+    if os.getpid() != PYTEST_PID:
         time.sleep(60)
     return closure_gauss_jordan(M)
 
@@ -809,7 +746,7 @@ def test_a_killed_worker_gives_correct_calls(monkeypatch, ship, rng):
 
 def _interrupted_here(M):
     # a run that the user interrupts in this process but not in the worker
-    if os.getpid() == _PYTEST_PID:
+    if os.getpid() == PYTEST_PID:
         raise KeyboardInterrupt
     return closure_gauss_jordan(M)
 
@@ -826,32 +763,12 @@ def test_an_interrupt_stops_the_worker(ship, rng):
     assert ship == [True, True, True]
 
 
-class _FailingReply:
-    """The worker's pipe, save that the first ``recv`` takes the real
-    reply and then raises ``exc``, as when the reply does not unpickle or
-    the user interrupts the wait.  The runs redone here may ship their
-    own stripes through the pipe after that."""
-
-    def __init__(self, conn, exc):
-        self.conn, self.exc = conn, exc
-
-    def send(self, obj):
-        self.conn.send(obj)
-
-    def recv(self):
-        got = self.conn.recv()
-        if self.exc is None:
-            return got
-        exc, self.exc = self.exc, None
-        raise exc
-
-
 _RUNS_HERE = []
 
 
 def _counted_here(M):
     # a run that notes each time it runs in this process
-    if os.getpid() == _PYTEST_PID:
+    if os.getpid() == PYTEST_PID:
         _RUNS_HERE.append(M)
     return closure_gauss_jordan(M)
 
@@ -861,9 +778,7 @@ def test_a_reply_that_does_not_unpickle_is_redone_here(monkeypatch, ship,
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
     worker = offload._worker
-    conn = worker.conn
-    monkeypatch.setattr(worker, "conn",
-                        _FailingReply(conn, pickle.UnpicklingError("bad")))
+    failing_reply(monkeypatch, pickle.UnpicklingError("bad"))
     _RUNS_HERE.clear()
     runs = intervals.endpoint_runs(_counted_here, av)
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
@@ -874,7 +789,6 @@ def test_a_reply_that_does_not_unpickle_is_redone_here(monkeypatch, ship,
     assert offload._worker is worker and worker.process.is_alive()
     assert not offload._busy.locked()
     # the real reply was read, so the same worker serves the next call
-    monkeypatch.setattr(worker, "conn", conn)
     _RUNS_HERE.clear()
     runs = intervals.endpoint_runs(_counted_here, av)
     assert_bit_identical(intervals.join_endpoints(av.descriptor, *runs), want)
@@ -886,8 +800,7 @@ def test_an_interrupt_while_waiting_stops_the_worker(monkeypatch, ship, rng):
     av = random_interval_matrix("maxplus", 6, rng)
     want = closure_gauss_jordan(av)
     worker = offload._worker
-    monkeypatch.setattr(worker, "conn",
-                        _FailingReply(worker.conn, KeyboardInterrupt()))
+    failing_reply(monkeypatch, KeyboardInterrupt())
     affinity = getattr(os, "sched_getaffinity", lambda pid: None)
     cpus = affinity(0)
     with pytest.raises(KeyboardInterrupt):
@@ -914,7 +827,7 @@ _CALLER_CPUS = []
 
 def _recording_cpus(M):
     # the calling thread's CPUs while its call waits on the worker
-    if os.getpid() == _PYTEST_PID:
+    if os.getpid() == PYTEST_PID:
         _CALLER_CPUS.append(os.sched_getaffinity(0))
         if len(_CALLER_CPUS) == 2:
             raise KeyboardInterrupt
@@ -995,19 +908,7 @@ def test_threads_share_the_worker(ship, rng):
         for _ in range(20):
             got[k].append(closure_block(cases[k]))
 
-    threads = [threading.Thread(target=work, args=(k,))
-               for k in range(len(cases))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not offload._busy.locked()
+    in_threads(work, len(cases))
     for results, w in zip(got, want):
         assert len(results) == 20
         for g in results:
