@@ -51,9 +51,7 @@ class WeightedDigraph:
             except (TypeError, ValueError):
                 raise InvalidGraph(
                     f"an arc is (u, v, w), got {arc!r}") from None
-            # type() first: the plain ints of a decoded graph pass fast
-            if (type(u) is not int or type(v) is not int) and not (
-                    _is_int(u) and _is_int(v)):
+            if not (_is_int(u) and _is_int(v)):
                 raise InvalidGraph(
                     f"arc nodes must be ints, got ({u!r}, {v!r})")
             if not (1 <= u <= self.n) or not (1 <= v <= self.n):

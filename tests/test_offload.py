@@ -1,37 +1,22 @@
-"""The shipping protocol of ``offload.split_job``, tested once.
-
-Every job kind that ships has one row of ``SPLITS``, and every protocol
-case below runs once per row.  A case compares the job shipped
-(``SHIP_MIN_WORK`` 0, every run of the row offered to the worker) with
-the job here (``SHIP_MIN_WORK`` infinite) by ``repr``.  A new job kind
-needs a row: ``test_every_job_kind_has_a_row`` reads the modules for
-the runs handed to ``split_job``.
-
-A job is a tuple ``(call, *operands)``: a public call, or a
-module-level function here, and its inputs.
-"""
+"""The split-job rule of ``offload.split_job``: when either run of a
+split job raises, the worker ends and the caller does the whole job
+here, so the job fails or gets through as it does in this process.
+``SPLITS`` has one row per job kind that ships, and
+``test_every_job_kind_has_a_row`` reads the modules for the runs handed
+to ``split_job``, so a new job kind cannot skip the table."""
 
 import ast
 import importlib
-import inspect
-import math
 import os
-import pickle
-import random
-import signal
-import sys
-from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
-from conftest import (CATALOG_LABELS, PYTEST_PID, catalog_matrix, descriptor,
-                      dominant_rows, failing_reply, fork_anew, in_threads,
-                      kernel_rows, ship_placements, shipped_and_here,
-                      signed_interval_matrix)
-from semiralg import (Matrix, NEG_INF, POS_INF, closure_block,
-                      closure_gauss_jordan, closure_iterative, ldm_factorize,
-                      lift_semiring, make_semiring, real_matrix_star,
+from conftest import (PYTEST_PID, fork_anew, random_contraction,
+                      random_interval_matrix, random_stable_matrix,
+                      ship_placements, shipped_and_here)
+from semiralg import (closure_block, closure_gauss_jordan, closure_iterative,
+                      ldm_factorize, make_semiring, real_matrix_star,
                       solve_bellman)
 from semiralg import intervals, offload, semirings
 from semiralg.closure import _forward, _stripe
@@ -40,255 +25,21 @@ from semiralg.graphs import _pivoted_rows
 from semiralg.ldm import _ldm_rows
 from semiralg.matrices import _pair, _product
 
-MX = descriptor("maxplus")
-MXC = descriptor("maxplus_complete")
-REAL = descriptor("real_field")
-LIFT_NAMES = ["maxplus", "minplus", "maxmin", "boolean", "rplus",
-              "maxplus_complete", "rplus_complete"]
-
-
-@dataclass(frozen=True)
-class Split:
-    """One job kind that ``offload.split_job`` ships."""
-    run: object         # the module-level function handed to split_job
-    kernel: str         # the row kernel field that a case faults
-    carriers: tuple     # the carriers of its inputs; faults use the first
-    build: object       # build(carrier, n, rand): a job of n x n inputs
-    # where -> build(rand): a job that fails in the caller's part of the
-    # items, in the worker's part, or elsewhere
-    fails: dict
-    # its runs raise on a failing input, which ends the worker; else the
-    # rows come back and fail here, as they are decoded
-    raises: bool = True
-    lockstep: bool = False      # its runs talk to each other over peer
-    sweeps: bool = False        # on maxmin the call sweeps and offers nothing
-
-
-def _series(a):
-    res = closure_iterative(a)
-    return res.matrix, res.iterations, res.truncated
-
-
-def _lifted_calls(av):
-    # a product, a factorization and a closure, each a lifted call whose
-    # hi endpoint run ships; the last steps with the row's kernel
-    return av.mul(av), ldm_factorize(av), closure_gauss_jordan(av)
-
-
-def _fails_below_zero(m):
-    # an endpoint run that fails where its first entry is negative
-    if m[0, 0] < 0:
-        raise IllegalElement(f"{m[0, 0]} is below zero")
-    return m
-
-
-def _block_product_overflow(q):
-    """Top-level pair P = S11 A12, here, and Q = A21 S11, shipped, of
-    the block closure of a 4 x 4 maxplus matrix; S11 holds 1e308, and
-    1e308 more in A12 (``q`` false) or A21 (``q``) leaves the float
-    range in P or in Q alone."""
-    big, low = (-1.0, 1e308) if q else (1e308, -1.0)
-    return (closure_block, Matrix(MX, [[NEG_INF, 1e308, -1.0, -1.0],
-                                       [NEG_INF, NEG_INF, big, -1.0],
-                                       [low, -1.0, NEG_INF, NEG_INF],
-                                       [-1.0, -1.0, NEG_INF, NEG_INF]]))
-
-
-def _second_recursion_pivot(rand):
-    # the pivot at 7 fails in the recursion on the trailing block, after
-    # the products of the leading one went to the worker and came back
-    data = kernel_rows("maxplus", 8, 8, rand)
-    data[6][6] = 1.0
-    return (closure_block, Matrix(MX, data))
-
-
-def _product_overflow(row):
-    # 2 x 2 times 2 x 2: row ``row`` alone meets 1e308 + 1e308
-    x = [[-1.0, -1.0], [-1.0, -1.0]]
-    x[row] = [1e308, -1.0]
-    return (Matrix.mul, Matrix(MX, x),
-            Matrix(MX, [[1e308, -1.0], [-1.0, -1.0]]))
-
-
-def _one_stripe_overflow(row, *rhs):
-    """Over maxplus_complete the step at pivot 0 raises in row ``row`` of
-    4 only: its top tag meets a sum past the float range, 1e308 + 1e308.
-    The caller holds rows 0 and 1 of a closure, the even rows of a
-    solve, whose right-hand side is ``rhs``."""
-    data = [[-1.0, 1e308, -1.0, -1.0]] + [[-1.0] * 4 for _ in range(3)]
-    data[row] = [1e308, POS_INF, -1.0, -1.0]
-    if rhs:
-        return (solve_bellman, Matrix(MXC, data), Matrix(MXC, rhs))
-    return (closure_gauss_jordan, Matrix(MXC, data))
-
-
-# 2 x 2 real_field blocks on the diagonal of a 4 x 4 matrix, one for
-# each half of the rows: a series that runs on, and one whose product of
-# step 1 leaves the float range as inf - inf, a NaN
-RUNS_ON = [[0.5, 0.0], [0.0, 0.5]]
-PRODUCT_NAN = [[1e308, -1e308], [1e308, 0.0]]
-
-
-def _series_failure(top, bottom):
-    zero = [0.0, 0.0]
-    return (_series, Matrix(REAL, [row + zero for row in top]
-                            + [zero + row for row in bottom]))
-
-
-def _ldm_overflow(i, j):
-    # the forward pass of column j adds 1e308 to 1e308; the caller's rows
-    # of 10 are 0..5
-    data = [[-1.0] * 10 for _ in range(10)]
-    data[i][j] = data[j][i] = 1e308
-    return (ldm_factorize, Matrix(MXC, data))
-
-
+# the run that ships, the kernel it calls, of maxplus unless the call
+# inverts over real_field, and the call
 SPLITS = {
-    "block product pair": Split(
-        _pair, "product", tuple(CATALOG_LABELS),
-        lambda c, n, r: (closure_block, catalog_matrix(c, n, n, r)),
-        {"caller": lambda r: _block_product_overflow(False),
-         "worker": lambda r: _block_product_overflow(True),
-         "second recursion": _second_recursion_pivot},
-        raises=False, sweeps=True),
-    "matrix product": Split(
-        _product, "product", tuple(CATALOG_LABELS),
-        lambda c, n, r: (Matrix.mul, catalog_matrix(c, n, n, r),
-                         catalog_matrix(c, n, 3, r)),
-        {"caller": lambda r: _product_overflow(0),
-         "worker": lambda r: _product_overflow(1)},
-        raises=False),
-    "gauss_jordan stripe": Split(
-        _stripe, "eliminate", tuple(CATALOG_LABELS),
-        lambda c, n, r: (closure_gauss_jordan, catalog_matrix(c, n, n, r)),
-        {"caller": lambda r: _one_stripe_overflow(1),
-         "worker": lambda r: _one_stripe_overflow(2)},
-        lockstep=True, sweeps=True),
+    "block product pair": (_pair, "product", closure_block),
+    "matrix product": (_product, "product", lambda a: a.mul(a)),
+    "gauss_jordan stripe": (_stripe, "eliminate", closure_gauss_jordan),
     # the series ships the bottom rows of its products, as every
     # Matrix.mul does
-    "series product": Split(
-        _product, "product", tuple(CATALOG_LABELS),
-        lambda c, n, r: (_series, catalog_matrix(c, n, n, r)),
-        {"caller": lambda r: _series_failure(PRODUCT_NAN, RUNS_ON),
-         "worker": lambda r: _series_failure(RUNS_ON, PRODUCT_NAN)},
-        raises=False),
-    # faults over real_field: its loop run again on rows it changed gives
-    # other rows
-    "ldm stripe": Split(
-        _ldm_rows, "fold",
-        ("real_field", *(c for c in CATALOG_LABELS if c != "real_field")),
-        lambda c, n, r: (ldm_factorize, catalog_matrix(c, n, n, r)),
-        {"caller": lambda r: _ldm_overflow(0, 1),
-         "worker": lambda r: _ldm_overflow(6, 7)},
-        lockstep=True),
-    "solve stripe": Split(
-        _forward, "eliminate", tuple(CATALOG_LABELS),
-        lambda c, n, r: (solve_bellman, catalog_matrix(c, n, n, r),
-                         catalog_matrix(c, n, 3, r)),
-        {"caller": lambda r: _one_stripe_overflow(2, *[[-1.0] * 3] * 4),
-         "worker": lambda r: _one_stripe_overflow(1, *[[-1.0] * 3] * 4)},
-        lockstep=True, sweeps=True),
-    # no contraction: the pivots leave the diagonal.  Row 4 of 32 is
-    # singular, row 30 has a pivot without a reciprocal
-    "invert stripe": Split(
-        _pivoted_rows, "axpy", ("real_field",),
-        lambda c, n, r: (real_matrix_star, Matrix(REAL, [
-            [r.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])),
-        {"caller": lambda r: (real_matrix_star,
-                              Matrix(REAL, dominant_rows(r, 32, 4, 0.0))),
-         "worker": lambda r: (real_matrix_star,
-                              Matrix(REAL, dominant_rows(r, 32, 30, 1e-320)))},
-        lockstep=True),
-    "lifted hi run": Split(
-        intervals._runs, "eliminate", tuple(LIFT_NAMES),
-        lambda c, n, r: (_lifted_calls, signed_interval_matrix(c, n, n, r)),
-        {"caller": lambda r: (
-            intervals.endpoint_runs, _fails_below_zero,
-            Matrix(lift_semiring(MX), [[(-1.0, 1.0)]])),
-         # the hi product leaves the float range in the worker
-         "worker": lambda r: (
-            Matrix.mul,
-            Matrix(lift_semiring(MX), [[(1.0, 1e308), (NEG_INF, 1e308)]]),
-            Matrix(lift_semiring(MX), [[(0.0, 1e308)], [(0.0, 0.0)]]))}),
+    "series product": (_product, "product",
+                      lambda a: closure_iterative(a).matrix),
+    "ldm stripe": (_ldm_rows, "fold", lambda a: ldm_factorize(a).M),
+    "solve stripe": (_forward, "eliminate", lambda a: solve_bellman(a, a)),
+    "invert stripe": (_pivoted_rows, "axpy", real_matrix_star),
+    "lifted hi run": (intervals._runs, "eliminate", closure_gauss_jordan),
 }
-KINDS = sorted(SPLITS)
-SIZES = (2, 9, 16, 17)
-
-
-def _printed(x):
-    """``repr`` of a result with its entries: a Matrix by its rows, a
-    dataclass (a triple, a series) and a sequence item by item."""
-    if isinstance(x, Matrix):
-        return repr(x.to_lists())
-    if is_dataclass(x):
-        return repr([_printed(getattr(x, f.name)) for f in fields(x)])
-    if isinstance(x, (list, tuple)):
-        return repr([_printed(v) for v in x])
-    return repr(x)
-
-
-def _run(job):
-    return _printed(job[0](*job[1:]))
-
-
-def _here(monkeypatch, job):
-    """The outcome of ``job`` with every run in this process."""
-    monkeypatch.setattr(offload, "SHIP_MIN_WORK", math.inf)
-    try:
-        return _run(job)
-    finally:
-        monkeypatch.setattr(offload, "SHIP_MIN_WORK", 0)
-
-
-def _served(monkeypatch):
-    """The list of the workers that take a run from now on, in order."""
-    served = []
-    keep_off = offload._Worker.keep_off
-
-    def noting(self):
-        served.append(self)
-        keep_off(self)
-
-    monkeypatch.setattr(offload._Worker, "keep_off", noting)
-    return served
-
-
-def _affinity():
-    return getattr(os, "sched_getaffinity", lambda pid: None)(0)
-
-
-# the CPUs of this thread before any call shipped, which every call that
-# kept it off the worker's CPU gives back
-CPUS = _affinity()
-
-
-def _faulted(monkeypatch, row, fault):
-    """The next worker forks with the row's kernel replaced by one that
-    calls ``fault(here)`` first, ``here`` true in this process; the
-    kernels to put back."""
-    def faulty(*args):
-        fault(os.getpid() == PYTEST_PID)
-        return getattr(kernels, row.kernel)(*args)
-
-    kernels = fork_anew(monkeypatch, row.carriers[0], **{row.kernel: faulty})
-    return kernels
-
-
-def _put_back(monkeypatch, row, kernels):
-    monkeypatch.setitem(semirings._kernels, make_semiring(row.carriers[0]),
-                        kernels)
-
-
-def _in_a_thread(call):
-    """``call()`` in a thread of its own, which must end within a minute:
-    a run that waited on a worker held by its own call would hang."""
-    got = []
-    in_threads(lambda k: got.append(call()), 1)
-    assert len(got) == 1
-    return got[0]
-
-
-# ------------------------------------------------------------ the job kinds
 
 
 def _split_job_runs():
@@ -306,231 +57,48 @@ def _split_job_runs():
 
 
 def test_every_job_kind_has_a_row():
-    runs = _split_job_runs()
-    assert {row.run for row in SPLITS.values()} == runs
-    # a run talks to the other over peer exactly when its row says so
-    for row in SPLITS.values():
-        assert ("peer.recv" in inspect.getsource(row.run)) == row.lockstep
+    assert {run for run, _, _ in SPLITS.values()} == _split_job_runs()
 
 
-# ------------------------------------------------------------ protocol cases
-
-
-@pytest.mark.parametrize("kind,carrier", [(kind, carrier) for kind in KINDS
-                                          for carrier in SPLITS[kind].carriers])
-def test_shipped_is_here(monkeypatch, rng, kind, carrier):
-    # bit for bit, signed zeros and all; a maxmin call that sweeps offers
-    # nothing
-    row = SPLITS[kind]
-    placements = ship_placements(monkeypatch, row.run)
-    ships = not (row.sweeps and carrier.startswith("maxmin"))
-    for n in SIZES:
-        job = row.build(carrier, n, rng)
-        shipped, here = shipped_and_here(monkeypatch, placements,
-                                         lambda: _run(job), ships=ships)
-        assert shipped == here and here[1] is None
-        assert _affinity() == CPUS
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_nothing_is_left_unread(monkeypatch, rng, kind):
-    # a message left in the pipe would reach the worker as a run, and its
-    # reply this process as the next call's; only a lockstep run sends any
-    row = SPLITS[kind]
-    placements = ship_placements(monkeypatch, row.run)
-    for n in SIZES:
-        _run(row.build(row.carriers[0], n, rng))
-    assert placements and all(placements)
-    assert not offload._worker.conn.poll(0.05 if row.lockstep else 0)
+def _matrix(kind, rng):
+    if kind == "lifted hi run":
+        return random_interval_matrix("maxplus", 8, rng)
+    if kind == "invert stripe":
+        return random_contraction(8, rng)
+    return random_stable_matrix("maxplus", 8, rng)
 
 
 @pytest.mark.parametrize("side", ["caller", "worker"])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", sorted(SPLITS))
 def test_a_split_job_that_fails_is_redone_whole(monkeypatch, rng, kind, side):
-    row = SPLITS[kind]
-    job = row.build(row.carriers[0], 8, rng)
-    placements = ship_placements(monkeypatch, row.run)
-    served = _served(monkeypatch)
+    run, name, call = SPLITS[kind]
+    carrier = "real_field" if kind == "invert stripe" else "maxplus"
+    a = _matrix(kind, rng)
+    placements = ship_placements(monkeypatch, run)
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    cpus = affinity(0)
+    served = []         # the workers that served a call, in this process
 
-    def fault(here):
+    def failing(*args):
+        here = os.getpid() == PYTEST_PID
+        if here and offload._worker is not None:
+            served.append(offload._worker)
         if here == (side == "caller"):
-            raise IllegalElement(f"the {row.kernel} kernel fails")
+            raise IllegalElement(f"the {name} kernel fails")
+        return getattr(kernels, name)(*args)
 
-    kernels = _faulted(monkeypatch, row, fault)
+    kernels = fork_anew(monkeypatch, carrier, **{name: failing})
     shipped, here = shipped_and_here(monkeypatch, placements,
-                                     lambda: _run(job))
+                                     lambda: call(a))
     assert shipped == here
     # a job that fails in this process fails, and one that fails in the
     # worker alone gets through
     assert (here[1] is not None) == (side == "caller")
     assert served and not served[0].process.is_alive()
     assert offload._worker is None and not offload._busy.locked()
-    assert _affinity() == CPUS
-    _put_back(monkeypatch, row, kernels)
+    assert affinity(0) == cpus
+    monkeypatch.setitem(semirings._kernels, make_semiring(carrier), kernels)
     # the next call ships, on a worker forked anew
-    got, want = shipped_and_here(monkeypatch, placements, lambda: _run(job))
+    got, want = shipped_and_here(monkeypatch, placements, lambda: call(a))
     assert got == want and want[1] is None
     assert offload._worker.process.is_alive()
-
-
-@pytest.mark.parametrize("kind,where", [(kind, where) for kind in KINDS
-                                        for where in SPLITS[kind].fails])
-def test_a_failing_input_fails_as_here(monkeypatch, rng, kind, where):
-    row = SPLITS[kind]
-    placements = ship_placements(monkeypatch, row.run)
-    served = _served(monkeypatch)
-    job = row.fails[where](rng)
-    shipped, here = shipped_and_here(monkeypatch, placements,
-                                     lambda: _run(job))
-    assert shipped == here and here[1] is not None
-    # a run that raises ends its worker, and the next call that ships
-    # forks another; rows that fail here leave it up
-    assert (offload._worker is None) == row.raises
-    assert not offload._busy.locked() and _affinity() == CPUS
-    failed = list(served)
-    good = row.build(row.carriers[0], 8, rng)
-    got, want = shipped_and_here(monkeypatch, placements, lambda: _run(good))
-    assert got == want and want[1] is None
-    assert offload._worker.process.is_alive()
-    assert (offload._worker in failed) != row.raises
-
-
-@pytest.mark.parametrize("lost", ["killed", "unpicklable"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_lost_worker_leaves_the_job_here(monkeypatch, rng, tmp_path, kind,
-                                           lost):
-    row = SPLITS[kind]
-    job = row.build(row.carriers[0], 12, rng)
-    placements = ship_placements(monkeypatch, row.run)
-    want = _here(monkeypatch, job)
-    served = _served(monkeypatch)
-    marker = tmp_path / "killed"
-
-    def fault(here):
-        # the worker dies in its first step, once
-        if not here and lost == "killed" and not marker.exists():
-            marker.touch()
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    kernels = _faulted(monkeypatch, row, fault)
-    if lost == "unpicklable":
-        failing_reply(monkeypatch, pickle.UnpicklingError("bad reply"))
-    assert _run(job) == want
-    assert placements and all(placements)
-    assert not offload._busy.locked()
-    first = served[0]
-    if lost == "killed":
-        assert marker.exists()
-        assert not first.process.is_alive() and offload._worker is not first
-    else:
-        # the real reply was read, so the same worker serves on
-        assert offload._worker is first and first.process.is_alive()
-    _put_back(monkeypatch, row, kernels)
-    placements.clear()
-    assert _run(job) == want
-    assert placements and all(placements)
-    assert offload._worker.process.is_alive()
-
-
-@pytest.mark.parametrize("where", ["run", "reply"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_an_interrupt_stops_the_worker(monkeypatch, rng, kind, where):
-    # the user interrupts this process while the worker holds its run:
-    # in the run here, or while it waits on the reply
-    row = SPLITS[kind]
-    job = row.build(row.carriers[0], 12, rng)
-    placements = ship_placements(monkeypatch, row.run)
-    want = _here(monkeypatch, job)
-    served = _served(monkeypatch)
-
-    def fault(here):
-        if here and where == "run" and offload._busy.locked():
-            raise KeyboardInterrupt
-
-    kernels = _faulted(monkeypatch, row, fault)
-    if where == "reply":
-        failing_reply(monkeypatch, KeyboardInterrupt())
-    with pytest.raises(KeyboardInterrupt):
-        _run(job)
-    assert served and not served[-1].process.is_alive()
-    assert offload._worker is None and not offload._busy.locked()
-    assert _affinity() == CPUS
-    _put_back(monkeypatch, row, kernels)
-    placements.clear()
-    assert _run(job) == want
-    assert placements and all(placements)
-    assert offload._worker not in (None, served[0])
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_threads_share_the_worker(monkeypatch, rng, kind):
-    # a reply that reached the wrong call would put one thread's result
-    # in another's place
-    row = SPLITS[kind]
-    labels = [c for c in row.carriers if not c.startswith("maxmin")]
-    jobs = [row.build(labels[k % len(labels)], 10, rng) for k in range(6)]
-    placements = ship_placements(monkeypatch, row.run)
-    want = [_here(monkeypatch, job) for job in jobs]
-    got = [[] for _ in jobs]
-
-    def work(k):
-        for _ in range(6):
-            got[k].append(_run(jobs[k]))
-
-    in_threads(work, len(jobs))
-    # a thread that finds the worker held keeps its run here
-    assert any(placements) and not all(placements)
-    assert got == [[w] * 6 for w in want]
-
-
-# the placements of the row's run, in whichever process runs a probe
-_OFFERED = []
-
-
-def _job(kind):
-    # one job of the row, the same in every process
-    row = SPLITS[kind]
-    return row.build(row.carriers[0], 12, random.Random(kind))
-
-
-def _probe(_, kind):
-    """The outcome of the row's job inside an endpoint run of a lifted
-    call, the placements that its runs met, and the process it ran in."""
-    del _OFFERED[:]
-    return _run(_job(kind)), list(_OFFERED), os.getpid()
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_inside_a_lifted_call_the_runs_stay_here(monkeypatch, rng, kind):
-    # the lifted call holds the worker, so the runs of its endpoint runs
-    # stay in their process, and so does every run inside the worker
-    placements = ship_placements(monkeypatch, SPLITS[kind].run)
-    want = _here(monkeypatch, _job(kind))
-    fork_anew(monkeypatch)      # the next worker forks with this list
-    monkeypatch.setattr(sys.modules[__name__], "_OFFERED", placements)
-    av = Matrix(lift_semiring(MX), [[(0.0, 0.0)]])     # kind goes as is
-    lo, hi = _in_a_thread(lambda: intervals.endpoint_runs(_probe, av, kind))
-    assert lo[0] == hi[0] == want
-    assert lo[2] == os.getpid() != hi[2]
-    for offered in (lo[1], hi[1]):
-        assert offered and not any(offered)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="needs CPU affinity")
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_thread_on_one_cpu_ships_nothing(monkeypatch, rng, kind):
-    # the worker could only take turns with it
-    row = SPLITS[kind]
-    job = row.build(row.carriers[0], 12, rng)
-    one_cpu = offload._one_cpu
-    placements = ship_placements(monkeypatch, row.run)
-    monkeypatch.setattr(offload, "_one_cpu", one_cpu)
-    want = _here(monkeypatch, job)
-
-    def on_one_cpu():
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        return _run(job)
-
-    assert _in_a_thread(on_one_cpu) == want
-    assert placements and not any(placements)

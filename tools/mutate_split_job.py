@@ -4,8 +4,8 @@ Usage: python3 tools/mutate_split_job.py [PYTEST_ARGS...]
 
 For each guard mutation below, copy ``src/`` to a temporary directory,
 break the copy by one text substitution, and run the tests against it
-(by default ``tests/test_offload.py``; other pytest arguments, such as
-test files, replace it).  A mutation is caught when the tests fail or
+(by default the six files that test shipping, ``SHIPPING_TESTS``; other
+pytest arguments, such as test files, replace them).  A mutation is caught when the tests fail or
 time out, and survives when they pass.  First the unbroken copy must
 pass, and each substitution must find its target text, so that a
 refactor of ``offload.split_job`` or of its runs cannot turn a mutation
@@ -25,6 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600       # seconds for one test run; a hang counts as caught
+SHIPPING_TESTS = [f"tests/test_{name}.py" for name in (
+    "offload", "closure", "intervals", "ldm", "graphs", "matrices")]
 
 # name -> [(file under src/semiralg, target text, its replacement)]
 MUTATIONS = {
@@ -125,7 +127,7 @@ def _passes(substitutions, args):
 
 
 def main(args):
-    args = args or ["tests/test_offload.py"]
+    args = args or SHIPPING_TESTS
     for substitutions in MUTATIONS.values():    # every target, before any run
         with tempfile.TemporaryDirectory() as tmp:
             _copy(tmp, substitutions)
