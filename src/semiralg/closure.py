@@ -34,23 +34,20 @@ into every row that has bit k set: one big-int operation per row.
 
 The closures use the worker process of ``offload`` when the work is
 large enough to pay for the trip (``offload.split_job``, whose rule
-says when the whole job runs here instead).  The block recursion has
-two independent products at each level, P = S11 A12 with Q = A21 S11
-and TR = P SD with BL = SD Q: Q and BL go to the worker while this
-process computes P and TR.  Its two other products, A21 P for D and
-TR Q for TL, are split by rows, the bottom half going to the worker.
-Each comes back before the recursion goes on, so the products of the
-next level may use the worker too.  The elimination hands the bottom
-half of the rows to the worker, and the two stripes take the steps at
-the same time (``_stripe``): the step at pivot k updates a row from
-itself and the pivot row k before the step alone, so the stripe that
-holds row k sends it to the other before its own step, and each then
-takes the step on its own rows (Kumar, Grama, Gupta and Karypis,
-*Introduction to Parallel Computing*, 2nd ed., ch. 10, Floyd's
-algorithm, pipelined 1-D mapping).  The serial elimination is
-the one stripe that holds every row.  The products of the recursion
-run through the helpers of ``Matrix.mul`` (``matrices._products``,
-``matrices._split_product``), and the series is written on
+says when the whole job runs here instead).  The block recursion takes
+six products at each level, P = S11 A12, Q = A21 S11, A21 P for D, TR
+= P SD, BL = SD Q and TR Q for TL, each split by rows
+(``matrices._split_product``, the helper of ``Matrix.mul``), the bottom
+half going to the worker.  Each comes back before the recursion goes
+on, so the products of the next level may use the worker too.  The
+elimination hands the bottom half of the rows to the worker, and the
+two stripes take the steps at the same time (``_stripe``): the step at
+pivot k updates a row from itself and the pivot row k before the step
+alone, so the stripe that holds row k sends it to the other before its
+own step, and each then takes the step on its own rows (Kumar, Grama,
+Gupta and Karypis, *Introduction to Parallel Computing*, 2nd ed., ch.
+10, Floyd's algorithm, pipelined 1-D mapping).  The serial elimination
+is the one stripe that holds every row.  The series is written on
 ``Matrix.mul`` and ``Matrix.add`` alone, so its products ship their
 bottom rows as every product does.  A shipped product or stripe is the
 same kernel on the same rows, so the result is the same bit for bit.
@@ -73,9 +70,10 @@ calls of ``Matrix.mul``.
 from dataclasses import dataclass
 from operator import add as _concat
 
-from .errors import DimensionMismatch, InvalidOptions, NoStabilization
+from .errors import (DimensionMismatch, InvalidOptions, NoStabilization,
+                     _require_type)
 from .intervals import is_lift, lifted
-from .matrices import Matrix, _is_int, _products, _split_product, identity
+from .matrices import Matrix, _is_int, _split_product, identity
 from . import offload
 from .semirings import kernel_star, row_kernels
 
@@ -116,9 +114,13 @@ class IterativeClosure:
     truncated: bool
 
 
-def _require_square(A):
-    if A.rows != A.cols:
+def _require_square(A, options=None):
+    """``options``, or the defaults for None, once A is a square Matrix
+    and ``options`` a ClosureOptions."""
+    if _require_type(A, Matrix, "A").rows != A.cols:
         raise DimensionMismatch(f"closure needs a square matrix, got {A.rows}x{A.cols}")
+    return ClosureOptions() if options is None else _require_type(
+        options, ClosureOptions, "options")
 
 
 def _close_rec(d, kernels, M, offset, opts):
@@ -135,10 +137,12 @@ def _close_rec(d, kernels, M, offset, opts):
     add_rows = kernels.add_rows
 
     S11 = _close_rec(d, kernels, A11, offset, opts)
-    P, Q = _products(d, S11, A12, A21, S11)
+    P = _split_product(d, S11, A12)
+    Q = _split_product(d, A21, S11)
     D = list(map(add_rows, A22, _split_product(d, A21, P)))
     SD = _close_rec(d, kernels, D, offset + k, opts)
-    TR, BL = _products(d, P, SD, SD, Q)
+    TR = _split_product(d, P, SD)
+    BL = _split_product(d, SD, Q)
     TL = list(map(add_rows, S11, _split_product(d, TR, Q)))
     return kernels.join(TL, TR) + kernels.join(BL, SD)
 
@@ -150,8 +154,7 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     ``closure_gauss_jordan``: the algorithm name selects nothing, and
     ``split`` is only checked.
     """
-    _require_square(A)
-    opts = options or ClosureOptions()
+    opts = _require_square(A, options)
     n = A.rows
     if opts.split is not None and n > 1 and opts.split > n - 1:
         raise InvalidOptions(f"split {opts.split} out of range 1..{n - 1}")
@@ -261,8 +264,7 @@ def closure_iterative(A: Matrix,
     that still changes a sum holding those powers raises
     NoStabilization.
     """
-    _require_square(A)
-    opts = options or ClosureOptions()
+    opts = _require_square(A, options)
     d = A.descriptor
     n = A.rows
     E = identity(d, n)
@@ -291,7 +293,7 @@ def closure_iterative(A: Matrix,
 def closure(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     """Dispatch on ``options.algorithm`` (block by default).  An iterative
     run on a non-idempotent carrier returns the cut series, unflagged."""
-    opts = options or ClosureOptions()
+    opts = _require_square(A, options)
     if opts.algorithm == "block":
         return closure_block(A, opts)
     if opts.algorithm == "gauss_jordan":
@@ -310,9 +312,8 @@ def solve_bellman(A: Matrix, B: Matrix,
     multiplies the cut series by B; on a non-idempotent carrier nothing
     says that it was cut.
     """
-    _require_square(A)
+    opts = _require_square(A, options)
     A._check_same(B, "chain")
-    opts = options or ClosureOptions()
     if opts.algorithm == "iterative":
         return closure_iterative(A, opts).matrix.mul(B)
     return _solve(A, B)

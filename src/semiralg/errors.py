@@ -98,3 +98,10 @@ class ParseError(SemiringError):
             message = f"{context}: {message}"
         super().__init__(message)
         self.context = context
+
+
+def _require_type(value, cls, name):
+    """``value`` if it is a ``cls``; else a TypeError naming parameter ``name``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -17,7 +17,7 @@ from itertools import repeat
 from .closure import ClosureOptions, _require_square, closure, solve_bellman
 from .errors import (DimensionMismatch, IllegalElement, IndexOutOfRange,
                      InvalidGraph, InvalidPath, OracleScaleExceeded,
-                     StarUndefined, WrongDescriptor)
+                     StarUndefined, WrongDescriptor, _require_type)
 from .matrices import Matrix, _is_int, identity
 from . import offload
 from .semirings import SemiringDescriptor, list_kernels
@@ -42,7 +42,7 @@ class WeightedDigraph:
             raise InvalidGraph(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise InvalidGraph("graph needs at least one node")
-        d = self.descriptor
+        d = _require_type(self.descriptor, SemiringDescriptor, "descriptor")
         seen = set()
         clean = []
         for arc in self.arcs:
@@ -184,6 +184,7 @@ def _carrier(d: SemiringDescriptor) -> str:
 def shortest_paths(g: WeightedDigraph,
                    options: "ClosureOptions | None" = None) -> Matrix:
     """All-pairs shortest path weights; needs minplus or its lift."""
+    _require_type(g, WeightedDigraph, "g")
     if _carrier(g.descriptor) != "minplus":
         raise WrongDescriptor(f"shortest paths need minplus, got {g.descriptor.label}")
     return closure(graph_to_matrix(g), options)
@@ -192,6 +193,7 @@ def shortest_paths(g: WeightedDigraph,
 def widest_paths(g: WeightedDigraph,
                  options: "ClosureOptions | None" = None) -> Matrix:
     """All-pairs maximal bottleneck widths; needs maxmin or its lift."""
+    _require_type(g, WeightedDigraph, "g")
     if _carrier(g.descriptor) != "maxmin":
         raise WrongDescriptor(f"widest paths need maxmin, got {g.descriptor.label}")
     return closure(graph_to_matrix(g), options)
@@ -209,6 +211,7 @@ def max_profit(g: WeightedDigraph, terminal, horizon: "int | None",
     closure (and so either no profitable cycles or the completed
     carrier).
     """
+    _require_type(g, WeightedDigraph, "g")
     if _carrier(g.descriptor) not in ("maxplus", "maxplus_complete"):
         raise WrongDescriptor(f"profit search needs maxplus, got {g.descriptor.label}")
     d = g.descriptor
@@ -246,7 +249,7 @@ def real_matrix_star(A: Matrix) -> Matrix:
     (``offload.split_job``), when the work of the bottom one, its rows
     times n^2, reaches ``offload.SHIP_MIN_WORK`` (from n = 32).
     """
-    if A.descriptor.name != "real_field":
+    if _require_type(A, Matrix, "A").descriptor.name != "real_field":
         raise WrongDescriptor(f"needs real_field, got {A.descriptor.label}")
     _require_square(A)
     d, n = A.descriptor, A.rows

@@ -36,7 +36,8 @@ wherever the hi run goes.
 from dataclasses import fields, is_dataclass, replace
 from typing import NamedTuple
 
-from .errors import EmptyInterval, IllegalElement, NotPositive, SemiringError
+from .errors import (EmptyInterval, IllegalElement, NotPositive, SemiringError,
+                     _require_type)
 from .matrices import Matrix, _lifted_calls
 from .offload import split_job
 from .semirings import SemiringDescriptor, SemiringFlags, fma_of
@@ -75,7 +76,7 @@ def lift_semiring(base: SemiringDescriptor) -> SemiringDescriptor:
 
     Cached per base descriptor, so repeated lifts share one instance.
     """
-    if not base.flags.positive:
+    if not _require_type(base, SemiringDescriptor, "base").flags.positive:
         raise NotPositive(
             f"interval lift needs a positive base semiring, got {base.label}")
     lift = _lift_cache.get(base)

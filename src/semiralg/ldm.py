@@ -66,7 +66,7 @@ call does.  The counts are exact functions of n:
 from dataclasses import dataclass, replace
 
 from .errors import (DescriptorMismatch, DimensionMismatch, NotCommutative,
-                     NotSymmetric, ShapeViolation)
+                     NotSymmetric, ShapeViolation, _require_type)
 from .intervals import is_lift, lifted
 from .matrices import Matrix
 from . import offload
@@ -296,6 +296,7 @@ def solve_ldm(triple: LdmTriple, b, counter: "OpCounter | None" = None):
     The first uncounted solve on a triple checks and encodes its
     factors and computes the stars of D; later ones reuse that work.
     """
+    _require_type(triple, LdmTriple, "triple")
     L, D, M = triple.L, triple.D, triple.M
     d = L.descriptor
     n = L.rows
@@ -340,7 +341,7 @@ def ldm_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTriple:
     ``offload.SHIP_MIN_WORK``, from n = 35; a counted call stays here,
     where its counter is.
     """
-    if A.rows != A.cols:
+    if _require_type(A, Matrix, "A").rows != A.cols:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
     d = A.descriptor
     if counter is None and is_lift(d):
@@ -421,7 +422,7 @@ def symmetric_factorize(A: Matrix, counter: "OpCounter | None" = None) -> LdmTri
     ``ldm_factorize`` can be skipped, roughly halving the adds and
     muls and cutting stars to (n^2 - n)/2.
     """
-    if A.rows != A.cols:
+    if _require_type(A, Matrix, "A").rows != A.cols:
         raise DimensionMismatch(f"factorization needs a square matrix, got {A.rows}x{A.cols}")
     d = A.descriptor
     if not d.flags.commutative_mul:

@@ -4,7 +4,7 @@ Matrices are immutable: every public constructor validates and
 normalizes entries through the descriptor's ``coerce``, and no method
 mutates ``self``.  The product is an operation of the descriptor's
 row kernels (``semirings.row_kernels``), ``product``, which the block
-closure multiplies with too, through the helpers here.  Each of its
+closure multiplies with too, through ``_split_product``.  Each of its
 entries equals a fixed left-to-right fold of ``fma`` over k, so float
 results are reproducible across runs and across algorithms that share
 this kernel; on boolean it ORs whole packed rows.  The entrywise sum
@@ -21,9 +21,8 @@ ships.  A matrix over a catalog descriptor pickles, as its descriptor
 does, so that it can travel to the worker.
 """
 
-from itertools import starmap
-
-from .errors import DescriptorMismatch, DimensionMismatch, InvalidOptions
+from .errors import (DescriptorMismatch, DimensionMismatch, InvalidOptions,
+                     _require_type)
 from . import offload
 from .semirings import SemiringDescriptor, row_kernels, same_descriptor
 
@@ -41,34 +40,20 @@ def _matrix_product(A, B):
 
 def _split_product(d, X, Y):
     """The product X Y of kernel rows, its top rows here and its bottom
-    rows on the worker process when that pays (``offload.split_job``; the
-    work as in ``_products``).  A product by a column of list rows stays
-    here: the rows it would ship are as large as their work."""
+    rows on the worker process when their work pays (``offload.split_job``):
+    rows times inner dimension times the width of a kernel row, which is
+    1 for a boolean row packed into an int.  A product by a column of list
+    rows stays here: the rows it would ship are as large as their work."""
     width = len(Y[0]) if type(Y[0]) is list else 1     # packed: 1
     cut = 0 if width == 1 and type(Y[0]) is list else len(X) // 2
     return offload.split_job(_product, d, X, cut,
                              (len(X) - cut) * len(Y) * width, Y)
 
 
-def _products(d, X1, Y1, X2, Y2):
-    """[X1 Y1, X2 Y2], the first here and the second meanwhile on the
-    worker process when that pays (``offload.split_job``).  The work of
-    a product is its rows times its inner dimension times the width of
-    a kernel row, which is 1 for a boolean row packed into an int: such
-    products are too cheap to ship."""
-    work = len(X2) * len(Y2) * (len(Y2[0]) if type(Y2[0]) is list else 1)
-    return offload.split_job(_pair, d, [(X1, Y1), (X2, Y2)], 1, work)
-
-
 def _product(peer, d, X, lo, Y):
     # X Y, X from row lo of a left factor.  Private: a public name may
     # be rebound by a wrapper that does not pickle
     return row_kernels(d).product(X, Y)
-
-
-def _pair(peer, d, pairs, lo, arg):
-    # the product X Y of each pair (X, Y), in order
-    return list(starmap(row_kernels(d).product, pairs))
 
 
 # lift -> intervals.lifted, which runs its products, entered by
@@ -81,7 +66,8 @@ class Matrix:
     __slots__ = ("descriptor", "rows", "cols", "_data")
 
     def __init__(self, descriptor: SemiringDescriptor, rows_data):
-        coerce = descriptor.coerce
+        coerce = _require_type(descriptor, SemiringDescriptor,
+                               "descriptor").coerce
         data = [[coerce(v) for v in row] for row in rows_data]
         if not data or not data[0]:
             raise DimensionMismatch("matrix needs at least one row and column")

@@ -4,14 +4,14 @@
 to the worker.  A job is a list of items that one module-level function
 ``run`` handles in order, and the results of two runs on two parts of
 the list join with ``+`` into the result of one run on all of it.  The
-items are rows, the bottom ones shipped: of a matrix product, and the
+items are rows, the bottom ones shipped: of a matrix product, every
+product of the block closure and of the series among them, and the
 row stripes of the Gauss-Jordan closure, of the LDM factorization and
 of the inverse of E - A over the real field with partial pivoting by
 columns (``graphs.real_matrix_star``).  Or they are two parts, the
-second shipped: the product pairs of the block closure
-(``matrices._products``), the two cyclic stripes of the elimination
-that finds a least solution (``closure._solve``) and the two endpoint
-runs of a lifted call (``intervals.endpoint_runs``).
+second shipped: the two cyclic stripes of the elimination that finds
+a least solution (``closure._solve``) and the two endpoint runs of a
+lifted call (``intervals.endpoint_runs``).
 
 The rule, stated once: the whole job runs here, as the serial loop,
 unless its work reaches ``SHIP_MIN_WORK``, ``cut`` is strictly inside
@@ -76,7 +76,7 @@ def split_job(run, d, items, cut, work, arg=None):
     interrupt, is raised.
     """
     if work >= SHIP_MIN_WORK and 0 < cut < len(items):
-        worker = _ship(run, (d, items[cut:], cut, arg), work, d)
+        worker = _ship(run, (d, items[cut:], cut, arg), d)
         if worker is not None:
             try:
                 mine = run(worker.conn, d, items[:cut], 0, arg)
@@ -92,14 +92,13 @@ def split_job(run, d, items, cut, work, arg=None):
     return run(None, d, items, 0, arg)
 
 
-def _ship(run, args, work, d):
+def _ship(run, args, d):
     """The worker, running ``run(its end of the pipe, *args)`` for this
-    call; or None when the run stays in this process, the one list of
-    those cases:
+    call; or None when a run that ``split_job`` offers stays in this
+    process, the one list of those cases:
 
-    - ``work`` is below ``SHIP_MIN_WORK``;
     - this system has no fork;
-    - ``d`` is None or not a catalog instance (only those pickle);
+    - ``d`` is not a catalog instance (only those pickle);
     - another call holds the worker: another thread's, or a lifted call
       whose own products would otherwise wait on it; so does every run
       inside the worker itself, whose copy of ``_busy`` stays held;
@@ -109,9 +108,7 @@ def _ship(run, args, work, d):
     - the worker belongs to the process this one was forked from.
     """
     global _worker
-    if (work < SHIP_MIN_WORK
-            or not hasattr(os, "fork")
-            or d is None or not in_catalog(d)
+    if (not hasattr(os, "fork") or not in_catalog(d)
             or not _busy.acquire(blocking=False)):
         return None
     try:

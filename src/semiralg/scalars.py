@@ -8,6 +8,8 @@ arithmetic unnoticed: ``NEG_INF + 1.0`` raises instead of propagating.
 
 import math
 
+from .errors import _require_type
+
 __all__ = ["Infinity", "NEG_INF", "POS_INF", "is_finite", "usual_leq",
            "TOKENS", "to_token", "from_token"]
 
@@ -72,7 +74,7 @@ def to_token(v) -> str:
 
 def from_token(text: str):
     """Inverse of :func:`to_token`. Raises ValueError on garbage."""
-    t = text.strip()
+    t = _require_type(text, str, "text").strip()
     if t in TOKENS:
         return TOKENS[t]
     value = float(t)

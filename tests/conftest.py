@@ -378,8 +378,8 @@ def ship_placements(monkeypatch, *kinds):
     placements = []
     place = offload._ship
 
-    def spy(run, args, work, d):
-        worker = place(run, args, work, d)
+    def spy(run, args, d):
+        worker = place(run, args, d)
         if run in kinds:
             placements.append(worker is not None)
         return worker
@@ -418,13 +418,29 @@ def shipped_and_here(monkeypatch, placements, call, ships=True):
 def fork_anew(monkeypatch, name="maxplus", **replaced):
     """The next worker forks with the kernels of the catalog carrier
     ``name`` ``replaced``, such as ``eliminate``, the step; the kernels
-    to put back."""
+    to put back.  The test's last worker ends with it
+    (``_no_worker_with_replaced_kernels``)."""
     if offload._worker is not None:
         offload._worker.stop()
     d = make_semiring(name)
     kernels = semirings.row_kernels(d)
     monkeypatch.setitem(semirings._kernels, d, kernels._replace(**replaced))
+    _FORKED_ANEW.append(d)
     return kernels
+
+
+_FORKED_ANEW = []       # the carriers of fork_anew in the running test
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_with_replaced_kernels():
+    """After a test that called ``fork_anew``, stop the worker: a test that
+    fails before it puts the kernels back may leave a worker forked with
+    the replaced ones, which would serve the next test's shipped runs."""
+    yield
+    if _FORKED_ANEW and offload._worker is not None:
+        offload._worker.stop()
+    _FORKED_ANEW.clear()
 
 
 class _FailingRecv:

@@ -4,14 +4,17 @@ The rule (README, "Install and test"): an argument of the wrong type
 raises ``TypeError`` naming the parameter, and an ill-valued argument
 raises the documented ``SemiringError`` subclass.  One row per call:
 the ill-formed call and what it must raise; each call once returned a
-value instead.
+value instead, or raised an ``AttributeError`` from inside.
 """
 
 import pytest
 
 from conftest import descriptor
-from semiralg import Matrix, Path, WeightedDigraph, brute_force_star, to_token
-from semiralg import path_weight
+from semiralg import (Matrix, Path, WeightedDigraph, brute_force_star, closure,
+                      closure_gauss_jordan, closure_iterative, from_token,
+                      ldm_factorize, lift_semiring, max_profit, path_weight,
+                      real_matrix_star, shortest_paths, solve_bellman,
+                      solve_ldm, symmetric_factorize, to_token, widest_paths)
 from semiralg.errors import InvalidGraph, InvalidPath
 
 MX = descriptor("maxplus")
@@ -48,6 +51,41 @@ ILL_VALUED = {
     "tol None": (lambda: A.allclose(A, None), TypeError, r"^tol must be"),
     "token of 'x'": (lambda: to_token("x"), TypeError, r"^v must be"),
     "token of None": (lambda: to_token(None), TypeError, r"^v must be"),
+    # wrong-typed arguments, each of which once raised AttributeError
+    "closure of lists": (lambda: closure([[1.0]]), TypeError,
+                         r"^A must be a Matrix, got list$"),
+    "gauss_jordan of 'x'": (lambda: closure_gauss_jordan("x"), TypeError,
+                            r"^A must be a Matrix, got str$"),
+    "ldm of lists": (lambda: ldm_factorize([[1.0]]), TypeError,
+                     r"^A must be a Matrix, got list$"),
+    "symmetric ldm of lists": (lambda: symmetric_factorize([[1.0]]),
+                               TypeError, r"^A must be a Matrix, got list$"),
+    "invert of lists": (lambda: real_matrix_star([[1.0]]), TypeError,
+                        r"^A must be a Matrix, got list$"),
+    "closure options 'block'": (lambda: closure(A, "block"), TypeError,
+                                r"^options must be a ClosureOptions"),
+    "closure options 0": (lambda: closure(A, 0), TypeError,
+                          r"^options must be a ClosureOptions, got int$"),
+    "series options 'block'": (lambda: closure_iterative(A, "block"),
+                               TypeError, r"^options must be a ClosureOptions"),
+    "solve options 'block'": (lambda: solve_bellman(A, A, "block"),
+                              TypeError, r"^options must be a ClosureOptions"),
+    "lift of None": (lambda: lift_semiring(None), TypeError,
+                     r"^base must be a SemiringDescriptor, got NoneType$"),
+    "shortest paths of lists": (lambda: shortest_paths([[1.0]]), TypeError,
+                                r"^g must be a WeightedDigraph, got list$"),
+    "widest paths of None": (lambda: widest_paths(None), TypeError,
+                             r"^g must be a WeightedDigraph, got NoneType$"),
+    "profit of None": (lambda: max_profit(None, [0.0], 1), TypeError,
+                       r"^g must be a WeightedDigraph, got NoneType$"),
+    "token 5": (lambda: from_token(5), TypeError,
+                r"^text must be a str, got int$"),
+    "matrix over None": (lambda: Matrix(None, [[1.0]]), TypeError,
+                         r"^descriptor must be a SemiringDescriptor"),
+    "graph over None": (lambda: WeightedDigraph(2, ((1, 2, 1.0),), None),
+                        TypeError, r"^descriptor must be a SemiringDescriptor"),
+    "solve of no triple": (lambda: solve_ldm(None, [1.0]), TypeError,
+                           r"^triple must be a LdmTriple, got NoneType$"),
 }
 
 

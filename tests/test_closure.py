@@ -29,7 +29,7 @@ from semiralg import intervals, offload, semirings
 from semiralg.closure import _forward, _stripe
 from semiralg.errors import (DimensionMismatch, IllegalElement,
                              InvalidOptions, NoStabilization, StarUndefined)
-from semiralg.matrices import _pair, _product
+from semiralg.matrices import _product
 
 MX = descriptor("maxplus")
 BOOL = descriptor("boolean")
@@ -452,11 +452,11 @@ def test_an_overflow_in_an_eliminated_column_is_not_computed():
 
 @pytest.fixture
 def products(monkeypatch):
-    """Every block product may go to the worker, the second of a pair
-    (``_pair``) and the bottom rows of one split by rows (``_product``),
-    also where the calling thread may use only one CPU; the list
-    returned records each placement of one, True for a run that went."""
-    return ship_placements(monkeypatch, _pair, _product)
+    """Every block product may go to the worker, the bottom rows of each
+    (``_product``), also where the calling thread may use only one CPU;
+    the list returned records each placement of one, True for a run that
+    went."""
+    return ship_placements(monkeypatch, _product)
 
 
 @pytest.fixture
@@ -480,13 +480,13 @@ def series(monkeypatch):
 
 @pytest.mark.parametrize("name", CATALOG_LABELS)
 def test_shipped_products_are_bit_identical(monkeypatch, products, rng, name):
-    # every product ships: the independent pairs and both halves of the
-    # products split by rows, D = A22 + A21 P and TL = S11 + TR Q
+    # every product of more than one row ships its bottom rows; at n = 2
+    # each has one row and stays here, and maxmin sweeps here
     for n in (2, 9, 16, 17):
         a = catalog_matrix(name, n, n, rng)
         (got, _), (want, _) = shipped_and_here(
             monkeypatch, products, lambda: closure_block(a),
-            ships=not name.startswith("maxmin"))    # maxmin sweeps here
+            ships=n > 2 and not name.startswith("maxmin"))
         assert_bit_identical(got, want)
 
 
@@ -558,9 +558,9 @@ def test_a_worker_lost_while_q_is_out_leaves_the_pair_here(
     marker = tmp_path / "q"
 
     def q_lost(X, Y):
-        # the worker's first product of 8 rows is Q = A21 S11 at the top
-        # level; it dies with it, or replies what does not unpickle, once
-        if (os.getpid() != PYTEST_PID and len(X) == 8
+        # the worker's rows of Q = A21 S11 at the top level, the bottom 4
+        # of A21; it dies with them, or replies what does not unpickle, once
+        if (os.getpid() != PYTEST_PID and X == a21
                 and not marker.exists()):
             marker.touch()
             if lost == "killed":
@@ -569,6 +569,7 @@ def test_a_worker_lost_while_q_is_out_leaves_the_pair_here(
         return kernels.product(X, Y)
 
     kernels = fork_anew(monkeypatch, product=q_lost)
+    a21 = kernels.split(list(map(kernels.encode, a.to_lists()[12:])), 8)[0]
     closure_block(catalog_matrix("maxplus", 4, 4, rng))   # starts the worker
     worker = offload._worker
     products.clear()

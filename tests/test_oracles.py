@@ -21,12 +21,17 @@ factors, with each endpoint's oracle, a profit over a horizon with
 the max-plus recurrence in numpy, the CLI ``profit`` at n = 96 with
 that recurrence or with scipy's A* times b, and a tropical solve
 through the symmetric factors at n = 64 with scipy's A* times b.  The
+complete carriers' closures at n = 64, with +inf arcs and cycles that
+make entries infinite, are compared with strongly connected components
+and reachability by scipy, then Bellman-Ford (maxplus_complete) or
+``numpy.linalg.inv(E - A)`` (rplus_complete) on the rest.  The
 tropical comparisons are exact; the real ones are within
 ``oracles.REAL_TOL`` relative, the cut series within 1e-12.  Skipped
 where numpy, scipy or networkx is not installed.
 """
 
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -42,9 +47,11 @@ import numpy as np  # noqa: E402
 import oracles    # noqa: E402
 import workloads  # noqa: E402
 from harness import plain  # noqa: E402
-from scipy.sparse.csgraph import csgraph_from_dense, shortest_path  # noqa: E402
+from scipy.sparse.csgraph import (NegativeCycleError,  # noqa: E402
+                                  connected_components,
+                                  csgraph_from_dense, shortest_path)
 
-from semiralg import (ClosureOptions, Matrix,  # noqa: E402
+from semiralg import (NEG_INF, POS_INF, ClosureOptions, Matrix,  # noqa: E402
                       WeightedDigraph, closure_block, closure_gauss_jordan,
                       closure_iterative, ldm_factorize, make_semiring,
                       max_profit, real_matrix_star, shortest_paths,
@@ -384,3 +391,145 @@ def test_cli_profit_equals_oracle(tmp_path, horizon):
         for _ in range(horizon):
             want = (W + want[None, :]).max(axis=1)
     assert np.array_equal(got, want)
+
+
+# ------------------------------------------- the complete carriers at n = 64
+
+
+def _blocks_of_sccs(rng, weight):
+    """Arcs {(i, j): w} of a 64-node graph in eight blocks of eight nodes.
+    A ring makes each block one strongly connected component, every other
+    arc within it is drawn with probability 0.5, and three arcs lead from
+    each block to each of the next two, so that some pairs are joined
+    and others are not."""
+    arcs = {}
+    for b in range(8):
+        nodes = range(8 * b, 8 * b + 8)
+        for i in nodes:
+            arcs[i, 8 * b + (i + 1) % 8] = weight(rng)
+            for j in nodes:
+                if (i, j) not in arcs and rng.random() < 0.5:
+                    arcs[i, j] = weight(rng)
+        for c in (b + 1, b + 2):
+            for _ in range(3 if c < 8 else 0):
+                arcs[rng.randrange(8 * b, 8 * b + 8),
+                     rng.randrange(8 * c, 8 * c + 8)] = weight(rng)
+    return arcs
+
+
+def _complete_input(carrier, arcs):
+    """The matrix of ``arcs`` over ``carrier``, math.inf as the top tag,
+    and the arcs as a float array, nan where no arc is."""
+    zero = NEG_INF if carrier == "maxplus_complete" else 0.0
+    W = np.full((64, 64), np.nan)
+    data = [[zero] * 64 for _ in range(64)]
+    for (i, j), w in arcs.items():
+        W[i, j] = w
+        data[i][j] = POS_INF if w == math.inf else w
+    return Matrix(make_semiring(carrier), data), W
+
+
+def _infinite_pairs(W, bad):
+    """Pairs (i, j) joined by a path through a node of ``bad`` or through
+    an arc of weight inf: strongly connected components, then
+    reachability (by scipy)."""
+    R = np.isfinite(shortest_path(csgraph_from_dense(
+        (~np.isnan(W)).astype(float)), unweighted=True))
+    hit = (R[:, bad].astype(int) @ R[bad, :].astype(int)) > 0
+    for u, v in zip(*np.nonzero(W == np.inf)):
+        hit |= np.outer(R[:, u], R[v, :])
+    return hit, R
+
+
+def _components(W):
+    """The strongly connected components of the finite arcs of W, as
+    lists of nodes."""
+    _, labels = connected_components(csgraph_from_dense(
+        np.isfinite(W).astype(float)), directed=True, connection="strong")
+    return [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
+
+
+def _maxplus_complete_star(W):
+    """A* over maxplus_complete: +inf where a path passes an arc of weight
+    inf or a node on a cycle of positive weight, elsewhere the longest
+    path weight, by Bellman-Ford on the negated arcs of the rest, and
+    -inf where no path is."""
+    finite = np.where(np.isfinite(W), -W, np.inf)      # negated, inf: none
+    bad = []
+    for nodes in _components(W):
+        try:
+            shortest_path(csgraph_from_dense(finite[np.ix_(nodes, nodes)],
+                                             null_value=np.inf), method="BF")
+        except NegativeCycleError:
+            bad.extend(nodes)
+    hit, _ = _infinite_pairs(W, bad)
+    finite[bad, :] = finite[:, bad] = np.inf
+    want = -shortest_path(csgraph_from_dense(finite, null_value=np.inf),
+                          method="BF")
+    want[hit] = np.inf
+    return want
+
+
+def _rplus_complete_star(W):
+    """A* over rplus_complete: +inf where a path passes an arc of weight
+    inf or a component of spectral radius 1 or more, elsewhere
+    ``numpy.linalg.inv(E - A)`` on the rest; and whether a pair is
+    joined by a path at all.  Every radius must lie well away from 1."""
+    finite = np.where(np.isfinite(W), W, 0.0)
+    bad = []
+    for nodes in _components(W):
+        radius = max(abs(np.linalg.eigvals(finite[np.ix_(nodes, nodes)])))
+        assert radius <= 0.5 or radius >= 2
+        if radius >= 2:
+            bad.extend(nodes)
+    hit, R = _infinite_pairs(W, bad)
+    finite[bad, :] = finite[:, bad] = 0.0
+    want = np.linalg.inv(np.eye(64) - finite)
+    want[hit] = np.inf
+    return want, R
+
+
+def _floats(M):
+    return np.array([[math.inf if v is POS_INF else -math.inf
+                      if v is NEG_INF else v for v in row]
+                     for row in M.to_lists()])
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_maxplus_complete_closure_equals_oracle(algorithm):
+    # integer weights, so every path weight is exact: negative arcs, a
+    # cycle of weight 3 in block 3 and an arc of weight inf from block 5
+    # to block 6
+    arcs = _blocks_of_sccs(_rng("maxplus_complete"),
+                           lambda rng: -float(rng.randint(1, 9)))
+    arcs[24, 25], arcs[25, 24] = 5.0, -2.0
+    arcs[40, 49] = math.inf
+    A, W = _complete_input("maxplus_complete", arcs)
+    want = _maxplus_complete_star(W)
+    assert np.isposinf(want).any() and np.isneginf(want).any()
+    assert np.array_equal(_floats(ALGORITHMS[algorithm](A)), want)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_rplus_complete_closure_equals_oracle(algorithm):
+    # each block scaled to spectral radius 0.4, block 3 to 2.5, and an
+    # arc of weight inf from block 5 to block 6
+    arcs = _blocks_of_sccs(_rng("rplus_complete"),
+                           lambda rng: rng.uniform(0.05, 1.0))
+    _, W = _complete_input("rplus_complete", arcs)
+    for b in range(8):
+        block = np.nan_to_num(W[8 * b:8 * b + 8, 8 * b:8 * b + 8])
+        scale = (2.5 if b == 3 else 0.4) / float(max(abs(np.linalg.eigvals(block))))
+        for (i, j) in arcs:
+            if i // 8 == j // 8 == b:
+                arcs[i, j] *= scale
+    arcs[40, 49] = math.inf
+    A, W = _complete_input("rplus_complete", arcs)
+    want, joined = _rplus_complete_star(W)
+    got = _floats(ALGORITHMS[algorithm](A))
+    assert np.isposinf(want).any() and not joined.all()
+    assert np.array_equal(np.isposinf(got), np.isposinf(want))
+    assert (got[~joined] == 0.0).all()
+    finite = np.isfinite(want)
+    assert np.abs(got[finite] - want[finite]).max() <= oracles.REAL_TOL * max(
+        1.0, np.abs(want[finite]).max())

@@ -18,6 +18,12 @@ Each row is one kernel call on one carrier at one size:
 - as the control that a change to one carrier's row kernels costs the
   others nothing, maxplus and minplus Gauss-Jordan and block closure at
   n = 128, also with the worker off;
+- maxplus and minplus matrix products at n = 64 and 128 dense and n =
+  96 at density 0.3, and block closures at n = 64 dense and n = 96 at
+  density 0.3, as in the tropical-closure workload, whose products ship
+  their bottom rows, also with the worker off; and block closures at
+  n = 8, 16 and 24 at density 0.5, as in the cli-jobs ``closure`` jobs,
+  where nothing ships;
 - maxmin Gauss-Jordan, block closure and ``solve_bellman`` with an
   n x 8 right-hand side at the tropical-closure shapes, n = 64 and 128
   dense and n = 96 at density 0.3, which sweep over the arcs and ship
@@ -248,6 +254,13 @@ def cases(only=None):
         for op in ("gauss_jordan", "block"):
             rows.append((carrier, op, 128, 1.0,
                          pair + ("baseline_copy",) + off))
+    for carrier in ("maxplus", "minplus"):
+        for op, n, density in (("product", 64, 1.0), ("product", 96, 0.3),
+                               ("product", 128, 1.0), ("block", 64, 1.0),
+                               ("block", 96, 0.3)):
+            rows.append((carrier, op, n, density, pair + off))
+        for n in (8, 16, 24):
+            rows.append((carrier, "block", n, 0.5, pair))
     for op in ("gauss_jordan", "block", "solve_bellman"):
         for n, density in ((64, 1.0), (96, 0.3), (128, 1.0)):
             rows.append(("maxmin", op, n, density, pair + off))

@@ -68,11 +68,11 @@ MUTATIONS = {
         if peer is not None and lo <= k < hi:
             peer.send(C[k - lo])
 """)],
-    "_pair swaps its two results": [
-        ("matrices.py", """\
-    return list(starmap(row_kernels(d).product, pairs))
+    "split_job joins the halves as theirs + mine": [
+        ("offload.py", """\
+                    return mine + theirs
 """, """\
-    return list(starmap(row_kernels(d).product, pairs))[::-1]
+                    return theirs + mine
 """)],
     "_Worker.reply does not stop a lost worker": [
         ("offload.py", """\
