@@ -75,7 +75,7 @@ from .errors import (DimensionMismatch, InvalidOptions, NoStabilization,
 from .intervals import is_lift, lifted
 from .matrices import Matrix, _is_int, _split_product, identity
 from . import offload
-from .semirings import kernel_star, row_kernels
+from .semirings import kernel_star, kernels_of, kernels_within, magnitude
 
 __all__ = ["ClosureOptions", "IterativeClosure", "closure", "closure_block",
            "closure_gauss_jordan", "closure_iterative", "solve_bellman"]
@@ -161,7 +161,7 @@ def closure_block(A: Matrix, options: "ClosureOptions | None" = None) -> Matrix:
     d = A.descriptor
     if is_lift(d):
         return lifted(closure_block, A, opts)
-    kernels = row_kernels(d)
+    kernels = kernels_within(d, n, lambda: n * magnitude(d, A._data))
     data = list(map(kernels.encode, A._data))
     if kernels.sweep is not None:
         data = kernels.sweep(data, n)
@@ -196,9 +196,9 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     d = A.descriptor
     if is_lift(d):
         return lifted(closure_gauss_jordan, A)
-    kernels = row_kernels(d)
-    C = list(map(kernels.encode, A._data))
     n = A.rows
+    kernels = kernels_within(d, n, lambda: n * magnitude(d, A._data))
+    C = list(map(kernels.encode, A._data))
     if kernels.sweep is not None:
         return Matrix._wrap(d, list(map(kernels.decode, kernels.sweep(C, n))))
     h = n // 2
@@ -218,7 +218,7 @@ def _stripe(peer, d, C, lo, n):
     other takes it, so each step reads the row as it was before the
     step.
     """
-    kernels = row_kernels(d)
+    kernels = kernels_of(d, C[0])
     entry, eliminate, encode_one = (kernels.entry, kernels.eliminate,
                                     kernels.encode_one)
     hi = lo + len(C)
@@ -346,8 +346,9 @@ def _solve(A, B):
     d = A.descriptor
     if is_lift(d):
         return lifted(_solve, A, B)
-    kernels = row_kernels(d)
     n = A.rows
+    kernels = kernels_within(d, n + B.cols, lambda: n * max(
+        magnitude(d, A._data), magnitude(d, B._data)))
     C = list(map(kernels.encode, map(_concat, A._data, B._data)))
     if kernels.sweep is not None:
         X = kernels.split(kernels.sweep(C, n), n)[1]
@@ -394,9 +395,6 @@ def _forward(peer, d, stripes, first, n):
     mapping).  Without a peer, the two stripes interleave into one that
     holds every row.
     """
-    kernels = row_kernels(d)
-    entry, eliminate, split, encode_one = (kernels.entry, kernels.eliminate,
-                                           kernels.split, kernels.encode_one)
     if peer is None:
         C = [None] * n
         C[0::2], C[1::2] = stripes
@@ -406,9 +404,15 @@ def _forward(peer, d, stripes, first, n):
         step = 2
         if first == 0:
             peer.send(C[0])
+    kernels = None
     for k in range(n):
         i, theirs = divmod(k - first, step)     # C[i + 1:] lie below row k
         krow = peer.recv() if theirs else C[i]
+        if kernels is None:     # a stripe of no rows reads the form here
+            kernels = kernels_of(d, krow)
+            entry, eliminate, split, encode_one = (
+                kernels.entry, kernels.eliminate, kernels.split,
+                kernels.encode_one)
         s = encode_one(kernel_star(d, kernels, entry(krow, 0), k + 1))
         if theirs and i + 1 < len(C):           # row k + 1, ours
             C[i + 1:i + 2] = split(eliminate(C[i + 1:i + 2], 0, s, krow), 1)[1]

@@ -91,6 +91,7 @@ def graph_to_matrix(g: WeightedDigraph) -> Matrix:
     where the system overcommits memory, building them would not fail
     but run the system out of memory.
     """
+    _require_type(g, WeightedDigraph, "g")
     if g.n * (56 + 8 * g.n) > _physical_memory():
         raise MemoryError(f"an n x n matrix with n = {g.n} exceeds the "
                           "physical memory")
@@ -111,7 +112,7 @@ def _physical_memory():
 
 
 def matrix_to_graph(A: Matrix) -> WeightedDigraph:
-    if A.rows != A.cols:
+    if _require_type(A, Matrix, "A").rows != A.cols:
         raise InvalidGraph(f"adjacency matrix must be square, got {A.rows}x{A.cols}")
     d = A.descriptor
     arcs = []
@@ -125,7 +126,7 @@ def matrix_to_graph(A: Matrix) -> WeightedDigraph:
 
 def path_weight(g: WeightedDigraph, path: Path):
     """Product of arc weights along the walk; the empty walk weighs one."""
-    d = g.descriptor
+    d = _require_type(g, WeightedDigraph, "g").descriptor
     nodes = path.nodes
     for node in nodes:
         if not (1 <= node <= g.n):
@@ -147,6 +148,7 @@ def brute_force_star(g: WeightedDigraph, max_len: int) -> Matrix:
     sorted order), independently of any matrix kernel.  Hard caps keep
     the enumeration honest about its exponential cost.
     """
+    _require_type(g, WeightedDigraph, "g")
     if not _is_int(max_len):
         raise InvalidPath(f"max_len must be an int, got {max_len!r}")
     if g.n > _ORACLE_MAX_N or max_len > _ORACLE_MAX_LEN:

@@ -53,7 +53,7 @@ class Interval(NamedTuple):
 
 def make_interval(base: SemiringDescriptor, lo, hi) -> Interval:
     """Validate endpoints against the base and their mutual order."""
-    lo = base.coerce(lo)
+    lo = _require_type(base, SemiringDescriptor, "base").coerce(lo)
     hi = base.coerce(hi)
     if not base.leq(lo, hi):
         raise EmptyInterval(

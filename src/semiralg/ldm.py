@@ -232,7 +232,8 @@ def _substitute(d, L, D, M, b, counter=None):
 
 def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
     """Least solution of x = Lx + b for strictly lower triangular L."""
-    _require_strict_triangle(L, lower=True, what="lower")
+    _require_strict_triangle(_require_type(L, Matrix, "L"), lower=True,
+                             what="lower")
     d = L.descriptor
     return _substitute(d, L, None, None, _coerce_vector(d, b, L.rows),
                        counter)
@@ -240,7 +241,8 @@ def forward_substitution(L: Matrix, b, counter: "OpCounter | None" = None):
 
 def back_substitution(M: Matrix, b, counter: "OpCounter | None" = None):
     """Least solution of x = Mx + b for strictly upper triangular M."""
-    _require_strict_triangle(M, lower=False, what="upper")
+    _require_strict_triangle(_require_type(M, Matrix, "M"), lower=False,
+                             what="upper")
     d = M.descriptor
     return _substitute(d, None, None, M, _coerce_vector(d, b, M.rows),
                        counter)

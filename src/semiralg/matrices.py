@@ -24,14 +24,16 @@ does, so that it can travel to the worker.
 from .errors import (DescriptorMismatch, DimensionMismatch, InvalidOptions,
                      _require_type)
 from . import offload
-from .semirings import SemiringDescriptor, row_kernels, same_descriptor
+from .semirings import (SemiringDescriptor, kernels_of, kernels_within,
+                        magnitude, row_kernels, same_descriptor)
 
 __all__ = ["Matrix", "identity", "zeros"]
 
 
 def _matrix_product(A, B):
     d = A.descriptor
-    kernels = row_kernels(d)
+    kernels = kernels_within(d, B.cols, lambda: magnitude(d, A._data)
+                             + magnitude(d, B._data))
     encode = kernels.encode
     out = _split_product(d, list(map(encode, A._data)),
                          list(map(encode, B._data)))
@@ -53,7 +55,7 @@ def _split_product(d, X, Y):
 def _product(peer, d, X, lo, Y):
     # X Y, X from row lo of a left factor.  Private: a public name may
     # be rebound by a wrapper that does not pickle
-    return row_kernels(d).product(X, Y)
+    return kernels_of(d, Y[0]).product(X, Y)
 
 
 # lift -> intervals.lifted, which runs its products, entered by
@@ -206,6 +208,7 @@ def _is_int(v):
 
 
 def identity(descriptor: SemiringDescriptor, n: int) -> Matrix:
+    _require_type(descriptor, SemiringDescriptor, "descriptor")
     if not _is_int(n):
         raise DimensionMismatch(f"n must be an int, got {n!r}")
     if n < 1:
@@ -216,6 +219,7 @@ def identity(descriptor: SemiringDescriptor, n: int) -> Matrix:
 
 
 def zeros(descriptor: SemiringDescriptor, rows: int, cols: int) -> Matrix:
+    _require_type(descriptor, SemiringDescriptor, "descriptor")
     for name, value in (("rows", rows), ("cols", cols)):
         if not _is_int(value):
             raise DimensionMismatch(f"{name} must be an int, got {value!r}")

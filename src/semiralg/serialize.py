@@ -26,7 +26,7 @@ tokens, every other value is written as it is.
 
 import json
 
-from .errors import ParseError, SemiringError
+from .errors import ParseError, SemiringError, _require_type
 from .graphs import WeightedDigraph
 from .ldm import LdmTriple
 from .matrices import Matrix
@@ -127,7 +127,7 @@ def scalars_from_json(descriptor: SemiringDescriptor, values,
 
 
 def matrix_to_json(A: Matrix) -> dict:
-    d = A.descriptor
+    d = _require_type(A, Matrix, "A").descriptor
     return {"rows": A.rows, "cols": A.cols,
             "data": [scalars_to_json(d, row) for row in A._data]}
 

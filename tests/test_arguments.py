@@ -10,11 +10,14 @@ value instead, or raised an ``AttributeError`` from inside.
 import pytest
 
 from conftest import descriptor
-from semiralg import (Matrix, Path, WeightedDigraph, brute_force_star, closure,
-                      closure_gauss_jordan, closure_iterative, from_token,
-                      ldm_factorize, lift_semiring, max_profit, path_weight,
-                      real_matrix_star, shortest_paths, solve_bellman,
-                      solve_ldm, symmetric_factorize, to_token, widest_paths)
+from semiralg import (Matrix, Path, WeightedDigraph, back_substitution,
+                      brute_force_star, closure, closure_gauss_jordan,
+                      closure_iterative, forward_substitution, from_token,
+                      graph_to_matrix, identity, ldm_factorize, lift_semiring,
+                      make_interval, matrix_to_graph, matrix_to_json,
+                      max_profit, path_weight, real_matrix_star,
+                      shortest_paths, solve_bellman, solve_ldm,
+                      symmetric_factorize, to_token, widest_paths, zeros)
 from semiralg.errors import InvalidGraph, InvalidPath
 
 MX = descriptor("maxplus")
@@ -86,6 +89,31 @@ ILL_VALUED = {
                         TypeError, r"^descriptor must be a SemiringDescriptor"),
     "solve of no triple": (lambda: solve_ldm(None, [1.0]), TypeError,
                            r"^triple must be a LdmTriple, got NoneType$"),
+    "identity over None": (lambda: identity(None, 2), TypeError,
+                           r"^descriptor must be a SemiringDescriptor, "
+                           r"got NoneType$"),
+    "zeros over None": (lambda: zeros(None, 1, 1), TypeError,
+                        r"^descriptor must be a SemiringDescriptor, "
+                        r"got NoneType$"),
+    "interval over None": (lambda: make_interval(None, 0.0, 1.0), TypeError,
+                           r"^base must be a SemiringDescriptor, "
+                           r"got NoneType$"),
+    "matrix of None": (lambda: graph_to_matrix(None), TypeError,
+                       r"^g must be a WeightedDigraph, got NoneType$"),
+    "graph of lists": (lambda: matrix_to_graph([[1.0]]), TypeError,
+                       r"^A must be a Matrix, got list$"),
+    "path weight in None": (lambda: path_weight(None, Path((1,))), TypeError,
+                            r"^g must be a WeightedDigraph, got NoneType$"),
+    "brute force of None": (lambda: brute_force_star(None, 2), TypeError,
+                            r"^g must be a WeightedDigraph, got NoneType$"),
+    "forward substitution of None": (
+        lambda: forward_substitution(None, [1.0]), TypeError,
+        r"^L must be a Matrix, got NoneType$"),
+    "back substitution of None": (
+        lambda: back_substitution(None, [1.0]), TypeError,
+        r"^M must be a Matrix, got NoneType$"),
+    "json of lists": (lambda: matrix_to_json([[1.0]]), TypeError,
+                      r"^A must be a Matrix, got list$"),
 }
 
 

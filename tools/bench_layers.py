@@ -15,22 +15,20 @@ Each row is one kernel call on one carrier at one size:
   contraction) at n = 64 and 96, a repeat ``solve_ldm`` through factors made before the timing
   at n = 64 and 96, and, on real_field, ``real_matrix_star`` at
   n = 96, as in the cli-jobs ``invert`` jobs;
-- as the control that a change to one carrier's row kernels costs the
-  others nothing, maxplus and minplus Gauss-Jordan and block closure at
-  n = 128, also with the worker off;
-- maxplus and minplus matrix products at n = 64 and 128 dense and n =
-  96 at density 0.3, and block closures at n = 64 dense and n = 96 at
-  density 0.3, as in the tropical-closure workload, whose products ship
-  their bottom rows, also with the worker off; and block closures at
-  n = 8, 16 and 24 at density 0.5, as in the cli-jobs ``closure`` jobs,
-  where nothing ships;
+- maxplus and minplus Gauss-Jordan, block closure, matrix product and
+  ``solve_bellman`` with an n x 8 right-hand side at the
+  tropical-closure shapes, n = 64 and 128 dense and n = 96 at density
+  0.3, also with the worker off, and block closures at n = 8, 16 and 24
+  at density 0.5, as in the cli-jobs ``closure`` jobs, where nothing
+  ships; each on integral weights, where a call from n = 24 packs its
+  rows into ints, and, as the control, on the same weights divided by
+  8 (input "1.0/8" and so on), exact but not integral, so on list rows;
+  the control rows also time a second copy of the baseline;
 - maxmin Gauss-Jordan, block closure and ``solve_bellman`` with an
   n x 8 right-hand side at the tropical-closure shapes, n = 64 and 128
   dense and n = 96 at density 0.3, which sweep over the arcs and ship
   nothing, also with the worker off;
-- maxplus and minplus ``solve_bellman`` with an n x 8 right-hand side
-  at n = 96 and 128, whose cyclic stripes ship, and, on the interval
-  lifts of maxplus and maxmin (``maxplus_interval`` and
+- on the interval lifts of maxplus and maxmin (``maxplus_interval`` and
   ``maxmin_interval``: each weight w widened to [w - 2, w], on maxmin
   cut at the zero 0), Gauss-Jordan and ``solve_bellman`` at n = 48 and
   64, whose hi endpoint runs ship, each also with the worker off.
@@ -40,13 +38,13 @@ package at a baseline git revision, loaded side by side in one process.
 The field kernels that can split a call with the worker process of
 ``semiralg.offload`` (the matrix product, which ships its bottom half of
 rows, the series, written on that product, and the row stripes of
-Gauss-Jordan, ``ldm_factorize`` and ``real_matrix_star``), the
-tropical control rows, the tropical solves and the lifted rows, run
-twice on each side: as shipped, and with the
-worker off, that copy's ``offload.SHIP_MIN_WORK`` rebound to infinity
-for the call, so that the whole job runs here.  Their ``ship_speedup`` is the worker-off time over
-the shipped time of the working tree: below 1, shipping costs more than
-it saves.
+Gauss-Jordan, ``ldm_factorize`` and ``real_matrix_star``), the maxplus
+and minplus rows at the tropical-closure shapes, the maxmin rows and the
+lifted rows, run twice on each side: as shipped, and with the worker
+off, that copy's ``offload.SHIP_MIN_WORK`` rebound to infinity for the
+call, so that the whole job runs here.  Their ``ship_speedup`` is the
+worker-off time over the shipped time of the working tree: below 1,
+shipping costs more than it saves.
 
 Timing is interleaved best-of-N: every repetition times each row on
 every side, alternating which side runs first, with the collector
@@ -200,13 +198,16 @@ SHIPS = ("product", "gauss_jordan", "iterative", "ldm_factorize",
          "real_matrix_star")
 
 
-def prepare(lib, carrier, op, data):
-    """The arguments of a row's call on ``lib``."""
+def prepare(lib, carrier, op, data, divisor=1):
+    """The arguments of a row's call on ``lib``; a right-hand side has
+    its weights divided by ``divisor``, as ``data`` has."""
     A = to_matrix(lib, carrier, data)
     n = len(data)
     if op == "solve_bellman":
-        return A, to_matrix(lib, carrier,
-                            plain_matrix(carrier, n, B_DENSITY, 1, B_COLS))
+        B = plain_matrix(carrier, n, B_DENSITY, 1, B_COLS)
+        if divisor != 1:
+            B = divided(B, divisor)
+        return A, to_matrix(lib, carrier, B)
     if op == "solve_ldm":
         # the factors, and one solve run, as a repeat solve finds them
         triple, b = lib.ldm_factorize(A), contraction(carrier, n, 1)[0]
@@ -251,22 +252,19 @@ def cases(only=None):
             sides = pair + off if op in SHIPS else pair
             rows.append((carrier, op, n, kind, sides))
     for carrier in ("maxplus", "minplus"):
-        for op in ("gauss_jordan", "block"):
-            rows.append((carrier, op, 128, 1.0,
-                         pair + ("baseline_copy",) + off))
-    for carrier in ("maxplus", "minplus"):
-        for op, n, density in (("product", 64, 1.0), ("product", 96, 0.3),
-                               ("product", 128, 1.0), ("block", 64, 1.0),
-                               ("block", 96, 0.3)):
-            rows.append((carrier, op, n, density, pair + off))
-        for n in (8, 16, 24):
-            rows.append((carrier, "block", n, 0.5, pair))
+        # integral weights, then the control: the same divided by 8
+        for scale, extra in (("", ()), ("/8", ("baseline_copy",))):
+            for op in ("gauss_jordan", "block", "product", "solve_bellman"):
+                for n, density in ((64, 1.0), (96, 0.3), (128, 1.0)):
+                    rows.append((carrier, op, n,
+                                 f"{density}{scale}" if scale else density,
+                                 pair + extra + off))
+            for n in (8, 16, 24):
+                rows.append((carrier, "block", n,
+                             f"0.5{scale}" if scale else 0.5, pair + extra))
     for op in ("gauss_jordan", "block", "solve_bellman"):
         for n, density in ((64, 1.0), (96, 0.3), (128, 1.0)):
             rows.append(("maxmin", op, n, density, pair + off))
-    for carrier in ("maxplus", "minplus"):
-        for n in (96, 128):
-            rows.append((carrier, "solve_bellman", n, 1.0, pair + off))
     for carrier in LIFTED:
         for op in ("gauss_jordan", "solve_bellman"):
             for n in (48, 64):
@@ -279,7 +277,24 @@ def input_data(carrier, n, kind):
         return symmetric_contraction(n, 0)
     if kind == "contraction":
         return contraction(carrier, n, 0)
-    return plain_matrix(carrier, n, kind, 0)
+    density, divisor = input_kind(kind)
+    data = plain_matrix(carrier, n, density, 0)
+    return data if divisor == 1 else divided(data, divisor)
+
+
+def input_kind(kind):
+    """The density of an input ``kind`` and the divisor of its weights:
+    a density, or a string such as "0.3/8", each weight divided by 8."""
+    if isinstance(kind, str) and "/" in kind:
+        density, divisor = kind.split("/")
+        return float(density), int(divisor)
+    return kind, 1
+
+
+def divided(data, divisor):
+    # the tags are strings, and stay
+    return [[v if isinstance(v, str) else v / divisor for v in row]
+            for row in data]
 
 
 def calls_per_timing(op, n):
@@ -325,8 +340,11 @@ def measure(libs, reps, only=None):
     plan = []
     for carrier, op, n, kind, sides in cases(only):
         data = input_data(carrier, n, kind)
+        divisor = (input_kind(kind)[1]
+                   if kind not in ("contraction", "symmetric contraction")
+                   else 1)
         args = {side: prepare(libs[side.removesuffix("_off")], carrier, op,
-                              data)
+                              data, divisor)
                 for side in sides}
         plan.append(((carrier, op, n, kind), OPERATIONS[op], args))
     times = {key: {side: [] for side in args} for key, _, args in plan}
