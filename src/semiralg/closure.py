@@ -28,9 +28,11 @@ They never index a row themselves.  The kernels read a pivot
 (``entry``), cut a block into four and glue it back (``split``,
 ``join``), add and multiply blocks (``add_rows``, ``product``, the
 kernel of ``Matrix.mul`` too) and take a Gauss-Jordan step
-(``eliminate``).  So one program runs on list rows and on boolean rows
+(``eliminate``).  So one program runs on list rows, on boolean rows
 packed into ints, one bit per entry, where a step ORs the pivot row
-into every row that has bit k set: one big-int operation per row.
+into every row that has bit k set: one big-int operation per row, and
+on maxplus and minplus rows packed into ints, a 32-bit field per entry,
+where a step takes a few big-int operations per row.
 
 The closures use the worker process of ``offload`` when the work is
 large enough to pay for the trip (``offload.split_job``, whose rule
@@ -51,6 +53,28 @@ is the one stripe that holds every row.  The series is written on
 ``Matrix.mul`` and ``Matrix.add`` alone, so its products ship their
 bottom rows as every product does.  A shipped product or stripe is the
 same kernel on the same rows, so the result is the same bit for bit.
+
+On catalog maxplus and minplus each call picks its row form once,
+from its whole input (``semirings.kernels_within``): packed rows, one
+int of 32-bit fields per row, when every finite entry is an integral
+float other than -0.0, the rows are at least 24 entries wide and the
+call's bound is below 2^29; else the float list rows.  The bound is n M
+for a closure of an n x n matrix and n max(M(A), M(B)) for the least
+solution, M the largest magnitude of a finite entry, and every value
+stored is at most it in magnitude.  On maxplus (minplus is the mirror)
+every star that exists is 0, so each stored value is the largest
+weight of the walks between two nodes whose inner nodes lie in some
+set S: the pivots taken so far for Gauss-Jordan and the forward pass,
+the nodes of the blocks closed so far for the recursion, with a column
+of B a sink node that arcs of weight b_ij enter (Carre, 1971).  Every
+cycle among the nodes of S passes a pivot whose star was taken, which
+needs it to weigh at most 0; so cutting a cycle out of a walk never
+lowers its weight, the largest weight is that of a walk that repeats
+no node, of at most n arcs, and it is at most n M in magnitude.  A term
+is the product of two stored values, at most 2 n M < 2^30, so each
+value and term fits a field exactly, as it fits a float (below 2^53),
+and the packed call returns the floats of the list one, bit for bit.
+A star that fails raises before its pivot's step, as on list rows.
 
 On catalog maxmin the block and Gauss-Jordan closures and the least
 solution run none of this: they run one sweep over the arcs of the
@@ -185,8 +209,8 @@ def closure_gauss_jordan(A: Matrix) -> Matrix:
     worker process, the two stripes stepping at the same time
     (``_stripe``, ``offload.split_job``), when the work of the bottom one,
     its rows times n times the width of a kernel row, reaches
-    ``offload.SHIP_MIN_WORK``; a packed boolean row counts 1, so boolean
-    ships from n = 181 only.
+    ``offload.SHIP_MIN_WORK``; a row packed into an int counts 1, so
+    packed rows ship from n = 181 only.
 
     On catalog maxmin it eliminates nothing: the closure is one sweep
     over the arcs, widest first, here (``semirings._sweep``), as for
@@ -333,13 +357,13 @@ def _solve(A, B):
     The rows go to two stripes held cyclically, the odd rows on the
     worker process, when the work of that stripe, the steps on its rows
     times the width of a kernel row, reaches ``offload.SHIP_MIN_WORK``
-    (from n = 38 with 8 columns in B).  A packed boolean row counts 0,
-    so boolean stays here: a step on it costs less than the message that
-    carries the pivot row, and two stripes took 9.5 and 27.3 ms at n =
-    256 and 512, against 7.4 and 26.5 ms here (two Xeon CPUs).  When
-    ``offload.split_job`` says so, one stripe here holds every row.  Private:
-    a lifted call ships it by name, and a public name may be rebound by
-    a wrapper that does not pickle.  On catalog maxmin the sweep over
+    (from n = 38 with 8 columns in B).  A row packed into an int counts
+    0, so packed rows stay here: a boolean step costs less than the
+    message that carries the pivot row, and two stripes took 9.5 and
+    27.3 ms at n = 256 and 512, against 7.4 and 26.5 ms here (two Xeon
+    CPUs).  When ``offload.split_job`` says so, one stripe here holds
+    every row.  Private: a lifted call ships it by name, and a public
+    name may be rebound by a wrapper that does not pickle.  On catalog maxmin the sweep over
     the arcs takes the place of all of this, the columns of B as sinks:
     a sweep and then a product by B took longer.
     """

@@ -7,7 +7,9 @@ row kernels (``semirings.row_kernels``), ``product``, which the block
 closure multiplies with too, through ``_split_product``.  Each of its
 entries equals a fixed left-to-right fold of ``fma`` over k, so float
 results are reproducible across runs and across algorithms that share
-this kernel; on boolean it ORs whole packed rows.  The entrywise sum
+this kernel; on boolean it ORs whole packed rows, and on integral
+maxplus and minplus inputs it runs on packed rows of 32-bit fields
+(``_matrix_product``).  The entrywise sum
 runs on the row kernels' ``add_rows``, as the block closure's sums do,
 so a sum that leaves the float range raises ``IllegalElement`` as a
 product does.
@@ -31,6 +33,11 @@ __all__ = ["Matrix", "identity", "zeros"]
 
 
 def _matrix_product(A, B):
+    """A B on rows packed into ints (``semirings.kernels_within``) where
+    M(A) + M(B) < 2^29, M the largest magnitude of a finite entry, and
+    the rows of B are wide enough; else on list rows.  Every term
+    a_ik + b_kj, and so every entry, is at most M(A) + M(B) in
+    magnitude, so a field holds it exactly."""
     d = A.descriptor
     kernels = kernels_within(d, B.cols, lambda: magnitude(d, A._data)
                              + magnitude(d, B._data))
@@ -44,7 +51,7 @@ def _split_product(d, X, Y):
     """The product X Y of kernel rows, its top rows here and its bottom
     rows on the worker process when their work pays (``offload.split_job``):
     rows times inner dimension times the width of a kernel row, which is
-    1 for a boolean row packed into an int.  A product by a column of list
+    1 for a row packed into an int.  A product by a column of list
     rows stays here: the rows it would ship are as large as their work."""
     width = len(Y[0]) if type(Y[0]) is list else 1     # packed: 1
     cut = 0 if width == 1 and type(Y[0]) is list else len(X) // 2

@@ -27,12 +27,7 @@ the fold returns: ``max`` or ``min`` over ``map`` for the tropical
 folds, plain loops and comprehensions on the float operators for the
 others.  Boolean packs each row into one int, a bit per entry; LDM,
 which writes single entries, runs boolean on the fold
-(:func:`list_kernels`).  The closures, the least solution and the
-product of catalog maxplus and minplus pack their rows too, a 32-bit
-field per entry, where every finite entry is an integral float other
-than -0.0, the rows are at least 24 entries wide and the call's bound
-keeps every value below 2^29 (:func:`kernels_within`); their values are
-those of the IEEE kernels, bit for bit.  Inside such a kernel the infinity tags are
+(:func:`list_kernels`).  Inside such a kernel the infinity tags are
 IEEE infinities; they become tags again on the way out, so a finite
 sum that overflows to the zero's infinity also comes out as the tag,
 and any other value past the float range raises ``IllegalElement``
@@ -40,6 +35,13 @@ there.  ``maxplus_complete`` and ``rplus_complete`` keep the fold:
 IEEE gives NaN for -inf + inf and 0 * inf, where they have a value.
 An overflow raises ``IllegalElement`` on every descriptor: in ``add``
 or ``mul`` on the fold, in the decode of the IEEE kernels.
+
+The closures, the least solution and the product of catalog maxplus
+and minplus pack their rows as well, a 32-bit field per entry, where
+every finite entry is an integral float other than -0.0, the rows are at
+least 24 entries wide and the call's bound is below 2^29
+(:func:`kernels_within`): no value can overflow there, and the values
+are those of the IEEE kernels, bit for bit.
 
 Shipped semirings, by name:
 
@@ -544,12 +546,13 @@ def magnitude(d: SemiringDescriptor, rows) -> float:
 
 def kernels_within(d: SemiringDescriptor, width, bound) -> RowKernels:
     """The kernels of a call over ``d`` whose kernel rows are ``width``
-    entries wide, and whose values and terms ``bound()`` keeps below
-    twice its value in magnitude: the packed tropical kernels where
-    ``d`` has them, the rows are at least 24 entries wide and ``bound()``
-    is below 2^29, so that every value and term fits a field; else
-    ``row_kernels(d)``.  A call whose entries packed rows cannot hold
-    has the bound inf (:func:`magnitude`).
+    entries wide and whose bound is ``bound()``: no value the call
+    stores exceeds the bound in magnitude, and no term twice the bound.
+    They are the packed tropical kernels where ``d`` has them, the rows
+    are at least 24 entries wide and the bound is below 2^29, so that
+    every value and term fits a field; else ``row_kernels(d)``.  A call
+    whose entries packed rows cannot hold has the bound inf
+    (:func:`magnitude`).
 
     Below 24 entries list rows are faster, so ``bound`` is not called
     there.  Measured, paired, on rows of integral weights at density
@@ -908,8 +911,9 @@ _BIAS = 1 << 30                 # the field of 0.0
 # a field, and every term too
 _PACK_MIN_WIDTH = 24
 _PACK_LIMIT = 1 << 29
-# the array typecode of unsigned 4-byte items, one per field
-_U32 = next(code for code in "IL" if array(code).itemsize == 4)
+# the array typecode of a field: a C unsigned int, 4 bytes where CPython
+# runs, in the machine's byte order
+_U32 = "I"
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
