@@ -363,9 +363,9 @@ def _solve(A, B):
     27.3 ms at n = 256 and 512, against 7.4 and 26.5 ms here (two Xeon
     CPUs).  When ``offload.split_job`` says so, one stripe here holds
     every row.  Private: a lifted call ships it by name, and a public
-    name may be rebound by a wrapper that does not pickle.  On catalog maxmin the sweep over
-    the arcs takes the place of all of this, the columns of B as sinks:
-    a sweep and then a product by B took longer.
+    name may be rebound by a wrapper that does not pickle.  On catalog
+    maxmin the sweep over the arcs takes the place of all of this, the
+    columns of B as sinks: a sweep and then a product by B took longer.
     """
     d = A.descriptor
     if is_lift(d):

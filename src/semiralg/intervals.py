@@ -34,6 +34,7 @@ wherever the hi run goes.
 """
 
 from dataclasses import fields, is_dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import (EmptyInterval, IllegalElement, NotPositive, SemiringError,
@@ -167,8 +168,12 @@ def join_endpoints(d: SemiringDescriptor, lo, hi):
 
 
 def _joined(d, lo, hi):
-    # == is base.is_zero without its call: a tag equals only itself
+    # == is base.is_zero without its call: a tag equals only itself.  A
+    # row whose hi endpoints hold no zero holds no zero pair, and its
+    # intervals are made at C level, about a quarter faster dense
     zero, bzero, new = d.zero, d.base.zero, tuple.__new__
+    if bzero not in hi:
+        return list(map(new, repeat(Interval), zip(lo, hi)))
     return [zero if b == bzero and a == bzero else new(Interval, (a, b))
             for a, b in zip(lo, hi)]
 

@@ -562,7 +562,8 @@ def kernels_within(d: SemiringDescriptor, width, bound) -> RowKernels:
     and a product by one column, rows one entry wide, in x0.3-0.4.
     """
     packed = _packed.get(d)
-    if packed is not None and width >= _PACK_MIN_WIDTH and bound() < _PACK_LIMIT:
+    if (packed is not None and width >= _PACK_MIN_WIDTH
+            and bound() < _PACK_LIMIT):
         return packed
     return row_kernels(d)
 
@@ -859,7 +860,8 @@ def _packed_shape(width):
     def split(rows, k):
         shift = k * width
         low, bit = (1 << shift) - 1, 1 << shift
-        return [row & low | bit for row in rows], [row >> shift for row in rows]
+        return ([row & low | bit for row in rows],
+                [row >> shift for row in rows])
 
     def join(heads, tails):
         shift = heads[0].bit_length() - 1
@@ -935,7 +937,7 @@ def _to_row(fields):
 
 def _of_row(x):
     """The fields of the packed row x, entry 0 first."""
-    size = (x.bit_length() - 1) // 8       # 4 bytes a field, below the length bit
+    size = (x.bit_length() - 1) // 8    # 4 bytes a field, below the length bit
     fields = array(_U32, x.to_bytes(size + 1, "little")[:size])
     if _BIG_ENDIAN:
         fields.byteswap()
@@ -960,8 +962,8 @@ def _packed_tropical_kernels(d):
     fields, and t + (diff & M) adds r_j - t_j to t there.  So a
     Gauss-Jordan step adds the pivot's factor to the live fields of the
     pivot row and takes that sum with each row, and row i of a product
-    is the sum over k of the rows Y_k so shifted by x_ik: one big-int
-    operation per row where a list row takes one per entry.
+    is the sum over k of the rows Y_k so shifted by x_ik: a handful of
+    big-int operations per row where a list row takes one per entry.
 
     Every field holds the exact integer, the float kernels' values are
     exact below 2^53 and no -0.0 enters, so both give the same floats
@@ -987,7 +989,9 @@ def _packed_tropical_kernels(d):
         return 0 if v is zero else bias + int(v) if maxplus else bias - int(v)
 
     def decode_one(f):
-        return zero if not f else float(f - bias) if maxplus else float(bias - f)
+        if not f:
+            return zero
+        return float(f - bias) if maxplus else float(bias - f)
 
     def add_rows(x, y):
         guards = _masks(x.bit_length() - 1)[1]

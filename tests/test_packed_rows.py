@@ -205,7 +205,8 @@ def test_lifted_calls_match_list_rows_and_the_fold(name, n):
     rng = random.Random(f"lifted/{name}/{n}")
     A = _intervals(name, n, rng)
     B = _intervals(name, n, rng)
-    for call in (closure_gauss_jordan, closure_block, _block_at(max(1, n // 3))):
+    for call in (closure_gauss_jordan, closure_block,
+                 _block_at(max(1, n // 3))):
         assert _three_ways(call, A)
     assert _three_ways(solve_bellman, A, B)
     assert _three_ways(Matrix.mul, A, B)

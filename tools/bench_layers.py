@@ -340,11 +340,8 @@ def measure(libs, reps, only=None):
     plan = []
     for carrier, op, n, kind, sides in cases(only):
         data = input_data(carrier, n, kind)
-        divisor = (input_kind(kind)[1]
-                   if kind not in ("contraction", "symmetric contraction")
-                   else 1)
         args = {side: prepare(libs[side.removesuffix("_off")], carrier, op,
-                              data, divisor)
+                              data, input_kind(kind)[1])
                 for side in sides}
         plan.append(((carrier, op, n, kind), OPERATIONS[op], args))
     times = {key: {side: [] for side in args} for key, _, args in plan}
